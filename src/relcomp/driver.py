@@ -265,6 +265,7 @@ def generate_instance(rng, max_dim: int = 6, max_boundary: int = 3,
 def admissible_lambdas(rng, tri, tau, count: int, max_tries: int = 200):
     """Rejection-sample nonreal points where every resolvent in the identity
     chain exists."""
+    C = compression(tri, tau)
     out = []
     tries = 0
     while len(out) < count and tries < max_tries:
@@ -273,7 +274,7 @@ def admissible_lambdas(rng, tri, tau, count: int, max_tries: int = 200):
                       rng.choice([-1, 1]) * rng.uniform(0.5, 2.0))
         try:
             krein_resolvent(tri, tau, lam)
-            resolvent(compression(tri, tau), lam)
+            resolvent(C, lam)
         except (SpectrumError, ValueError):
             continue
         out.append(lam)

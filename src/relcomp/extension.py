@@ -39,28 +39,34 @@ class RouteDisagreement(RuntimeError):
     """The geometric and the coefficient-based classification disagree."""
 
 
-def middle_inverse(tri: BoundaryTriplet, tau: RationalNevanlinna,
-                   lam: complex) -> np.ndarray:
-    """Matrix of (tau(lam) + M(lam))^{-1} on the boundary space.
+def _middle_inverse(tau: RationalNevanlinna, lam: complex, weyl: np.ndarray,
+                    tol: float) -> np.ndarray:
+    """Matrix of (tau(lam) + M(lam))^{-1} on the boundary space, given
+    M(lam) = weyl.
 
     The sum is formed as a relation {{h, tau(lam)h + M(lam)h}} and inverted
     by swapping components; SpectrumError if it is not boundedly invertible.
     """
     T = eval_tau(tau, lam)
-    M = gamma_and_weyl(tri, lam).weyl
-    span = np.vstack([T.left, T.right + M @ T.left])
-    summed = make_relation(span, tau.dim, tau.dim, tri.tol)
+    span = np.vstack([T.left, T.right + weyl @ T.left])
+    summed = make_relation(span, tau.dim, tau.dim, tol)
     return as_operator(inverse(summed))
 
 
 def krein_resolvent(tri: BoundaryTriplet, tau: RationalNevanlinna,
                     lam: complex) -> np.ndarray:
-    """Generalized resolvent of the seed relation at lam for parameter tau."""
+    """Generalized resolvent of the seed relation at lam for parameter tau.
+
+    gamma(conj lam) comes from the gamma-field identity
+    gamma(conj lam) = gamma(lam) + (conj lam - lam) R0(conj lam) gamma(lam),
+    with R0(conj lam) = R0(lam)* because A0 is self-adjoint.
+    """
     ws = gamma_and_weyl(tri, lam)
-    ws_bar = gamma_and_weyl(tri, np.conj(lam))
     r0 = resolvent(a0_extension(tri), lam)
-    mid = middle_inverse(tri, tau, lam)
-    return r0 - ws.gamma_field @ mid @ ws_bar.gamma_field.conj().T
+    gamma_adj = ws.gamma_field.conj().T
+    gamma_bar_adj = gamma_adj + (lam - np.conj(lam)) * (gamma_adj @ r0)
+    mid = _middle_inverse(tau, lam, ws.weyl, tri.tol)
+    return r0 - ws.gamma_field @ mid @ gamma_bar_adj
 
 
 def check_resolvent_identity(tri: BoundaryTriplet, tau: RationalNevanlinna,

@@ -298,9 +298,21 @@ def as_operator(T: LinearRelation) -> np.ndarray:
 
 def resolvent(T: LinearRelation, lam: complex) -> np.ndarray:
     """Matrix of (T - lam)^{-1} = {{f' - lam f, f}} when it is an
-    everywhere-defined operator; SpectrumError otherwise."""
+    everywhere-defined operator; SpectrumError otherwise.
+
+    With L, R the left and right halves of T's frame, the inverse is
+    L (R - lam L)^{-1}, read off one SVD U diag(s) V* of R - lam L.  lam is
+    rejected when s_min <= tol * sqrt(s_max^2 + 1), a cut relative to the
+    norm of the stacked frame (R - lam L; L) of the inverse relation.
+    """
     if T.dim_from != T.dim_to:
         raise ValueError("resolvent is defined for relations in a single space")
-    span = np.vstack([T.right - lam * T.left, T.left])
-    inv_rel = make_relation(span, T.dim_from, T.dim_to, T.tol)
-    return as_operator(inv_rel)
+    n = T.dim_from
+    if T.dim != n:
+        raise SpectrumError("relation is not the graph of an everywhere-defined operator")
+    if n == 0:
+        return np.zeros((0, 0), dtype=complex)
+    u, s, vh = np.linalg.svd(T.right - lam * T.left)
+    if s[-1] <= T.tol * np.sqrt(s[0] ** 2 + 1.0):
+        raise SpectrumError("lam lies in the spectrum of the relation")
+    return ((T.left @ vh.conj().T) / s) @ u.conj().T

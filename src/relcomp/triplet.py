@@ -7,6 +7,7 @@ maps are exact subspace computations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -17,7 +18,6 @@ from .linrel import (
     classify_symmetry,
     containment_residual,
     contains,
-    graph_of,
     make_relation,
     null_space,
     orth,
@@ -57,16 +57,16 @@ def defect(seed: SymmetricSeed, lam: complex):
     """Frame of the graph defect subspace {f-hat in A*: f' = lam f} plus the
     deficiency indices (n+, n-)."""
     frame = _defect_frame(seed, lam)
-    n_plus = _defect_frame(seed, 1j).shape[1]
-    n_minus = _defect_frame(seed, -1j).shape[1]
+    n_plus = frame.shape[1] if lam == 1j else _defect_frame(seed, 1j).shape[1]
+    n_minus = frame.shape[1] if lam == -1j else _defect_frame(seed, -1j).shape[1]
     return frame, (n_plus, n_minus)
 
 
 def _defect_frame(seed: SymmetricSeed, lam: complex) -> np.ndarray:
-    n = seed.space_dim
-    gl = graph_of(lam * np.eye(n), seed.A.tol)
-    from .linrel import intersect
-    return intersect(seed.A_star, gl).frame
+    """A* intersected with graph(lam I): the A*-coordinates c with
+    (R - lam L) c = 0, where L, R are the halves of A*'s frame."""
+    a_star = seed.A_star
+    return a_star.frame @ null_space(a_star.right - lam * a_star.left, seed.A.tol)
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,11 @@ class BoundaryTriplet:
     def boundary_map(self) -> np.ndarray:
         """The stacked map (Gamma0, Gamma1)^T as a 2d x m matrix."""
         return np.vstack([self.gamma0, self.gamma1])
+
+    @cached_property
+    def a0(self) -> LinearRelation:
+        """A0 = ker Gamma0, built on first use and kept with the triplet."""
+        return extension_of(self, vertical_relation(self.boundary_dim, self.tol))
 
     @classmethod
     def from_ambient_maps(cls, seed: SymmetricSeed, g0_ambient, g1_ambient,
@@ -211,8 +216,9 @@ def extension_of(tri: BoundaryTriplet, theta: LinearRelation) -> LinearRelation:
 
 
 def a0_extension(tri: BoundaryTriplet) -> LinearRelation:
-    """A0 = ker Gamma0, the basic self-adjoint extension."""
-    return extension_of(tri, vertical_relation(tri.boundary_dim, tri.tol))
+    """A0 = ker Gamma0, the basic self-adjoint extension (built once per
+    triplet)."""
+    return tri.a0
 
 
 def boundary_param_of(tri: BoundaryTriplet, A_tilde: LinearRelation) -> LinearRelation:

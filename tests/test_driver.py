@@ -10,6 +10,7 @@ from relcomp.driver import (
     DEMOS,
     Instance,
     InputError,
+    admissible_lambdas,
     build_problem,
     generate_instance,
     matrix_from_json,
@@ -84,6 +85,19 @@ def test_verify_instance_checks_all_pass():
     names = {c.name for c in checks}
     assert {"green_identity", "compression_equivalence", "krein_formula",
             "tau_infinity"} <= names
+
+
+def test_admissible_lambdas_builds_the_compression_once(monkeypatch):
+    import relcomp.driver as driver
+    built = []
+    compression = driver.compression
+    monkeypatch.setattr(driver, "compression",
+                        lambda tri, tau: built.append(1) or compression(tri, tau))
+    rng = np.random.default_rng(14)
+    tri, tau = build_problem(generate_instance(rng, max_dim=6, max_boundary=3,
+                                               category="b_full"))
+    assert len(admissible_lambdas(rng, tri, tau, 10)) == 10
+    assert len(built) == 1
 
 
 def test_verify_rejects_bad_bounds():

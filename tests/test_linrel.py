@@ -231,6 +231,48 @@ def test_resolvent_eigenvalue_hit():
         resolvent(graph_of(np.diag([1.0, 2.0])), 1.0)
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_resolvent_eigenvalue_hit_at_any_scale(scale):
+    T = graph_of(scale * np.diag([1.0, 2.0]))
+    with pytest.raises(SpectrumError):
+        resolvent(T, scale)
+    lam = scale * (1.5 + 0.5j)
+    oracle = np.diag(1.0 / (scale * np.array([1.0, 2.0]) - lam))
+    # The graph frame holds its left half (entries ~ 1/scale) to absolute
+    # precision, so relative accuracy degrades like eps * scale above 1.
+    rel_err = np.max(np.abs(resolvent(T, lam) - oracle)) * scale
+    assert rel_err < 1e-14 * max(scale, 1.0)
+
+
+@pytest.mark.parametrize("T", [full_relation(2), zero_relation(2)])
+def test_resolvent_of_relation_without_n_dimensions(T):
+    with pytest.raises(SpectrumError):
+        resolvent(T, 1j)
+
+
+def test_resolvent_rejects_relation_between_different_spaces():
+    with pytest.raises(ValueError):
+        resolvent(make_relation(np.eye(3)[:, :2], 1, 2), 1j)
+
+
+def test_resolvent_with_multivalued_part_against_dense_compression():
+    """{{Qx, QHx + k}: k in ran(Q)^perp} has resolvent Q (H - lam)^{-1} Q*."""
+    rng = np.random.default_rng(29)
+    for n, m in ((3, 1), (5, 3), (8, 4)):
+        u = np.linalg.qr(rng.standard_normal((n, n))
+                         + 1j * rng.standard_normal((n, n)))[0]
+        q = u[:, :m]
+        h = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        h = (h + h.conj().T) / 2
+        span = np.vstack([np.hstack([q, np.zeros((n, n - m))]),
+                          np.hstack([q @ h, u[:, m:]])])
+        T = make_relation(span, n, n)
+        assert classify_symmetry(T) == "self_adjoint"
+        for lam in (1j, -0.7j, 1.3 + 0.2j, -2.0 - 5.0j):
+            oracle = q @ np.linalg.inv(h - lam * np.eye(m)) @ q.conj().T
+            assert np.max(np.abs(resolvent(T, lam) - oracle)) < 1e-12
+
+
 def test_selfadjoint_resolvent_everywhere_off_axis():
     rng = np.random.default_rng(23)
     for _ in range(10):

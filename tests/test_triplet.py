@@ -6,6 +6,7 @@ from relcomp.linrel import (
     adjoint,
     classify_symmetry,
     comp_sum,
+    containment_residual,
     graph_of,
     intersect,
     make_relation,
@@ -77,6 +78,27 @@ def test_defect_of_trivial_seed():
     assert idx == (1, 1)
 
 
+@pytest.mark.parametrize("n", [6, 24, 96])
+def test_defect_frame_matches_intersection_reference(n):
+    """The one-SVD defect frame against A* cap graph(lam I) computed
+    independently through orthogonal complements."""
+    rng = np.random.default_rng(400 + n)
+    for _ in range(2):
+        seed = random_symmetric_seed(rng, n, d=int(rng.integers(1, n // 2 + 1)))
+        for lam in (1j, -1j, 0.3 + 1.7j, 100j, 1e6j):
+            frame, _ = defect(seed, lam)
+            ref = intersect(seed.A_star, graph_of(lam * np.eye(n))).frame
+            assert frame.shape[1] == ref.shape[1]
+            graph_res = np.linalg.norm(frame[n:] - lam * frame[:n], 2) / max(1.0, abs(lam))
+            assert graph_res <= 1e-13
+            assert containment_residual(frame, seed.A_star.frame) <= 1e-13
+            # At 1e6i the subspace itself is ill-conditioned: both frames have
+            # residuals near 1e-15 yet differ by about 1e-9 as subspaces.
+            if abs(lam) <= 100:
+                dist = np.linalg.norm(frame @ frame.conj().T - ref @ ref.conj().T, 2)
+                assert dist <= 1e-12
+
+
 def test_defect_of_selfadjoint_graph():
     seed = SymmetricSeed.from_relation(graph_of(np.diag([1.0, 2.0])))
     _, idx = defect(seed, 1j)
@@ -91,6 +113,28 @@ def test_defect_of_symmetric_restriction():
     # members of the defect space solve f' = lam f inside A*
     top, bot = frame[:2], frame[2:]
     assert np.max(np.abs(bot - 1j * top), initial=0.0) < 1e-9
+
+
+def test_defect_at_plus_minus_i_reuses_its_frame(monkeypatch):
+    import relcomp.triplet as triplet
+    calls = []
+    frame_of = triplet._defect_frame
+    monkeypatch.setattr(triplet, "_defect_frame",
+                        lambda seed, lam: calls.append(lam) or frame_of(seed, lam))
+    seed = random_symmetric_seed(np.random.default_rng(6), 5, d=2)
+    for lam, frames in ((1j, 2), (-1j, 2), (0.5j, 3)):
+        calls.clear()
+        _, idx = defect(seed, lam)
+        assert idx == (2, 2) and len(calls) == frames
+
+
+def test_a0_built_once_per_triplet():
+    seed = random_symmetric_seed(np.random.default_rng(12), 4, d=2)
+    tri = von_neumann_triplet(seed)
+    a0 = a0_extension(tri)
+    assert a0_extension(tri) is a0
+    eq, _ = relations_equal(a0, extension_of(tri, vertical_relation(2)))
+    assert eq
 
 
 def test_indices_count_codimension():
