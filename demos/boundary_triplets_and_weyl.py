@@ -9,7 +9,6 @@ import numpy as np
 
 from relcomp import (
     SymmetricSeed,
-    a0_extension,
     boundary_param_of,
     check_green,
     check_weyl_identities,
@@ -49,7 +48,7 @@ def main():
     # theta = C^d (+) C^d gives A*, Hermitian graphs give self-adjoint
     # canonical extensions, and the parametrization round-trips.
     d = tri.boundary_dim
-    a0 = a0_extension(tri)
+    a0 = tri.a0
     print("A0 symmetry:", classify_symmetry(a0))
     eq, _ = relations_equal(boundary_param_of(tri, a0), vertical_relation(d))
     print("boundary parameter of A0 is the vertical relation:", eq)

@@ -26,7 +26,6 @@ from .triplet import (
     BoundaryTriplet,
     SymmetricSeed,
     TripletError,
-    a0_extension,
     boundary_param_of,
     check_green,
     check_weyl_identities,
@@ -56,7 +55,6 @@ from .extension import (
     compression,
     compression_param,
     krein_resolvent,
-    tau_infinity,
 )
 from .exitspace import (
     ExitSpaceModel,

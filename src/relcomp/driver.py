@@ -15,6 +15,8 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -23,7 +25,6 @@ from .linrel import (
     SpectrumError,
     classify_symmetry,
     make_relation,
-    negate,
     relations_equal,
     resolvent,
 )
@@ -36,17 +37,19 @@ from .nevanlinna import (
     validate_tau,
 )
 from .triplet import (
+    GREEN_TOL,
     BoundaryTriplet,
     SymmetricSeed,
-    triplet_report,
+    check_green,
     von_neumann_triplet,
 )
 from .extension import (
+    RouteDisagreement,
     check_resolvent_identity,
     classify_compression,
     compression,
     krein_resolvent,
-    tau_infinity,
+    rank_sum,
 )
 from .exitspace import (
     build_exit_space,
@@ -262,13 +265,13 @@ def generate_instance(rng, max_dim: int = 6, max_boundary: int = 3,
                     tau_a=a, tau_b=b, tau_poles=tuple(poles), tol=tol)
 
 
-def admissible_lambdas(rng, tri, tau, count: int, max_tries: int = 200):
+def admissible_lambdas(rng, tri, tau, count: int):
     """Rejection-sample nonreal points where every resolvent in the identity
-    chain exists."""
+    chain exists; at most 200 draws."""
     C = compression(tri, tau)
     out = []
     tries = 0
-    while len(out) < count and tries < max_tries:
+    while len(out) < count and tries < 200:
         tries += 1
         lam = complex(rng.uniform(-2, 2),
                       rng.choice([-1, 1]) * rng.uniform(0.5, 2.0))
@@ -293,83 +296,110 @@ class CheckResult:
     elapsed: float
 
 
-def _ok(name, residual, tol, t0) -> CheckResult:
-    return CheckResult(name=name, residual=float(residual),
-                       passed=bool(residual < tol), elapsed=time.perf_counter() - t0)
+class Check(NamedTuple):
+    """A verify check passes when residual(context) < threshold."""
+
+    name: str
+    threshold: float
+    residual: Callable
 
 
-def verify_instance(inst: Instance, rng) -> list:
-    """Run the full invariant suite on one instance."""
-    results = []
-    tri, tau = build_problem(inst)
+class VerifyContext:
+    """The objects the checks of one instance read.  Each is built once,
+    inside the first check that needs it."""
 
-    t0 = time.perf_counter()
-    rep = triplet_report(tri)
-    results.append(_ok("green_identity", rep["green"], 1e-10, t0))
+    def __init__(self, tri, tau, rng):
+        self.tri, self.tau, self.rng = tri, tau, rng
 
-    t0 = time.perf_counter()
+    @cached_property
+    def model(self):
+        return build_exit_space(self.tri, self.tau)
+
+    @cached_property
+    def chain(self):
+        """Direct compressions (C, S, T) of the exit-space model."""
+        return direct_compression(self.model)
+
+    @cached_property
+    def report(self):
+        return classify_compression(self.tri, self.tau)
+
+    @cached_property
+    def minimal(self) -> bool:
+        return minimality(self.model, (1j, 2j, -1 + 1j))
+
+
+def krein_residuals(tri, tau, model, lam: complex):
+    """Krein formula at lam against the canonical resolvent of A_{-tau(lam)}
+    and against the oracle's generalized resolvent."""
+    direct = generalized_resolvent_direct(model, lam)
+    return (check_resolvent_identity(tri, tau, lam),
+            float(np.max(np.abs(krein_resolvent(tri, tau, lam) - direct), initial=0.0)))
+
+
+def _decomposition_reassembly(ctx) -> float:
+    tau = ctx.tau
     dec = decompose_tau(tau)
     res = 0.0
     for _ in range(3):
-        lam = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2.0))
+        lam = complex(ctx.rng.uniform(-2, 2), ctx.rng.uniform(0.5, 2.0))
         if any(abs(lam - alpha) < 1e-6 for alpha, _ in tau.poles):
             continue
         _, r = relations_equal(eval_tau(tau, lam),
                                reassemble_decomposition(tau, dec, lam))
         res = max(res, r)
-    results.append(_ok("decomposition_reassembly", res, 1e-7, t0))
+    return res
 
-    t0 = time.perf_counter()
+
+def _classification_routes(ctx) -> float:
+    """Number of flags on which the two classification routes disagree."""
     try:
-        tau_limits(tau)
-        results.append(_ok("limits_analytic_vs_grid", 0.0, 1.0, t0))
-    except Exception:
-        results.append(_ok("limits_analytic_vs_grid", np.inf, 1.0, t0))
+        ctx.report
+    except RouteDisagreement as exc:
+        return len(exc.flags)
+    return 0.0
 
-    t0 = time.perf_counter()
-    model = build_exit_space(tri, tau)
-    c_direct, s_direct, _ = direct_compression(model)
-    c_formula = compression(tri, tau)
-    _, res_c = relations_equal(c_formula, c_direct)
-    results.append(_ok("compression_equivalence", res_c, 1e-7, t0))
 
-    t0 = time.perf_counter()
-    _, res_s = relations_equal(s_direct, model.reduced.s_rel)
-    results.append(_ok("s_direct_matches_theta0", res_s, 1e-7, t0))
+def _krein_formula(ctx) -> float:
+    lams = admissible_lambdas(ctx.rng, ctx.tri, ctx.tau, 3)
+    return max(max(krein_residuals(ctx.tri, ctx.tau, ctx.model, lam))
+               for lam in lams)
 
-    t0 = time.perf_counter()
-    _, res_f = relations_equal(compression_via_forbidden(model), c_direct)
-    results.append(_ok("forbidden_route", res_f, 1e-7, t0))
 
-    t0 = time.perf_counter()
-    res_chain = max(chain_residuals(tri, model).values())
-    results.append(_ok("compression_chain", res_chain, 1e-7, t0))
+def _exit_dimension(ctx) -> float:
+    # a non-minimal model has no exit dimension to compare
+    return abs(ctx.model.dim_r - rank_sum(ctx.tau)) if ctx.minimal else 0.0
 
-    t0 = time.perf_counter()
-    report = classify_compression(tri, tau)   # raises RouteDisagreement on bug
-    results.append(_ok("classification_routes", 0.0, 1.0, t0))
 
-    t0 = time.perf_counter()
-    _, res_inf = relations_equal(report.tau_inf, negate(report.tau_c))
-    results.append(_ok("tau_infinity", res_inf, 1e-10, t0))
+# The verify suite, in the order it runs; the order fixes the RNG draws.
+CHECKS = {check.name: check for check in (
+    Check("green_identity", GREEN_TOL, lambda ctx: check_green(ctx.tri)),
+    Check("decomposition_reassembly", 1e-7, _decomposition_reassembly),
+    Check("limits_analytic_vs_grid", 1e-6,
+          lambda ctx: tau_limits(ctx.tau).grid_residual),
+    Check("compression_equivalence", 1e-7, lambda ctx: relations_equal(
+        compression(ctx.tri, ctx.tau), ctx.chain[0])[1]),
+    Check("s_direct_matches_theta0", 1e-7, lambda ctx: relations_equal(
+        ctx.chain[1], ctx.model.reduced.s_rel)[1]),
+    Check("forbidden_route", 1e-7, lambda ctx: relations_equal(
+        compression_via_forbidden(ctx.model), ctx.chain[0])[1]),
+    Check("compression_chain", 1e-7,
+          lambda ctx: max(chain_residuals(ctx.tri, ctx.chain).values())),
+    Check("classification_routes", 0.5, _classification_routes),
+    Check("krein_formula", 1e-8, _krein_formula),
+    Check("exit_dimension", 0.5, _exit_dimension),
+)}
 
-    t0 = time.perf_counter()
-    lams = admissible_lambdas(rng, tri, tau, 3)
-    res_k = 0.0
-    for lam in lams:
-        res_k = max(res_k, check_resolvent_identity(tri, tau, lam))
-        direct = generalized_resolvent_direct(model, lam)
-        res_k = max(res_k, float(np.max(
-            np.abs(krein_resolvent(tri, tau, lam) - direct), initial=0.0)))
-    results.append(_ok("krein_formula", res_k, 1e-8, t0))
 
-    t0 = time.perf_counter()
-    if minimality(model, [1j, 2j, -1 + 1j]):
-        res_nr = float(abs(model.dim_r - report.n_r))
-    else:
-        # non-minimal model: the exit dimension comparison does not apply
-        res_nr = 0.0
-    results.append(_ok("exit_dimension", res_nr, 0.5, t0))
+def verify_instance(inst: Instance, rng) -> list:
+    """Run every check of CHECKS on one instance."""
+    ctx = VerifyContext(*build_problem(inst), rng)
+    results = []
+    for check in CHECKS.values():
+        t0 = time.perf_counter()
+        residual = float(check.residual(ctx))
+        results.append(CheckResult(check.name, residual, residual < check.threshold,
+                                   time.perf_counter() - t0))
     return results
 
 

@@ -106,8 +106,7 @@ def psd_factor(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (np.sqrt(w[keep])[:, None] * v[:, keep].conj().T).astype(complex)
 
 
-def realize_model(tau1: RationalNevanlinna, tol: float = DEFAULT_TOL,
-                  check_points=(1j, 2j, -1j, 0.5 + 1j, -1.5 + 0.7j)) -> ModelTriplet:
+def realize_model(tau1: RationalNevanlinna, tol: float = DEFAULT_TOL) -> ModelTriplet:
     """Build a model whose Weyl function is tau1.
 
     The model space stacks one block per rank factor of the linear
@@ -170,7 +169,7 @@ def realize_model(tau1: RationalNevanlinna, tol: float = DEFAULT_TOL,
                            gamma0=g0_amb @ s_r_star_frame,
                            gamma1=g1_amb @ s_r_star_frame, tol=tol)
     assert_valid_triplet(pi_r)
-    for lam in check_points:
+    for lam in (1j, 2j, -1j, 0.5 + 1j, -1.5 + 0.7j):
         m = gamma_and_weyl(pi_r, lam).weyl
         if np.max(np.abs(m - tau1.tau0(lam)), initial=0.0) > 1e-8:
             raise ModelError(f"model Weyl function does not match tau1 at {lam}")
@@ -240,10 +239,10 @@ def direct_compression(model: ExitSpaceModel):
     return C, S, T
 
 
-def chain_residuals(tri: BoundaryTriplet, model: ExitSpaceModel) -> dict:
+def chain_residuals(tri: BoundaryTriplet, chain) -> dict:
     """Containment residuals of A <= S <= C <= T <= A* for the direct
-    compression chain."""
-    C, S, T = direct_compression(model)
+    compression chain (C, S, T)."""
+    C, S, T = chain
     return {
         "A_in_S": containment_residual(tri.seed.A.frame, S.frame),
         "S_in_C": containment_residual(S.frame, C.frame),

@@ -32,11 +32,16 @@ from .linrel import (
     resolvent,
 )
 from .nevanlinna import RationalNevanlinna, eval_tau
-from .triplet import BoundaryTriplet, a0_extension, extension_of, gamma_and_weyl
+from .triplet import BoundaryTriplet, extension_of, gamma_and_weyl
 
 
 class RouteDisagreement(RuntimeError):
-    """The geometric and the coefficient-based classification disagree."""
+    """The geometric and the coefficient-based classification disagree;
+    ``flags`` maps each disputed flag to its (geometric, coefficient) values."""
+
+    def __init__(self, flags: dict):
+        super().__init__(f"flag mismatch (geometric, coefficient): {flags}")
+        self.flags = flags
 
 
 def _middle_inverse(tau: RationalNevanlinna, lam: complex, weyl: np.ndarray,
@@ -62,7 +67,7 @@ def krein_resolvent(tri: BoundaryTriplet, tau: RationalNevanlinna,
     with R0(conj lam) = R0(lam)* because A0 is self-adjoint.
     """
     ws = gamma_and_weyl(tri, lam)
-    r0 = resolvent(a0_extension(tri), lam)
+    r0 = resolvent(tri.a0, lam)
     gamma_adj = ws.gamma_field.conj().T
     gamma_bar_adj = gamma_adj + (lam - np.conj(lam)) * (gamma_adj @ r0)
     mid = _middle_inverse(tau, lam, ws.weyl, tri.tol)
@@ -97,11 +102,6 @@ def compression_param(tau: RationalNevanlinna) -> LinearRelation:
     return make_relation(np.hstack([cols_dom, cols_ran, cols_mul]), d, d, tau.tol)
 
 
-def tau_infinity(tau: RationalNevanlinna) -> LinearRelation:
-    """Strong resolvent limit of tau at i*infinity; equals -tau_c."""
-    return negate(compression_param(tau))
-
-
 def compression(tri: BoundaryTriplet, tau: RationalNevanlinna) -> LinearRelation:
     """C(A~) = A_{tau_c}, the compression of the exit-space extension."""
     return extension_of(tri, compression_param(tau))
@@ -114,14 +114,13 @@ class CompressionReport:
 
     tau_c: LinearRelation
     compression: LinearRelation
-    tau_inf: LinearRelation
     flags: dict
     n_tau: np.ndarray | None
     n_r: int
 
 
 def _flags_geometric(tri: BoundaryTriplet, C: LinearRelation) -> dict:
-    A0 = a0_extension(tri)
+    A0 = tri.a0
     eq_a0, _ = relations_equal(C, A0)
     eq_a, _ = relations_equal(C, tri.seed.A)
     span_sum = comp_sum(C, A0)
@@ -151,12 +150,8 @@ def _flags_coefficients(tau: RationalNevanlinna) -> dict:
 
 def rank_sum(tau: RationalNevanlinna) -> int:
     """Exit-space dimension rank B + sum_j rank A_j of a rational parameter."""
-    def rk(m):
-        if m.size == 0:
-            return 0
-        s = np.linalg.svd(m, compute_uv=False)
-        return int(np.count_nonzero(s > tau.tol * max(float(s[0]), 1.0)))
-    return rk(tau.b_coef) + sum(rk(aj) for _, aj in tau.poles)
+    return sum(orth(m, tau.tol).shape[1]
+               for m in (tau.b_coef, *(aj for _, aj in tau.poles)))
 
 
 def classify_compression(tri: BoundaryTriplet,
@@ -172,12 +167,11 @@ def classify_compression(tri: BoundaryTriplet,
     coef = _flags_coefficients(tau)
     if geo != coef:
         diffs = {k: (geo[k], coef[k]) for k in geo if geo[k] != coef[k]}
-        raise RouteDisagreement(f"flag mismatch (geometric, coefficient): {diffs}")
+        raise RouteDisagreement(diffs)
     n_tau = None
     if coef["transversal_with_A0"]:
         # C = A_{-N}, where N is the strong limit of tau0 at i*infinity.
         n_tau = tau.embed(np.eye(tau.op_dim, dtype=complex)) @ tau.a_coef \
             @ tau.embed(np.eye(tau.op_dim, dtype=complex)).conj().T
-    return CompressionReport(tau_c=tau_c, compression=C,
-                             tau_inf=tau_infinity(tau), flags=geo,
+    return CompressionReport(tau_c=tau_c, compression=C, flags=geo,
                              n_tau=n_tau, n_r=rank_sum(tau))

@@ -26,8 +26,10 @@ from .linrel import (
     resolvent,
     vertical_relation,
 )
+from .nevanlinna import DEFAULT_Y_GRID, _growth_estimate, _richardson
 
-DEFAULT_Y_GRID = (1e2, 1e3, 1e4, 1e5, 1e6)
+# Largest Green-identity residual a boundary triplet may have.
+GREEN_TOL = 1e-10
 
 
 class TripletError(Exception):
@@ -151,9 +153,9 @@ def triplet_report(tri: BoundaryTriplet) -> dict:
     return report
 
 
-def assert_valid_triplet(tri: BoundaryTriplet, green_tol: float = 1e-10) -> None:
+def assert_valid_triplet(tri: BoundaryTriplet) -> None:
     rep = triplet_report(tri)
-    if rep["green"] > green_tol:
+    if rep["green"] > GREEN_TOL:
         raise TripletError(f"Green identity residual {rep['green']:.2e}")
     if not rep["surjective"]:
         raise TripletError("stacked boundary map is not surjective")
@@ -215,12 +217,6 @@ def extension_of(tri: BoundaryTriplet, theta: LinearRelation) -> LinearRelation:
     return make_relation(tri.a_star_basis @ coeff, n, n, tri.tol)
 
 
-def a0_extension(tri: BoundaryTriplet) -> LinearRelation:
-    """A0 = ker Gamma0, the basic self-adjoint extension (built once per
-    triplet)."""
-    return tri.a0
-
-
 def boundary_param_of(tri: BoundaryTriplet, A_tilde: LinearRelation) -> LinearRelation:
     """Inverse of the extension parametrization: theta = Gamma(A_tilde)."""
     if not contains(A_tilde, tri.seed.A) or not contains(tri.seed.A_star, A_tilde):
@@ -266,7 +262,7 @@ def check_weyl_identities(tri: BoundaryTriplet, lam: complex, z: complex):
     """Residuals of the gamma-field and Weyl-function identities."""
     ws_l = gamma_and_weyl(tri, lam)
     ws_z = gamma_and_weyl(tri, z)
-    r0 = resolvent(a0_extension(tri), lam)
+    r0 = resolvent(tri.a0, lam)
     res_gamma = ws_l.gamma_field - ws_z.gamma_field \
         - (lam - z) * (r0 @ ws_z.gamma_field)
     res_weyl = ws_z.weyl - ws_l.weyl.conj().T \
@@ -285,32 +281,24 @@ def forbidden_relation(tri: BoundaryTriplet) -> LinearRelation:
     return make_relation(span, d, d, tri.tol)
 
 
-def _richardson(values_by_y):
-    """Eliminate the O(1/y) term from samples at the two largest grid points."""
-    (y1, v1), (y2, v2) = values_by_y[-2:]
-    return (y2 * v2 - y1 * v1) / (y2 - y1)
-
-
-def weyl_limits(tri: BoundaryTriplet, y_grid=DEFAULT_Y_GRID):
+def weyl_limits(tri: BoundaryTriplet):
     """Grid estimates of the linear-growth coefficient of M(iy) and of the
     limits M(iy)h on a given domain frame.
 
-    Returns (B_estimate, consistency_residual, evaluator) where evaluator(h)
+    Returns (B_estimate, grid_consistent, evaluator) where evaluator(h)
     Richardson-extrapolates lim M(iy)h.
     """
-    samples = [(y, gamma_and_weyl(tri, 1j * y).weyl) for y in y_grid]
-    scaled = [(y, m / (1j * y)) for y, m in samples]
-    b_est = _richardson(scaled)
-    consistency = float(np.max(np.abs(scaled[-1][1] - scaled[-2][1]))) if b_est.size else 0.0
+    samples = [(y, gamma_and_weyl(tri, 1j * y).weyl) for y in DEFAULT_Y_GRID]
+    b_est, consistent = _growth_estimate(samples)
 
     def n_limit(h: np.ndarray) -> np.ndarray:
         vals = [(y, m @ h) for y, m in samples]
         return _richardson(vals)
 
-    return b_est, consistency, n_limit
+    return b_est, consistent, n_limit
 
 
-def check_forbidden_asymptotics(tri: BoundaryTriplet, y_grid=DEFAULT_Y_GRID) -> dict:
+def check_forbidden_asymptotics(tri: BoundaryTriplet) -> dict:
     """Verify the asymptotic description of the forbidden relation:
     ran B_M lies in mul F and F is recovered from the limits of M(iy) on
     dom F together with mul F."""
@@ -320,7 +308,7 @@ def check_forbidden_asymptotics(tri: BoundaryTriplet, y_grid=DEFAULT_Y_GRID) -> 
     if d == 0:
         return {"ran_B_in_mul_F": 0.0, "relation_residual": 0.0,
                 "grid_consistent": True}
-    b_est, consistency, n_limit = weyl_limits(tri, y_grid)
+    b_est, consistent, n_limit = weyl_limits(tri)
     ran_b = orth(b_est, 1e-8)
     res_ran = containment_residual(ran_b, pf.mul)
     cols = []
@@ -333,4 +321,4 @@ def check_forbidden_asymptotics(tri: BoundaryTriplet, y_grid=DEFAULT_Y_GRID) -> 
     rebuilt = make_relation(span, d, d, 1e-6)
     _, res_rel = relations_equal(F, rebuilt)
     return {"ran_B_in_mul_F": res_ran, "relation_residual": res_rel,
-            "grid_consistent": consistency < 1e-3}
+            "grid_consistent": consistent}

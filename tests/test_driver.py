@@ -2,10 +2,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import relcomp.driver as driver
+import relcomp.extension as extension
+from relcomp.linrel import negate
+from relcomp.nevanlinna import RationalNevanlinna
 from relcomp.driver import (
     DEMOS,
     Instance,
@@ -83,12 +88,35 @@ def test_verify_instance_checks_all_pass():
     checks = verify_instance(inst, rng)
     assert checks and all(c.passed for c in checks)
     names = {c.name for c in checks}
-    assert {"green_identity", "compression_equivalence", "krein_formula",
-            "tau_infinity"} <= names
+    assert names == set(driver.CHECKS)
+
+
+# check -> (owner, attribute, wrapper that injects a fault into the original)
+FAULTS = {
+    # tau_c with its sign flipped
+    "compression_equivalence": (extension, "compression_param",
+                                lambda param: lambda tau: negate(param(tau))),
+    # the gamma(lam) (tau + M)^-1 gamma(conj lam)* term added, not subtracted
+    "krein_formula": (extension, "_middle_inverse",
+                      lambda middle: lambda *args: -middle(*args)),
+    # tau0 with B off by 1e-3, but only far up the imaginary axis, where
+    # only the grid estimate looks
+    "limits_analytic_vs_grid": (
+        RationalNevanlinna, "tau0",
+        lambda tau0: lambda self, lam: tau0(self, lam) + (abs(lam) > 50) * 1e-3 * lam),
+}
+
+
+@pytest.mark.parametrize("check", sorted(FAULTS))
+def test_injected_fault_fails_exactly_its_check(monkeypatch, check):
+    owner, attr, inject = FAULTS[check]
+    monkeypatch.setattr(owner, attr, inject(getattr(owner, attr)))
+    inst = generate_instance(np.random.default_rng(0), category="b_deficient")
+    checks = verify_instance(inst, np.random.default_rng(0))
+    assert [c.name for c in checks if not c.passed] == [check]
 
 
 def test_admissible_lambdas_builds_the_compression_once(monkeypatch):
-    import relcomp.driver as driver
     built = []
     compression = driver.compression
     monkeypatch.setattr(driver, "compression",
@@ -153,6 +181,16 @@ def test_cli_replay_roundtrip(tmp_path):
 
 def test_cli_unknown_demo_exit_two():
     assert cli("demo", "nope").returncode == 2
+
+
+DEMO_DIR = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in DEMO_DIR.glob("*.py")))
+def test_demo_script_runs(script):
+    proc = subprocess.run([sys.executable, str(DEMO_DIR / script)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_cli_demo_exit_zero():

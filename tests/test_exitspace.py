@@ -2,10 +2,9 @@
 import numpy as np
 import pytest
 
+from relcomp.driver import CHECKS, VerifyContext, admissible_lambdas, krein_residuals
 from relcomp.exitspace import (
     build_exit_space,
-    chain_residuals,
-    compression_via_forbidden,
     couple,
     direct_compression,
     generalized_resolvent_direct,
@@ -13,19 +12,19 @@ from relcomp.exitspace import (
     realize_model,
     reduce_parameter,
 )
-from relcomp.extension import compression, krein_resolvent
 from relcomp.linrel import (
+    DEFAULT_TOL,
     classify_symmetry,
     graph_of,
     relations_equal,
     resolvent,
 )
 from relcomp.nevanlinna import RationalNevanlinna, decompose_tau
-from relcomp.triplet import a0_extension, gamma_and_weyl
+from relcomp.triplet import gamma_and_weyl
 
-from test_extension import random_problem, sample_lambda
+from test_extension import random_problem
 from test_nevanlinna import random_tau
-from test_triplet import scalar_triplet
+from test_triplet import model_triplet
 
 
 def test_reduce_strict_parameter_is_identity_like():
@@ -46,7 +45,7 @@ def test_reduce_pure_mul_gives_a0():
     d = tri.boundary_dim
     tau = RationalNevanlinna.build(d, mul_span=np.eye(d))
     red = reduce_parameter(tri, tau)
-    eq, _ = relations_equal(red.s_rel, a0_extension(tri))
+    eq, _ = relations_equal(red.s_rel, tri.a0)
     assert eq
     assert red.pi_prime.boundary_dim == 0
 
@@ -112,7 +111,7 @@ def test_realize_weyl_matches_random():
 
 
 def test_swap_anchor_coupling():
-    tri = scalar_triplet()
+    tri = model_triplet([None])
     tau = RationalNevanlinna.build(1, poles=[(0.0, [[1.0]])])
     model = build_exit_space(tri, tau)
     swap = graph_of(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -146,7 +145,7 @@ def test_uncoupled_model_not_minimal():
     import dataclasses
     from relcomp.linrel import make_relation
     n, nr = model.dim_h, model.dim_r
-    a0 = a0_extension(tri)
+    a0 = tri.a0
     span = np.zeros((2 * (n + nr), a0.dim + nr), dtype=complex)
     span[:n, :a0.dim] = a0.frame[:n]
     span[n + nr:2 * n + nr, :a0.dim] = a0.frame[n:]
@@ -159,43 +158,27 @@ def test_uncoupled_model_not_minimal():
     assert eq
 
 
+def _worst_on_random_problems(check, seed, count):
+    """Largest residual of a verify check over seeded random problems."""
+    rng = np.random.default_rng(seed)
+    return max(CHECKS[check].residual(VerifyContext(*random_problem(rng), rng))
+               for _ in range(count))
+
+
 def test_direct_compression_chain_random():
-    rng = np.random.default_rng(19)
-    for _ in range(20):
-        tri, tau = random_problem(rng)
-        model = build_exit_space(tri, tau)
-        res = chain_residuals(tri, model)
-        assert max(res.values()) < 1e-8, res
+    assert _worst_on_random_problems("compression_chain", 19, 20) < 1e-8
 
 
 def test_s_direct_matches_theta0_extension():
-    rng = np.random.default_rng(23)
-    for _ in range(20):
-        tri, tau = random_problem(rng)
-        model = build_exit_space(tri, tau)
-        _, S, _ = direct_compression(model)
-        eq, resid = relations_equal(S, model.reduced.s_rel)
-        assert eq, resid
+    assert _worst_on_random_problems("s_direct_matches_theta0", 23, 20) < DEFAULT_TOL
 
 
 def test_forbidden_route_matches_direct():
-    rng = np.random.default_rng(29)
-    for _ in range(20):
-        tri, tau = random_problem(rng)
-        model = build_exit_space(tri, tau)
-        C, _, _ = direct_compression(model)
-        eq, resid = relations_equal(compression_via_forbidden(model), C)
-        assert eq, resid
+    assert _worst_on_random_problems("forbidden_route", 29, 20) < DEFAULT_TOL
 
 
 def test_oracle_agrees_with_formula_compression():
-    rng = np.random.default_rng(31)
-    for _ in range(30):
-        tri, tau = random_problem(rng)
-        model = build_exit_space(tri, tau)
-        C, _, _ = direct_compression(model)
-        eq, resid = relations_equal(compression(tri, tau), C)
-        assert eq and resid < 1e-7
+    assert _worst_on_random_problems("compression_equivalence", 31, 30) < DEFAULT_TOL
 
 
 def test_generalized_resolvent_matches_krein():
@@ -203,19 +186,17 @@ def test_generalized_resolvent_matches_krein():
     for _ in range(15):
         tri, tau = random_problem(rng)
         model = build_exit_space(tri, tau)
-        lam = sample_lambda(rng, tri, tau)
-        direct = generalized_resolvent_direct(model, lam)
-        assert np.max(np.abs(direct - krein_resolvent(tri, tau, lam))) < 1e-8
+        lam = admissible_lambdas(rng, tri, tau, 1)[0]
+        _, direct = krein_residuals(tri, tau, model, lam)
+        assert direct < CHECKS["krein_formula"].threshold
 
 
 def test_minimal_models_have_exact_exit_dimension():
-    from relcomp.extension import rank_sum
+    exit_dimension = CHECKS["exit_dimension"]
     rng = np.random.default_rng(41)
     checked = 0
     for _ in range(30):
-        tri, tau = random_problem(rng)
-        model = build_exit_space(tri, tau)
-        if minimality(model, [1j, 2j, -1 + 1j]):
-            assert model.dim_r == rank_sum(tau)
-            checked += 1
+        ctx = VerifyContext(*random_problem(rng), None)
+        assert exit_dimension.residual(ctx) < exit_dimension.threshold
+        checked += ctx.minimal
     assert checked >= 10

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from relcomp.driver import admissible_lambdas
 from relcomp.extension import (
     check_resolvent_identity,
     classify_compression,
@@ -9,10 +10,8 @@ from relcomp.extension import (
     compression_param,
     krein_resolvent,
     rank_sum,
-    tau_infinity,
 )
 from relcomp.linrel import (
-    SpectrumError,
     classify_symmetry,
     graph_of,
     make_relation,
@@ -21,11 +20,11 @@ from relcomp.linrel import (
     resolvent,
     vertical_relation,
 )
-from relcomp.nevanlinna import RationalNevanlinna, eval_tau
-from relcomp.triplet import a0_extension, extension_of
+from relcomp.nevanlinna import RationalNevanlinna, _richardson, eval_tau
+from relcomp.triplet import extension_of
 
 from test_nevanlinna import random_tau
-from test_triplet import random_symmetric_seed, random_unitary, scalar_triplet
+from test_triplet import model_triplet, random_symmetric_seed, random_unitary
 from relcomp.triplet import von_neumann_triplet
 
 
@@ -38,20 +37,8 @@ def random_problem(rng, n_max=6, d_max=3, **tau_kwargs):
     return tri, tau
 
 
-def sample_lambda(rng, tri, tau, tries=100):
-    for _ in range(tries):
-        lam = complex(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.5, 2))
-        try:
-            krein_resolvent(tri, tau, lam)
-            resolvent(extension_of(tri, negate(eval_tau(tau, lam))), lam)
-        except (SpectrumError, ValueError):
-            continue
-        return lam
-    raise RuntimeError("no admissible lambda found")
-
-
 def test_swap_anchor_scalar_value():
-    tri = scalar_triplet()
+    tri = model_triplet([None])
     tau = RationalNevanlinna.build(1, poles=[(0.0, [[1.0]])])
     r = krein_resolvent(tri, tau, 2j)
     assert abs(r[0, 0] - 0.4j) < 1e-12
@@ -64,7 +51,7 @@ def test_constant_parameter_gives_canonical_resolvent():
         d = tri.boundary_dim
         h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         tau = RationalNevanlinna.build(d, a=(h + h.conj().T) / 2)
-        lam = sample_lambda(rng, tri, tau)
+        lam = admissible_lambdas(rng, tri, tau, 1)[0]
         lhs = krein_resolvent(tri, tau, lam)
         rhs = resolvent(extension_of(tri, graph_of(-tau.a_coef)), lam)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -76,9 +63,9 @@ def test_pure_mul_parameter_reduces_to_a0():
         tri, _ = random_problem(rng)
         d = tri.boundary_dim
         tau = RationalNevanlinna.build(d, mul_span=np.eye(d))
-        lam = sample_lambda(rng, tri, tau)
+        lam = admissible_lambdas(rng, tri, tau, 1)[0]
         lhs = krein_resolvent(tri, tau, lam)
-        rhs = resolvent(a0_extension(tri), lam)
+        rhs = resolvent(tri.a0, lam)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -86,7 +73,7 @@ def test_resolvent_identity_random():
     rng = np.random.default_rng(11)
     for _ in range(25):
         tri, tau = random_problem(rng)
-        lam = sample_lambda(rng, tri, tau)
+        lam = admissible_lambdas(rng, tri, tau, 1)[0]
         assert check_resolvent_identity(tri, tau, lam) < 1e-8
 
 
@@ -94,7 +81,7 @@ def test_resolvent_conjugate_symmetry():
     rng = np.random.default_rng(13)
     for _ in range(10):
         tri, tau = random_problem(rng)
-        lam = sample_lambda(rng, tri, tau)
+        lam = admissible_lambdas(rng, tri, tau, 1)[0]
         r = krein_resolvent(tri, tau, lam)
         r_bar = krein_resolvent(tri, tau, np.conj(lam))
         assert np.max(np.abs(r_bar - r.conj().T)) < 1e-9
@@ -128,27 +115,30 @@ def test_compression_param_block():
 
 
 def test_tau_c_selfadjoint_and_tau_infinity():
+    """tau_c is self-adjoint, and the graph of tau(iy) tends to -tau_c as
+    y grows: the gap is O(1/y), so its Richardson value vanishes."""
     rng = np.random.default_rng(17)
     for _ in range(30):
         tau = random_tau(rng, int(rng.integers(1, 4)))
         tc = compression_param(tau)
         assert classify_symmetry(tc) == "self_adjoint"
-        eq, resid = relations_equal(tau_infinity(tau), negate(tc))
-        assert eq and resid < 1e-10
+        gaps = [(y, relations_equal(eval_tau(tau, 1j * y), negate(tc))[1])
+                for y in (1e5, 1e6)]
+        assert abs(_richardson(gaps)) < 1e-7
 
 
 def test_compression_flags_linear_scalar():
-    tri = scalar_triplet()
+    tri = model_triplet([None])
     rep = classify_compression(tri, RationalNevanlinna.build(1, b=[[1.0]]))
     assert rep.flags["equals_A0"] and rep.flags["subset_A0"]
     assert not rep.flags["equals_A"]
     assert rep.n_r == 1
-    eq, _ = relations_equal(rep.compression, a0_extension(tri))
+    eq, _ = relations_equal(rep.compression, tri.a0)
     assert eq
 
 
 def test_compression_flags_pole_scalar():
-    tri = scalar_triplet()
+    tri = model_triplet([None])
     rep = classify_compression(tri, RationalNevanlinna.build(1, poles=[(0.0, [[1.0]])]))
     assert rep.flags["transversal_with_A0"]
     assert rep.n_tau is not None and np.allclose(rep.n_tau, 0)
@@ -159,7 +149,7 @@ def test_compression_flags_pole_scalar():
 
 def test_finite_divergence_blocks_equals_a():
     # B = 0, one pole: y Im tau -> finite, so C != A
-    tri = scalar_triplet()
+    tri = model_triplet([None])
     rep = classify_compression(tri, RationalNevanlinna.build(1, poles=[(0.0, [[1.0]])]))
     assert not rep.flags["equals_A"]
 
@@ -198,6 +188,6 @@ def test_rank_sum():
 
 
 def test_dimension_mismatch_rejected():
-    tri = scalar_triplet()
+    tri = model_triplet([None])
     with pytest.raises(ValueError):
         classify_compression(tri, RationalNevanlinna.build(2, b=np.eye(2)))

@@ -15,10 +15,10 @@ from relcomp.linrel import (
     zero_relation,
 )
 from relcomp.triplet import (
+    GREEN_TOL,
     BoundaryTriplet,
     SymmetricSeed,
     TripletError,
-    a0_extension,
     boundary_param_of,
     check_forbidden_asymptotics,
     check_green,
@@ -57,18 +57,22 @@ def random_unitary(rng, d):
     return np.linalg.qr(z)[0]
 
 
-def scalar_triplet():
-    """Seed {{0,0}} in C with boundary maps (f, f')."""
-    seed = SymmetricSeed.from_relation(zero_relation(1))
-    return BoundaryTriplet.from_ambient_maps(
-        seed, np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]))
-
-
-def pole_triplet(alpha):
-    """Same seed with maps (f' - alpha f, -f); Weyl function (alpha-lam)^-1."""
-    seed = SymmetricSeed.from_relation(zero_relation(1))
-    return BoundaryTriplet.from_ambient_maps(
-        seed, np.array([[-alpha, 1.0]]), np.array([[-1.0, 0.0]]))
+def model_triplet(blocks):
+    """Seed {{0,0}} in C^len(blocks) with diagonal closed-form Weyl blocks:
+    entry None gives M(lam) = lam; entry alpha gives M(lam) = 1/(alpha-lam)."""
+    n = len(blocks)
+    seed = SymmetricSeed.from_relation(zero_relation(n))
+    g0 = np.zeros((n, 2 * n))
+    g1 = np.zeros((n, 2 * n))
+    for i, alpha in enumerate(blocks):
+        if alpha is None:
+            g0[i, i] = 1.0
+            g1[i, n + i] = 1.0
+        else:
+            g0[i, i] = -alpha
+            g0[i, n + i] = 1.0
+            g1[i, i] = -1.0
+    return BoundaryTriplet.from_ambient_maps(seed, g0, g1)
 
 
 def test_defect_of_trivial_seed():
@@ -131,8 +135,8 @@ def test_defect_at_plus_minus_i_reuses_its_frame(monkeypatch):
 def test_a0_built_once_per_triplet():
     seed = random_symmetric_seed(np.random.default_rng(12), 4, d=2)
     tri = von_neumann_triplet(seed)
-    a0 = a0_extension(tri)
-    assert a0_extension(tri) is a0
+    a0 = tri.a0
+    assert tri.a0 is a0
     eq, _ = relations_equal(a0, extension_of(tri, vertical_relation(2)))
     assert eq
 
@@ -165,7 +169,7 @@ def test_von_neumann_green_residual():
         seed = random_symmetric_seed(rng, int(rng.integers(1, 7)))
         d = seed.space_dim - seed.A.dim
         tri = von_neumann_triplet(seed, V=random_unitary(rng, d))
-        assert check_green(tri) < 1e-10
+        assert check_green(tri) < GREEN_TOL
         rep = triplet_report(tri)
         assert rep["surjective"] and rep["index_match"]
         assert rep["kernel_vs_A"] < 1e-8
@@ -186,7 +190,7 @@ def test_selfadjoint_seed_gives_empty_triplet():
 
 
 def test_negated_gamma1_breaks_green():
-    tri = scalar_triplet()
+    tri = model_triplet([None])
     broken = BoundaryTriplet(seed=tri.seed, boundary_dim=1,
                              a_star_basis=tri.a_star_basis,
                              gamma0=tri.gamma0, gamma1=-tri.gamma1)
@@ -200,7 +204,7 @@ def test_extension_endpoints():
     full_theta = make_relation(np.eye(4), 2, 2)
     eq, _ = relations_equal(extension_of(tri, full_theta), seed.A_star)
     assert eq
-    a0 = a0_extension(tri)
+    a0 = tri.a0
     assert classify_symmetry(a0) == "self_adjoint"
     eq, _ = relations_equal(intersect(a0, extension_of(tri, zero_relation(2))),
                             seed.A)
@@ -208,7 +212,7 @@ def test_extension_endpoints():
 
 
 def test_extension_scalar_substitution():
-    tri = scalar_triplet()
+    tri = model_triplet([None])
     ext = extension_of(tri, graph_of(np.array([[5.0]])))
     eq, resid = relations_equal(ext, graph_of(np.array([[5.0]])))
     assert eq, resid
@@ -235,7 +239,7 @@ def test_boundary_param_roundtrip():
     eq, _ = relations_equal(boundary_param_of(tri, seed.A_star),
                             make_relation(np.eye(2 * d), d, d))
     assert eq
-    eq, _ = relations_equal(boundary_param_of(tri, a0_extension(tri)),
+    eq, _ = relations_equal(boundary_param_of(tri, tri.a0),
                             vertical_relation(d))
     assert eq
 
@@ -271,7 +275,7 @@ def test_transversality_iff_operator_parameter():
     tri = von_neumann_triplet(seed)
     h = rng.standard_normal((2, 2))
     op_ext = extension_of(tri, graph_of((h + h.T) / 2))
-    a0 = a0_extension(tri)
+    a0 = tri.a0
     eq, _ = relations_equal(comp_sum(op_ext, a0), seed.A_star)
     assert eq
     eq, _ = relations_equal(intersect(op_ext, a0), seed.A)
@@ -283,12 +287,12 @@ def test_transversality_iff_operator_parameter():
 
 
 def test_scalar_weyl_functions():
-    tri = scalar_triplet()
+    tri = model_triplet([None])
     for lam in (1j, 2j, -0.5 + 1j):
         ws = gamma_and_weyl(tri, lam)
         assert abs(ws.weyl[0, 0] - lam) < 1e-12
         assert abs(abs(ws.gamma_field[0, 0]) - 1.0) < 1e-12
-    tri2 = pole_triplet(0.7)
+    tri2 = model_triplet([0.7])
     for lam in (1j, 2j):
         ws = gamma_and_weyl(tri2, lam)
         assert abs(ws.weyl[0, 0] - 1.0 / (0.7 - lam)) < 1e-12
@@ -325,13 +329,13 @@ def test_weyl_identities_random_and_degenerate():
 
 
 def test_forbidden_relation_shapes():
-    assert forbidden_relation(scalar_triplet()).frame.shape == (2, 1)
-    eq, _ = relations_equal(forbidden_relation(scalar_triplet()),
+    assert forbidden_relation(model_triplet([None])).frame.shape == (2, 1)
+    eq, _ = relations_equal(forbidden_relation(model_triplet([None])),
                             vertical_relation(1))
     assert eq
     # pole triplet: Gamma0 n = n, Gamma1 n = 0 -> horizontal relation
     horizontal = make_relation(np.array([[1.0], [0.0]]), 1, 1)
-    eq, _ = relations_equal(forbidden_relation(pole_triplet(0.0)), horizontal)
+    eq, _ = relations_equal(forbidden_relation(model_triplet([0.0])), horizontal)
     assert eq
 
 
@@ -348,11 +352,11 @@ def test_forbidden_dimension_counts_mul_of_adjoint():
 
 
 def test_forbidden_asymptotics_scalar_models():
-    out = check_forbidden_asymptotics(scalar_triplet())
+    out = check_forbidden_asymptotics(model_triplet([None]))
     assert out["grid_consistent"]
     assert out["ran_B_in_mul_F"] < 1e-4
     assert out["relation_residual"] < 1e-4
-    out = check_forbidden_asymptotics(pole_triplet(0.3))
+    out = check_forbidden_asymptotics(model_triplet([0.3]))
     assert out["grid_consistent"]
     assert out["ran_B_in_mul_F"] < 1e-4
     assert out["relation_residual"] < 1e-4
