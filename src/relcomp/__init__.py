@@ -50,7 +50,6 @@ from .nevanlinna import (
 from .extension import (
     CompressionReport,
     RouteDisagreement,
-    check_resolvent_identity,
     classify_compression,
     compression,
     compression_param,

@@ -69,7 +69,7 @@ def reduce_parameter(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ReducedPr
     # theta0 = {{h'', B1 h'' (+) B2 h'' (+) k}}
     cols_dom = np.vstack([hd, hp @ dec.b1 + hd @ dec.b2])
     cols_mul = np.vstack([np.zeros((d, k), dtype=complex), k_amb])
-    theta0 = make_relation(np.hstack([cols_dom, cols_mul]), d, d, tau.tol)
+    theta0 = make_relation(np.hstack([cols_dom, cols_mul]), d, d)
     S = extension_of(tri, theta0)
     seed_prime = SymmetricSeed.from_relation(S)
     C = tri.coords(seed_prime.A_star.frame)
@@ -77,7 +77,7 @@ def reduce_parameter(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ReducedPr
     g1p = hp.conj().T @ tri.gamma1 @ C - dec.b1 @ (hd.conj().T @ tri.gamma0 @ C)
     pi_prime = BoundaryTriplet(seed=seed_prime, boundary_dim=hp.shape[1],
                                a_star_basis=seed_prime.A_star.frame,
-                               gamma0=g0p, gamma1=g1p, tol=tri.tol)
+                               gamma0=g0p, gamma1=g1p)
     try:
         assert_valid_triplet(pi_prime)
     except Exception as exc:
@@ -96,17 +96,17 @@ class ModelTriplet:
     pi_r: BoundaryTriplet
 
 
-def psd_factor(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def psd_factor(m: np.ndarray) -> np.ndarray:
     """Surjective factor D with m = D^H D, rows = rank(m)."""
     if m.size == 0:
         return np.zeros((0, m.shape[1] if m.ndim == 2 else 0), dtype=complex)
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    cut = tol * max(float(np.max(np.abs(w))), 1.0)
+    cut = DEFAULT_TOL * max(float(np.max(np.abs(w))), 1.0)
     keep = w > cut
     return (np.sqrt(w[keep])[:, None] * v[:, keep].conj().T).astype(complex)
 
 
-def realize_model(tau1: RationalNevanlinna, tol: float = DEFAULT_TOL) -> ModelTriplet:
+def realize_model(tau1: RationalNevanlinna) -> ModelTriplet:
     """Build a model whose Weyl function is tau1.
 
     The model space stacks one block per rank factor of the linear
@@ -117,8 +117,8 @@ def realize_model(tau1: RationalNevanlinna, tol: float = DEFAULT_TOL) -> ModelTr
     if tau1.mul_frame.shape[1]:
         raise ValueError("tau1 must have trivial multivalued part")
     q = tau1.op_dim
-    d_fac = psd_factor(tau1.b_coef, tol)
-    c_facs = [(alpha, psd_factor(aj, tol)) for alpha, aj in tau1.poles]
+    d_fac = psd_factor(tau1.b_coef)
+    c_facs = [(alpha, psd_factor(aj)) for alpha, aj in tau1.poles]
     blocks = [d_fac] + [c for _, c in c_facs]
     nr = sum(b.shape[0] for b in blocks)
     G = np.vstack([b for b in blocks]) if nr else np.zeros((0, q), dtype=complex)
@@ -146,16 +146,16 @@ def realize_model(tau1: RationalNevanlinna, tol: float = DEFAULT_TOL) -> ModelTr
         g_pinv = np.linalg.inv(G.conj().T @ G) @ G.conj().T
     else:
         g_pinv = np.zeros((0, nr), dtype=complex)
-    ran_g = np.linalg.qr(G)[0][:, :np.linalg.matrix_rank(G, tol=1e-10)] \
-        if nr and q else np.zeros((nr, 0), dtype=complex)
+    # G is injective, so its q orthonormalized columns span ran G
+    ran_g = np.linalg.qr(G)[0] if q else np.zeros((nr, 0), dtype=complex)
 
     # S_r* = {f-hat: Gamma0_base f-hat in ran G}
     proj_out = np.eye(nr, dtype=complex) - ran_g @ ran_g.conj().T
-    s_r_star_frame = null_space(proj_out @ g0_base, tol) if nr else np.eye(0, dtype=complex)
-    s_r_frame = null_space(np.vstack([g0_base, G.conj().T @ g1_base]), tol) \
+    s_r_star_frame = null_space(proj_out @ g0_base) if nr else np.eye(0, dtype=complex)
+    s_r_frame = null_space(np.vstack([g0_base, G.conj().T @ g1_base])) \
         if nr else np.eye(0, dtype=complex)
-    s_r = LinearRelation(nr, nr, s_r_frame, tol)
-    s_r_star = LinearRelation(nr, nr, s_r_star_frame, tol)
+    s_r = LinearRelation(nr, nr, s_r_frame)
+    s_r_star = LinearRelation(nr, nr, s_r_star_frame)
     ok, resid = relations_equal(s_r_star, adjoint(s_r))
     if not ok:
         raise ModelError(f"model adjoint inconsistent (residual {resid:.2e})")
@@ -167,7 +167,7 @@ def realize_model(tau1: RationalNevanlinna, tol: float = DEFAULT_TOL) -> ModelTr
     pi_r = BoundaryTriplet(seed=seed_r, boundary_dim=q,
                            a_star_basis=s_r_star_frame,
                            gamma0=g0_amb @ s_r_star_frame,
-                           gamma1=g1_amb @ s_r_star_frame, tol=tol)
+                           gamma1=g1_amb @ s_r_star_frame)
     assert_valid_triplet(pi_r)
     for lam in (1j, 2j, -1j, 0.5 + 1j, -1.5 + 0.7j):
         m = gamma_and_weyl(pi_r, lam).weyl
@@ -201,11 +201,11 @@ def couple(reduced: ReducedProblem, model: ModelTriplet) -> ExitSpaceModel:
         [pi_p.gamma0, -pi_r.gamma0],
         [pi_p.gamma1, pi_r.gamma1],
     ]) if pi_p.boundary_dim else np.zeros((0, m1 + pi_r.a_star_basis.shape[1]), dtype=complex)
-    coeff = null_space(constraints, pi_p.tol)
+    coeff = null_space(constraints)
     amb_p = pi_p.a_star_basis @ coeff[:m1]
     amb_r = pi_r.a_star_basis @ coeff[m1:]
     cols = np.vstack([amb_p[:n], amb_r[:nr], amb_p[n:], amb_r[nr:]])
-    a_tilde = make_relation(cols, n + nr, n + nr, pi_p.tol)
+    a_tilde = make_relation(cols, n + nr, n + nr)
     if classify_symmetry(a_tilde) != "self_adjoint":
         raise ModelError("coupled relation is not self-adjoint")
     return ExitSpaceModel(dim_h=n, dim_r=nr, a_tilde=a_tilde,
@@ -215,7 +215,7 @@ def couple(reduced: ReducedProblem, model: ModelTriplet) -> ExitSpaceModel:
 def build_exit_space(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ExitSpaceModel:
     """Reduce, realize and couple in one step."""
     reduced = reduce_parameter(tri, tau)
-    model = realize_model(reduced.tau1, tol=tri.tol)
+    model = realize_model(reduced.tau1)
     return couple(reduced, model)
 
 
@@ -225,17 +225,16 @@ def direct_compression(model: ExitSpaceModel):
     second component, T projecting both components."""
     n, nr = model.dim_h, model.dim_r
     frame = model.a_tilde.frame
-    tol = model.a_tilde.tol
     f_h, f_r = frame[:n], frame[n:n + nr]
     fp_h, fp_r = frame[n + nr:2 * n + nr], frame[2 * n + nr:]
     # C: left exit component zero, right exit component projected away
-    coeff_c = null_space(f_r, tol)
-    C = make_relation(np.vstack([f_h @ coeff_c, fp_h @ coeff_c]), n, n, tol)
+    coeff_c = null_space(f_r)
+    C = make_relation(np.vstack([f_h @ coeff_c, fp_h @ coeff_c]), n, n)
     # S: both exit components zero
-    coeff_s = null_space(np.vstack([f_r, fp_r]), tol)
-    S = make_relation(np.vstack([f_h @ coeff_s, fp_h @ coeff_s]), n, n, tol)
+    coeff_s = null_space(np.vstack([f_r, fp_r]))
+    S = make_relation(np.vstack([f_h @ coeff_s, fp_h @ coeff_s]), n, n)
     # T: project both components
-    T = make_relation(np.vstack([f_h, fp_h]), n, n, tol)
+    T = make_relation(np.vstack([f_h, fp_h]), n, n)
     return C, S, T
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linrel import (
+    DEFAULT_TOL,
     LinearRelation,
     as_operator,
     classify_symmetry,
@@ -25,7 +26,6 @@ from .linrel import (
     contains,
     inverse,
     make_relation,
-    negate,
     null_space,
     orth,
     relations_equal,
@@ -44,8 +44,8 @@ class RouteDisagreement(RuntimeError):
         self.flags = flags
 
 
-def _middle_inverse(tau: RationalNevanlinna, lam: complex, weyl: np.ndarray,
-                    tol: float) -> np.ndarray:
+def _middle_inverse(tau: RationalNevanlinna, lam: complex,
+                    weyl: np.ndarray) -> np.ndarray:
     """Matrix of (tau(lam) + M(lam))^{-1} on the boundary space, given
     M(lam) = weyl.
 
@@ -54,7 +54,7 @@ def _middle_inverse(tau: RationalNevanlinna, lam: complex, weyl: np.ndarray,
     """
     T = eval_tau(tau, lam)
     span = np.vstack([T.left, T.right + weyl @ T.left])
-    summed = make_relation(span, tau.dim, tau.dim, tol)
+    summed = make_relation(span, tau.dim, tau.dim)
     return as_operator(inverse(summed))
 
 
@@ -70,18 +70,8 @@ def krein_resolvent(tri: BoundaryTriplet, tau: RationalNevanlinna,
     r0 = resolvent(tri.a0, lam)
     gamma_adj = ws.gamma_field.conj().T
     gamma_bar_adj = gamma_adj + (lam - np.conj(lam)) * (gamma_adj @ r0)
-    mid = _middle_inverse(tau, lam, ws.weyl, tri.tol)
+    mid = _middle_inverse(tau, lam, ws.weyl)
     return r0 - ws.gamma_field @ mid @ gamma_bar_adj
-
-
-def check_resolvent_identity(tri: BoundaryTriplet, tau: RationalNevanlinna,
-                             lam: complex) -> float:
-    """Residual between the resolvent formula and the canonical resolvent of
-    the extension with boundary parameter -tau(lam)."""
-    lhs = krein_resolvent(tri, tau, lam)
-    ext = extension_of(tri, negate(eval_tau(tau, lam)))
-    rhs = resolvent(ext, lam)
-    return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
 def compression_param(tau: RationalNevanlinna) -> LinearRelation:
@@ -91,15 +81,15 @@ def compression_param(tau: RationalNevanlinna) -> LinearRelation:
     where A' compresses the constant coefficient to ker B.
     """
     d = tau.dim
-    ker_b = null_space(tau.b_coef, tau.tol)
-    ran_b = orth(tau.b_coef, tau.tol)
+    ker_b = null_space(tau.b_coef)
+    ran_b = orth(tau.b_coef)
     a_prime = ker_b @ (ker_b.conj().T @ tau.a_coef @ ker_b)
     cols_dom = np.vstack([tau.embed(ker_b), -tau.embed(a_prime)])
     cols_ran = np.vstack([np.zeros((d, ran_b.shape[1]), dtype=complex),
                           tau.embed(ran_b)])
     k = tau.mul_frame.shape[1]
     cols_mul = np.vstack([np.zeros((d, k), dtype=complex), tau.mul_frame])
-    return make_relation(np.hstack([cols_dom, cols_ran, cols_mul]), d, d, tau.tol)
+    return make_relation(np.hstack([cols_dom, cols_ran, cols_mul]), d, d)
 
 
 def compression(tri: BoundaryTriplet, tau: RationalNevanlinna) -> LinearRelation:
@@ -136,7 +126,7 @@ def _flags_geometric(tri: BoundaryTriplet, C: LinearRelation) -> dict:
 
 def _flags_coefficients(tau: RationalNevanlinna) -> dict:
     p = tau.op_dim
-    ker_b_dim = null_space(tau.b_coef, tau.tol).shape[1]
+    ker_b_dim = null_space(tau.b_coef).shape[1]
     k = tau.mul_frame.shape[1]
     ker_b_trivial = ker_b_dim == 0
     return {
@@ -144,13 +134,13 @@ def _flags_coefficients(tau: RationalNevanlinna) -> dict:
         "equals_A0": ker_b_trivial,
         "equals_A": tau.dim == 0,
         "self_adjoint": True,
-        "transversal_with_A0": k == 0 and (p == 0 or np.max(np.abs(tau.b_coef)) <= 100 * tau.tol),
+        "transversal_with_A0": k == 0 and (p == 0 or np.max(np.abs(tau.b_coef)) <= 100 * DEFAULT_TOL),
     }
 
 
 def rank_sum(tau: RationalNevanlinna) -> int:
     """Exit-space dimension rank B + sum_j rank A_j of a rational parameter."""
-    return sum(orth(m, tau.tol).shape[1]
+    return sum(orth(m).shape[1]
                for m in (tau.b_coef, *(aj for _, aj in tau.poles)))
 
 

@@ -3,8 +3,16 @@
 A linear relation from C^n0 to C^n1 is stored as an orthonormal column
 frame of shape (n0 + n1) x r; the first n0 coordinates of a column are
 the "left" vector f, the remaining n1 the "right" vector f', encoding the
-pair {f, f'}.  All equalities are projector comparisons at a single
-tolerance, so frames are gauge-free.
+pair {f, f'}.  All equalities are projector comparisons, so frames are
+gauge-free.
+
+DEFAULT_TOL is the single tolerance of the package: no relation, triplet
+or parameter carries one.  Every rank cut in ``orth``, ``null_space`` and
+``psd_factor``, every equality and containment verdict and every spectrum
+test reads it where the cut is made.  ``orth`` alone takes another value,
+for callers that orthonormalize a numerical estimate; the remaining fixed
+thresholds (Green identity, model rank tests, minimality, pole distance)
+are constants or literals where they are used.
 """
 from __future__ import annotations
 
@@ -48,7 +56,7 @@ def complement(frame, dim: int) -> np.ndarray:
     return u[:, frame.shape[1]:]
 
 
-def null_space(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
+def null_space(mat) -> np.ndarray:
     """Orthonormal basis of ker(mat)."""
     mat = _as_complex(mat)
     cols = mat.shape[1]
@@ -57,7 +65,7 @@ def null_space(mat, tol: float = DEFAULT_TOL) -> np.ndarray:
     if mat.shape[0] == 0:
         return np.eye(cols, dtype=complex)
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    cut = tol * max(float(s[0]) if s.size else 0.0, 1.0)
+    cut = DEFAULT_TOL * max(float(s[0]) if s.size else 0.0, 1.0)
     r = int(np.count_nonzero(s > cut))
     return vh[r:].conj().T
 
@@ -79,7 +87,6 @@ class LinearRelation:
     dim_from: int
     dim_to: int
     frame: np.ndarray
-    tol: float = DEFAULT_TOL
 
     def __post_init__(self):
         if self.frame.shape[0] != self.dim_from + self.dim_to:
@@ -120,68 +127,63 @@ class OperatorPartSplit:
     op_matrix: np.ndarray
 
 
-def make_relation(raw_span, dim_from: int, dim_to: int,
-                  tol: float = DEFAULT_TOL) -> LinearRelation:
+def make_relation(raw_span, dim_from: int, dim_to: int) -> LinearRelation:
     """Orthonormalize a raw span matrix into a LinearRelation."""
     raw_span = _as_complex(raw_span)
     if raw_span.ndim != 2 or raw_span.shape[0] != dim_from + dim_to:
         raise ValueError("span must be (dim_from + dim_to) x s")
-    return LinearRelation(dim_from, dim_to, orth(raw_span, tol), tol)
+    return LinearRelation(dim_from, dim_to, orth(raw_span))
 
 
-def zero_relation(n: int, tol: float = DEFAULT_TOL) -> LinearRelation:
+def zero_relation(n: int) -> LinearRelation:
     """The relation {{0, 0}} in C^n."""
-    return LinearRelation(n, n, np.zeros((2 * n, 0), dtype=complex), tol)
+    return LinearRelation(n, n, np.zeros((2 * n, 0), dtype=complex))
 
 
-def full_relation(n: int, tol: float = DEFAULT_TOL) -> LinearRelation:
+def full_relation(n: int) -> LinearRelation:
     """All of C^n (+) C^n."""
-    return LinearRelation(n, n, np.eye(2 * n, dtype=complex), tol)
+    return LinearRelation(n, n, np.eye(2 * n, dtype=complex))
 
 
-def vertical_relation(n: int, tol: float = DEFAULT_TOL) -> LinearRelation:
+def vertical_relation(n: int) -> LinearRelation:
     """{0} (+) C^n, the purely multivalued self-adjoint relation."""
     frame = np.zeros((2 * n, n), dtype=complex)
     frame[n:, :] = np.eye(n)
-    return LinearRelation(n, n, frame, tol)
+    return LinearRelation(n, n, frame)
 
 
-def graph_of(matrix, tol: float = DEFAULT_TOL) -> LinearRelation:
+def graph_of(matrix) -> LinearRelation:
     """Graph of an everywhere-defined operator C^{cols} -> C^{rows}."""
     matrix = _as_complex(matrix)
     n_to, n_from = matrix.shape
     span = np.vstack([np.eye(n_from, dtype=complex), matrix])
-    return make_relation(span, n_from, n_to, tol)
+    return make_relation(span, n_from, n_to)
 
 
 def parts(T: LinearRelation) -> PartsReport:
     """Domain, range, kernel and multivalued part of a relation."""
-    dom = orth(T.left, T.tol)
-    ran = orth(T.right, T.tol)
-    ker_coeff = null_space(T.right, T.tol)
-    ker = orth(T.left @ ker_coeff, T.tol)
-    mul_coeff = null_space(T.left, T.tol)
-    mul = orth(T.right @ mul_coeff, T.tol)
+    dom = orth(T.left)
+    ran = orth(T.right)
+    ker = orth(T.left @ null_space(T.right))
+    mul = orth(T.right @ null_space(T.left))
     return PartsReport(dom=dom, ran=ran, ker=ker, mul=mul)
 
 
 def adjoint(T: LinearRelation) -> LinearRelation:
     """Adjoint relation T* = (J T)^perp with J{f, f'} = {f', -f}."""
     flipped = np.vstack([T.right, -T.left])
-    comp = complement(orth(flipped, T.tol), T.dim_from + T.dim_to)
-    return LinearRelation(T.dim_to, T.dim_from, comp, T.tol)
+    comp = complement(orth(flipped), T.dim_from + T.dim_to)
+    return LinearRelation(T.dim_to, T.dim_from, comp)
 
 
 def inverse(T: LinearRelation) -> LinearRelation:
     """Inverse relation: swap the pair components."""
-    return LinearRelation(T.dim_to, T.dim_from,
-                          np.vstack([T.right, T.left]), T.tol)
+    return LinearRelation(T.dim_to, T.dim_from, np.vstack([T.right, T.left]))
 
 
 def negate(T: LinearRelation) -> LinearRelation:
     """The relation {{f, -f'}: {f, f'} in T}."""
-    return LinearRelation(T.dim_from, T.dim_to,
-                          np.vstack([T.left, -T.right]), T.tol)
+    return LinearRelation(T.dim_from, T.dim_to, np.vstack([T.left, -T.right]))
 
 
 def _check_ambient(T1: LinearRelation, T2: LinearRelation) -> None:
@@ -192,40 +194,35 @@ def _check_ambient(T1: LinearRelation, T2: LinearRelation) -> None:
 def comp_sum(T1: LinearRelation, T2: LinearRelation) -> LinearRelation:
     """Componentwise sum: span of the union of the two subspaces."""
     _check_ambient(T1, T2)
-    tol = max(T1.tol, T2.tol)
-    return make_relation(np.hstack([T1.frame, T2.frame]),
-                         T1.dim_from, T1.dim_to, tol)
+    return make_relation(np.hstack([T1.frame, T2.frame]), T1.dim_from, T1.dim_to)
 
 
 def intersect(T1: LinearRelation, T2: LinearRelation) -> LinearRelation:
     """Intersection via orthogonal complements."""
     _check_ambient(T1, T2)
-    tol = max(T1.tol, T2.tol)
     dim = T1.dim_from + T1.dim_to
     c1 = complement(T1.frame, dim)
     c2 = complement(T2.frame, dim)
-    comp = complement(orth(np.hstack([c1, c2]), tol), dim)
-    return LinearRelation(T1.dim_from, T1.dim_to, comp, tol)
+    comp = complement(orth(np.hstack([c1, c2])), dim)
+    return LinearRelation(T1.dim_from, T1.dim_to, comp)
 
 
 def relations_equal(T1: LinearRelation, T2: LinearRelation):
     """Projector-norm equality; returns (equal, residual)."""
     _check_ambient(T1, T2)
-    tol = max(T1.tol, T2.tol)
     dim = T1.dim_from + T1.dim_to
     if dim == 0:
         return True, 0.0
     p1 = T1.frame @ T1.frame.conj().T
     p2 = T2.frame @ T2.frame.conj().T
     resid = float(np.linalg.norm(p1 - p2, 2))
-    return resid < tol, resid
+    return resid < DEFAULT_TOL, resid
 
 
 def contains(big: LinearRelation, small: LinearRelation) -> bool:
     """small subseteq big within tolerance."""
     _check_ambient(big, small)
-    tol = max(big.tol, small.tol)
-    return containment_residual(small.frame, big.frame) < tol
+    return containment_residual(small.frame, big.frame) < DEFAULT_TOL
 
 
 def classify_symmetry(T: LinearRelation) -> str:
@@ -250,7 +247,7 @@ def operator_part(theta: LinearRelation) -> OperatorPartSplit:
     p = parts(theta)
     if p.dom.shape[1] and p.mul.shape[1]:
         overlap = float(np.linalg.norm(p.mul.conj().T @ p.dom, 2))
-        if overlap > 100 * theta.tol:
+        if overlap > 100 * DEFAULT_TOL:
             raise ValueError(
                 f"dom theta not orthogonal to mul theta (overlap {overlap:.2e})")
     n = theta.dim_from
@@ -259,7 +256,7 @@ def operator_part(theta: LinearRelation) -> OperatorPartSplit:
     for i in range(p.dom.shape[1]):
         h = p.dom[:, i]
         c, *_ = np.linalg.lstsq(theta.left, h, rcond=None)
-        if np.linalg.norm(theta.left @ c - h) > 100 * theta.tol:
+        if np.linalg.norm(theta.left @ c - h) > 100 * DEFAULT_TOL:
             raise ValueError("domain frame not reachable inside the relation")
         f_prime = theta.right @ c
         cols.append(f_prime - mul_proj @ f_prime)
@@ -267,8 +264,7 @@ def operator_part(theta: LinearRelation) -> OperatorPartSplit:
     return OperatorPartSplit(mul_frame=p.mul, op_domain_frame=p.dom, op_matrix=op)
 
 
-def reassemble_operator_part(split: OperatorPartSplit, n: int,
-                             tol: float = DEFAULT_TOL) -> LinearRelation:
+def reassemble_operator_part(split: OperatorPartSplit, n: int) -> LinearRelation:
     """Rebuild {{h, Bh + k}: h in dom, k in mul} from a split."""
     d0 = split.op_domain_frame.shape[1]
     k = split.mul_frame.shape[1]
@@ -276,7 +272,7 @@ def reassemble_operator_part(split: OperatorPartSplit, n: int,
     cols[:n, :d0] = split.op_domain_frame
     cols[n:, :d0] = split.op_matrix
     cols[n:, d0:] = split.mul_frame
-    return make_relation(cols, n, n, tol)
+    return make_relation(cols, n, n)
 
 
 def as_operator(T: LinearRelation) -> np.ndarray:
@@ -291,7 +287,7 @@ def as_operator(T: LinearRelation) -> np.ndarray:
         return np.zeros((T.dim_to, 0), dtype=complex)
     L = T.left
     s = np.linalg.svd(L, compute_uv=False)
-    if s.size < n_from or s[-1] <= T.tol:
+    if s.size < n_from or s[-1] <= DEFAULT_TOL:
         raise SpectrumError("left projection of the relation is singular")
     return T.right @ np.linalg.inv(L)
 
@@ -302,7 +298,7 @@ def resolvent(T: LinearRelation, lam: complex) -> np.ndarray:
 
     With L, R the left and right halves of T's frame, the inverse is
     L (R - lam L)^{-1}, read off one SVD U diag(s) V* of R - lam L.  lam is
-    rejected when s_min <= tol * sqrt(s_max^2 + 1), a cut relative to the
+    rejected when s_min <= DEFAULT_TOL * sqrt(s_max^2 + 1), a cut relative to the
     norm of the stacked frame (R - lam L; L) of the inverse relation.
     """
     if T.dim_from != T.dim_to:
@@ -313,6 +309,6 @@ def resolvent(T: LinearRelation, lam: complex) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
     u, s, vh = np.linalg.svd(T.right - lam * T.left)
-    if s[-1] <= T.tol * np.sqrt(s[0] ** 2 + 1.0):
+    if s[-1] <= DEFAULT_TOL * np.sqrt(s[0] ** 2 + 1.0):
         raise SpectrumError("lam lies in the spectrum of the relation")
     return ((T.left @ vh.conj().T) / s) @ u.conj().T

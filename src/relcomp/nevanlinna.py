@@ -26,6 +26,8 @@ from .linrel import (
 )
 
 DEFAULT_Y_GRID = (1e2, 1e3, 1e4, 1e5, 1e6)
+# Relative tolerance of the spot checks on a black-box parameter.
+SPOT_CHECK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -38,17 +40,22 @@ class RationalNevanlinna:
     a_coef: np.ndarray
     b_coef: np.ndarray
     poles: tuple = ()
-    tol: float = DEFAULT_TOL
 
     @classmethod
     def build(cls, dim: int, a=None, b=None, poles=(), mul_span=None,
               tol: float = DEFAULT_TOL) -> "RationalNevanlinna":
         """Construct from raw data; coefficients act on H0-coordinates fixed
-        by the complement of the orthonormalized multivalued span."""
+        by the complement of the orthonormalized multivalued span.
+
+        ``tol`` stays for callers that pass it explicitly; it must equal
+        DEFAULT_TOL, the package's single tolerance, or ValueError is
+        raised."""
+        if tol != DEFAULT_TOL:
+            raise ValueError(f"tol must be DEFAULT_TOL ({DEFAULT_TOL}), got {tol}")
         if mul_span is None:
             mul = np.zeros((dim, 0), dtype=complex)
         else:
-            mul = orth(np.asarray(mul_span, dtype=complex).reshape(dim, -1), tol)
+            mul = orth(np.asarray(mul_span, dtype=complex).reshape(dim, -1))
         h0 = complement(mul, dim)
         p = h0.shape[1]
         a = np.zeros((p, p), dtype=complex) if a is None else np.asarray(a, dtype=complex)
@@ -56,7 +63,7 @@ class RationalNevanlinna:
         poles = tuple((float(alpha), np.asarray(aj, dtype=complex))
                       for alpha, aj in poles)
         return cls(dim=dim, mul_frame=mul, h0_frame=h0, a_coef=a, b_coef=b,
-                   poles=poles, tol=tol)
+                   poles=poles)
 
     @property
     def op_dim(self) -> int:
@@ -85,14 +92,14 @@ def eval_tau(tau: RationalNevanlinna, lam: complex) -> LinearRelation:
     k = tau.mul_frame.shape[1]
     op_cols = np.vstack([tau.h0_frame, tau.h0_frame @ tau.tau0(lam)])
     mul_cols = np.vstack([np.zeros((d, k), dtype=complex), tau.mul_frame])
-    return make_relation(np.hstack([op_cols, mul_cols]), d, d, tau.tol)
+    return make_relation(np.hstack([op_cols, mul_cols]), d, d)
 
 
 def validate_tau(tau: RationalNevanlinna) -> list:
     """List of violated structural conditions (empty means valid)."""
     issues = []
     p = tau.op_dim
-    scale = 100 * tau.tol
+    scale = 100 * DEFAULT_TOL
     if tau.mul_frame.shape[1]:
         gram = tau.mul_frame.conj().T @ tau.mul_frame
         if np.max(np.abs(gram - np.eye(gram.shape[0]))) > scale:
@@ -145,7 +152,7 @@ def decompose_tau(tau: RationalNevanlinna) -> TauDecomposition:
     p = tau.op_dim
     stacked = np.vstack([tau.b_coef] + [aj for _, aj in tau.poles]) \
         if p else np.zeros((0, 0), dtype=complex)
-    hd = null_space(stacked, tau.tol) if p else np.zeros((0, 0), dtype=complex)
+    hd = null_space(stacked) if p else np.zeros((0, 0), dtype=complex)
     hp = complement(hd, p)
     b1 = -(hp.conj().T @ tau.a_coef @ hd)
     b2 = -(hd.conj().T @ tau.a_coef @ hd)
@@ -155,8 +162,7 @@ def decompose_tau(tau: RationalNevanlinna) -> TauDecomposition:
         h0_frame=np.eye(hp.shape[1], dtype=complex),
         a_coef=hp.conj().T @ tau.a_coef @ hp,
         b_coef=hp.conj().T @ tau.b_coef @ hp,
-        poles=tuple((alpha, hp.conj().T @ aj @ hp) for alpha, aj in tau.poles),
-        tol=tau.tol)
+        poles=tuple((alpha, hp.conj().T @ aj @ hp) for alpha, aj in tau.poles))
     return TauDecomposition(h_prime=hp, h_dprime=hd, mul_frame=tau.mul_frame,
                             b1=b1, b2=b2, tau1=tau1)
 
@@ -175,7 +181,7 @@ def reassemble_decomposition(tau: RationalNevanlinna, dec: TauDecomposition,
     cols_d = np.vstack([hd_amb, -hp_amb @ dec.b1 - hd_amb @ dec.b2])
     k = tau.mul_frame.shape[1]
     cols_k = np.vstack([np.zeros((d, k), dtype=complex), tau.mul_frame])
-    return make_relation(np.hstack([cols_p, cols_d, cols_k]), d, d, tau.tol)
+    return make_relation(np.hstack([cols_p, cols_d, cols_k]), d, d)
 
 
 @dataclass(frozen=True)
@@ -211,7 +217,7 @@ def tau_limits(tau: RationalNevanlinna) -> TauLimits:
     between these and their Richardson estimates on DEFAULT_Y_GRID.
     """
     p = tau.op_dim
-    ker_b = null_space(tau.b_coef, tau.tol) if p else np.zeros((0, 0), dtype=complex)
+    ker_b = null_space(tau.b_coef) if p else np.zeros((0, 0), dtype=complex)
     n_matrix = tau.a_coef @ ker_b
     gap = 0.0
     if p:
@@ -230,16 +236,15 @@ class BlackBoxNevanlinna:
 
     evaluator: object
     dim: int
-    tol: float = 1e-8
 
     def __post_init__(self):
         for lam in (1j, 2j, 1.0 + 1j):
             m = self(lam)
             mc = self(np.conj(lam))
-            if np.max(np.abs(mc - m.conj().T)) > self.tol * max(1.0, np.max(np.abs(m))):
+            if np.max(np.abs(mc - m.conj().T)) > SPOT_CHECK_TOL * max(1.0, np.max(np.abs(m))):
                 raise ValueError("conjugate symmetry fails at spot check")
             im = (m - m.conj().T) / 2j
-            if self.dim and np.min(np.linalg.eigvalsh((im + im.conj().T) / 2)) < -1e-8 * max(1.0, np.max(np.abs(m))):
+            if self.dim and np.min(np.linalg.eigvalsh((im + im.conj().T) / 2)) < -SPOT_CHECK_TOL * max(1.0, np.max(np.abs(m))):
                 raise ValueError("imaginary part not PSD in the upper half-plane")
 
     def __call__(self, lam: complex) -> np.ndarray:

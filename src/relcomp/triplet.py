@@ -15,7 +15,6 @@ from .linrel import (
     DEFAULT_TOL,
     LinearRelation,
     adjoint,
-    classify_symmetry,
     containment_residual,
     contains,
     make_relation,
@@ -45,10 +44,10 @@ class SymmetricSeed:
 
     @classmethod
     def from_relation(cls, A: LinearRelation) -> "SymmetricSeed":
-        kind = classify_symmetry(A)
-        if kind == "not_symmetric":
+        A_star = adjoint(A)
+        if not contains(A_star, A):
             raise ValueError("seed relation is not symmetric")
-        return cls(A=A, A_star=adjoint(A))
+        return cls(A=A, A_star=A_star)
 
     @property
     def space_dim(self) -> int:
@@ -68,7 +67,7 @@ def _defect_frame(seed: SymmetricSeed, lam: complex) -> np.ndarray:
     """A* intersected with graph(lam I): the A*-coordinates c with
     (R - lam L) c = 0, where L, R are the halves of A*'s frame."""
     a_star = seed.A_star
-    return a_star.frame @ null_space(a_star.right - lam * a_star.left, seed.A.tol)
+    return a_star.frame @ null_space(a_star.right - lam * a_star.left)
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,6 @@ class BoundaryTriplet:
     a_star_basis: np.ndarray
     gamma0: np.ndarray
     gamma1: np.ndarray
-    tol: float = DEFAULT_TOL
 
     @property
     def space_dim(self) -> int:
@@ -97,18 +95,18 @@ class BoundaryTriplet:
     @cached_property
     def a0(self) -> LinearRelation:
         """A0 = ker Gamma0, built on first use and kept with the triplet."""
-        return extension_of(self, vertical_relation(self.boundary_dim, self.tol))
+        return extension_of(self, vertical_relation(self.boundary_dim))
 
     @classmethod
-    def from_ambient_maps(cls, seed: SymmetricSeed, g0_ambient, g1_ambient,
-                          tol: float = DEFAULT_TOL) -> "BoundaryTriplet":
+    def from_ambient_maps(cls, seed: SymmetricSeed, g0_ambient,
+                          g1_ambient) -> "BoundaryTriplet":
         """Build from boundary maps given as d x 2n matrices on ambient pairs."""
         g0_ambient = np.asarray(g0_ambient, dtype=complex)
         g1_ambient = np.asarray(g1_ambient, dtype=complex)
         basis = seed.A_star.frame
         tri = cls(seed=seed, boundary_dim=g0_ambient.shape[0],
                   a_star_basis=basis, gamma0=g0_ambient @ basis,
-                  gamma1=g1_ambient @ basis, tol=tol)
+                  gamma1=g1_ambient @ basis)
         assert_valid_triplet(tri)
         return tri
 
@@ -134,14 +132,13 @@ def triplet_report(tri: BoundaryTriplet) -> dict:
     if d:
         s = np.linalg.svd(G, compute_uv=False)
         report["surjectivity_gap"] = float(1.0 - (s[2 * d - 1] if s.size >= 2 * d else 0.0))
-        rank_ok = s.size >= 2 * d and s[2 * d - 1] > tri.tol
+        rank_ok = s.size >= 2 * d and s[2 * d - 1] > DEFAULT_TOL
     else:
         report["surjectivity_gap"] = 0.0
         rank_ok = True
     report["surjective"] = rank_ok
-    ker_coeff = null_space(G, tri.tol)
-    ker_rel = make_relation(tri.a_star_basis @ ker_coeff,
-                            tri.space_dim, tri.space_dim, tri.tol)
+    ker_rel = make_relation(tri.a_star_basis @ null_space(G),
+                            tri.space_dim, tri.space_dim)
     _, report["kernel_vs_A"] = relations_equal(ker_rel, tri.seed.A)
     _, idx = defect(tri.seed, 1j)
     report["indices"] = idx
@@ -159,14 +156,13 @@ def assert_valid_triplet(tri: BoundaryTriplet) -> None:
         raise TripletError(f"Green identity residual {rep['green']:.2e}")
     if not rep["surjective"]:
         raise TripletError("stacked boundary map is not surjective")
-    if rep["kernel_vs_A"] > 100 * tri.tol:
+    if rep["kernel_vs_A"] > 100 * DEFAULT_TOL:
         raise TripletError("kernel of the boundary map is not the seed relation")
     if not rep["index_match"]:
         raise TripletError(f"deficiency indices {rep['indices']} != boundary dim {tri.boundary_dim}")
 
 
-def von_neumann_triplet(seed: SymmetricSeed, V=None,
-                        tol: float = DEFAULT_TOL) -> BoundaryTriplet:
+def von_neumann_triplet(seed: SymmetricSeed, V=None) -> BoundaryTriplet:
     """Concrete triplet from the graph-orthogonal decomposition
     A* = A (+) N-hat_i (+) N-hat_{-i} and a unitary matching V of the fixed
     defect bases."""
@@ -199,7 +195,7 @@ def von_neumann_triplet(seed: SymmetricSeed, V=None,
     g1[:, a_dim:a_dim + d] = 1j * s * np.eye(d)
     g1[:, a_dim + d:] = -1j * s * V
     tri = BoundaryTriplet(seed=seed, boundary_dim=d, a_star_basis=basis,
-                          gamma0=g0, gamma1=g1, tol=tol)
+                          gamma0=g0, gamma1=g1)
     assert_valid_triplet(tri)
     return tri
 
@@ -212,9 +208,8 @@ def extension_of(tri: BoundaryTriplet, theta: LinearRelation) -> LinearRelation:
     G = tri.boundary_map()
     proj = theta.frame @ theta.frame.conj().T
     constr = G - proj @ G
-    coeff = null_space(constr, tri.tol)
     n = tri.space_dim
-    return make_relation(tri.a_star_basis @ coeff, n, n, tri.tol)
+    return make_relation(tri.a_star_basis @ null_space(constr), n, n)
 
 
 def boundary_param_of(tri: BoundaryTriplet, A_tilde: LinearRelation) -> LinearRelation:
@@ -223,7 +218,7 @@ def boundary_param_of(tri: BoundaryTriplet, A_tilde: LinearRelation) -> LinearRe
         raise ValueError("not a proper extension: A subseteq A~ subseteq A* fails")
     span = tri.boundary_map() @ tri.coords(A_tilde.frame)
     d = tri.boundary_dim
-    return make_relation(span, d, d, tri.tol)
+    return make_relation(span, d, d)
 
 
 @dataclass(frozen=True)
@@ -248,7 +243,7 @@ def gamma_and_weyl(tri: BoundaryTriplet, lam: complex) -> WeylSample:
     G0 = tri.gamma0 @ C
     if d:
         s = np.linalg.svd(G0, compute_uv=False)
-        if s[-1] <= tri.tol:
+        if s[-1] <= DEFAULT_TOL:
             raise TripletError("Gamma0 restricted to the defect subspace is singular")
         X = C @ np.linalg.inv(G0)
     else:
@@ -278,7 +273,7 @@ def forbidden_relation(tri: BoundaryTriplet) -> LinearRelation:
     ambient = np.vstack([np.zeros((n, mul_frame.shape[1]), dtype=complex), mul_frame])
     span = tri.boundary_map() @ tri.coords(ambient)
     d = tri.boundary_dim
-    return make_relation(span, d, d, tri.tol)
+    return make_relation(span, d, d)
 
 
 def weyl_limits(tri: BoundaryTriplet):
@@ -318,7 +313,7 @@ def check_forbidden_asymptotics(tri: BoundaryTriplet) -> dict:
     k = pf.mul.shape[1]
     mul_cols = np.vstack([np.zeros((d, k), dtype=complex), pf.mul])
     span = np.column_stack(cols + [mul_cols]) if cols or k else np.zeros((2 * d, 0), complex)
-    rebuilt = make_relation(span, d, d, 1e-6)
+    rebuilt = LinearRelation(d, d, orth(span, 1e-6))
     _, res_rel = relations_equal(F, rebuilt)
     return {"ran_B_in_mul_F": res_ran, "relation_residual": res_rel,
             "grid_consistent": consistent}

@@ -18,12 +18,15 @@ from relcomp.driver import (
     admissible_lambdas,
     build_problem,
     generate_instance,
+    main,
     matrix_from_json,
     matrix_to_json,
     run_demo,
     run_verify,
     verify_instance,
 )
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_matrix_roundtrip_bit_exact():
@@ -53,6 +56,31 @@ def test_instance_roundtrip_bit_exact():
 def test_from_json_rejects_unknown_schema():
     with pytest.raises(InputError):
         Instance.from_json({"schema": "nope"})
+
+
+def test_from_json_rejects_another_tolerance():
+    doc = generate_instance(np.random.default_rng(3)).to_json()
+    Instance.from_json(doc)
+    doc["tol"] = 1e-6
+    with pytest.raises(InputError, match="tol"):
+        Instance.from_json(doc)
+
+
+def test_cli_has_no_tolerance_option():
+    with pytest.raises(SystemExit) as exit_info:
+        main(["verify", "--tol", "1e-6"])
+    assert exit_info.value.code == 2
+
+
+def test_readme_verify_example_matches_output(capsys):
+    readme = (REPO / "README.md").read_text()
+    block = readme.split("```text\n$ relcomp verify", 1)[1].split("```", 1)[0]
+    command, *expected = block.splitlines()
+    assert main(["verify", *command.split()]) == 0
+    actual = capsys.readouterr().out.splitlines()
+    drop_elapsed = (lambda lines: [ln for ln in lines
+                                   if not ln.strip().startswith("elapsed:")])
+    assert drop_elapsed(actual) == drop_elapsed(expected)
 
 
 def test_build_problem_rejects_non_psd_b():
@@ -183,7 +211,7 @@ def test_cli_unknown_demo_exit_two():
     assert cli("demo", "nope").returncode == 2
 
 
-DEMO_DIR = Path(__file__).resolve().parents[1] / "demos"
+DEMO_DIR = REPO / "demos"
 
 
 @pytest.mark.parametrize("script", sorted(p.name for p in DEMO_DIR.glob("*.py")))

@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
-from relcomp.driver import admissible_lambdas
+from relcomp.driver import CHECKS, admissible_lambdas, krein_residuals
+from relcomp.exitspace import build_exit_space
 from relcomp.extension import (
-    check_resolvent_identity,
     classify_compression,
     compression,
     compression_param,
@@ -74,7 +74,9 @@ def test_resolvent_identity_random():
     for _ in range(25):
         tri, tau = random_problem(rng)
         lam = admissible_lambdas(rng, tri, tau, 1)[0]
-        assert check_resolvent_identity(tri, tau, lam) < 1e-8
+        model = build_exit_space(tri, tau)
+        assert max(krein_residuals(tri, tau, model, lam)) \
+            < CHECKS["krein_formula"].threshold
 
 
 def test_resolvent_conjugate_symmetry():

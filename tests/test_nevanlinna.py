@@ -73,6 +73,11 @@ def test_eval_rejects_poles_and_real_points():
         eval_tau(tau, 1.0 + 0j)
 
 
+def test_build_rejects_a_tolerance_other_than_the_default():
+    with pytest.raises(ValueError, match="DEFAULT_TOL"):
+        RationalNevanlinna.build(1, tol=1e-6)
+
+
 def test_validate_rejects_non_psd_b():
     tau = RationalNevanlinna.build(1, b=[[-1e-3]])
     assert any("B not PSD" in msg for msg in validate_tau(tau))
