@@ -59,7 +59,7 @@ def main():
     print("  operator part matrix on its domain:",
           (split.op_domain_frame.conj().T @ split.op_matrix).real)
 
-    # Equality is projector-based, so frames may differ by any unitary.
+    # Equality compares subspaces, so frames may differ by any unitary.
     u = np.exp(0.7j)
     eq, resid = relations_equal(mixed, make_relation(mixed.frame * u, 2, 2))
     print("gauge invariance of equality:", eq, f"(residual {resid:.1e})")

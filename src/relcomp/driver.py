@@ -396,12 +396,20 @@ CHECKS = {check.name: check for check in (
 
 
 def verify_instance(inst: Instance, rng) -> list:
-    """Run every check of CHECKS on one instance."""
+    """Run every check of CHECKS on one instance.
+
+    An exception raised inside a check propagates unchanged, with the
+    check's name in its ``check_name`` attribute.
+    """
     ctx = VerifyContext(*build_problem(inst), rng)
     results = []
     for check in CHECKS.values():
         t0 = time.perf_counter()
-        residual = float(check.residual(ctx))
+        try:
+            residual = float(check.residual(ctx))
+        except Exception as exc:
+            exc.check_name = check.name
+            raise
         results.append(CheckResult(check.name, residual, residual < check.threshold,
                                    time.perf_counter() - t0))
     return results
@@ -423,6 +431,7 @@ def run_verify(count: int = 10, max_dim: int = 6, max_boundary: int = 3,
             inst = replay_instance
         else:
             inst = generate_instance(rng, max_dim, max_boundary, max_poles)
+        error = None
         try:
             checks = verify_instance(inst, rng)
         except InputError:
@@ -431,6 +440,9 @@ def run_verify(count: int = 10, max_dim: int = 6, max_boundary: int = 3,
             checks = [CheckResult(name=f"exception:{type(exc).__name__}",
                                   residual=float("inf"), passed=False,
                                   elapsed=0.0)]
+            # check is None when building the problem raised
+            error = {"check": getattr(exc, "check_name", None),
+                     "type": type(exc).__name__, "message": str(exc)}
         inst_pass = all(c.passed for c in checks)
         total_checks += len(checks)
         passed_checks += sum(c.passed for c in checks)
@@ -443,8 +455,11 @@ def run_verify(count: int = 10, max_dim: int = 6, max_boundary: int = 3,
         }
         instances.append(entry)
         if not inst_pass:
-            failures.append({"index": i, "instance": inst.to_json(),
-                             "failed": [c.name for c in checks if not c.passed]})
+            failure = {"index": i, "instance": inst.to_json(),
+                       "failed": [c.name for c in checks if not c.passed]}
+            if error is not None:
+                failure["error"] = error
+            failures.append(failure)
     report = {
         "schema": REPORT_SCHEMA,
         "params": {"count": count, "max_dim": max_dim,
@@ -473,6 +488,11 @@ def report_text(wrapped: dict) -> str:
                  f"failing instances: {c['failed_instances']}")
     for fail in body["failures"]:
         lines.append(f"  FAIL instance {fail['index']}: {', '.join(fail['failed'])}")
+        if "error" in fail:
+            err = fail["error"]
+            where = (f"check {err['check']}" if err["check"] is not None
+                     else "building the problem")
+            lines.append(f"    raised in {where}: {err['type']}: {err['message']}")
     lines.append(f"  elapsed: {wrapped['timing']['elapsed_s']:.2f}s")
     lines.append("PASS" if body["all_passed"] else "FAIL")
     return "\n".join(lines)

@@ -204,8 +204,9 @@ def couple(reduced: ReducedProblem, model: ModelTriplet) -> ExitSpaceModel:
     coeff = null_space(constraints)
     amb_p = pi_p.a_star_basis @ coeff[:m1]
     amb_r = pi_r.a_star_basis @ coeff[m1:]
+    # rows of the orthonormal diag(basis', basis_r) @ coeff, reordered
     cols = np.vstack([amb_p[:n], amb_r[:nr], amb_p[n:], amb_r[nr:]])
-    a_tilde = make_relation(cols, n + nr, n + nr)
+    a_tilde = LinearRelation(n + nr, n + nr, cols)
     if classify_symmetry(a_tilde) != "self_adjoint":
         raise ModelError("coupled relation is not self-adjoint")
     return ExitSpaceModel(dim_h=n, dim_r=nr, a_tilde=a_tilde,

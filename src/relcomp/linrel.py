@@ -3,8 +3,13 @@
 A linear relation from C^n0 to C^n1 is stored as an orthonormal column
 frame of shape (n0 + n1) x r; the first n0 coordinates of a column are
 the "left" vector f, the remaining n1 the "right" vector f', encoding the
-pair {f, f'}.  All equalities are projector comparisons, so frames are
-gauge-free.
+pair {f, f'}.  Every ``LinearRelation`` frame must be orthonormal: the
+checks below read dimensions, containments and symmetry off the frames
+without orthonormalizing them again.  A span that is not orthonormal
+enters through ``make_relation``.  Equality is the two-sided gap
+max(||(I - P2) F1||, ||(I - P1) F2||), which equals the projector
+distance ||P1 - P2|| without forming either 2N x 2N projector, so
+verdicts are gauge-free.
 
 DEFAULT_TOL is the single tolerance of the package: no relation, triplet
 or parameter carries one.  Every rank cut in ``orth``, ``null_space`` and
@@ -70,14 +75,17 @@ def null_space(mat) -> np.ndarray:
     return vh[r:].conj().T
 
 
-def containment_residual(sub: np.ndarray, sup: np.ndarray) -> float:
-    """Spectral norm of (I - P_sup) restricted to the columns of sub."""
-    if sub.shape[1] == 0:
+def _norm2(x: np.ndarray) -> float:
+    """Spectral norm of x as sqrt(lambda_max(x^H x)), 0 for an empty x."""
+    if x.size == 0:
         return 0.0
-    if sup.shape[1] == 0:
-        return float(np.linalg.norm(sub, 2))
-    resid = sub - sup @ (sup.conj().T @ sub)
-    return float(np.linalg.norm(resid, 2))
+    return float(np.sqrt(max(np.linalg.eigvalsh(x.conj().T @ x)[-1], 0.0)))
+
+
+def containment_residual(sub: np.ndarray, sup: np.ndarray) -> float:
+    """Spectral norm of (I - P_sup) restricted to the columns of sub, for
+    an orthonormal frame sup."""
+    return _norm2(sub - sup @ (sup.conj().T @ sub))
 
 
 @dataclass(frozen=True)
@@ -208,14 +216,14 @@ def intersect(T1: LinearRelation, T2: LinearRelation) -> LinearRelation:
 
 
 def relations_equal(T1: LinearRelation, T2: LinearRelation):
-    """Projector-norm equality; returns (equal, residual)."""
+    """Equality by the two-sided gap, which is the projector distance
+    ||P1 - P2|| (1 when the dimensions differ); returns (equal, residual)."""
     _check_ambient(T1, T2)
     dim = T1.dim_from + T1.dim_to
     if dim == 0:
         return True, 0.0
-    p1 = T1.frame @ T1.frame.conj().T
-    p2 = T2.frame @ T2.frame.conj().T
-    resid = float(np.linalg.norm(p1 - p2, 2))
+    resid = max(containment_residual(T1.frame, T2.frame),
+                containment_residual(T2.frame, T1.frame))
     return resid < DEFAULT_TOL, resid
 
 
@@ -226,14 +234,19 @@ def contains(big: LinearRelation, small: LinearRelation) -> bool:
 
 
 def classify_symmetry(T: LinearRelation) -> str:
-    """One of 'not_symmetric', 'symmetric', 'self_adjoint'."""
+    """One of 'not_symmetric', 'symmetric', 'self_adjoint'.
+
+    T* is the orthogonal complement of J T, and J F = (R; -L) is
+    orthonormal, so the containment residual of T in T* is the Green form
+    ||R^H L - L^H R||.  A symmetric T is self-adjoint iff dim T = n, since
+    dim T* = 2n - dim T.
+    """
     if T.dim_from != T.dim_to:
         raise ValueError("symmetry is defined for relations in a single space")
-    T_star = adjoint(T)
-    if not contains(T_star, T):
+    green = T.right.conj().T @ T.left - T.left.conj().T @ T.right
+    if _norm2(green) >= DEFAULT_TOL:
         return "not_symmetric"
-    equal, _ = relations_equal(T, T_star)
-    return "self_adjoint" if equal else "symmetric"
+    return "self_adjoint" if T.dim == T.dim_from else "symmetric"
 
 
 def operator_part(theta: LinearRelation) -> OperatorPartSplit:

@@ -137,8 +137,8 @@ def triplet_report(tri: BoundaryTriplet) -> dict:
         report["surjectivity_gap"] = 0.0
         rank_ok = True
     report["surjective"] = rank_ok
-    ker_rel = make_relation(tri.a_star_basis @ null_space(G),
-                            tri.space_dim, tri.space_dim)
+    ker_rel = LinearRelation(tri.space_dim, tri.space_dim,
+                             tri.a_star_basis @ null_space(G))
     _, report["kernel_vs_A"] = relations_equal(ker_rel, tri.seed.A)
     _, idx = defect(tri.seed, 1j)
     report["indices"] = idx
@@ -152,6 +152,9 @@ def triplet_report(tri: BoundaryTriplet) -> dict:
 
 def assert_valid_triplet(tri: BoundaryTriplet) -> None:
     rep = triplet_report(tri)
+    # extensions are built on this basis without orthonormalizing again
+    if rep["basis_orthonormal"] > 100 * DEFAULT_TOL:
+        raise TripletError("A* basis is not orthonormal")
     if rep["green"] > GREEN_TOL:
         raise TripletError(f"Green identity residual {rep['green']:.2e}")
     if not rep["surjective"]:
@@ -209,7 +212,8 @@ def extension_of(tri: BoundaryTriplet, theta: LinearRelation) -> LinearRelation:
     proj = theta.frame @ theta.frame.conj().T
     constr = G - proj @ G
     n = tri.space_dim
-    return make_relation(tri.a_star_basis @ null_space(constr), n, n)
+    # an orthonormal basis times an orthonormal kernel frame
+    return LinearRelation(n, n, tri.a_star_basis @ null_space(constr))
 
 
 def boundary_param_of(tri: BoundaryTriplet, A_tilde: LinearRelation) -> LinearRelation:

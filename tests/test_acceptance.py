@@ -18,6 +18,7 @@ from relcomp.driver import (
     generate_instance,
     krein_residuals,
 )
+from relcomp.extension import compression
 from relcomp.exitspace import (
     build_exit_space,
     direct_compression,
@@ -183,6 +184,31 @@ def test_criterion_5_exit_dimension(corpus):
             f"exact on {checked} minimal models")
     assert worst < threshold
     assert checked >= 100
+
+
+def _frame_gap(T):
+    """max |F^H F - I| of a relation's frame."""
+    F = T.frame
+    return float(np.max(np.abs(F.conj().T @ F - np.eye(F.shape[1])), initial=0.0))
+
+
+def test_frames_built_without_orth_are_orthonormal(corpus):
+    """A0, C(A~), A~ and S are products of orthonormal frames, built
+    without orthonormalizing again; on the corpus and at n = 96 they stay
+    orthonormal."""
+    big = generate_instance(np.random.default_rng(292), max_dim=96,
+                            max_boundary=48, max_poles=4)
+    assert big.dim == 96
+    contexts = [item["ctx"] for item in corpus] \
+        + [VerifyContext(*build_problem(big), None)]
+    worst = 0.0
+    for ctx in contexts:
+        for T in (ctx.tri.a0, compression(ctx.tri, ctx.tau),
+                  ctx.model.a_tilde, ctx.model.reduced.s_rel):
+            worst = max(worst, _frame_gap(T))
+    _report("frames without orth", worst <= 1e-13,
+            f"{len(contexts)} instances, worst |F^H F - I| {worst:.1e}")
+    assert worst <= 1e-13
 
 
 def test_criterion_7_triplet_layer(corpus, corpus_rng):

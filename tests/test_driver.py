@@ -144,6 +144,23 @@ def test_injected_fault_fails_exactly_its_check(monkeypatch, check):
     assert [c.name for c in checks if not c.passed] == [check]
 
 
+def test_report_names_the_check_that_raised(monkeypatch):
+    def explode(ctx):
+        raise ValueError("injected failure")
+    monkeypatch.setattr(driver, "CHECKS", {
+        "krein_formula": driver.CHECKS["krein_formula"],
+        "explode": driver.Check("explode", 1.0, explode)})
+    wrapped = run_verify(count=1, rng_seed=3)
+    [failure] = wrapped["body"]["failures"]
+    assert failure["failed"] == ["exception:ValueError"]
+    assert failure["error"] == {"check": "explode", "type": "ValueError",
+                                "message": "injected failure"}
+    lines = driver.report_text(wrapped).splitlines()
+    i = lines.index("  FAIL instance 0: exception:ValueError")
+    assert lines[i + 1] == \
+        "    raised in check explode: ValueError: injected failure"
+
+
 def test_admissible_lambdas_builds_the_compression_once(monkeypatch):
     built = []
     compression = driver.compression

@@ -5,11 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcomp.linrel import (
+    LinearRelation,
     SpectrumError,
     adjoint,
     as_operator,
     classify_symmetry,
     comp_sum,
+    containment_residual,
     contains,
     full_relation,
     graph_of,
@@ -17,6 +19,7 @@ from relcomp.linrel import (
     inverse,
     make_relation,
     operator_part,
+    orth,
     parts,
     reassemble_operator_part,
     relations_equal,
@@ -36,6 +39,12 @@ def subspace_equal(frame_a, frame_b, tol=1e-9):
     pa = frame_a @ frame_a.conj().T
     pb = frame_b @ frame_b.conj().T
     return np.max(np.abs(pa - pb), initial=0.0) < tol
+
+
+def perturbed(rng, frame, eps):
+    """Orthonormal frame of frame + E with ||E||_2 = eps."""
+    noise = rng.standard_normal(frame.shape) + 1j * rng.standard_normal(frame.shape)
+    return orth(frame + eps * noise / np.linalg.norm(noise, 2))
 
 
 def test_make_relation_collapses_dependent_columns():
@@ -143,6 +152,53 @@ def test_classify_strictly_symmetric():
     assert classify_symmetry(T) == "symmetric"
     assert contains(adjoint(T), T)
     assert adjoint(T).dim > T.dim
+
+
+def _symmetry_via_adjoint(T):
+    """Reference: T in T*, then T = T*, with T* built by ``adjoint``."""
+    T_star = adjoint(T)
+    if not contains(T_star, T):
+        return "not_symmetric"
+    return "self_adjoint" if relations_equal(T, T_star)[0] else "symmetric"
+
+
+def _symmetric_relation(rng, n, m, k):
+    """{{h, Hh + g}: h in D, g in M} with H Hermitian and D (dim m)
+    orthogonal to M (dim k): symmetric, self-adjoint iff m + k = n."""
+    q = np.linalg.qr(rng.standard_normal((n, n))
+                     + 1j * rng.standard_normal((n, n)))[0]
+    dom, mul = q[:, :m], q[:, m:m + k]
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = (h + h.conj().T) / 2
+    span = np.vstack([np.hstack([dom, np.zeros((n, k))]),
+                      np.hstack([h @ dom, mul])])
+    return make_relation(span, n, n)
+
+
+def test_classify_symmetry_green_form_matches_adjoint_route():
+    rng = np.random.default_rng(77)
+    self_adjoint = _symmetric_relation(rng, 6, 4, 2)
+    cases = [
+        (vertical_relation(3), "self_adjoint"),
+        (zero_relation(3), "symmetric"),
+        (full_relation(3), "not_symmetric"),
+        (graph_of(np.array([[0.0, 1.0], [1.0, 0.0]])), "self_adjoint"),
+        (self_adjoint, "self_adjoint"),
+        (LinearRelation(6, 6, perturbed(rng, self_adjoint.frame, 1e-11)),
+         "self_adjoint"),
+        (LinearRelation(6, 6, perturbed(rng, self_adjoint.frame, 1e-7)),
+         "not_symmetric"),
+    ]
+    for n in (1, 2, 5, 9):
+        for m in range(n + 1):
+            for k in sorted({0, n - m}):
+                expected = "self_adjoint" if m + k == n else "symmetric"
+                cases.append((_symmetric_relation(rng, n, m, k), expected))
+        for r in (1, n, 2 * n - 1):
+            cases.append((random_relation(rng, n, r=r), "not_symmetric"))
+    for T, expected in cases:
+        assert classify_symmetry(T) == expected
+        assert _symmetry_via_adjoint(T) == expected
 
 
 def test_operator_part_vertical():
@@ -298,6 +354,57 @@ def test_relations_equal_gauge_invariance():
 def test_relations_equal_distinguishes():
     eq, _ = relations_equal(graph_of(np.eye(2)), vertical_relation(2))
     assert not eq
+
+
+def _projector_distance(F1, F2):
+    """Reference: ||F1 F1^H - F2 F2^H||_2, the projector-difference formula."""
+    return float(np.linalg.norm(F1 @ F1.conj().T - F2 @ F2.conj().T, 2))
+
+
+def _containment_reference(sub, sup):
+    """Reference: ||(I - P_sup) sub||_2 through a full SVD."""
+    if sub.shape[1] == 0:
+        return 0.0
+    return float(np.linalg.norm(sub - sup @ (sup.conj().T @ sub), 2))
+
+
+def _random_frame(rng, rows, cols):
+    return orth(rng.standard_normal((rows, cols))
+                + 1j * rng.standard_normal((rows, cols)))
+
+
+def _frame_pairs(rng):
+    """Frame pairs on C^N for N from 2 to 192: perturbations of one frame
+    from 0 to 1e-1, frames of unequal dimensions and empty frames."""
+    for N in (2, 3, 8, 31, 64, 127, 192):
+        for r in sorted({1, N // 2, N - 1 or 1}):
+            F1 = _random_frame(rng, N, r)
+            for eps in (0.0, 1e-14, 1e-10, 1e-6, 1e-3, 1e-1):
+                yield F1, perturbed(rng, F1, eps)
+            if r > 1:
+                yield F1, perturbed(rng, F1[:, 1:], 1e-6)
+            yield F1, _random_frame(rng, N, (r + N // 2) % N + 1)
+        yield np.zeros((N, 0)), np.zeros((N, 0))
+        yield np.zeros((N, 0)), _random_frame(rng, N, 1)
+        yield np.eye(N, dtype=complex), _random_frame(rng, N, N)
+
+
+def test_relations_equal_matches_projector_distance():
+    rng = np.random.default_rng(2024)
+    cases = 0
+    for F1, F2 in _frame_pairs(rng):
+        N = F1.shape[0]
+        T1 = LinearRelation(N // 2, N - N // 2, F1)
+        T2 = LinearRelation(N // 2, N - N // 2, F2)
+        _, resid = relations_equal(T1, T2)
+        assert abs(resid - _projector_distance(F1, F2)) <= 1e-14, (N, resid)
+        if T1.dim != T2.dim:
+            assert abs(resid - 1.0) <= 1e-14
+        for sub, sup in ((F1, F2), (F2, F1)):
+            assert abs(containment_residual(sub, sup)
+                       - _containment_reference(sub, sup)) <= 1e-14
+        cases += 1
+    assert cases > 150
 
 
 def test_as_operator_rejects_vertical():

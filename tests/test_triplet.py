@@ -19,6 +19,7 @@ from relcomp.triplet import (
     BoundaryTriplet,
     SymmetricSeed,
     TripletError,
+    assert_valid_triplet,
     boundary_param_of,
     check_forbidden_asymptotics,
     check_green,
@@ -195,6 +196,18 @@ def test_negated_gamma1_breaks_green():
                              a_star_basis=tri.a_star_basis,
                              gamma0=tri.gamma0, gamma1=-tri.gamma1)
     assert check_green(broken) > 0.1
+
+
+def test_triplet_on_a_basis_that_is_not_orthonormal_is_rejected():
+    tri = model_triplet([None])
+    basis = 2.0 * tri.a_star_basis
+    g0_ambient = tri.gamma0 @ tri.a_star_basis.conj().T
+    g1_ambient = tri.gamma1 @ tri.a_star_basis.conj().T
+    scaled = BoundaryTriplet(seed=tri.seed, boundary_dim=1, a_star_basis=basis,
+                             gamma0=g0_ambient @ basis, gamma1=g1_ambient @ basis)
+    assert check_green(scaled) < GREEN_TOL
+    with pytest.raises(TripletError, match="not orthonormal"):
+        assert_valid_triplet(scaled)
 
 
 def test_extension_endpoints():
