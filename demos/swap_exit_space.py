@@ -43,7 +43,7 @@ def main():
     eq, resid = relations_equal(model.a_tilde,
                                 graph_of(np.array([[0.0, 1.0], [1.0, 0.0]])))
     print(f"A~ equals the graph of the swap matrix: {eq} (residual {resid:.1e})")
-    print("model is minimal:", minimality(model, [1j, 2j]))
+    print("model is minimal:", minimality(model))
 
     r_direct = generalized_resolvent_direct(model, 2j)
     print(f"compressed resolvent of A~ at 2i: {r_direct[0, 0]:.12f}")

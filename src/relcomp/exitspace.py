@@ -24,6 +24,7 @@ from .linrel import (
     make_relation,
     negate,
     null_space,
+    orth,
     relations_equal,
     resolvent,
 )
@@ -264,13 +265,25 @@ def compression_via_forbidden(model: ExitSpaceModel) -> LinearRelation:
     return extension_of(model.reduced.pi_prime, negate(f_r))
 
 
-def minimality(model: ExitSpaceModel, lams) -> bool:
-    """Whether the base space and its resolvent images span C^{n + dim_r}."""
+def minimality(model: ExitSpaceModel) -> bool:
+    """Whether the base space and its resolvent images R(lam)H, over all
+    nonreal lam, span C^{n + dim_r}.
+
+    Write R = (A~ - i)^{-1} in blocks over H (+) H_r.  By the Taylor series
+    of the resolvent about i, that span is H (+) span{R22^k R21 : k >= 0};
+    the lower half-plane adds nothing, since R is normal and a subspace
+    invariant under R is invariant under R(-i) = R*.  So the model is
+    minimal iff the Kalman rank of (R22, R21) is dim_r: an orthonormal
+    block grows from ran R21 by R22 until it reaches dim_r or stops
+    growing.
+    """
     n, nr = model.dim_h, model.dim_r
-    embed = np.vstack([np.eye(n, dtype=complex),
-                       np.zeros((nr, n), dtype=complex)])
-    blocks = [embed]
-    for lam in lams:
-        blocks.append(resolvent(model.a_tilde, lam) @ embed)
-    stacked = np.hstack(blocks)
-    return int(np.linalg.matrix_rank(stacked, tol=1e-8)) == n + nr
+    r = resolvent(model.a_tilde, 1j)
+    r21, r22 = r[n:, :n], r[n:, n:]
+    block = orth(r21)
+    while block.shape[1] < nr:
+        grown = orth(np.hstack([block, r22 @ block]))
+        if grown.shape[1] == block.shape[1]:
+            return False
+        block = grown
+    return True

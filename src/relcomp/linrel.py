@@ -16,8 +16,8 @@ or parameter carries one.  Every rank cut in ``orth``, ``null_space`` and
 ``psd_factor``, every equality and containment verdict and every spectrum
 test reads it where the cut is made.  ``orth`` alone takes another value,
 for callers that orthonormalize a numerical estimate; the remaining fixed
-thresholds (Green identity, model rank tests, minimality, pole distance)
-are constants or literals where they are used.
+thresholds (Green identity, model rank tests, pole distance) are
+constants or literals where they are used.
 """
 from __future__ import annotations
 
@@ -310,9 +310,13 @@ def resolvent(T: LinearRelation, lam: complex) -> np.ndarray:
     everywhere-defined operator; SpectrumError otherwise.
 
     With L, R the left and right halves of T's frame, the inverse is
-    L (R - lam L)^{-1}, read off one SVD U diag(s) V* of R - lam L.  lam is
-    rejected when s_min <= DEFAULT_TOL * sqrt(s_max^2 + 1), a cut relative to the
-    norm of the stacked frame (R - lam L; L) of the inverse relation.
+    L X^{-1} for X = R - lam L, with X^{-1} from one LU factorization.
+    lam is rejected when X is exactly singular or when
+    ||X^{-1}||_F * DEFAULT_TOL * sqrt(||X||_F^2 + 1) is not below 1, a
+    NaN or inf included.  ||X^{-1}||_F >= 1/s_min and ||X||_F >= s_max, so
+    this cut rejects every lam with s_min <= DEFAULT_TOL * sqrt(s_max^2 + 1),
+    the cut relative to the norm of the stacked frame (X; L) of the inverse
+    relation, and is never looser than it.
     """
     if T.dim_from != T.dim_to:
         raise ValueError("resolvent is defined for relations in a single space")
@@ -321,7 +325,12 @@ def resolvent(T: LinearRelation, lam: complex) -> np.ndarray:
         raise SpectrumError("relation is not the graph of an everywhere-defined operator")
     if n == 0:
         return np.zeros((0, 0), dtype=complex)
-    u, s, vh = np.linalg.svd(T.right - lam * T.left)
-    if s[-1] <= DEFAULT_TOL * np.sqrt(s[0] ** 2 + 1.0):
+    x = T.right - lam * T.left
+    try:
+        x_inv = np.linalg.inv(x)
+    except np.linalg.LinAlgError as exc:
+        raise SpectrumError("lam lies in the spectrum of the relation") from exc
+    bound = np.linalg.norm(x_inv) * DEFAULT_TOL * np.sqrt(np.linalg.norm(x) ** 2 + 1.0)
+    if not bound < 1.0:
         raise SpectrumError("lam lies in the spectrum of the relation")
-    return ((T.left @ vh.conj().T) / s) @ u.conj().T
+    return T.left @ x_inv

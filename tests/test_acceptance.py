@@ -113,7 +113,7 @@ def test_criterion_2_krein_formula(corpus, corpus_rng):
         ctx = item["ctx"]
         if ctx.tri.boundary_dim == 0:
             continue
-        for lam in admissible_lambdas(corpus_rng, ctx.tri, ctx.tau, 10):
+        for lam in admissible_lambdas(corpus_rng, 10):
             canonical, direct = krein_residuals(ctx.tri, ctx.tau, ctx.model, lam)
             worst_direct = max(worst_direct, direct)
             worst_canonical = max(worst_canonical, canonical)
@@ -176,14 +176,14 @@ def test_criterion_4_flag_biconditionals(corpus):
 
 
 def test_criterion_5_exit_dimension(corpus):
-    """dim H_r = rank B + sum rank A_j for every minimal model."""
+    """Every model is minimal, with dim H_r = rank B + sum rank A_j."""
     worst, threshold = _worst(CHECKS["exit_dimension"], corpus)
-    checked = sum(item["ctx"].minimal for item in corpus)
-    ok = worst < threshold and checked >= 100
+    minimal = sum(item["ctx"].minimal for item in corpus)
+    ok = worst < threshold and minimal == len(corpus)
     _report("criterion 5 exit-space dimension", ok,
-            f"exact on {checked} minimal models")
+            f"{minimal}/{len(corpus)} models minimal, exit dimension exact")
     assert worst < threshold
-    assert checked >= 100
+    assert minimal == len(corpus)
 
 
 def _frame_gap(T):

@@ -161,16 +161,35 @@ def test_report_names_the_check_that_raised(monkeypatch):
         "    raised in check explode: ValueError: injected failure"
 
 
-def test_admissible_lambdas_builds_the_compression_once(monkeypatch):
-    built = []
-    compression = driver.compression
-    monkeypatch.setattr(driver, "compression",
-                        lambda tri, tau: built.append(1) or compression(tri, tau))
+# The points the rejection sampler returned for seed 14 (none rejected).
+SEED_14_POINTS = [
+    1.485293537402998 - 0.5442002582313883j, 1.7055821492093557 - 1.6291775856345878j,
+    1.9097229138055467 + 1.8842125638331384j, -0.6223462212336797 + 1.6319489318192875j,
+    -1.342366476031629 - 1.5984680422529607j, -1.2346721279520865 + 0.7759508077764172j,
+    -1.3251847355907733 - 1.4964880546696242j, -0.8767295938255555 + 1.4816340042032072j,
+    0.7440864786009689 + 1.9939503094739977j, 1.3798547839765294 + 1.1449781968577544j,
+]
+
+
+def test_admissible_lambdas_evaluates_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the sampler evaluated a resolvent")
+    for name in ("compression", "krein_resolvent", "resolvent"):
+        monkeypatch.setattr(driver, name, refuse)
     rng = np.random.default_rng(14)
-    tri, tau = build_problem(generate_instance(rng, max_dim=6, max_boundary=3,
-                                               category="b_full"))
-    assert len(admissible_lambdas(rng, tri, tau, 10)) == 10
-    assert len(built) == 1
+    generate_instance(rng, max_dim=6, max_boundary=3, category="b_full")
+    assert admissible_lambdas(rng, 10) == SEED_14_POINTS
+
+
+def test_spectral_lambda_fails_krein_formula_by_name(monkeypatch):
+    # tau = 1/2 and M(lam) = lam: -1/2 is an eigenvalue of A_{-tau}, and a
+    # real point, where the Weyl function is not evaluated
+    monkeypatch.setattr(driver, "admissible_lambdas",
+                        lambda rng, count: [-0.5] * count)
+    wrapped = run_verify(rng_seed=0, replay_instance=DEMOS["canonical"])
+    [failure] = wrapped["body"]["failures"]
+    assert failure["failed"] == ["exception:ValueError"]
+    assert failure["error"]["check"] == "krein_formula"
 
 
 def test_verify_rejects_bad_bounds():

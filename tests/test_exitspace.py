@@ -1,4 +1,6 @@
 """Exit-space oracle: reduction, model realization, coupling, compressions."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from relcomp.linrel import (
     DEFAULT_TOL,
     classify_symmetry,
     graph_of,
+    make_relation,
     relations_equal,
     resolvent,
 )
@@ -124,7 +127,7 @@ def test_swap_anchor_coupling():
     assert T.dim == 2
     r = generalized_resolvent_direct(model, 2j)
     assert abs(r[0, 0] - 0.4j) < 1e-12
-    assert minimality(model, [1j])
+    assert minimality(model)
 
 
 def test_coupled_relation_selfadjoint_random():
@@ -135,15 +138,13 @@ def test_coupled_relation_selfadjoint_random():
         assert classify_symmetry(model.a_tilde) == "self_adjoint"
 
 
-def test_uncoupled_model_not_minimal():
-    # manual direct sum A0 (+) (vertical in H_r): resolvent never leaves H
+def _uncoupled_problem():
+    """(tri, tau, model) with A~ replaced by the direct sum of A0 and the
+    vertical relation in H_r: the resolvent never leaves H."""
     rng = np.random.default_rng(17)
     tri, tau = random_problem(rng)
     model = build_exit_space(tri, tau)
-    if model.dim_r == 0:
-        pytest.skip("trivial exit space drawn")
-    import dataclasses
-    from relcomp.linrel import make_relation
+    assert model.dim_r > 0
     n, nr = model.dim_h, model.dim_r
     a0 = tri.a0
     span = np.zeros((2 * (n + nr), a0.dim + nr), dtype=complex)
@@ -152,10 +153,24 @@ def test_uncoupled_model_not_minimal():
     span[2 * n + nr:, a0.dim:] = np.eye(nr)   # vertical block in H_r
     uncoupled = dataclasses.replace(
         model, a_tilde=make_relation(span, n + nr, n + nr))
-    assert not minimality(uncoupled, [1j, 2j, -1 + 1j])
+    return tri, tau, uncoupled
+
+
+def test_uncoupled_model_not_minimal():
+    tri, _, uncoupled = _uncoupled_problem()
+    assert not minimality(uncoupled)
     C, _, _ = direct_compression(uncoupled)
-    eq, _ = relations_equal(C, a0)
+    eq, _ = relations_equal(C, tri.a0)
     assert eq
+
+
+def test_exit_dimension_fails_on_a_non_minimal_model():
+    tri, tau, uncoupled = _uncoupled_problem()
+    ctx = VerifyContext(tri, tau, None)
+    ctx.model = uncoupled
+    exit_dimension = CHECKS["exit_dimension"]
+    assert exit_dimension.residual(ctx) == uncoupled.dim_r
+    assert exit_dimension.residual(ctx) >= exit_dimension.threshold
 
 
 def _worst_on_random_problems(check, seed, count):
@@ -186,7 +201,7 @@ def test_generalized_resolvent_matches_krein():
     for _ in range(15):
         tri, tau = random_problem(rng)
         model = build_exit_space(tri, tau)
-        lam = admissible_lambdas(rng, tri, tau, 1)[0]
+        lam = admissible_lambdas(rng, 1)[0]
         _, direct = krein_residuals(tri, tau, model, lam)
         assert direct < CHECKS["krein_formula"].threshold
 

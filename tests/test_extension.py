@@ -51,7 +51,7 @@ def test_constant_parameter_gives_canonical_resolvent():
         d = tri.boundary_dim
         h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         tau = RationalNevanlinna.build(d, a=(h + h.conj().T) / 2)
-        lam = admissible_lambdas(rng, tri, tau, 1)[0]
+        lam = admissible_lambdas(rng, 1)[0]
         lhs = krein_resolvent(tri, tau, lam)
         rhs = resolvent(extension_of(tri, graph_of(-tau.a_coef)), lam)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -63,7 +63,7 @@ def test_pure_mul_parameter_reduces_to_a0():
         tri, _ = random_problem(rng)
         d = tri.boundary_dim
         tau = RationalNevanlinna.build(d, mul_span=np.eye(d))
-        lam = admissible_lambdas(rng, tri, tau, 1)[0]
+        lam = admissible_lambdas(rng, 1)[0]
         lhs = krein_resolvent(tri, tau, lam)
         rhs = resolvent(tri.a0, lam)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
@@ -73,7 +73,7 @@ def test_resolvent_identity_random():
     rng = np.random.default_rng(11)
     for _ in range(25):
         tri, tau = random_problem(rng)
-        lam = admissible_lambdas(rng, tri, tau, 1)[0]
+        lam = admissible_lambdas(rng, 1)[0]
         model = build_exit_space(tri, tau)
         assert max(krein_residuals(tri, tau, model, lam)) \
             < CHECKS["krein_formula"].threshold
@@ -83,7 +83,7 @@ def test_resolvent_conjugate_symmetry():
     rng = np.random.default_rng(13)
     for _ in range(10):
         tri, tau = random_problem(rng)
-        lam = admissible_lambdas(rng, tri, tau, 1)[0]
+        lam = admissible_lambdas(rng, 1)[0]
         r = krein_resolvent(tri, tau, lam)
         r_bar = krein_resolvent(tri, tau, np.conj(lam))
         assert np.max(np.abs(r_bar - r.conj().T)) < 1e-9

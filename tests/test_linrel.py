@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relcomp.linrel import (
+    DEFAULT_TOL,
     LinearRelation,
     SpectrumError,
     adjoint,
@@ -298,6 +299,64 @@ def test_resolvent_eigenvalue_hit_at_any_scale(scale):
     # precision, so relative accuracy degrades like eps * scale above 1.
     rel_err = np.max(np.abs(resolvent(T, lam) - oracle)) * scale
     assert rel_err < 1e-14 * max(scale, 1.0)
+
+
+def _resolvent_svd(T, lam):
+    """Reference: L (R - lam L)^{-1} from one SVD U diag(s) V* of
+    R - lam L, and the condition number s_max/s_min; (None, inf) where
+    s_min <= DEFAULT_TOL * sqrt(s_max^2 + 1)."""
+    u, s, vh = np.linalg.svd(T.right - lam * T.left)
+    if s[-1] <= DEFAULT_TOL * np.sqrt(s[0] ** 2 + 1.0):
+        return None, np.inf
+    return ((T.left @ vh.conj().T) / s) @ u.conj().T, s[0] / s[-1]
+
+
+def _scaled_relations(rng):
+    """{{Qx, s QHx + k}: k in ran(Q)^perp} for s from 1e-6 to 1e6, H
+    Hermitian or not, with the eigenvalues s * eig(H) of the relation."""
+    for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        for n in (1, 3, 8):
+            for m in sorted({1, (n + 1) // 2, n}):
+                for hermitian in (True, False):
+                    u = np.linalg.qr(rng.standard_normal((n, n))
+                                     + 1j * rng.standard_normal((n, n)))[0]
+                    h = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+                    if hermitian:
+                        h = h + h.conj().T
+                    span = np.zeros((2 * n, n), dtype=complex)
+                    span[:n, :m] = u[:, :m]
+                    span[n:, :m] = scale * u[:, :m] @ h
+                    span[n:, m:] = u[:, m:]
+                    yield make_relation(span, n, n), scale * np.linalg.eigvals(h)
+
+
+def test_resolvent_cut_is_never_looser_than_the_svd_cut():
+    """lam at relative distance 1e-16 to 1e-1 from an eigenvalue: every lam
+    the SVD cut rejects is rejected, and an accepted resolvent matches the
+    SVD formula to 1e-12 relative, or to the eps * cond(R - lam L) that
+    bounds both routes, if larger."""
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(61)
+    rejected = accepted = stricter = 0
+    for T, eigs in _scaled_relations(rng):
+        for mu in eigs:
+            for e in range(-16, 0):
+                lam = mu + abs(mu) * 10.0 ** e * np.exp(2j * np.pi * rng.random())
+                ref, cond = _resolvent_svd(T, lam)
+                try:
+                    res = resolvent(T, lam)
+                except SpectrumError:
+                    res = None
+                if ref is None:
+                    rejected += 1
+                    assert res is None, (T.dim_from, lam)
+                elif res is None:
+                    stricter += 1
+                else:
+                    accepted += 1
+                    rel = np.max(np.abs(res - ref)) / np.max(np.abs(ref))
+                    assert rel <= max(1e-12, 32 * eps * cond), (T.dim_from, lam, rel, cond)
+    assert min(rejected, accepted, stricter) > 0, (rejected, accepted, stricter)
 
 
 @pytest.mark.parametrize("T", [full_relation(2), zero_relation(2)])
