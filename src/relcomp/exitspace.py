@@ -18,9 +18,11 @@ import numpy as np
 from .linrel import (
     DEFAULT_TOL,
     LinearRelation,
+    SpectrumError,
     adjoint,
     classify_symmetry,
     containment_residual,
+    graph_operator,
     make_relation,
     negate,
     null_space,
@@ -120,17 +122,20 @@ def realize_model(tau1: RationalNevanlinna) -> ModelTriplet:
     q = tau1.op_dim
     d_fac = psd_factor(tau1.b_coef)
     c_facs = [(alpha, psd_factor(aj)) for alpha, aj in tau1.poles]
-    blocks = [d_fac] + [c for _, c in c_facs]
-    nr = sum(b.shape[0] for b in blocks)
-    G = np.vstack([b for b in blocks]) if nr else np.zeros((0, q), dtype=complex)
-    if q and np.linalg.matrix_rank(G, tol=1e-10) < q:
-        raise ValueError("tau1 is not uniformly strict: stacked factor not injective")
+    G = np.vstack([d_fac] + [c for _, c in c_facs])
+    nr = G.shape[0]
+    # G = ran_g r is injective iff r is boundedly invertible; then ran_g
+    # spans ran G and r^{-1} ran_g^H is the pseudo-inverse of G
+    ran_g, r = np.linalg.qr(G)
+    try:
+        g_pinv = graph_operator(r, np.eye(q, dtype=complex)) @ ran_g.conj().T
+    except SpectrumError as exc:
+        raise ValueError("tau1 is not uniformly strict: stacked factor not injective") from exc
 
     # base boundary maps on the trivial seed {{0,0}} in C^nr, acting on
     # ambient pairs (f, f'); row blocks follow the block layout of H_r
     g0_base = np.zeros((nr, 2 * nr), dtype=complex)
     g1_base = np.zeros((nr, 2 * nr), dtype=complex)
-    row = 0
     rb = d_fac.shape[0]
     g0_base[:rb, :rb] = np.eye(rb)          # f_B
     g1_base[:rb, nr:nr + rb] = np.eye(rb)   # f'_B
@@ -143,18 +148,10 @@ def realize_model(tau1: RationalNevanlinna) -> ModelTriplet:
         g1_base[sl, row:row + rj] = -np.eye(rj)            # -f_j
         row += rj
 
-    if q:
-        g_pinv = np.linalg.inv(G.conj().T @ G) @ G.conj().T
-    else:
-        g_pinv = np.zeros((0, nr), dtype=complex)
-    # G is injective, so its q orthonormalized columns span ran G
-    ran_g = np.linalg.qr(G)[0] if q else np.zeros((nr, 0), dtype=complex)
-
     # S_r* = {f-hat: Gamma0_base f-hat in ran G}
     proj_out = np.eye(nr, dtype=complex) - ran_g @ ran_g.conj().T
-    s_r_star_frame = null_space(proj_out @ g0_base) if nr else np.eye(0, dtype=complex)
-    s_r_frame = null_space(np.vstack([g0_base, G.conj().T @ g1_base])) \
-        if nr else np.eye(0, dtype=complex)
+    s_r_star_frame = null_space(proj_out @ g0_base)
+    s_r_frame = null_space(np.vstack([g0_base, G.conj().T @ g1_base]))
     s_r = LinearRelation(nr, nr, s_r_frame)
     s_r_star = LinearRelation(nr, nr, s_r_star_frame)
     ok, resid = relations_equal(s_r_star, adjoint(s_r))

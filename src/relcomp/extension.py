@@ -20,11 +20,10 @@ import numpy as np
 from .linrel import (
     DEFAULT_TOL,
     LinearRelation,
-    as_operator,
     classify_symmetry,
     comp_sum,
     contains,
-    inverse,
+    graph_operator,
     make_relation,
     null_space,
     orth,
@@ -49,13 +48,12 @@ def _middle_inverse(tau: RationalNevanlinna, lam: complex,
     """Matrix of (tau(lam) + M(lam))^{-1} on the boundary space, given
     M(lam) = weyl.
 
-    The sum is formed as a relation {{h, tau(lam)h + M(lam)h}} and inverted
-    by swapping components; SpectrumError if it is not boundedly invertible.
+    With L, R the halves of tau(lam)'s frame, the sum is the relation with
+    frame (L; R + M L), and its inverse is the graph operator
+    L (R + M L)^{-1}; SpectrumError if it is not boundedly invertible.
     """
     T = eval_tau(tau, lam)
-    span = np.vstack([T.left, T.right + weyl @ T.left])
-    summed = make_relation(span, tau.dim, tau.dim)
-    return as_operator(inverse(summed))
+    return graph_operator(T.right + weyl @ T.left, T.left)
 
 
 def krein_resolvent(tri: BoundaryTriplet, tau: RationalNevanlinna,

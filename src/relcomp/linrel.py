@@ -11,13 +11,20 @@ max(||(I - P2) F1||, ||(I - P1) F2||), which equals the projector
 distance ||P1 - P2|| without forming either 2N x 2N projector, so
 verdicts are gauge-free.
 
+Every inverse the package takes is the matrix R L^{-1} of a relation with
+frame (L; R): resolvents, ``as_operator``, the middle term of the Krein
+formula, the gamma field and the pseudo-inverse of a model's stacked
+factor.  ``graph_operator`` computes it, from one LU and with the one
+inversion cut; no other routine inverts a matrix.
+
 DEFAULT_TOL is the single tolerance of the package: no relation, triplet
 or parameter carries one.  Every rank cut in ``orth``, ``null_space`` and
-``psd_factor``, every equality and containment verdict and every spectrum
-test reads it where the cut is made.  ``orth`` alone takes another value,
-for callers that orthonormalize a numerical estimate; the remaining fixed
-thresholds (Green identity, model rank tests, pole distance) are
-constants or literals where they are used.
+``psd_factor``, every equality and containment verdict and the inversion
+cut of ``graph_operator`` read it where the cut is made.  ``orth`` alone
+takes another value, for callers that orthonormalize a numerical
+estimate; the remaining fixed thresholds (Green identity, the model's
+Weyl-function match, pole distance) are constants or literals where they
+are used.
 """
 from __future__ import annotations
 
@@ -29,7 +36,8 @@ DEFAULT_TOL = 1e-9
 
 
 class SpectrumError(Exception):
-    """(T - lam)^{-1} is not an everywhere-defined single-valued operator."""
+    """A relation, such as (T - lam)^{-1}, is not a bounded everywhere-defined
+    single-valued operator."""
 
 
 def _as_complex(a) -> np.ndarray:
@@ -263,17 +271,11 @@ def operator_part(theta: LinearRelation) -> OperatorPartSplit:
         if overlap > 100 * DEFAULT_TOL:
             raise ValueError(
                 f"dom theta not orthogonal to mul theta (overlap {overlap:.2e})")
-    n = theta.dim_from
-    mul_proj = p.mul @ p.mul.conj().T if p.mul.shape[1] else np.zeros((n, n))
-    cols = []
-    for i in range(p.dom.shape[1]):
-        h = p.dom[:, i]
-        c, *_ = np.linalg.lstsq(theta.left, h, rcond=None)
-        if np.linalg.norm(theta.left @ c - h) > 100 * DEFAULT_TOL:
-            raise ValueError("domain frame not reachable inside the relation")
-        f_prime = theta.right @ c
-        cols.append(f_prime - mul_proj @ f_prime)
-    op = np.column_stack(cols) if cols else np.zeros((n, 0), dtype=complex)
+    coeff, *_ = np.linalg.lstsq(theta.left, p.dom, rcond=None)
+    if np.linalg.norm(theta.left @ coeff - p.dom) > 100 * DEFAULT_TOL:
+        raise ValueError("domain frame not reachable inside the relation")
+    f_prime = theta.right @ coeff
+    op = f_prime - p.mul @ (p.mul.conj().T @ f_prime)
     return OperatorPartSplit(mul_frame=p.mul, op_domain_frame=p.dom, op_matrix=op)
 
 
@@ -288,49 +290,45 @@ def reassemble_operator_part(split: OperatorPartSplit, n: int) -> LinearRelation
     return make_relation(cols, n, n)
 
 
+def graph_operator(left, right) -> np.ndarray:
+    """Matrix right @ left^{-1} of the relation with frame (left; right);
+    SpectrumError unless that relation is a bounded everywhere-defined
+    operator.
+
+    left^{-1} comes from one LU factorization.  left is rejected when it is
+    not square, when LU finds it exactly singular, or when
+    ||left^{-1}||_F * DEFAULT_TOL * sqrt(||left||_F^2 + 1) is not below 1,
+    a NaN or inf included.  ||left^{-1}||_F >= 1/s_min and ||left||_F >=
+    s_max, so this cut rejects every left with
+    s_min <= DEFAULT_TOL * sqrt(s_max^2 + 1) and is never looser than that
+    SVD cut.  The ``+ 1`` makes the cut absolute below unit scale.
+    """
+    try:
+        left_inv = np.linalg.inv(left)
+    except np.linalg.LinAlgError as exc:
+        raise SpectrumError("left half of the frame is not invertible") from exc
+    bound = np.linalg.norm(left_inv) * DEFAULT_TOL * np.sqrt(np.linalg.norm(left) ** 2 + 1.0)
+    if not bound < 1.0:
+        raise SpectrumError("left half of the frame is numerically singular")
+    return right @ left_inv
+
+
 def as_operator(T: LinearRelation) -> np.ndarray:
     """Matrix of T if it is an everywhere-defined single-valued operator.
 
     Raises SpectrumError otherwise.
     """
-    n_from = T.dim_from
-    if T.dim != n_from:
-        raise SpectrumError("relation is not the graph of an everywhere-defined operator")
-    if n_from == 0:
-        return np.zeros((T.dim_to, 0), dtype=complex)
-    L = T.left
-    s = np.linalg.svd(L, compute_uv=False)
-    if s.size < n_from or s[-1] <= DEFAULT_TOL:
-        raise SpectrumError("left projection of the relation is singular")
-    return T.right @ np.linalg.inv(L)
+    return graph_operator(T.left, T.right)
 
 
 def resolvent(T: LinearRelation, lam: complex) -> np.ndarray:
     """Matrix of (T - lam)^{-1} = {{f' - lam f, f}} when it is an
     everywhere-defined operator; SpectrumError otherwise.
 
-    With L, R the left and right halves of T's frame, the inverse is
-    L X^{-1} for X = R - lam L, with X^{-1} from one LU factorization.
-    lam is rejected when X is exactly singular or when
-    ||X^{-1}||_F * DEFAULT_TOL * sqrt(||X||_F^2 + 1) is not below 1, a
-    NaN or inf included.  ||X^{-1}||_F >= 1/s_min and ||X||_F >= s_max, so
-    this cut rejects every lam with s_min <= DEFAULT_TOL * sqrt(s_max^2 + 1),
-    the cut relative to the norm of the stacked frame (X; L) of the inverse
-    relation, and is never looser than it.
+    With L, R the left and right halves of T's frame, the inverse is the
+    graph operator L (R - lam L)^{-1}, so lam is rejected by the cut of
+    ``graph_operator`` on R - lam L.
     """
     if T.dim_from != T.dim_to:
         raise ValueError("resolvent is defined for relations in a single space")
-    n = T.dim_from
-    if T.dim != n:
-        raise SpectrumError("relation is not the graph of an everywhere-defined operator")
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
-    x = T.right - lam * T.left
-    try:
-        x_inv = np.linalg.inv(x)
-    except np.linalg.LinAlgError as exc:
-        raise SpectrumError("lam lies in the spectrum of the relation") from exc
-    bound = np.linalg.norm(x_inv) * DEFAULT_TOL * np.sqrt(np.linalg.norm(x) ** 2 + 1.0)
-    if not bound < 1.0:
-        raise SpectrumError("lam lies in the spectrum of the relation")
-    return T.left @ x_inv
+    return graph_operator(T.right - lam * T.left, T.left)

@@ -85,7 +85,7 @@ class RationalNevanlinna:
 def eval_tau(tau: RationalNevanlinna, lam: complex) -> LinearRelation:
     """The relation {{h, tau0(lam) h + k}: h in H0, k in K} inside C^d."""
     if lam.imag == 0:
-        raise ValueError("tau is evaluated off the real axis")
+        raise ValueError("tau is evaluated on the real axis")
     if any(abs(lam - alpha) < 1e-12 for alpha, _ in tau.poles):
         raise ValueError(f"evaluation at a pole of tau: {lam}")
     d = tau.dim

@@ -14,9 +14,11 @@ import numpy as np
 from .linrel import (
     DEFAULT_TOL,
     LinearRelation,
+    SpectrumError,
     adjoint,
     containment_residual,
     contains,
+    graph_operator,
     make_relation,
     null_space,
     orth,
@@ -237,21 +239,17 @@ class WeylSample:
 def gamma_and_weyl(tri: BoundaryTriplet, lam: complex) -> WeylSample:
     """Invert Gamma0 on the defect subspace at lam."""
     if abs(lam.imag) == 0:
-        raise ValueError("Weyl function is evaluated off the real axis")
+        raise ValueError("Weyl function is evaluated on the real axis")
     d = tri.boundary_dim
     frame = _defect_frame(tri.seed, lam)
     if frame.shape[1] != d:
         raise TripletError(
             f"defect dimension {frame.shape[1]} != boundary dim {d} at {lam}")
     C = tri.coords(frame)
-    G0 = tri.gamma0 @ C
-    if d:
-        s = np.linalg.svd(G0, compute_uv=False)
-        if s[-1] <= DEFAULT_TOL:
-            raise TripletError("Gamma0 restricted to the defect subspace is singular")
-        X = C @ np.linalg.inv(G0)
-    else:
-        X = np.zeros((C.shape[0], 0), dtype=complex)
+    try:
+        X = graph_operator(tri.gamma0 @ C, C)
+    except SpectrumError as exc:
+        raise TripletError("Gamma0 restricted to the defect subspace is singular") from exc
     ambient = tri.a_star_basis @ X
     return WeylSample(lam=lam, gamma_field=ambient[: tri.space_dim],
                       weyl=tri.gamma1 @ X)

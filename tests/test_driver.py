@@ -190,6 +190,7 @@ def test_spectral_lambda_fails_krein_formula_by_name(monkeypatch):
     [failure] = wrapped["body"]["failures"]
     assert failure["failed"] == ["exception:ValueError"]
     assert failure["error"]["check"] == "krein_formula"
+    assert failure["error"]["message"] == "Weyl function is evaluated on the real axis"
 
 
 def test_verify_rejects_bad_bounds():

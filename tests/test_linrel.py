@@ -1,4 +1,7 @@
 """Relation arithmetic: construction, parts, adjoints, resolvents."""
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from relcomp.linrel import (
     contains,
     full_relation,
     graph_of,
+    graph_operator,
     intersect,
     inverse,
     make_relation,
@@ -28,6 +32,8 @@ from relcomp.linrel import (
     vertical_relation,
     zero_relation,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "relcomp"
 
 
 def random_relation(rng, n, r=None):
@@ -272,8 +278,9 @@ def test_selfadjoint_dom_complements_mul():
 
 
 def test_resolvent_vertical_is_zero():
-    for lam in (1j, 2j, 1 + 1j):
-        assert np.allclose(resolvent(vertical_relation(1), lam), [[0.0]])
+    for n in (1, 0):
+        for lam in (1j, 2j, 1 + 1j):
+            assert np.array_equal(resolvent(vertical_relation(n), lam), np.zeros((n, n)))
 
 
 def test_resolvent_swap_matrix_against_dense_inverse():
@@ -357,6 +364,107 @@ def test_resolvent_cut_is_never_looser_than_the_svd_cut():
                     rel = np.max(np.abs(res - ref)) / np.max(np.abs(ref))
                     assert rel <= max(1e-12, 32 * eps * cond), (T.dim_from, lam, rel, cond)
     assert min(rejected, accepted, stricter) > 0, (rejected, accepted, stricter)
+
+
+def _unitary(rng, n):
+    return np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))[0]
+
+
+def _with_singular_values(rng, rows, cols, s):
+    """rows x cols matrix U diag(s) V* with random isometries U, V."""
+    k = len(s)
+    return (_unitary(rng, rows)[:, :k] * s) @ _unitary(rng, cols)[:, :k].conj().T
+
+
+# Smallest singular values as multiples of a removed rule's threshold.
+NEAR_CUT = (0.0, 1e-3, 0.1, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 10.0, 1e3)
+
+
+def _as_operator_inputs(rng):
+    """Orthonormal frames (L; R) with s_min(L) near 1e-9, where as_operator
+    used to reject s_min(L) <= 1e-9."""
+    for n in (1, 3, 8):
+        for f in NEAR_CUT:
+            c = rng.uniform(0.1, 1.0, n)
+            c[-1] = 1e-9 * f
+            vh = _unitary(rng, n).conj().T
+            frame = np.vstack([(_unitary(rng, n) * c) @ vh,
+                               (_unitary(rng, n) * np.sqrt(1.0 - c ** 2)) @ vh])
+            T = LinearRelation(n, n, frame)
+            yield (np.linalg.svd(T.left, compute_uv=False)[-1] <= 1e-9,
+                   lambda: as_operator(T))
+
+
+def _gamma_and_weyl_inputs(rng):
+    """Gamma0 on a defect frame, d x d at scales 1e-6 to 1e6 with s_min near
+    1e-9, where gamma_and_weyl used to reject s_min(G0) <= 1e-9."""
+    for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        for d in (1, 3, 8):
+            for f in NEAR_CUT:
+                s = scale * rng.uniform(0.5, 2.0, d)
+                s[-1] = 1e-9 * f
+                g0 = _with_singular_values(rng, d, d, s)
+                coords = _with_singular_values(rng, 2 * d + 1, d, np.ones(d))
+                yield (np.linalg.svd(g0, compute_uv=False)[-1] <= 1e-9,
+                       lambda: graph_operator(g0, coords))
+
+
+def _realize_model_inputs(rng):
+    """Stacked factors G, nr x q at scales 1e-6 to 1e6 with s_min near
+    1e-10, where realize_model used to reject matrix_rank(G, 1e-10) < q; it
+    now inverts r from G = ran_g r."""
+    for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        for q in (1, 3, 8):
+            for nr in (q - 1, q, q + 2):
+                for f in NEAR_CUT:
+                    s = scale * rng.uniform(0.5, 2.0, min(nr, q))
+                    if nr >= q:
+                        s[-1] = 1e-10 * f
+                    G = _with_singular_values(rng, nr, q, s)
+                    ran_g, r = np.linalg.qr(G)
+                    yield (np.linalg.matrix_rank(G, tol=1e-10) < q,
+                           lambda: graph_operator(r, np.eye(q)) @ ran_g.conj().T)
+
+
+@pytest.mark.parametrize("inputs", [_as_operator_inputs, _gamma_and_weyl_inputs,
+                                    _realize_model_inputs],
+                         ids=["as_operator", "gamma_and_weyl", "realize_model"])
+def test_graph_operator_rejects_what_a_removed_rule_rejected(inputs):
+    """Each invertibility rule that graph_operator replaced stays here as
+    the reference: the kernel rejects every matrix the rule rejected."""
+    rng = np.random.default_rng(67)
+    rule_rejected = accepted = 0
+    for rejects, invert in inputs(rng):
+        try:
+            invert()
+        except SpectrumError:
+            rule_rejected += rejects
+            continue
+        assert not rejects
+        accepted += 1
+    assert min(rule_rejected, accepted) > 0, (rule_rejected, accepted)
+
+
+def _inversion_sites():
+    """(module, function) of every use of numpy's inv or matrix_rank in the
+    package; None for a use outside any function."""
+    sites = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else \
+                node.name if isinstance(node, ast.alias) else None
+            if name in ("inv", "matrix_rank"):
+                owner = max((f for f in funcs if f.lineno <= node.lineno <= f.end_lineno),
+                            key=lambda f: f.lineno, default=None)
+                sites.add((path.stem, owner and owner.name))
+    return sites
+
+
+def test_every_inverse_goes_through_graph_operator():
+    assert _inversion_sites() == {("linrel", "graph_operator")}
 
 
 @pytest.mark.parametrize("T", [full_relation(2), zero_relation(2)])
