@@ -53,6 +53,8 @@ from .extension import (
     classify_compression,
     compression,
     compression_param,
+    flags_coefficients,
+    flags_geometric,
     krein_resolvent,
 )
 from .exitspace import (

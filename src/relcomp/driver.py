@@ -42,9 +42,10 @@ from .triplet import (
     von_neumann_triplet,
 )
 from .extension import (
-    RouteDisagreement,
     classify_compression,
     compression,
+    flags_coefficients,
+    flags_geometric,
     krein_resolvent,
     rank_sum,
 )
@@ -317,10 +318,6 @@ class VerifyContext:
         return compression(self.tri, self.tau)
 
     @cached_property
-    def report(self):
-        return classify_compression(self.tri, self.tau)
-
-    @cached_property
     def minimal(self) -> bool:
         return minimality(self.model)
 
@@ -341,8 +338,6 @@ def _decomposition_reassembly(ctx) -> float:
     res = 0.0
     for _ in range(3):
         lam = complex(ctx.rng.uniform(-2, 2), ctx.rng.uniform(0.5, 2.0))
-        if any(abs(lam - alpha) < 1e-6 for alpha, _ in tau.poles):
-            continue
         _, r = relations_equal(eval_tau(tau, lam),
                                reassemble_decomposition(tau, dec, lam))
         res = max(res, r)
@@ -350,12 +345,11 @@ def _decomposition_reassembly(ctx) -> float:
 
 
 def _classification_routes(ctx) -> float:
-    """Number of flags on which the two classification routes disagree."""
-    try:
-        ctx.report
-    except RouteDisagreement as exc:
-        return len(exc.flags)
-    return 0.0
+    """Number of flags on which the geometric flags of C(A~) and the
+    coefficient flags of tau disagree."""
+    geo = flags_geometric(ctx.tri, ctx.compression)
+    coef = flags_coefficients(ctx.tau)
+    return float(sum(geo[k] != coef[k] for k in geo))
 
 
 def _krein_formula(ctx) -> float:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linrel import (
-    DEFAULT_TOL,
     LinearRelation,
     classify_symmetry,
     comp_sum,
@@ -107,7 +106,8 @@ class CompressionReport:
     n_r: int
 
 
-def _flags_geometric(tri: BoundaryTriplet, C: LinearRelation) -> dict:
+def flags_geometric(tri: BoundaryTriplet, C: LinearRelation) -> dict:
+    """Flags of C read off by relation algebra against A, A0 and A*."""
     A0 = tri.a0
     eq_a0, _ = relations_equal(C, A0)
     eq_a, _ = relations_equal(C, tri.seed.A)
@@ -122,17 +122,17 @@ def _flags_geometric(tri: BoundaryTriplet, C: LinearRelation) -> dict:
     }
 
 
-def _flags_coefficients(tau: RationalNevanlinna) -> dict:
-    p = tau.op_dim
+def flags_coefficients(tau: RationalNevanlinna) -> dict:
+    """Flags of C(A~) read off tau: C = A0 iff ker B is trivial, and C is
+    transversal with A0 iff K = {0} and B = 0.  Both facts come from the
+    one kernel frame of B, so they follow the cut of ``null_space``."""
     ker_b_dim = null_space(tau.b_coef).shape[1]
-    k = tau.mul_frame.shape[1]
-    ker_b_trivial = ker_b_dim == 0
     return {
-        "subset_A0": ker_b_trivial,
-        "equals_A0": ker_b_trivial,
+        "subset_A0": ker_b_dim == 0,
+        "equals_A0": ker_b_dim == 0,
         "equals_A": tau.dim == 0,
         "self_adjoint": True,
-        "transversal_with_A0": k == 0 and (p == 0 or np.max(np.abs(tau.b_coef)) <= 100 * DEFAULT_TOL),
+        "transversal_with_A0": tau.mul_frame.shape[1] == 0 and ker_b_dim == tau.op_dim,
     }
 
 
@@ -151,8 +151,8 @@ def classify_compression(tri: BoundaryTriplet,
         raise ValueError("parameter dimension does not match the boundary space")
     tau_c = compression_param(tau)
     C = extension_of(tri, tau_c)
-    geo = _flags_geometric(tri, C)
-    coef = _flags_coefficients(tau)
+    geo = flags_geometric(tri, C)
+    coef = flags_coefficients(tau)
     if geo != coef:
         diffs = {k: (geo[k], coef[k]) for k in geo if geo[k] != coef[k]}
         raise RouteDisagreement(diffs)

@@ -18,13 +18,16 @@ factor.  ``graph_operator`` computes it, from one LU and with the one
 inversion cut; no other routine inverts a matrix.
 
 DEFAULT_TOL is the single tolerance of the package: no relation, triplet
-or parameter carries one.  Every rank cut in ``orth``, ``null_space`` and
-``psd_factor``, every equality and containment verdict and the inversion
-cut of ``graph_operator`` read it where the cut is made.  ``orth`` alone
-takes another value, for callers that orthonormalize a numerical
-estimate; the remaining fixed thresholds (Green identity, the model's
-Weyl-function match, pole distance) are constants or literals where they
-are used.
+or parameter carries one.  Every rank decision is the cut of ``orth``,
+``null_space`` or ``complement``, the only routines that take an SVD: a
+singular value s counts when s > DEFAULT_TOL * max(s_max, 1), and
+``complement`` takes the rank of its orthonormal frame as given.
+``psd_factor`` in the exit-space oracle makes the same cut on
+eigenvalues.  Every equality and containment verdict and the inversion
+cut of ``graph_operator`` read DEFAULT_TOL too.  ``orth`` alone takes
+another value, for callers that orthonormalize a numerical estimate; the
+remaining fixed thresholds (Green identity, the model's Weyl-function
+match, pole distance) are constants or literals where they are used.
 """
 from __future__ import annotations
 

@@ -131,16 +131,10 @@ def triplet_report(tri: BoundaryTriplet) -> dict:
     report = {"green": check_green(tri)}
     G = tri.boundary_map()
     d = tri.boundary_dim
-    if d:
-        s = np.linalg.svd(G, compute_uv=False)
-        report["surjectivity_gap"] = float(1.0 - (s[2 * d - 1] if s.size >= 2 * d else 0.0))
-        rank_ok = s.size >= 2 * d and s[2 * d - 1] > DEFAULT_TOL
-    else:
-        report["surjectivity_gap"] = 0.0
-        rank_ok = True
-    report["surjective"] = rank_ok
-    ker_rel = LinearRelation(tri.space_dim, tri.space_dim,
-                             tri.a_star_basis @ null_space(G))
+    ker = null_space(G)
+    # rank G = m - dim ker G, and G maps onto C^{2d} iff that rank is 2d
+    report["surjective"] = ker.shape[1] == G.shape[1] - 2 * d
+    ker_rel = LinearRelation(tri.space_dim, tri.space_dim, tri.a_star_basis @ ker)
     _, report["kernel_vs_A"] = relations_equal(ker_rel, tri.seed.A)
     _, idx = defect(tri.seed, 1j)
     report["indices"] = idx
@@ -155,7 +149,7 @@ def triplet_report(tri: BoundaryTriplet) -> dict:
 def assert_valid_triplet(tri: BoundaryTriplet) -> None:
     rep = triplet_report(tri)
     # extensions are built on this basis without orthonormalizing again
-    if rep["basis_orthonormal"] > 100 * DEFAULT_TOL:
+    if rep["basis_orthonormal"] > DEFAULT_TOL:
         raise TripletError("A* basis is not orthonormal")
     if rep["green"] > GREEN_TOL:
         raise TripletError(f"Green identity residual {rep['green']:.2e}")
@@ -184,10 +178,6 @@ def von_neumann_triplet(seed: SymmetricSeed, V=None) -> BoundaryTriplet:
         raise TripletError("V must be a d x d unitary")
 
     basis = np.column_stack([seed.A.frame, n_plus_frame, n_minus_frame])
-    gram = basis.conj().T @ basis
-    if gram.size and np.max(np.abs(gram - np.eye(gram.shape[0]))) > 1e-9:
-        raise TripletError("graph decomposition of A* is not orthogonal")
-
     m = basis.shape[1]
     a_dim = seed.A.dim
     g0 = np.zeros((d, m), dtype=complex)

@@ -18,7 +18,7 @@ from relcomp.driver import (
     generate_instance,
     krein_residuals,
 )
-from relcomp.extension import compression
+from relcomp.extension import compression, flags_geometric
 from relcomp.exitspace import (
     build_exit_space,
     direct_compression,
@@ -95,7 +95,7 @@ def test_criterion_1_compression_equivalence(corpus):
     t_start = time.perf_counter()
     worst, threshold = _worst(CHECKS["compression_equivalence"], corpus)
     for item in corpus:
-        assert classify_symmetry(item["ctx"].report.compression) == "self_adjoint"
+        assert classify_symmetry(item["ctx"].compression) == "self_adjoint"
     elapsed = time.perf_counter() - t_start
     ok = worst < threshold and elapsed < 60.0
     _report("criterion 1 compression equivalence", ok,
@@ -156,7 +156,8 @@ def test_criterion_4_flag_biconditionals(corpus):
              ("subset_A0", "equals_A0", "equals_A", "self_adjoint",
               "transversal_with_A0")}
     for item in corpus:
-        for flag, val in item["ctx"].report.flags.items():
+        ctx = item["ctx"]
+        for flag, val in flags_geometric(ctx.tri, ctx.compression).items():
             sides[flag][int(bool(val))] += 1
     required = {
         "subset_A0": (20, 20),

@@ -144,6 +144,16 @@ def test_injected_fault_fails_exactly_its_check(monkeypatch, check):
     assert [c.name for c in checks if not c.passed] == [check]
 
 
+def test_verify_builds_one_compression_per_instance(monkeypatch):
+    calls = []
+    param = extension.compression_param
+    monkeypatch.setattr(extension, "compression_param",
+                        lambda tau: calls.append(tau) or param(tau))
+    inst = generate_instance(np.random.default_rng(0), category="b_deficient")
+    verify_instance(inst, np.random.default_rng(0))
+    assert len(calls) == 1
+
+
 def test_report_names_the_check_that_raised(monkeypatch):
     def explode(ctx):
         raise ValueError("injected failure")

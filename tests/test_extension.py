@@ -2,16 +2,19 @@
 import numpy as np
 import pytest
 
-from relcomp.driver import CHECKS, admissible_lambdas, krein_residuals
+from relcomp.driver import CHECKS, VerifyContext, admissible_lambdas, krein_residuals
 from relcomp.exitspace import build_exit_space
 from relcomp.extension import (
     classify_compression,
     compression,
     compression_param,
+    flags_coefficients,
+    flags_geometric,
     krein_resolvent,
     rank_sum,
 )
 from relcomp.linrel import (
+    DEFAULT_TOL,
     classify_symmetry,
     graph_of,
     make_relation,
@@ -180,6 +183,19 @@ def test_transversal_gives_operator_parameter():
         ext = extension_of(tri, graph_of(-rep.n_tau))
         eq, resid = relations_equal(rep.compression, ext)
         assert eq, resid
+
+
+@pytest.mark.parametrize("s", [1e-6, 1e-8, 2e-9, 1e-10])
+def test_flag_routes_agree_for_a_small_linear_coefficient(s):
+    """Both routes decide whether B = s I vanishes by the cut of null_space,
+    so they agree on either side of it."""
+    tri = model_triplet([None])
+    tau = RationalNevanlinna.build(1, b=[[s]], poles=[(0.0, [[1.0]])])
+    assert flags_geometric(tri, compression(tri, tau)) == flags_coefficients(tau)
+    assert CHECKS["classification_routes"].residual(VerifyContext(tri, tau, None)) == 0
+    flags = classify_compression(tri, tau).flags
+    assert flags["equals_A0"] == (s > DEFAULT_TOL)
+    assert flags["transversal_with_A0"] == (s <= DEFAULT_TOL)
 
 
 def test_rank_sum():

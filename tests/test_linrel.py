@@ -446,8 +446,8 @@ def test_graph_operator_rejects_what_a_removed_rule_rejected(inputs):
     assert min(rule_rejected, accepted) > 0, (rule_rejected, accepted)
 
 
-def _inversion_sites():
-    """(module, function) of every use of numpy's inv or matrix_rank in the
+def _sites(names):
+    """(module, function) of every use of one of the numpy names in the
     package; None for a use outside any function."""
     sites = set()
     for path in sorted(SRC.glob("*.py")):
@@ -456,7 +456,7 @@ def _inversion_sites():
         for node in ast.walk(tree):
             name = node.attr if isinstance(node, ast.Attribute) else \
                 node.name if isinstance(node, ast.alias) else None
-            if name in ("inv", "matrix_rank"):
+            if name in names:
                 owner = max((f for f in funcs if f.lineno <= node.lineno <= f.end_lineno),
                             key=lambda f: f.lineno, default=None)
                 sites.add((path.stem, owner and owner.name))
@@ -464,7 +464,12 @@ def _inversion_sites():
 
 
 def test_every_inverse_goes_through_graph_operator():
-    assert _inversion_sites() == {("linrel", "graph_operator")}
+    assert _sites({"inv", "matrix_rank"}) == {("linrel", "graph_operator")}
+
+
+def test_every_svd_is_a_linrel_rank_cut():
+    assert _sites({"svd"}) == {("linrel", "orth"), ("linrel", "complement"),
+                               ("linrel", "null_space")}
 
 
 @pytest.mark.parametrize("T", [full_relation(2), zero_relation(2)])

@@ -200,14 +200,16 @@ def test_negated_gamma1_breaks_green():
 
 def test_triplet_on_a_basis_that_is_not_orthonormal_is_rejected():
     tri = model_triplet([None])
-    basis = 2.0 * tri.a_star_basis
     g0_ambient = tri.gamma0 @ tri.a_star_basis.conj().T
     g1_ambient = tri.gamma1 @ tri.a_star_basis.conj().T
-    scaled = BoundaryTriplet(seed=tri.seed, boundary_dim=1, a_star_basis=basis,
-                             gamma0=g0_ambient @ basis, gamma1=g1_ambient @ basis)
-    assert check_green(scaled) < GREEN_TOL
-    with pytest.raises(TripletError, match="not orthonormal"):
-        assert_valid_triplet(scaled)
+    # the Gram matrix is off by 3 and by 2e-8, which 100 * DEFAULT_TOL passed
+    for scale in (2.0, 1.0 + 1e-8):
+        basis = scale * tri.a_star_basis
+        scaled = BoundaryTriplet(seed=tri.seed, boundary_dim=1, a_star_basis=basis,
+                                 gamma0=g0_ambient @ basis, gamma1=g1_ambient @ basis)
+        assert check_green(scaled) < GREEN_TOL
+        with pytest.raises(TripletError, match="not orthonormal"):
+            assert_valid_triplet(scaled)
 
 
 def test_extension_endpoints():
