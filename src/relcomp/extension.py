@@ -27,10 +27,9 @@ from .linrel import (
     null_space,
     orth,
     relations_equal,
-    resolvent,
 )
 from .nevanlinna import RationalNevanlinna, eval_tau
-from .triplet import BoundaryTriplet, extension_of, gamma_and_weyl
+from .triplet import BoundaryTriplet, extension_of
 
 
 class RouteDisagreement(RuntimeError):
@@ -59,16 +58,33 @@ def krein_resolvent(tri: BoundaryTriplet, tau: RationalNevanlinna,
                     lam: complex) -> np.ndarray:
     """Generalized resolvent of the seed relation at lam for parameter tau.
 
-    gamma(conj lam) comes from the gamma-field identity
+    gamma and M come from their values at i, kept with the triplet as
+    ``weyl_at_i``, through the identities
+
+        gamma(lam) = (A0 - i) R0(lam) gamma(i),
+        M(lam) = M(i)* + (lam + i) gamma(i)* gamma(lam).
+
+    With L, R the halves of A0's frame, R0(lam) = L (R - lam L)^{-1} and
+    (A0 - i) R0(lam) = (R - i L)(R - lam L)^{-1} come from one graph
+    operator.  The product form keeps its relative accuracy at large |lam|,
+    where the equal additive form gamma(i) + (lam - i) R0(lam) gamma(i)
+    cancels.  gamma(conj lam) comes from the gamma-field identity
     gamma(conj lam) = gamma(lam) + (conj lam - lam) R0(conj lam) gamma(lam),
     with R0(conj lam) = R0(lam)* because A0 is self-adjoint.
     """
-    ws = gamma_and_weyl(tri, lam)
-    r0 = resolvent(tri.a0, lam)
-    gamma_adj = ws.gamma_field.conj().T
+    if abs(lam.imag) == 0:
+        raise ValueError("Weyl function is evaluated on the real axis")
+    left, right = tri.a0.left, tri.a0.right
+    both = graph_operator(right - lam * left, np.vstack([left, right - 1j * left]))
+    n = tri.space_dim
+    r0, shifted = both[:n], both[n:]
+    at_i = tri.weyl_at_i
+    gamma = shifted @ at_i.gamma_field
+    weyl = at_i.weyl.conj().T + (lam + 1j) * (at_i.gamma_field.conj().T @ gamma)
+    gamma_adj = gamma.conj().T
     gamma_bar_adj = gamma_adj + (lam - np.conj(lam)) * (gamma_adj @ r0)
-    mid = _middle_inverse(tau, lam, ws.weyl)
-    return r0 - ws.gamma_field @ mid @ gamma_bar_adj
+    mid = _middle_inverse(tau, lam, weyl)
+    return r0 - gamma @ mid @ gamma_bar_adj
 
 
 def compression_param(tau: RationalNevanlinna) -> LinearRelation:

@@ -55,14 +55,22 @@ class SymmetricSeed:
     def space_dim(self) -> int:
         return self.A.dim_from
 
+    @cached_property
+    def defect_frames_at_i(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only defect frames at i and -i, built on first use and kept
+        with the seed."""
+        frames = (_defect_frame(self, 1j), _defect_frame(self, -1j))
+        for frame in frames:
+            frame.setflags(write=False)
+        return frames
+
 
 def defect(seed: SymmetricSeed, lam: complex):
     """Frame of the graph defect subspace {f-hat in A*: f' = lam f} plus the
-    deficiency indices (n+, n-)."""
-    frame = _defect_frame(seed, lam)
-    n_plus = frame.shape[1] if lam == 1j else _defect_frame(seed, 1j).shape[1]
-    n_minus = frame.shape[1] if lam == -1j else _defect_frame(seed, -1j).shape[1]
-    return frame, (n_plus, n_minus)
+    deficiency indices (n+, n-); the frames at +-i are the seed's."""
+    plus, minus = seed.defect_frames_at_i
+    frame = plus if lam == 1j else minus if lam == -1j else _defect_frame(seed, lam)
+    return frame, (plus.shape[1], minus.shape[1])
 
 
 def _defect_frame(seed: SymmetricSeed, lam: complex) -> np.ndarray:
@@ -98,6 +106,15 @@ class BoundaryTriplet:
     def a0(self) -> LinearRelation:
         """A0 = ker Gamma0, built on first use and kept with the triplet."""
         return extension_of(self, vertical_relation(self.boundary_dim))
+
+    @cached_property
+    def weyl_at_i(self) -> WeylSample:
+        """Read-only gamma(i) and M(i), built on first use and kept with the
+        triplet; the Krein resolvent reaches every other lam from them."""
+        ws = gamma_and_weyl(self, 1j)
+        ws.gamma_field.setflags(write=False)
+        ws.weyl.setflags(write=False)
+        return ws
 
     @classmethod
     def from_ambient_maps(cls, seed: SymmetricSeed, g0_ambient,
@@ -165,8 +182,7 @@ def von_neumann_triplet(seed: SymmetricSeed, V=None) -> BoundaryTriplet:
     """Concrete triplet from the graph-orthogonal decomposition
     A* = A (+) N-hat_i (+) N-hat_{-i} and a unitary matching V of the fixed
     defect bases."""
-    n_plus_frame = _defect_frame(seed, 1j)
-    n_minus_frame = _defect_frame(seed, -1j)
+    n_plus_frame, n_minus_frame = seed.defect_frames_at_i
     d = n_plus_frame.shape[1]
     if n_minus_frame.shape[1] != d:
         raise TripletError(
@@ -231,7 +247,7 @@ def gamma_and_weyl(tri: BoundaryTriplet, lam: complex) -> WeylSample:
     if abs(lam.imag) == 0:
         raise ValueError("Weyl function is evaluated on the real axis")
     d = tri.boundary_dim
-    frame = _defect_frame(tri.seed, lam)
+    frame, _ = defect(tri.seed, lam)
     if frame.shape[1] != d:
         raise TripletError(
             f"defect dimension {frame.shape[1]} != boundary dim {d} at {lam}")

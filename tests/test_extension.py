@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+from relcomp import driver
 from relcomp.driver import CHECKS, VerifyContext, admissible_lambdas, krein_residuals
-from relcomp.exitspace import build_exit_space
+from relcomp.exitspace import build_exit_space, generalized_resolvent_direct
 from relcomp.extension import (
     classify_compression,
     compression,
@@ -24,11 +25,32 @@ from relcomp.linrel import (
     vertical_relation,
 )
 from relcomp.nevanlinna import RationalNevanlinna, _richardson, eval_tau
-from relcomp.triplet import extension_of
+from relcomp.triplet import WeylSample, check_weyl_identities, extension_of
 
 from test_nevanlinna import random_tau
-from test_triplet import model_triplet, random_symmetric_seed, random_unitary
+from test_triplet import (count_defect_frames, model_triplet,
+                          random_symmetric_seed, random_unitary)
 from relcomp.triplet import von_neumann_triplet
+
+# (n, boundary dim d, dim of tau's multivalued part, rank of B, pole ranks)
+SWEEP_SHAPES = ((48, 8, 0, 8, (4, 4)), (56, 16, 4, 6, (6,)), (64, 24, 0, 12, (12, 6)))
+
+
+def shaped_problem(rng, n, d, k, b_rank, pole_ranks):
+    """von Neumann triplet of a seed with deficiency d and a tau with the
+    given structure, drawn with the instance generator's helpers."""
+    dom = driver._random_unitary(rng, n)[:, :n - d]
+    span = np.vstack([dom, driver._random_hermitian(rng, n) @ dom])
+    p = d - k
+    poles = tuple((float(alpha), driver._random_psd_of_rank(rng, p, r))
+                  for alpha, r in zip(np.linspace(-2.5, 2.5, len(pole_ranks)),
+                                      pole_ranks))
+    return driver.build_problem(driver.Instance(
+        dim=n, seed_span=span, triplet_kind="von_neumann",
+        triplet_data={"V": driver._random_unitary(rng, d)}, tau_dim=d,
+        tau_mul=driver._random_unitary(rng, d)[:, :k],
+        tau_a=driver._random_hermitian(rng, p),
+        tau_b=driver._random_psd_of_rank(rng, p, b_rank), tau_poles=poles))
 
 
 def random_problem(rng, n_max=6, d_max=3, **tau_kwargs):
@@ -90,6 +112,45 @@ def test_resolvent_conjugate_symmetry():
         r = krein_resolvent(tri, tau, lam)
         r_bar = krein_resolvent(tri, tau, np.conj(lam))
         assert np.max(np.abs(r_bar - r.conj().T)) < 1e-9
+
+
+def test_krein_resolvent_takes_no_defect_frame_per_lambda(monkeypatch):
+    rng = np.random.default_rng(17)
+    tri, tau = random_problem(rng)
+    krein_resolvent(tri, tau, 0.3 + 1j)
+    calls = count_defect_frames(monkeypatch)
+    for lam in admissible_lambdas(rng, 10):
+        krein_resolvent(tri, tau, lam)
+    assert calls == []
+
+
+def test_krein_resolvent_relative_accuracy_up_to_large_lambda():
+    """gamma(lam) = (A0 - i) R0(lam) gamma(i) keeps the relative accuracy
+    at |lam| = 1e5; the additive form gamma(i) + (lam - i) R0(lam) gamma(i)
+    misses this bound by cancellation."""
+    rng = np.random.default_rng(0)
+    for shape in SWEEP_SHAPES:
+        tri, tau = shaped_problem(rng, *shape)
+        model = build_exit_space(tri, tau)
+        for lam in (0.7 + 0.5j, 10j, 1e3j, 1e5j, 50 + 1j):
+            direct = generalized_resolvent_direct(model, lam)
+            err = np.linalg.norm(krein_resolvent(tri, tau, lam) - direct, 2)
+            assert err <= 2e-12 * np.linalg.norm(direct, 2), (shape, lam)
+
+
+def test_weyl_at_i_is_read_by_krein_and_not_by_the_reference():
+    rng = np.random.default_rng(29)
+    tri, tau = random_problem(rng, k=0)
+    model = build_exit_space(tri, tau)
+    at_i = tri.weyl_at_i
+    vars(tri)["weyl_at_i"] = WeylSample(
+        lam=1j, gamma_field=2.0 * at_i.gamma_field,
+        weyl=at_i.weyl + np.eye(tri.boundary_dim))
+    lam = 0.4 + 1.1j
+    assert max(check_weyl_identities(tri, lam, 1j)) < 1e-12
+    miss = np.max(np.abs(krein_resolvent(tri, tau, lam)
+                         - generalized_resolvent_direct(model, lam)))
+    assert miss > 1e-8
 
 
 def test_compression_param_linear_scalar():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from relcomp.driver import CHECKS
+from relcomp.extension import rank_sum
 from relcomp.linrel import adjoint, graph_of, relations_equal, vertical_relation
 from relcomp.nevanlinna import (
     BlackBoxNevanlinna,
@@ -86,6 +87,14 @@ def test_validate_rejects_non_psd_b():
 def test_validate_rejects_vanishing_pole_term():
     tau = RationalNevanlinna.build(1, poles=[(0.0, [[0.0]])])
     assert any("vanishes" in msg for msg in validate_tau(tau))
+
+
+@pytest.mark.parametrize("residue, rank", [(5e-8, 1), (5e-10, 0)])
+def test_pole_term_vanishes_exactly_when_its_rank_is_zero(residue, rank):
+    """validate_tau and rank_sum decide a residue's rank by the one orth cut."""
+    tau = RationalNevanlinna.build(1, poles=[(0.0, [[residue]])])
+    assert rank_sum(tau) == rank
+    assert any("vanishes" in msg for msg in validate_tau(tau)) == (rank == 0)
 
 
 def test_validate_rejects_coincident_poles():

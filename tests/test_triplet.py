@@ -120,17 +120,36 @@ def test_defect_of_symmetric_restriction():
     assert np.max(np.abs(bot - 1j * top), initial=0.0) < 1e-9
 
 
-def test_defect_at_plus_minus_i_reuses_its_frame(monkeypatch):
+def count_defect_frames(monkeypatch) -> list:
+    """List that records the lam of every defect frame computed from now on."""
     import relcomp.triplet as triplet
     calls = []
     frame_of = triplet._defect_frame
     monkeypatch.setattr(triplet, "_defect_frame",
                         lambda seed, lam: calls.append(lam) or frame_of(seed, lam))
-    seed = random_symmetric_seed(np.random.default_rng(6), 5, d=2)
-    for lam, frames in ((1j, 2), (-1j, 2), (0.5j, 3)):
-        calls.clear()
-        _, idx = defect(seed, lam)
-        assert idx == (2, 2) and len(calls) == frames
+    return calls
+
+
+def test_defect_at_plus_minus_i_reuses_its_frame(monkeypatch):
+    calls = count_defect_frames(monkeypatch)
+    for first in (1j, -1j):
+        seed = random_symmetric_seed(np.random.default_rng(6), 5, d=2)
+        for lam, frames in ((first, 2), (-first, 0), (first, 0), (0.5j, 1)):
+            calls.clear()
+            _, idx = defect(seed, lam)
+            assert idx == (2, 2) and len(calls) == frames
+
+
+def test_frames_and_weyl_at_i_are_built_once_and_read_only(monkeypatch):
+    calls = count_defect_frames(monkeypatch)
+    seed = random_symmetric_seed(np.random.default_rng(7), 6, d=3)
+    tri = von_neumann_triplet(seed)
+    assert calls == [1j, -1j]
+    at_i = tri.weyl_at_i
+    assert tri.weyl_at_i is at_i and len(calls) == 2
+    for cached in (*seed.defect_frames_at_i, at_i.gamma_field, at_i.weyl):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 0.0
 
 
 def test_a0_built_once_per_triplet():
