@@ -75,6 +75,9 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(data, rows=None, cols=None) -> np.ndarray:
+    """Inverse of matrix_to_json.  rows and cols, where given, are the
+    declared shape: an empty list reads as that shape and any other shape
+    is an InputError."""
     try:
         m = np.array([[complex(e[0], e[1]) for e in row] for row in data],
                      dtype=complex)
@@ -85,6 +88,8 @@ def matrix_from_json(data, rows=None, cols=None) -> np.ndarray:
                       cols if cols is not None else 0)
     if m.ndim == 1:
         m = m.reshape(len(data), 0)
+    if rows not in (None, m.shape[0]) or cols not in (None, m.shape[1]):
+        raise InputError(f"matrix of shape {m.shape} where {(rows, cols)} is declared")
     return m
 
 
@@ -133,15 +138,22 @@ class Instance:
             if doc.get("schema") != INSTANCE_SCHEMA:
                 raise InputError(f"unknown instance schema: {doc.get('schema')!r}")
             n = int(doc["dim"])
-            tri = doc["triplet"]
-            kind = tri["kind"]
-            if kind not in ("von_neumann", "explicit"):
-                raise InputError(f"unknown triplet kind: {kind!r}")
-            tri_data = {k: matrix_from_json(v) for k, v in tri.items()
-                        if k != "kind"}
             tau = doc["tau"]
             d = int(tau["dim"])
-            mul = matrix_from_json(tau["mul_basis"], rows=d, cols=0)
+            tri = doc["triplet"]
+            kind = tri["kind"]
+            # the column count of each matrix of the kind, all with d rows:
+            # V is d x d, the boundary maps are d x 2n on ambient pairs
+            shapes = {"von_neumann": {"V": d},
+                      "explicit": {"gamma0": 2 * n, "gamma1": 2 * n}}.get(kind)
+            if shapes is None:
+                raise InputError(f"unknown triplet kind: {kind!r}")
+            if sorted(tri) != sorted([*shapes, "kind"]):
+                raise InputError(f"a {kind} triplet holds exactly {sorted(shapes)}, "
+                                 f"not {sorted(set(tri) - {'kind'})}")
+            tri_data = {k: matrix_from_json(tri[k], rows=d, cols=cols)
+                        for k, cols in shapes.items()}
+            mul = matrix_from_json(tau["mul_basis"], rows=d)
             poles = tuple((float(p["alpha"]), matrix_from_json(p["A_j"]))
                           for p in tau["poles"])
             doc_tol = float(doc.get("tol", DEFAULT_TOL))

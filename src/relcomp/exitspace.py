@@ -30,11 +30,10 @@ from .linrel import (
     relations_equal,
     resolvent,
 )
-from .nevanlinna import RationalNevanlinna, TauDecomposition, decompose_tau
+from .nevanlinna import RationalNevanlinna, decompose_tau
 from .triplet import (
     BoundaryTriplet,
     SymmetricSeed,
-    assert_valid_triplet,
     extension_of,
     forbidden_relation,
     gamma_and_weyl,
@@ -53,8 +52,6 @@ class ReducedProblem:
     s_rel: LinearRelation
     pi_prime: BoundaryTriplet
     tau1: RationalNevanlinna
-    theta0: LinearRelation
-    decomposition: TauDecomposition
 
 
 def reduce_parameter(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ReducedProblem:
@@ -75,27 +72,21 @@ def reduce_parameter(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ReducedPr
     theta0 = make_relation(np.hstack([cols_dom, cols_mul]), d, d)
     S = extension_of(tri, theta0)
     seed_prime = SymmetricSeed.from_relation(S)
-    C = tri.coords(seed_prime.A_star.frame)
-    g0p = hp.conj().T @ tri.gamma0 @ C
-    g1p = hp.conj().T @ tri.gamma1 @ C - dec.b1 @ (hd.conj().T @ tri.gamma0 @ C)
-    pi_prime = BoundaryTriplet(seed=seed_prime, boundary_dim=hp.shape[1],
-                               a_star_basis=seed_prime.A_star.frame,
-                               gamma0=g0p, gamma1=g1p)
+    g0p = hp.conj().T @ tri.gamma0
+    g1p = hp.conj().T @ tri.gamma1 - dec.b1 @ (hd.conj().T @ tri.gamma0)
     try:
-        assert_valid_triplet(pi_prime)
+        pi_prime = BoundaryTriplet.from_ambient_maps(seed_prime, g0p, g1p)
     except Exception as exc:
         raise ModelError(f"reduced triplet invalid: {exc}") from exc
-    return ReducedProblem(s_rel=S, pi_prime=pi_prime, tau1=dec.tau1,
-                          theta0=theta0, decomposition=dec)
+    return ReducedProblem(s_rel=S, pi_prime=pi_prime, tau1=dec.tau1)
 
 
 @dataclass(frozen=True)
 class ModelTriplet:
-    """Symmetric relation S_r in C^{dim_r} with a triplet whose Weyl
-    function is a prescribed uniformly strict rational function."""
+    """Triplet for a symmetric relation S_r = pi_r.seed.A in C^{dim_r}
+    whose Weyl function is a prescribed uniformly strict rational function."""
 
     dim_r: int
-    s_r: LinearRelation
     pi_r: BoundaryTriplet
 
 
@@ -162,16 +153,12 @@ def realize_model(tau1: RationalNevanlinna) -> ModelTriplet:
     e_coef = tau1.a_coef
     g0_amb = g_pinv @ g0_base
     g1_amb = G.conj().T @ g1_base + e_coef @ g0_amb
-    pi_r = BoundaryTriplet(seed=seed_r, boundary_dim=q,
-                           a_star_basis=s_r_star_frame,
-                           gamma0=g0_amb @ s_r_star_frame,
-                           gamma1=g1_amb @ s_r_star_frame)
-    assert_valid_triplet(pi_r)
+    pi_r = BoundaryTriplet.from_ambient_maps(seed_r, g0_amb, g1_amb)
     for lam in (1j, 2j, -1j, 0.5 + 1j, -1.5 + 0.7j):
         m = gamma_and_weyl(pi_r, lam).weyl
         if np.max(np.abs(m - tau1.tau0(lam)), initial=0.0) > 1e-8:
             raise ModelError(f"model Weyl function does not match tau1 at {lam}")
-    return ModelTriplet(dim_r=nr, s_r=s_r, pi_r=pi_r)
+    return ModelTriplet(dim_r=nr, pi_r=pi_r)
 
 
 @dataclass(frozen=True)
@@ -192,17 +179,13 @@ def couple(reduced: ReducedProblem, model: ModelTriplet) -> ExitSpaceModel:
     pi_p, pi_r = reduced.pi_prime, model.pi_r
     if pi_p.boundary_dim != pi_r.boundary_dim:
         raise ValueError("boundary spaces of the two triplets differ")
-    n = pi_p.space_dim
-    nr = model.dim_r
-    m1 = pi_p.a_star_basis.shape[1]
-    constraints = np.block([
-        [pi_p.gamma0, -pi_r.gamma0],
-        [pi_p.gamma1, pi_r.gamma1],
-    ]) if pi_p.boundary_dim else np.zeros((0, m1 + pi_r.a_star_basis.shape[1]), dtype=complex)
-    coeff = null_space(constraints)
-    amb_p = pi_p.a_star_basis @ coeff[:m1]
-    amb_r = pi_r.a_star_basis @ coeff[m1:]
-    # rows of the orthonormal diag(basis', basis_r) @ coeff, reordered
+    n, nr, d = pi_p.space_dim, model.dim_r, pi_p.boundary_dim
+    g_p, g_r = pi_p.coord_map, pi_r.coord_map
+    m1 = g_p.shape[1]
+    coeff = null_space(np.hstack([g_p, np.vstack([-g_r[:d], g_r[d:]])]))
+    amb_p = pi_p.seed.A_star.frame @ coeff[:m1]
+    amb_r = pi_r.seed.A_star.frame @ coeff[m1:]
+    # rows of the orthonormal diag(frame', frame_r) @ coeff, reordered
     cols = np.vstack([amb_p[:n], amb_r[:nr], amb_p[n:], amb_r[nr:]])
     a_tilde = LinearRelation(n + nr, n + nr, cols)
     if classify_symmetry(a_tilde) != "self_adjoint":

@@ -1,8 +1,10 @@
 """Boundary triplets for the adjoint of a symmetric relation.
 
-The boundary maps are stored as d x m matrices acting on coordinates with
-respect to a fixed orthonormal basis of A*, so kernels and images of the
-maps are exact subspace computations.
+The boundary maps Gamma0, Gamma1 are stored as d x 2n matrices acting on
+ambient pairs (f, f') in C^n (+) C^n.  Only their restriction to A*
+matters: two triplets whose maps agree on A* are the same triplet, and no
+basis of A* is part of one.  Kernels and images of the maps on A* are
+computed on the seed's frame of A*.
 """
 from __future__ import annotations
 
@@ -74,19 +76,18 @@ def defect(seed: SymmetricSeed, lam: complex):
 
 
 def _defect_frame(seed: SymmetricSeed, lam: complex) -> np.ndarray:
-    """A* intersected with graph(lam I): the A*-coordinates c with
-    (R - lam L) c = 0, where L, R are the halves of A*'s frame."""
+    """A* intersected with graph(lam I): the frame of A* times the
+    coefficients c with (R - lam L) c = 0, where L, R are its halves."""
     a_star = seed.A_star
     return a_star.frame @ null_space(a_star.right - lam * a_star.left)
 
 
 @dataclass(frozen=True)
 class BoundaryTriplet:
-    """Boundary space C^d with maps Gamma0, Gamma1 on A*-coordinates."""
+    """Boundary space C^d with maps Gamma0, Gamma1 given as d x 2n matrices
+    on ambient pairs."""
 
     seed: SymmetricSeed
-    boundary_dim: int
-    a_star_basis: np.ndarray
     gamma0: np.ndarray
     gamma1: np.ndarray
 
@@ -94,13 +95,17 @@ class BoundaryTriplet:
     def space_dim(self) -> int:
         return self.seed.space_dim
 
-    def coords(self, vectors: np.ndarray) -> np.ndarray:
-        """A*-coordinates of ambient pair vectors (columns in C^{2n})."""
-        return self.a_star_basis.conj().T @ vectors
+    @property
+    def boundary_dim(self) -> int:
+        return self.gamma0.shape[0]
 
-    def boundary_map(self) -> np.ndarray:
-        """The stacked map (Gamma0, Gamma1)^T as a 2d x m matrix."""
-        return np.vstack([self.gamma0, self.gamma1])
+    @cached_property
+    def coord_map(self) -> np.ndarray:
+        """Read-only (Gamma0; Gamma1) on the frame of A*, a 2d x m matrix,
+        built on first use and kept with the triplet."""
+        g = np.vstack([self.gamma0, self.gamma1]) @ self.seed.A_star.frame
+        g.setflags(write=False)
+        return g
 
     @cached_property
     def a0(self) -> LinearRelation:
@@ -119,24 +124,22 @@ class BoundaryTriplet:
     @classmethod
     def from_ambient_maps(cls, seed: SymmetricSeed, g0_ambient,
                           g1_ambient) -> "BoundaryTriplet":
-        """Build from boundary maps given as d x 2n matrices on ambient pairs."""
-        g0_ambient = np.asarray(g0_ambient, dtype=complex)
-        g1_ambient = np.asarray(g1_ambient, dtype=complex)
-        basis = seed.A_star.frame
-        tri = cls(seed=seed, boundary_dim=g0_ambient.shape[0],
-                  a_star_basis=basis, gamma0=g0_ambient @ basis,
-                  gamma1=g1_ambient @ basis)
+        """Build from boundary maps given as d x 2n matrices on ambient pairs
+        and check that they form a boundary triplet."""
+        tri = cls(seed=seed, gamma0=np.array(g0_ambient, dtype=complex),
+                  gamma1=np.array(g1_ambient, dtype=complex))
         assert_valid_triplet(tri)
         return tri
 
 
 def check_green(tri: BoundaryTriplet) -> float:
-    """Max residual of the abstract Green identity over basis pairs of A*."""
-    n = tri.space_dim
-    top = tri.a_star_basis[:n]
-    bot = tri.a_star_basis[n:]
+    """Max residual of the abstract Green identity over pairs of frame
+    vectors of A*."""
+    d = tri.boundary_dim
+    top = tri.seed.A_star.left
+    bot = tri.seed.A_star.right
     lhs = (top.conj().T @ bot - bot.conj().T @ top).T
-    g0, g1 = tri.gamma0, tri.gamma1
+    g0, g1 = tri.coord_map[:d], tri.coord_map[d:]
     rhs = (g0.conj().T @ g1 - g1.conj().T @ g0).T
     if lhs.size == 0:
         return 0.0
@@ -146,28 +149,21 @@ def check_green(tri: BoundaryTriplet) -> float:
 def triplet_report(tri: BoundaryTriplet) -> dict:
     """Residuals of the defining invariants of a boundary triplet."""
     report = {"green": check_green(tri)}
-    G = tri.boundary_map()
+    G = tri.coord_map
     d = tri.boundary_dim
     ker = null_space(G)
-    # rank G = m - dim ker G, and G maps onto C^{2d} iff that rank is 2d
+    # rank G = m - dim ker G, and G maps A* onto C^{2d} iff that rank is 2d
     report["surjective"] = ker.shape[1] == G.shape[1] - 2 * d
-    ker_rel = LinearRelation(tri.space_dim, tri.space_dim, tri.a_star_basis @ ker)
+    ker_rel = LinearRelation(tri.space_dim, tri.space_dim, tri.seed.A_star.frame @ ker)
     _, report["kernel_vs_A"] = relations_equal(ker_rel, tri.seed.A)
     _, idx = defect(tri.seed, 1j)
     report["indices"] = idx
     report["index_match"] = idx == (d, d)
-    basis = tri.a_star_basis
-    gram = basis.conj().T @ basis
-    report["basis_orthonormal"] = float(
-        np.max(np.abs(gram - np.eye(gram.shape[0]))) if gram.size else 0.0)
     return report
 
 
 def assert_valid_triplet(tri: BoundaryTriplet) -> None:
     rep = triplet_report(tri)
-    # extensions are built on this basis without orthonormalizing again
-    if rep["basis_orthonormal"] > DEFAULT_TOL:
-        raise TripletError("A* basis is not orthonormal")
     if rep["green"] > GREEN_TOL:
         raise TripletError(f"Green identity residual {rep['green']:.2e}")
     if not rep["surjective"]:
@@ -180,8 +176,9 @@ def assert_valid_triplet(tri: BoundaryTriplet) -> None:
 
 def von_neumann_triplet(seed: SymmetricSeed, V=None) -> BoundaryTriplet:
     """Concrete triplet from the graph-orthogonal decomposition
-    A* = A (+) N-hat_i (+) N-hat_{-i} and a unitary matching V of the fixed
-    defect bases."""
+    A* = A (+) N-hat_i (+) N-hat_{-i} and a unitary matching V of the
+    seed's defect frames N+, N- at +-i:
+    Gamma0 = (N+* + V N-*)/sqrt(2), Gamma1 = i(N+* - V N-*)/sqrt(2)."""
     n_plus_frame, n_minus_frame = seed.defect_frames_at_i
     d = n_plus_frame.shape[1]
     if n_minus_frame.shape[1] != d:
@@ -193,22 +190,11 @@ def von_neumann_triplet(seed: SymmetricSeed, V=None) -> BoundaryTriplet:
     if V.shape != (d, d) or (d and np.linalg.norm(V.conj().T @ V - np.eye(d), 2) > 1e-10):
         raise TripletError("V must be a d x d unitary")
 
-    basis = np.column_stack([seed.A.frame, n_plus_frame, n_minus_frame])
-    m = basis.shape[1]
-    a_dim = seed.A.dim
-    g0 = np.zeros((d, m), dtype=complex)
-    g1 = np.zeros((d, m), dtype=complex)
-    # 1/sqrt(2) rescales ambient-orthonormal defect coordinates so that the
-    # Green identity holds exactly.
-    s = 1.0 / np.sqrt(2.0)
-    g0[:, a_dim:a_dim + d] = s * np.eye(d)
-    g0[:, a_dim + d:] = s * V
-    g1[:, a_dim:a_dim + d] = 1j * s * np.eye(d)
-    g1[:, a_dim + d:] = -1j * s * V
-    tri = BoundaryTriplet(seed=seed, boundary_dim=d, a_star_basis=basis,
-                          gamma0=g0, gamma1=g1)
-    assert_valid_triplet(tri)
-    return tri
+    # 1/sqrt(2) rescales the ambient-orthonormal defect frames so that the
+    # Green identity holds exactly; both maps vanish on A.
+    plus = n_plus_frame.conj().T / np.sqrt(2.0)
+    minus = V @ n_minus_frame.conj().T / np.sqrt(2.0)
+    return BoundaryTriplet.from_ambient_maps(seed, plus + minus, 1j * (plus - minus))
 
 
 def extension_of(tri: BoundaryTriplet, theta: LinearRelation) -> LinearRelation:
@@ -216,28 +202,32 @@ def extension_of(tri: BoundaryTriplet, theta: LinearRelation) -> LinearRelation:
     d = tri.boundary_dim
     if (theta.dim_from, theta.dim_to) != (d, d):
         raise ValueError("theta must be a relation in the boundary space")
-    G = tri.boundary_map()
+    G = tri.coord_map
     proj = theta.frame @ theta.frame.conj().T
     constr = G - proj @ G
     n = tri.space_dim
-    # an orthonormal basis times an orthonormal kernel frame
-    return LinearRelation(n, n, tri.a_star_basis @ null_space(constr))
+    # an orthonormal frame times an orthonormal kernel frame
+    return LinearRelation(n, n, tri.seed.A_star.frame @ null_space(constr))
 
 
 def boundary_param_of(tri: BoundaryTriplet, A_tilde: LinearRelation) -> LinearRelation:
     """Inverse of the extension parametrization: theta = Gamma(A_tilde)."""
     if not contains(A_tilde, tri.seed.A) or not contains(tri.seed.A_star, A_tilde):
         raise ValueError("not a proper extension: A subseteq A~ subseteq A* fails")
-    span = tri.boundary_map() @ tri.coords(A_tilde.frame)
+    return _boundary_image(tri, A_tilde.frame)
+
+
+def _boundary_image(tri: BoundaryTriplet, vectors: np.ndarray) -> LinearRelation:
+    """The relation spanned by {Gamma0 f-hat, Gamma1 f-hat} over the columns
+    f-hat of `vectors`, ambient pairs in A*."""
     d = tri.boundary_dim
-    return make_relation(span, d, d)
+    return make_relation(np.vstack([tri.gamma0 @ vectors, tri.gamma1 @ vectors]), d, d)
 
 
 @dataclass(frozen=True)
 class WeylSample:
     """gamma-field and Weyl function evaluated at one nonreal point."""
 
-    lam: complex
     gamma_field: np.ndarray
     weyl: np.ndarray
 
@@ -251,14 +241,11 @@ def gamma_and_weyl(tri: BoundaryTriplet, lam: complex) -> WeylSample:
     if frame.shape[1] != d:
         raise TripletError(
             f"defect dimension {frame.shape[1]} != boundary dim {d} at {lam}")
-    C = tri.coords(frame)
     try:
-        X = graph_operator(tri.gamma0 @ C, C)
+        X = graph_operator(tri.gamma0 @ frame, frame)
     except SpectrumError as exc:
         raise TripletError("Gamma0 restricted to the defect subspace is singular") from exc
-    ambient = tri.a_star_basis @ X
-    return WeylSample(lam=lam, gamma_field=ambient[: tri.space_dim],
-                      weyl=tri.gamma1 @ X)
+    return WeylSample(gamma_field=X[: tri.space_dim], weyl=tri.gamma1 @ X)
 
 
 def check_weyl_identities(tri: BoundaryTriplet, lam: complex, z: complex):
@@ -278,10 +265,8 @@ def forbidden_relation(tri: BoundaryTriplet) -> LinearRelation:
     """Image under the boundary maps of {0} (+) mul A*."""
     n = tri.space_dim
     mul_frame = parts(tri.seed.A_star).mul
-    ambient = np.vstack([np.zeros((n, mul_frame.shape[1]), dtype=complex), mul_frame])
-    span = tri.boundary_map() @ tri.coords(ambient)
-    d = tri.boundary_dim
-    return make_relation(span, d, d)
+    return _boundary_image(
+        tri, np.vstack([np.zeros((n, mul_frame.shape[1]), dtype=complex), mul_frame]))
 
 
 def weyl_limits(tri: BoundaryTriplet):

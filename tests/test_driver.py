@@ -1,5 +1,7 @@
 """Driver: serialization round-trips, determinism, CLI exit codes."""
+import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 
 import relcomp.driver as driver
 import relcomp.extension as extension
+import relcomp.linrel as linrel
 from relcomp.linrel import negate
 from relcomp.nevanlinna import RationalNevanlinna
 from relcomp.driver import (
@@ -66,6 +69,54 @@ def test_from_json_rejects_another_tolerance():
         Instance.from_json(doc)
 
 
+def _without(key):
+    def edit(tri):
+        del tri[key]
+    return edit
+
+
+def _gamma0(rows, cols):
+    def edit(tri):
+        tri["gamma0"] = matrix_to_json(np.ones((rows, cols)))
+    return edit
+
+
+# instance -> edit of its triplet entry that makes the file malformed
+MALFORMED_TRIPLETS = {
+    "explicit_without_gamma1": ("canonical", _without("gamma1")),
+    "explicit_gamma0_1x3": ("canonical", _gamma0(1, 3)),
+    "explicit_gamma0_2x2": ("canonical", _gamma0(2, 2)),
+    "explicit_with_V": ("canonical", lambda tri: tri.update(V=[[[1.0, 0.0]]])),
+    "von_neumann_without_V": ("random", _without("V")),
+    "von_neumann_V_2x2": ("random", lambda tri: tri.update(V=matrix_to_json(np.eye(2)))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TRIPLETS))
+def test_malformed_instance_triplet_is_bad_input(tmp_path, case):
+    source, edit = MALFORMED_TRIPLETS[case]
+    inst = DEMOS[source] if source in DEMOS else \
+        generate_instance(np.random.default_rng(5), max_boundary=1)
+    doc = json.loads(json.dumps(inst.to_json()))
+    edit(doc["triplet"])
+    with pytest.raises(InputError):
+        Instance.from_json(doc)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--replay", str(path)]) == 2
+
+
+def test_explicit_instance_without_boundary_replays():
+    # self-adjoint seed: d = 0 and both boundary maps are 0 x 2
+    inst = Instance(dim=1, seed_span=np.array([[1.0], [0.5]]), triplet_kind="explicit",
+                    triplet_data={"gamma0": np.zeros((0, 2)), "gamma1": np.zeros((0, 2))},
+                    tau_dim=0)
+    back = Instance.from_json(json.loads(json.dumps(inst.to_json())))
+    assert back.triplet_data["gamma0"].shape == back.triplet_data["gamma1"].shape == (0, 2)
+    for case in (inst, back):
+        assert all(c.passed for c in verify_instance(case, np.random.default_rng(0)))
+
+
 def test_cli_has_no_tolerance_option():
     with pytest.raises(SystemExit) as exit_info:
         main(["verify", "--tol", "1e-6"])
@@ -117,6 +168,54 @@ def test_verify_instance_checks_all_pass():
     assert checks and all(c.passed for c in checks)
     names = {c.name for c in checks}
     assert names == set(driver.CHECKS)
+
+
+def _explicit_instances(count):
+    """Instances of generate_instance(default_rng(7), 12, 6, 3) with each
+    triplet written out as its two ambient maps."""
+    rng = np.random.default_rng(7)
+    out = []
+    for _ in range(count):
+        inst = generate_instance(rng, 12, 6, 3)
+        tri, _ = build_problem(inst)
+        out.append(dataclasses.replace(
+            inst, triplet_kind="explicit",
+            triplet_data={"gamma0": tri.gamma0, "gamma1": tri.gamma1}))
+    return out
+
+
+def _rotate_frames(monkeypatch):
+    """Right-multiply every frame null_space and complement return by a
+    seeded random unitary, in every relcomp module that binds them."""
+    rng = np.random.default_rng(11)
+
+    def rotated(frame_of):
+        def frame(*args):
+            f = frame_of(*args)
+            return f @ driver._random_unitary(rng, f.shape[1])
+        return frame
+
+    patched = {name: rotated(getattr(linrel, name)) for name in ("null_space", "complement")}
+    for module in [m for name, m in sys.modules.items() if name.startswith("relcomp.")]:
+        for name, frame_of in patched.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, frame_of)
+
+
+def test_explicit_verdicts_do_not_depend_on_frame_bases(monkeypatch):
+    instances = _explicit_instances(30)
+    runs = []
+    for rotate in (False, True):
+        if rotate:
+            _rotate_frames(monkeypatch)
+        runs.append([verify_instance(inst, np.random.default_rng(i))
+                     for i, inst in enumerate(instances)])
+    for plain, rotated in zip(*runs):
+        assert [(c.name, c.passed) for c in plain] == [(c.name, c.passed) for c in rotated]
+        for a, b in zip(plain, rotated):
+            # the grid estimate extrapolates, and amplifies rounding
+            if a.name != "limits_analytic_vs_grid":
+                assert abs(a.residual - b.residual) <= 1e-14, a.name
 
 
 # check -> (owner, attribute, wrapper that injects a fault into the original)
@@ -222,9 +321,16 @@ def test_demo_instances_verify():
         assert all(c.passed for c in verify_instance(inst, rng))
 
 
+def run_python(*args):
+    """A child interpreter that imports relcomp from this checkout's src."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
+                                                      env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def cli(*args):
-    return subprocess.run([sys.executable, "-m", "relcomp", *args],
-                          capture_output=True, text=True)
+    return run_python("-m", "relcomp", *args)
 
 
 def test_cli_verify_pass_exit_zero(tmp_path):
@@ -263,8 +369,7 @@ DEMO_DIR = REPO / "demos"
 
 @pytest.mark.parametrize("script", sorted(p.name for p in DEMO_DIR.glob("*.py")))
 def test_demo_script_runs(script):
-    proc = subprocess.run([sys.executable, str(DEMO_DIR / script)],
-                          capture_output=True, text=True)
+    proc = run_python(str(DEMO_DIR / script))
     assert proc.returncode == 0, proc.stderr
 
 

@@ -69,7 +69,7 @@ def test_realize_linear_scalar():
     tau1 = RationalNevanlinna.build(1, b=[[1.0]])
     model = realize_model(tau1)
     assert model.dim_r == 1
-    assert model.s_r.dim == 0
+    assert model.pi_r.seed.A.dim == 0
     m = gamma_and_weyl(model.pi_r, 1.3j).weyl
     assert abs(m[0, 0] - 1.3j) < 1e-10
 

@@ -144,7 +144,7 @@ def test_weyl_at_i_is_read_by_krein_and_not_by_the_reference():
     model = build_exit_space(tri, tau)
     at_i = tri.weyl_at_i
     vars(tri)["weyl_at_i"] = WeylSample(
-        lam=1j, gamma_field=2.0 * at_i.gamma_field,
+        gamma_field=2.0 * at_i.gamma_field,
         weyl=at_i.weyl + np.eye(tri.boundary_dim))
     lam = 0.4 + 1.1j
     assert max(check_weyl_identities(tri, lam, 1j)) < 1e-12
