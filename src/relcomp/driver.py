@@ -114,7 +114,9 @@ class Instance:
 
     def to_json(self) -> dict:
         tri = {"kind": self.triplet_kind}
-        for key, val in self.triplet_data.items():
+        # build_problem replays a von_neumann triplet without V with V = I
+        default = {"V": np.eye(self.tau_dim)} if self.triplet_kind == "von_neumann" else {}
+        for key, val in {**default, **self.triplet_data}.items():
             tri[key] = matrix_to_json(val)
         return {
             "schema": INSTANCE_SCHEMA,
@@ -188,9 +190,12 @@ def build_problem(inst: Instance):
     if tri.boundary_dim != inst.tau_dim:
         raise InputError(
             f"tau dimension {inst.tau_dim} != boundary dimension {tri.boundary_dim}")
-    tau = RationalNevanlinna.build(
-        inst.tau_dim, a=inst.tau_a, b=inst.tau_b, poles=inst.tau_poles,
-        mul_span=inst.tau_mul if inst.tau_mul.shape[1] else None)
+    try:
+        tau = RationalNevanlinna.build(
+            inst.tau_dim, a=inst.tau_a, b=inst.tau_b, poles=inst.tau_poles,
+            mul_span=inst.tau_mul if inst.tau_mul.shape[1] else None)
+    except ValueError as exc:
+        raise InputError(f"invalid tau: {exc}") from exc
     problems = validate_tau(tau)
     if problems:
         raise InputError("invalid tau: " + "; ".join(problems))

@@ -61,14 +61,10 @@ def reduce_parameter(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ReducedPr
         raise ValueError("parameter dimension does not match the boundary space")
     dec = decompose_tau(tau)
     d = tau.dim
-    hp = tau.embed(dec.h_prime)
-    hd = tau.embed(dec.h_dprime)
-    k_amb = tau.mul_frame
-    r = hd.shape[1]
-    k = k_amb.shape[1]
+    hp, hd = dec.h_prime, dec.h_dprime
     # theta0 = {{h'', B1 h'' (+) B2 h'' (+) k}}
     cols_dom = np.vstack([hd, hp @ dec.b1 + hd @ dec.b2])
-    cols_mul = np.vstack([np.zeros((d, k), dtype=complex), k_amb])
+    cols_mul = np.vstack([np.zeros_like(tau.mul_frame), tau.mul_frame])
     theta0 = make_relation(np.hstack([cols_dom, cols_mul]), d, d)
     S = extension_of(tri, theta0)
     seed_prime = SymmetricSeed.from_relation(S)

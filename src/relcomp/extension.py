@@ -24,7 +24,6 @@ from .linrel import (
     contains,
     graph_operator,
     make_relation,
-    null_space,
     orth,
     relations_equal,
 )
@@ -90,19 +89,16 @@ def krein_resolvent(tri: BoundaryTriplet, tau: RationalNevanlinna,
 def compression_param(tau: RationalNevanlinna) -> LinearRelation:
     """Boundary relation tau_c of the compression C(A~):
 
-    {{h, -A'h (+) h' (+) k}: h in ker B, h' in ran B, k in K},
-    where A' compresses the constant coefficient to ker B.
+    {{h, -A'h (+) h' (+) k}: h in ker B cap K-perp, h' in ran B, k in K},
+    where A' compresses the constant coefficient to ker B cap K-perp.
     """
     d = tau.dim
-    ker_b = null_space(tau.b_coef)
-    ran_b = orth(tau.b_coef)
+    ker_b = tau.op_kernel(tau.b_coef)
+    mul = np.hstack([orth(tau.b_coef), tau.mul_frame])
     a_prime = ker_b @ (ker_b.conj().T @ tau.a_coef @ ker_b)
-    cols_dom = np.vstack([tau.embed(ker_b), -tau.embed(a_prime)])
-    cols_ran = np.vstack([np.zeros((d, ran_b.shape[1]), dtype=complex),
-                          tau.embed(ran_b)])
-    k = tau.mul_frame.shape[1]
-    cols_mul = np.vstack([np.zeros((d, k), dtype=complex), tau.mul_frame])
-    return make_relation(np.hstack([cols_dom, cols_ran, cols_mul]), d, d)
+    cols_dom = np.vstack([ker_b, -a_prime])
+    cols_mul = np.vstack([np.zeros_like(mul), mul])
+    return make_relation(np.hstack([cols_dom, cols_mul]), d, d)
 
 
 def compression(tri: BoundaryTriplet, tau: RationalNevanlinna) -> LinearRelation:
@@ -141,8 +137,9 @@ def flags_geometric(tri: BoundaryTriplet, C: LinearRelation) -> dict:
 def flags_coefficients(tau: RationalNevanlinna) -> dict:
     """Flags of C(A~) read off tau: C = A0 iff ker B is trivial, and C is
     transversal with A0 iff K = {0} and B = 0.  Both facts come from the
-    one kernel frame of B, so they follow the cut of ``null_space``."""
-    ker_b_dim = null_space(tau.b_coef).shape[1]
+    one kernel frame of B in K-perp, so they follow the cut of
+    ``null_space``."""
+    ker_b_dim = tau.op_kernel(tau.b_coef).shape[1]
     return {
         "subset_A0": ker_b_dim == 0,
         "equals_A0": ker_b_dim == 0,
@@ -175,7 +172,6 @@ def classify_compression(tri: BoundaryTriplet,
     n_tau = None
     if coef["transversal_with_A0"]:
         # C = A_{-N}, where N is the strong limit of tau0 at i*infinity.
-        n_tau = tau.embed(np.eye(tau.op_dim, dtype=complex)) @ tau.a_coef \
-            @ tau.embed(np.eye(tau.op_dim, dtype=complex)).conj().T
+        n_tau = tau.a_coef
     return CompressionReport(tau_c=tau_c, compression=C, flags=geo,
                              n_tau=n_tau, n_r=rank_sum(tau))

@@ -1,9 +1,10 @@
 """Rational relation-valued Nevanlinna parameters and their asymptotics.
 
-A parameter tau consists of a multivalued part K inside C^d and, on fixed
-coordinates for H0 = K-perp, a Hermitian constant, a positive semidefinite
-linear coefficient and finitely many positive semidefinite pole residues at
-distinct real points:
+A parameter tau(lam) = {{h, tau0(lam) h + k}: h in K-perp, k in K} is a
+multivalued part K inside C^d, held as an orthonormal frame, and d x d
+coefficients on C^d that vanish on K, with no basis of K-perp: a Hermitian
+constant, a positive semidefinite linear coefficient and finitely many
+positive semidefinite pole residues at distinct real points:
 
     tau0(lam) = A + lam * B + sum_j A_j / (alpha_j - lam).
 
@@ -32,11 +33,11 @@ SPOT_CHECK_TOL = 1e-8
 
 @dataclass(frozen=True)
 class RationalNevanlinna:
-    """Rational Nevanlinna parameter with multivalued part."""
+    """Rational Nevanlinna parameter with multivalued part: an orthonormal
+    frame of K and d x d coefficients on C^d that vanish on K."""
 
     dim: int
     mul_frame: np.ndarray
-    h0_frame: np.ndarray
     a_coef: np.ndarray
     b_coef: np.ndarray
     poles: tuple = ()
@@ -44,8 +45,10 @@ class RationalNevanlinna:
     @classmethod
     def build(cls, dim: int, a=None, b=None, poles=(), mul_span=None,
               tol: float = DEFAULT_TOL) -> "RationalNevanlinna":
-        """Construct from raw data; coefficients act on H0-coordinates fixed
-        by the complement of the orthonormalized multivalued span.
+        """Construct from coefficients on the coordinates of the frame
+        h0 = complement(orth(mul_span), dim) of K-perp; each is embedded as
+        h0 m h0^H, and a coefficient that is not p x p, p = dim K-perp,
+        raises ValueError.
 
         ``tol`` stays for callers that pass it explicitly; it must equal
         DEFAULT_TOL, the package's single tolerance, or ValueError is
@@ -58,56 +61,66 @@ class RationalNevanlinna:
             mul = orth(np.asarray(mul_span, dtype=complex).reshape(dim, -1))
         h0 = complement(mul, dim)
         p = h0.shape[1]
-        a = np.zeros((p, p), dtype=complex) if a is None else np.asarray(a, dtype=complex)
-        b = np.zeros((p, p), dtype=complex) if b is None else np.asarray(b, dtype=complex)
-        poles = tuple((float(alpha), np.asarray(aj, dtype=complex))
-                      for alpha, aj in poles)
-        return cls(dim=dim, mul_frame=mul, h0_frame=h0, a_coef=a, b_coef=b,
-                   poles=poles)
+
+        def ambient(m, name):
+            m = np.zeros((p, p), dtype=complex) if m is None else np.asarray(m, dtype=complex)
+            if m.shape != (p, p):
+                raise ValueError(f"{name} has shape {m.shape}, not ({p}, {p}) on K-perp")
+            return h0 @ m @ h0.conj().T
+        poles = tuple((float(alpha), ambient(aj, f"pole {j} residue"))
+                      for j, (alpha, aj) in enumerate(poles))
+        return cls(dim=dim, mul_frame=mul, a_coef=ambient(a, "A"),
+                   b_coef=ambient(b, "B"), poles=poles)
 
     @property
     def op_dim(self) -> int:
         """Dimension of H0 = K-perp."""
-        return self.h0_frame.shape[1]
+        return self.dim - self.mul_frame.shape[1]
 
     def tau0(self, lam: complex) -> np.ndarray:
-        """Operator part evaluated at lam, on H0-coordinates."""
+        """Operator part evaluated at lam, as a d x d matrix that vanishes
+        on K."""
         out = self.a_coef + lam * self.b_coef
         for alpha, aj in self.poles:
             out = out + aj / (alpha - lam)
         return out
 
-    def embed(self, vectors: np.ndarray) -> np.ndarray:
-        """Map H0-coordinate columns into C^d."""
-        return self.h0_frame @ vectors
+    def op_kernel(self, *coefs) -> np.ndarray:
+        """Orthonormal frame of ker(coefs) inside K-perp; the rows of K^H add
+        dim K unit singular values, which leave the cut of ``null_space``
+        where the coefficients on K-perp put it."""
+        return null_space(np.vstack([*coefs, self.mul_frame.conj().T]))
 
 
 def eval_tau(tau: RationalNevanlinna, lam: complex) -> LinearRelation:
-    """The relation {{h, tau0(lam) h + k}: h in H0, k in K} inside C^d."""
+    """The relation {{h, tau0(lam) h + k}: h in K-perp, k in K} inside C^d,
+    spanned by (I - P_K; tau0(lam) + P_K), whose Gram matrix
+    I + tau0(lam)^H tau0(lam) leaves the cut of ``orth`` nothing to decide."""
     if lam.imag == 0:
         raise ValueError("tau is evaluated on the real axis")
     if any(abs(lam - alpha) < 1e-12 for alpha, _ in tau.poles):
         raise ValueError(f"evaluation at a pole of tau: {lam}")
-    d = tau.dim
-    k = tau.mul_frame.shape[1]
-    op_cols = np.vstack([tau.h0_frame, tau.h0_frame @ tau.tau0(lam)])
-    mul_cols = np.vstack([np.zeros((d, k), dtype=complex), tau.mul_frame])
-    return make_relation(np.hstack([op_cols, mul_cols]), d, d)
+    proj_k = tau.mul_frame @ tau.mul_frame.conj().T
+    frame = np.vstack([np.eye(tau.dim) - proj_k, tau.tau0(lam) + proj_k])
+    return make_relation(frame, tau.dim, tau.dim)
 
 
 def validate_tau(tau: RationalNevanlinna) -> list:
     """List of violated structural conditions (empty means valid)."""
     issues = []
-    p = tau.op_dim
+    d = tau.dim
     scale = 100 * DEFAULT_TOL
     if tau.mul_frame.shape[1]:
         gram = tau.mul_frame.conj().T @ tau.mul_frame
         if np.max(np.abs(gram - np.eye(gram.shape[0]))) > scale:
             issues.append("mul frame not orthonormal")
-    if tau.a_coef.shape != (p, p) or tau.b_coef.shape != (p, p):
+    coefs = [tau.a_coef, tau.b_coef, *(aj for _, aj in tau.poles)]
+    if any(m.shape != (d, d) for m in coefs):
         issues.append("coefficient shape mismatch")
         return issues
-    if p:
+    if np.max(np.abs(np.vstack(coefs) @ tau.mul_frame), initial=0.0) > scale:
+        issues.append("coefficients do not vanish on K")
+    if d:
         if np.max(np.abs(tau.a_coef - tau.a_coef.conj().T)) > scale:
             issues.append("A not Hermitian")
         if np.max(np.abs(tau.b_coef - tau.b_coef.conj().T)) > scale or \
@@ -117,12 +130,9 @@ def validate_tau(tau: RationalNevanlinna) -> list:
     if len(set(alphas)) != len(alphas) or any(abs(a - b) < 1e-9 for i, a in enumerate(alphas) for b in alphas[:i]):
         issues.append("pole locations not distinct")
     for j, (alpha, aj) in enumerate(tau.poles):
-        if aj.shape != (p, p):
-            issues.append(f"pole {j}: residue shape mismatch")
-            continue
         herm = (aj + aj.conj().T) / 2
-        if np.max(np.abs(aj - aj.conj().T)) > scale or \
-                (p and np.min(np.linalg.eigvalsh(herm)) < -scale):
+        if np.max(np.abs(aj - aj.conj().T), initial=0.0) > scale or \
+                (d and np.min(np.linalg.eigvalsh(herm)) < -scale):
             issues.append(f"pole {j}: residue not PSD")
         if orth(aj).shape[1] == 0:
             issues.append(f"pole {j}: pole term vanishes")
@@ -133,38 +143,34 @@ def validate_tau(tau: RationalNevanlinna) -> list:
 class TauDecomposition:
     """Uniformly strict core of tau0 plus the constant block on its kernel.
 
-    h_prime / h_dprime are orthonormal frames inside H0-coordinates; tau1
-    lives on h_prime-coordinates.  The constant block of tau0 on
-    H' (+) H'' is (tau1, -B1; -B1*, -B2).
+    h_dprime is an orthonormal frame of H'' = ker B cap ker A_j cap K-perp
+    and h_prime one of H' = C^d minus H'' and K; tau1 lives on
+    h_prime-coordinates.  The constant block of tau0 on H' (+) H'' is
+    (tau1, -B1; -B1*, -B2).
     """
 
     h_prime: np.ndarray
     h_dprime: np.ndarray
-    mul_frame: np.ndarray
     b1: np.ndarray
     b2: np.ndarray
     tau1: RationalNevanlinna
 
 
 def decompose_tau(tau: RationalNevanlinna) -> TauDecomposition:
-    """Split H0 into ker(Im tau0) and its complement, and compress tau0 to a
-    uniformly strict function on the complement."""
-    p = tau.op_dim
-    stacked = np.vstack([tau.b_coef] + [aj for _, aj in tau.poles]) \
-        if p else np.zeros((0, 0), dtype=complex)
-    hd = null_space(stacked) if p else np.zeros((0, 0), dtype=complex)
-    hp = complement(hd, p)
+    """Split K-perp into ker(Im tau0) and its complement, and compress tau0
+    to a uniformly strict function on the complement."""
+    hd = tau.op_kernel(tau.b_coef, *(aj for _, aj in tau.poles))
+    hp = complement(np.hstack([hd, tau.mul_frame]), tau.dim)
+    q = hp.shape[1]
     b1 = -(hp.conj().T @ tau.a_coef @ hd)
     b2 = -(hd.conj().T @ tau.a_coef @ hd)
     tau1 = RationalNevanlinna(
-        dim=hp.shape[1],
-        mul_frame=np.zeros((hp.shape[1], 0), dtype=complex),
-        h0_frame=np.eye(hp.shape[1], dtype=complex),
+        dim=q,
+        mul_frame=np.zeros((q, 0), dtype=complex),
         a_coef=hp.conj().T @ tau.a_coef @ hp,
         b_coef=hp.conj().T @ tau.b_coef @ hp,
         poles=tuple((alpha, hp.conj().T @ aj @ hp) for alpha, aj in tau.poles))
-    return TauDecomposition(h_prime=hp, h_dprime=hd, mul_frame=tau.mul_frame,
-                            b1=b1, b2=b2, tau1=tau1)
+    return TauDecomposition(h_prime=hp, h_dprime=hd, b1=b1, b2=b2, tau1=tau1)
 
 
 def reassemble_decomposition(tau: RationalNevanlinna, dec: TauDecomposition,
@@ -172,15 +178,11 @@ def reassemble_decomposition(tau: RationalNevanlinna, dec: TauDecomposition,
     """Rebuild tau(lam) from the block decomposition; pins the sign
     convention of the constant block."""
     d = tau.dim
-    hp_amb = tau.embed(dec.h_prime)
-    hd_amb = tau.embed(dec.h_dprime)
+    hp, hd = dec.h_prime, dec.h_dprime
     t1 = dec.tau1.tau0(lam)
-    q = dec.h_prime.shape[1]
-    r = dec.h_dprime.shape[1]
-    cols_p = np.vstack([hp_amb, hp_amb @ t1 - hd_amb @ dec.b1.conj().T])
-    cols_d = np.vstack([hd_amb, -hp_amb @ dec.b1 - hd_amb @ dec.b2])
-    k = tau.mul_frame.shape[1]
-    cols_k = np.vstack([np.zeros((d, k), dtype=complex), tau.mul_frame])
+    cols_p = np.vstack([hp, hp @ t1 - hd @ dec.b1.conj().T])
+    cols_d = np.vstack([hd, -hp @ dec.b1 - hd @ dec.b2])
+    cols_k = np.vstack([np.zeros_like(tau.mul_frame), tau.mul_frame])
     return make_relation(np.hstack([cols_p, cols_d, cols_k]), d, d)
 
 
@@ -212,20 +214,17 @@ def _growth_estimate(samples):
 def tau_limits(tau: RationalNevanlinna) -> TauLimits:
     """Linear-growth coefficient and strong limit of tau0 at i*infinity.
 
-    Analytically the coefficient is B, the limit domain is ker B and the
-    limit acts as A there; grid_residual is the largest entrywise gap
-    between these and their Richardson estimates on DEFAULT_Y_GRID.
+    Analytically the coefficient is B, the limit domain is ker B in K-perp
+    and the limit acts as A there; grid_residual is the largest entrywise
+    gap between these and their Richardson estimates on DEFAULT_Y_GRID.
     """
-    p = tau.op_dim
-    ker_b = null_space(tau.b_coef) if p else np.zeros((0, 0), dtype=complex)
+    ker_b = tau.op_kernel(tau.b_coef)
     n_matrix = tau.a_coef @ ker_b
-    gap = 0.0
-    if p:
-        samples = [(y, tau.tau0(1j * y)) for y in DEFAULT_Y_GRID]
-        b_num, _ = _growth_estimate(samples)
-        n_num = _richardson([(y, m @ ker_b) for y, m in samples])
-        gap = float(max(np.max(np.abs(b_num - tau.b_coef)),
-                        np.max(np.abs(n_num - n_matrix), initial=0.0)))
+    samples = [(y, tau.tau0(1j * y)) for y in DEFAULT_Y_GRID]
+    b_num, _ = _growth_estimate(samples)
+    n_num = _richardson([(y, m @ ker_b) for y, m in samples])
+    gap = float(max(np.max(np.abs(b_num - tau.b_coef), initial=0.0),
+                    np.max(np.abs(n_num - n_matrix), initial=0.0)))
     return TauLimits(b_tau=tau.b_coef.copy(), n_dom_frame=ker_b,
                      n_matrix=n_matrix, grid_residual=gap)
 
@@ -253,7 +252,7 @@ class BlackBoxNevanlinna:
 
     @classmethod
     def from_rational(cls, tau: RationalNevanlinna) -> "BlackBoxNevanlinna":
-        return cls(evaluator=tau.tau0, dim=tau.op_dim)
+        return cls(evaluator=tau.tau0, dim=tau.dim)
 
 
 @dataclass(frozen=True)

@@ -12,8 +12,9 @@ import pytest
 import relcomp.driver as driver
 import relcomp.extension as extension
 import relcomp.linrel as linrel
-from relcomp.linrel import negate
-from relcomp.nevanlinna import RationalNevanlinna
+from relcomp.linrel import make_relation, negate, relations_equal
+from relcomp.nevanlinna import RationalNevanlinna, eval_tau
+from relcomp.triplet import BoundaryTriplet, SymmetricSeed
 from relcomp.driver import (
     DEMOS,
     Instance,
@@ -106,6 +107,32 @@ def test_malformed_instance_triplet_is_bad_input(tmp_path, case):
     assert main(["verify", "--replay", str(path)]) == 2
 
 
+@pytest.mark.parametrize("coef", ["A", "B", "A_j"])
+@pytest.mark.parametrize("shape", [(2, 2), (1, 2)])
+def test_misshapen_tau_coefficient_is_bad_input(tmp_path, capsys, coef, shape):
+    # the swap demo has p = dim H0 = 1 and one pole
+    doc = json.loads(json.dumps(DEMOS["swap"].to_json()))
+    entry = doc["tau"]["poles"][0] if coef == "A_j" else doc["tau"]
+    entry[coef] = matrix_to_json(np.ones(shape))
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--replay", str(path)]) == 2
+    assert "invalid tau" in capsys.readouterr().err
+
+
+def test_von_neumann_instance_without_v_replays_from_its_file():
+    # seed {(e1, 0)} in C^2 with deficiency (1, 1), tau = 0.3 + lam
+    inst = Instance(dim=2, seed_span=np.array([[1.0], [0.0], [0.0], [0.0]]),
+                    triplet_kind="von_neumann", tau_dim=1, tau_mul=np.zeros((1, 0)),
+                    tau_a=np.array([[0.3]]), tau_b=np.array([[1.0]]))
+    back = Instance.from_json(json.loads(json.dumps(inst.to_json())))
+    assert np.array_equal(back.triplet_data["V"], np.eye(1))
+    verdicts = [[(c.name, c.passed) for c in verify_instance(case, np.random.default_rng(0))]
+                for case in (inst, back)]
+    assert verdicts[0] == verdicts[1]
+    assert all(passed for _, passed in verdicts[0])
+
+
 def test_explicit_instance_without_boundary_replays():
     # self-adjoint seed: d = 0 and both boundary maps are 0 x 2
     inst = Instance(dim=1, seed_span=np.array([[1.0], [0.5]]), triplet_kind="explicit",
@@ -185,17 +212,18 @@ def _explicit_instances(count):
 
 
 def _rotate_frames(monkeypatch):
-    """Right-multiply every frame null_space and complement return by a
-    seeded random unitary, in every relcomp module that binds them."""
+    """Right-multiply every frame orth, null_space and complement return by
+    a seeded random unitary, in every relcomp module that binds them."""
     rng = np.random.default_rng(11)
 
     def rotated(frame_of):
-        def frame(*args):
-            f = frame_of(*args)
+        def frame(*args, **kwargs):
+            f = frame_of(*args, **kwargs)
             return f @ driver._random_unitary(rng, f.shape[1])
         return frame
 
-    patched = {name: rotated(getattr(linrel, name)) for name in ("null_space", "complement")}
+    patched = {name: rotated(getattr(linrel, name))
+               for name in ("orth", "null_space", "complement")}
     for module in [m for name, m in sys.modules.items() if name.startswith("relcomp.")]:
         for name, frame_of in patched.items():
             if hasattr(module, name):
@@ -216,6 +244,38 @@ def test_explicit_verdicts_do_not_depend_on_frame_bases(monkeypatch):
             # the grid estimate extrapolates, and amplifies rounding
             if a.name != "limits_analytic_vs_grid":
                 assert abs(a.residual - b.residual) <= 1e-14, a.name
+
+
+KREIN_POINTS = (0.3 + 1j, -1.1 - 0.6j)
+
+
+def _ambient_problem(n, seed_span, gamma0, gamma1, tau_fields):
+    """tau(lam), tau_c, A0 and C(A~) as relations, and the Krein resolvents
+    at KREIN_POINTS, of the problem rebuilt from its ambient data."""
+    seed = SymmetricSeed.from_relation(make_relation(seed_span, n, n))
+    tri = BoundaryTriplet.from_ambient_maps(seed, gamma0, gamma1)
+    tau = RationalNevanlinna(**tau_fields)
+    relations = [eval_tau(tau, KREIN_POINTS[0]), extension.compression_param(tau),
+                 tri.a0, extension.compression(tri, tau)]
+    return relations, [extension.krein_resolvent(tri, tau, lam) for lam in KREIN_POINTS]
+
+
+def test_problem_does_not_depend_on_frame_bases(monkeypatch):
+    rng = np.random.default_rng(7)
+    data = []
+    while len(data) < 30:
+        inst = generate_instance(rng, 12, 6, 3)
+        if inst.tau_mul.shape[1]:   # K != {0}
+            tri, tau = build_problem(inst)
+            data.append((inst.dim, inst.seed_span, tri.gamma0, tri.gamma1, vars(tau)))
+    plain = [_ambient_problem(*args) for args in data]
+    _rotate_frames(monkeypatch)
+    rotated = [_ambient_problem(*args) for args in data]
+    for (rels, krein), (rels_rot, krein_rot) in zip(plain, rotated):
+        for a, b in zip(rels, rels_rot):
+            assert relations_equal(a, b)[1] <= 1e-13
+        for a, b in zip(krein, krein_rot):
+            assert np.max(np.abs(a - b), initial=0.0) <= 1e-13
 
 
 # check -> (owner, attribute, wrapper that injects a fault into the original)

@@ -5,7 +5,15 @@ import pytest
 
 from relcomp.driver import CHECKS
 from relcomp.extension import rank_sum
-from relcomp.linrel import adjoint, graph_of, relations_equal, vertical_relation
+from relcomp.linrel import (
+    adjoint,
+    complement,
+    graph_of,
+    make_relation,
+    orth,
+    relations_equal,
+    vertical_relation,
+)
 from relcomp.nevanlinna import (
     BlackBoxNevanlinna,
     RationalNevanlinna,
@@ -72,6 +80,55 @@ def test_eval_rejects_poles_and_real_points():
         eval_tau(tau, 0.5 + 0j)
     with pytest.raises(ValueError):
         eval_tau(tau, 1.0 + 0j)
+
+
+def v1_tau(d, a, b, poles, mul_span, lam):
+    """tau(lam) as the v1 convention defines it: the p x p coefficients act
+    on the coordinates of h0 = complement(orth(mul_span), d)."""
+    mul = orth(mul_span)
+    h0 = complement(mul, d)
+    t0 = a + lam * b + sum(aj / (alpha - lam) for alpha, aj in poles)
+    k = mul.shape[1]
+    return make_relation(np.block([[h0, np.zeros((d, k))], [h0 @ t0, mul]]), d, d)
+
+
+@pytest.mark.parametrize("d, k", [(2, 1), (3, 1), (3, 2), (4, 2), (5, 3), (3, 3)])
+def test_build_keeps_the_v1_meaning(d, k):
+    rng = np.random.default_rng(10 * d + k)
+    p = d - k
+
+    def square():
+        return rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
+
+    for _ in range(5):
+        mul_span = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+        a, b = square(), square()
+        a, b = a + a.conj().T, b @ b.conj().T
+        poles = [(alpha, c @ c.conj().T) for alpha, c in ((-0.7, square()), (1.3, square()))
+                 if p]
+        tau = RationalNevanlinna.build(d, a=a, b=b, poles=poles, mul_span=mul_span)
+        assert validate_tau(tau) == []
+        for lam in (0.3 + 1j, -2.0 - 0.5j):
+            _, gap = relations_equal(v1_tau(d, a, b, poles, mul_span, lam),
+                                     eval_tau(tau, lam))
+            assert gap <= 1e-14
+
+
+def test_build_rejects_a_coefficient_that_is_not_on_h0():
+    with pytest.raises(ValueError, match="pole 0 residue"):
+        RationalNevanlinna.build(2, poles=[(0.0, np.eye(2))], mul_span=[[1.0], [0.0]])
+
+
+@pytest.mark.parametrize("a, issue", [
+    (np.eye(2), "coefficients do not vanish on K"),
+    (np.eye(1), "coefficient shape mismatch"),
+])
+def test_validate_reads_coefficients_on_c_d(a, issue):
+    # K = span e2
+    tau = RationalNevanlinna(dim=2, mul_frame=np.eye(2, dtype=complex)[:, 1:],
+                             a_coef=a.astype(complex),
+                             b_coef=np.zeros((2, 2), dtype=complex))
+    assert issue in validate_tau(tau)
 
 
 def test_build_rejects_a_tolerance_other_than_the_default():
