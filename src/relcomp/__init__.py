@@ -37,13 +37,11 @@ from .triplet import (
     von_neumann_triplet,
 )
 from .nevanlinna import (
-    BlackBoxNevanlinna,
     RationalNevanlinna,
     TauDecomposition,
     TauLimits,
     decompose_tau,
     eval_tau,
-    numeric_limits,
     tau_limits,
     validate_tau,
 )

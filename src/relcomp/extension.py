@@ -114,7 +114,6 @@ class CompressionReport:
     tau_c: LinearRelation
     compression: LinearRelation
     flags: dict
-    n_tau: np.ndarray | None
     n_r: int
 
 
@@ -169,9 +168,5 @@ def classify_compression(tri: BoundaryTriplet,
     if geo != coef:
         diffs = {k: (geo[k], coef[k]) for k in geo if geo[k] != coef[k]}
         raise RouteDisagreement(diffs)
-    n_tau = None
-    if coef["transversal_with_A0"]:
-        # C = A_{-N}, where N is the strong limit of tau0 at i*infinity.
-        n_tau = tau.a_coef
     return CompressionReport(tau_c=tau_c, compression=C, flags=geo,
-                             n_tau=n_tau, n_r=rank_sum(tau))
+                             n_r=rank_sum(tau))

@@ -32,12 +32,7 @@ from relcomp.linrel import (
     relations_equal,
     zero_relation,
 )
-from relcomp.nevanlinna import (
-    BlackBoxNevanlinna,
-    RationalNevanlinna,
-    numeric_limits,
-    tau_limits,
-)
+from relcomp.nevanlinna import RationalNevanlinna
 from relcomp.triplet import (
     GREEN_TOL,
     BoundaryTriplet,
@@ -264,34 +259,3 @@ def test_criterion_8_forbidden_asymptotics():
     _report("criterion 8 forbidden asymptotics", ok,
             f"{len(cases)} model triplets, worst residual {worst:.2e}")
     assert worst < 1e-4
-
-
-def test_criterion_9_blackbox_verdicts():
-    """sqrt classified divergent with B ~ 0; rational matches closed form."""
-    f_sqrt = BlackBoxNevanlinna(evaluator=lambda lam: np.sqrt(lam) * np.eye(1),
-                                dim=1)
-    out = numeric_limits(f_sqrt)
-    sqrt_ok = out.verdicts == ("divergent",) \
-        and np.max(np.abs(out.b_estimate)) < 1e-2
-    rng = np.random.default_rng(99)
-    worst = 0.0
-    for _ in range(25):
-        p = int(rng.integers(1, 4))
-        a = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-        a = (a + a.conj().T) / 2
-        b = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-        b = b @ b.conj().T
-        poles = []
-        if rng.random() < 0.7:
-            c = rng.standard_normal((p, p)) + 1j * rng.standard_normal((p, p))
-            poles.append((float(rng.uniform(-2, 2)), c @ c.conj().T))
-        tau = RationalNevanlinna.build(p, a=a, b=b, poles=poles)
-        lim = tau_limits(tau)
-        out = numeric_limits(BlackBoxNevanlinna.from_rational(tau))
-        worst = max(worst, float(np.max(np.abs(out.b_estimate - lim.b_tau))))
-        assert all(v == "divergent" for v in out.verdicts)  # B positive definite
-    ok = sqrt_ok and worst < 1e-6
-    _report("criterion 9 black-box verdicts", ok,
-            f"sqrt divergent: {sqrt_ok}, rational B mismatch {worst:.2e}")
-    assert sqrt_ok
-    assert worst < 1e-6

@@ -7,7 +7,6 @@ import pytest
 from relcomp.driver import CHECKS, VerifyContext, admissible_lambdas, krein_residuals
 from relcomp.exitspace import (
     build_exit_space,
-    couple,
     direct_compression,
     generalized_resolvent_direct,
     minimality,
@@ -20,7 +19,6 @@ from relcomp.linrel import (
     graph_of,
     make_relation,
     relations_equal,
-    resolvent,
 )
 from relcomp.nevanlinna import RationalNevanlinna, decompose_tau
 from relcomp.triplet import gamma_and_weyl
