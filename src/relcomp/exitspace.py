@@ -56,7 +56,11 @@ class ReducedProblem:
 
 def reduce_parameter(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ReducedProblem:
     """Absorb the kernel block (B1, B2) and the multivalued part of tau into
-    the extension S = A_theta0 and restrict the boundary maps to S*."""
+    the extension S = A_theta0 and restrict the boundary maps to S*.
+
+    S* is read in the boundary space, as (A_theta)* = A_{theta*}: the
+    extension for theta0*, with no adjoint taken in C^n (+) C^n.
+    """
     if tau.dim != tri.boundary_dim:
         raise ValueError("parameter dimension does not match the boundary space")
     dec = decompose_tau(tau)
@@ -67,7 +71,7 @@ def reduce_parameter(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ReducedPr
     cols_mul = np.vstack([np.zeros_like(tau.mul_frame), tau.mul_frame])
     theta0 = make_relation(np.hstack([cols_dom, cols_mul]), d, d)
     S = extension_of(tri, theta0)
-    seed_prime = SymmetricSeed.from_relation(S)
+    seed_prime = SymmetricSeed(A=S, A_star=extension_of(tri, adjoint(theta0)))
     g0p = hp.conj().T @ tri.gamma0
     g1p = hp.conj().T @ tri.gamma1 - dec.b1 @ (hd.conj().T @ tri.gamma0)
     try:
@@ -208,9 +212,10 @@ def direct_compression(model: ExitSpaceModel):
     # C: left exit component zero, right exit component projected away
     coeff_c = null_space(f_r)
     C = make_relation(np.vstack([f_h @ coeff_c, fp_h @ coeff_c]), n, n)
-    # S: both exit components zero
+    # S: both exit components zero, so the base rows of the orthonormal
+    # frame @ coeff_s are an orthonormal frame already
     coeff_s = null_space(np.vstack([f_r, fp_r]))
-    S = make_relation(np.vstack([f_h @ coeff_s, fp_h @ coeff_s]), n, n)
+    S = LinearRelation(n, n, np.vstack([f_h @ coeff_s, fp_h @ coeff_s]))
     # T: project both components
     T = make_relation(np.vstack([f_h, fp_h]), n, n)
     return C, S, T

@@ -20,11 +20,11 @@ import numpy as np
 from .linrel import (
     LinearRelation,
     classify_symmetry,
-    comp_sum,
     contains,
     graph_operator,
     make_relation,
     orth,
+    rank,
     relations_equal,
 )
 from .nevanlinna import RationalNevanlinna, eval_tau
@@ -122,8 +122,8 @@ def flags_geometric(tri: BoundaryTriplet, C: LinearRelation) -> dict:
     A0 = tri.a0
     eq_a0, _ = relations_equal(C, A0)
     eq_a, _ = relations_equal(C, tri.seed.A)
-    span_sum = comp_sum(C, A0)
-    transversal, _ = relations_equal(span_sum, tri.seed.A_star)
+    # C and A0 lie in A*, so C + A0 = A* iff the sum has the dimension of A*
+    transversal = rank(np.hstack([C.frame, A0.frame])) == tri.seed.A_star.dim
     return {
         "subset_A0": contains(A0, C),
         "equals_A0": eq_a0,

@@ -6,10 +6,10 @@ the "left" vector f, the remaining n1 the "right" vector f', encoding the
 pair {f, f'}.  Every ``LinearRelation`` frame must be orthonormal: the
 checks below read dimensions, containments and symmetry off the frames
 without orthonormalizing them again.  A span that is not orthonormal
-enters through ``make_relation``.  Equality is the two-sided gap
-max(||(I - P2) F1||, ||(I - P1) F2||), which equals the projector
-distance ||P1 - P2|| without forming either 2N x 2N projector, so
-verdicts are gauge-free.
+enters through ``make_relation``.  Equality is the projector distance
+||P1 - P2||, read without forming either 2N x 2N projector: it is 1 when
+the dimensions differ, and the one-sided gap ||(I - P2) F1|| when they
+agree, so verdicts are gauge-free.
 
 Every inverse the package takes is the matrix R L^{-1} of a relation with
 frame (L; R): resolvents, ``as_operator``, the middle term of the Krein
@@ -19,8 +19,9 @@ inversion cut; no other routine inverts a matrix.
 
 DEFAULT_TOL is the single tolerance of the package: no relation, triplet
 or parameter carries one.  Every rank decision is the cut of ``orth``,
-``null_space`` or ``complement``, the only routines that take an SVD: a
-singular value s counts when s > DEFAULT_TOL * max(s_max, 1), and
+``null_space``, ``rank`` or ``complement``, the only routines that take
+an SVD: a singular value s counts when s > DEFAULT_TOL * max(s_max, 1),
+``rank`` reads that cut off the singular values alone, and
 ``complement`` takes the rank of its orthonormal frame as given.
 ``psd_factor`` in the exit-space oracle makes the same cut on
 eigenvalues.  Every equality and containment verdict and the inversion
@@ -50,6 +51,11 @@ def _as_complex(a) -> np.ndarray:
     return a
 
 
+def _cut(s: np.ndarray, tol: float = DEFAULT_TOL) -> int:
+    """Number of the descending singular values s above tol * max(s_max, 1)."""
+    return int(np.count_nonzero(s > tol * max(float(s[0]) if s.size else 0.0, 1.0)))
+
+
 def orth(span, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Orthonormal basis of the column span; singular values below
     tol * max(s_max, 1) are dropped."""
@@ -57,9 +63,16 @@ def orth(span, tol: float = DEFAULT_TOL) -> np.ndarray:
     if span.shape[0] == 0 or span.shape[1] == 0:
         return np.zeros((span.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(span, full_matrices=False)
-    cut = tol * max(float(s[0]) if s.size else 0.0, 1.0)
-    r = int(np.count_nonzero(s > cut))
-    return u[:, :r]
+    return u[:, :_cut(s, tol)]
+
+
+def rank(span) -> int:
+    """Dimension of the column span by the cut of ``orth``, from the
+    singular values alone."""
+    span = _as_complex(span)
+    if span.shape[0] == 0 or span.shape[1] == 0:
+        return 0
+    return _cut(np.linalg.svd(span, compute_uv=False))
 
 
 def complement(frame, dim: int) -> np.ndarray:
@@ -81,9 +94,7 @@ def null_space(mat) -> np.ndarray:
     if mat.shape[0] == 0:
         return np.eye(cols, dtype=complex)
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    cut = DEFAULT_TOL * max(float(s[0]) if s.size else 0.0, 1.0)
-    r = int(np.count_nonzero(s > cut))
-    return vh[r:].conj().T
+    return vh[_cut(s):].conj().T
 
 
 def _norm2(x: np.ndarray) -> float:
@@ -227,14 +238,16 @@ def intersect(T1: LinearRelation, T2: LinearRelation) -> LinearRelation:
 
 
 def relations_equal(T1: LinearRelation, T2: LinearRelation):
-    """Equality by the two-sided gap, which is the projector distance
-    ||P1 - P2|| (1 when the dimensions differ); returns (equal, residual)."""
+    """Equality by the gap ||P1 - P2||; returns (equal, residual).
+
+    The gap is 1 when the dimensions differ.  When they agree, the two
+    one-sided gaps ||(I - P2) P1|| and ||(I - P1) P2|| are equal (Kato), so
+    one containment residual is the gap.
+    """
     _check_ambient(T1, T2)
-    dim = T1.dim_from + T1.dim_to
-    if dim == 0:
-        return True, 0.0
-    resid = max(containment_residual(T1.frame, T2.frame),
-                containment_residual(T2.frame, T1.frame))
+    if T1.dim != T2.dim:
+        return False, 1.0
+    resid = containment_residual(T1.frame, T2.frame)
     return resid < DEFAULT_TOL, resid
 
 

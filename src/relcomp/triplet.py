@@ -147,7 +147,13 @@ def check_green(tri: BoundaryTriplet) -> float:
 
 
 def triplet_report(tri: BoundaryTriplet) -> dict:
-    """Residuals of the defining invariants of a boundary triplet."""
+    """Residuals of the defining invariants of a boundary triplet.
+
+    The deficiency indices are read off dimensions, with no defect frame:
+    for nonreal lam no nonzero pair {f, f'} of the symmetric A has
+    f' = lam f, so ran(A - lam) = {f' - lam f} has dimension dim A and the
+    defect space ran(A - lam)^perp in C^n has n - dim A, at i and -i alike.
+    """
     report = {"green": check_green(tri)}
     G = tri.coord_map
     d = tri.boundary_dim
@@ -156,7 +162,7 @@ def triplet_report(tri: BoundaryTriplet) -> dict:
     report["surjective"] = ker.shape[1] == G.shape[1] - 2 * d
     ker_rel = LinearRelation(tri.space_dim, tri.space_dim, tri.seed.A_star.frame @ ker)
     _, report["kernel_vs_A"] = relations_equal(ker_rel, tri.seed.A)
-    _, idx = defect(tri.seed, 1j)
+    idx = (tri.space_dim - tri.seed.A.dim,) * 2
     report["indices"] = idx
     report["index_match"] = idx == (d, d)
     return report

@@ -27,6 +27,7 @@ from relcomp.exitspace import (
 from relcomp.linrel import (
     adjoint,
     classify_symmetry,
+    comp_sum,
     graph_of,
     make_relation,
     relations_equal,
@@ -171,6 +172,23 @@ def test_criterion_4_flag_biconditionals(corpus):
         assert sides[flag][1] >= hi, (flag, sides[flag])
 
 
+def _transversal_by_comp_sum(tri, C):
+    """Reference: C + A0 orthonormalized by comp_sum and compared with A*."""
+    return relations_equal(comp_sum(C, tri.a0), tri.seed.A_star)[0]
+
+
+def test_transversal_rank_matches_the_comp_sum_route(corpus):
+    """flags_geometric reads transversality as a rank; on the corpus it
+    agrees with the comp_sum route, on both sides of the flag."""
+    sides = [0, 0]
+    for item in corpus:
+        ctx = item["ctx"]
+        flag = flags_geometric(ctx.tri, ctx.compression)["transversal_with_A0"]
+        assert flag == _transversal_by_comp_sum(ctx.tri, ctx.compression)
+        sides[flag] += 1
+    assert min(sides) >= 20, sides
+
+
 def test_criterion_5_exit_dimension(corpus):
     """Every model is minimal, with dim H_r = rank B + sum rank A_j."""
     worst, threshold = _worst(CHECKS["exit_dimension"], corpus)
@@ -189,9 +207,9 @@ def _frame_gap(T):
 
 
 def test_frames_built_without_orth_are_orthonormal(corpus):
-    """A0, C(A~), A~ and S are products of orthonormal frames, built
-    without orthonormalizing again; on the corpus and at n = 96 they stay
-    orthonormal."""
+    """A0, C(A~), A~, S, S* and the direct S are products of orthonormal
+    frames, built without orthonormalizing again; on the corpus and at
+    n = 96 they stay orthonormal."""
     big = generate_instance(np.random.default_rng(292), max_dim=96,
                             max_boundary=48, max_poles=4)
     assert big.dim == 96
@@ -200,7 +218,8 @@ def test_frames_built_without_orth_are_orthonormal(corpus):
     worst = 0.0
     for ctx in contexts:
         for T in (ctx.tri.a0, compression(ctx.tri, ctx.tau),
-                  ctx.model.a_tilde, ctx.model.reduced.s_rel):
+                  ctx.model.a_tilde, ctx.model.reduced.s_rel,
+                  ctx.model.reduced.pi_prime.seed.A_star, ctx.chain[1]):
             worst = max(worst, _frame_gap(T))
     _report("frames without orth", worst <= 1e-13,
             f"{len(contexts)} instances, worst |F^H F - I| {worst:.1e}")

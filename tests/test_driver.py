@@ -313,6 +313,20 @@ def test_verify_builds_one_compression_per_instance(monkeypatch):
     assert len(calls) == 1
 
 
+def test_verify_instance_factorization_count(monkeypatch):
+    """One verify_instance of a fixed draw (n = 11, boundary dimension 6,
+    dim K = 1, one pole) takes 66 SVDs and 19 eigvalsh calls."""
+    inst = generate_instance(np.random.default_rng(13), 12, 6, 3)
+    counts = {"svd": 0, "eigvalsh": 0}
+    for name in counts:
+        def counted(*args, _name=name, _factor=getattr(np.linalg, name), **kwargs):
+            counts[_name] += 1
+            return _factor(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    verify_instance(inst, np.random.default_rng(0))
+    assert counts == {"svd": 66, "eigvalsh": 19}
+
+
 def test_report_names_the_check_that_raised(monkeypatch):
     def explode(ctx):
         raise ValueError("injected failure")

@@ -4,7 +4,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from relcomp.driver import CHECKS, VerifyContext, admissible_lambdas, krein_residuals
+from relcomp.driver import (
+    CHECKS,
+    VerifyContext,
+    admissible_lambdas,
+    build_problem,
+    generate_instance,
+    krein_residuals,
+)
 from relcomp.exitspace import (
     build_exit_space,
     direct_compression,
@@ -15,6 +22,7 @@ from relcomp.exitspace import (
 )
 from relcomp.linrel import (
     DEFAULT_TOL,
+    adjoint,
     classify_symmetry,
     graph_of,
     make_relation,
@@ -25,7 +33,7 @@ from relcomp.triplet import gamma_and_weyl
 
 from test_extension import random_problem
 from test_nevanlinna import random_tau
-from test_triplet import model_triplet
+from test_triplet import count_defect_frames, model_triplet
 
 
 def test_reduce_strict_parameter_is_identity_like():
@@ -61,6 +69,22 @@ def test_reduce_dimension_bookkeeping():
     red = reduce_parameter(tri, tau)
     assert red.pi_prime.boundary_dim == 1
     assert red.s_rel.dim == tri.seed.A.dim + 1
+
+
+def test_reduced_seed_reads_its_adjoint_in_the_boundary_space(monkeypatch):
+    """The reduced seed's S* = A_{theta0*} equals the adjoint of S taken in
+    C^n (+) C^n, and the reduction builds no defect frame."""
+    rng = np.random.default_rng(7)
+    problems = [build_problem(generate_instance(rng, 12, 6, 3)) for _ in range(30)]
+    problems.append(build_problem(generate_instance(
+        np.random.default_rng(292), max_dim=96, max_boundary=48, max_poles=4)))
+    calls = count_defect_frames(monkeypatch)
+    worst = 0.0
+    for tri, tau in problems:
+        red = reduce_parameter(tri, tau)
+        worst = max(worst, relations_equal(red.pi_prime.seed.A_star, adjoint(red.s_rel))[1])
+    assert calls == []
+    assert worst <= 1e-13
 
 
 def test_realize_linear_scalar():

@@ -26,6 +26,7 @@ from relcomp.linrel import (
     operator_part,
     orth,
     parts,
+    rank,
     reassemble_operator_part,
     relations_equal,
     resolvent,
@@ -469,7 +470,7 @@ def test_every_inverse_goes_through_graph_operator():
 
 def test_every_svd_is_a_linrel_rank_cut():
     assert _sites({"svd"}) == {("linrel", "orth"), ("linrel", "complement"),
-                               ("linrel", "null_space")}
+                               ("linrel", "null_space"), ("linrel", "rank")}
 
 
 @pytest.mark.parametrize("T", [full_relation(2), zero_relation(2)])
@@ -577,6 +578,59 @@ def test_relations_equal_matches_projector_distance():
                        - _containment_reference(sub, sup)) <= 1e-14
         cases += 1
     assert cases > 150
+
+
+def test_one_sided_gap_matches_the_two_sided_reference():
+    """For frames of equal dimension, relations_equal reads one containment
+    residual, and the two-sided max of both agrees with it to 1e-15.  Below
+    1e-12 the gap is the rounding of the frames themselves (pairs at
+    perturbation 0 and 1e-14); there both sides only have to read as
+    rounding."""
+    rng = np.random.default_rng(2025)
+    cases = 0
+    for F1, F2 in _frame_pairs(rng):
+        if F1.shape[1] != F2.shape[1]:
+            continue
+        N = F1.shape[0]
+        T1 = LinearRelation(N // 2, N - N // 2, F1)
+        T2 = LinearRelation(N // 2, N - N // 2, F2)
+        two_sided = max(containment_residual(F1, F2), containment_residual(F2, F1))
+        one_sided = relations_equal(T1, T2)[1]
+        if two_sided >= 1e-12:
+            assert abs(one_sided - two_sided) <= 1e-15, N
+            cases += 1
+        else:
+            assert max(one_sided, two_sided) <= 1e-13, N
+    assert cases >= 70
+
+
+def test_unequal_dimensions_are_unequal_without_a_factorization(monkeypatch):
+    rng = np.random.default_rng(8)
+    pairs = [(random_relation(rng, 4, r=3), random_relation(rng, 4, r=5)),
+             (zero_relation(3), full_relation(3))]
+
+    def no_factorization(*args, **kwargs):
+        raise AssertionError("factorization called")
+
+    for name in ("svd", "eigvalsh", "eigh", "qr"):
+        monkeypatch.setattr(np.linalg, name, no_factorization)
+    for T1, T2 in pairs:
+        assert relations_equal(T1, T2) == (False, 1.0)
+        assert relations_equal(T2, T1) == (False, 1.0)
+
+
+def test_rank_is_the_column_count_of_orth():
+    """rank applies the cut of orth, on spans with singular values on both
+    sides of the cut, at scales from 1e-6 to 1e6."""
+    rng = np.random.default_rng(31)
+    for scale in (1e-6, 1.0, 1e6):
+        for rows, cols in ((1, 1), (5, 3), (3, 5), (12, 12)):
+            k = min(rows, cols)
+            s = scale * np.logspace(0, -14, k)
+            span = (_random_frame(rng, rows, k) * s) @ _random_frame(rng, cols, k).conj().T
+            expected = int(np.count_nonzero(s > DEFAULT_TOL * max(s[0], 1.0)))
+            assert rank(span) == orth(span).shape[1] == expected
+    assert rank(np.zeros((4, 0))) == rank(np.zeros((0, 4))) == 0
 
 
 def test_as_operator_rejects_vertical():

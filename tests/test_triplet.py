@@ -151,6 +151,24 @@ def test_frames_and_weyl_at_i_are_built_once_and_read_only(monkeypatch):
             cached[0, 0] = 0.0
 
 
+def test_only_the_von_neumann_triplet_builds_defect_frames(monkeypatch):
+    """von_neumann_triplet builds the two frames at +-i; checking a triplet
+    on a seed without frames builds none, and its indices equal the column
+    counts of the frames."""
+    calls = count_defect_frames(monkeypatch)
+    rng = np.random.default_rng(2)
+    for _ in range(15):
+        seed = random_symmetric_seed(rng, int(rng.integers(1, 6)))
+        calls.clear()
+        tri = von_neumann_triplet(seed)
+        assert calls == [1j, -1j]
+        bare = SymmetricSeed(A=seed.A, A_star=seed.A_star)
+        report = triplet_report(BoundaryTriplet(bare, tri.gamma0, tri.gamma1))
+        assert len(calls) == 2
+        assert report["indices"] == defect(seed, 1j)[1]
+        assert report["index_match"]
+
+
 def test_a0_built_once_per_triplet():
     seed = random_symmetric_seed(np.random.default_rng(12), 4, d=2)
     tri = von_neumann_triplet(seed)
