@@ -52,6 +52,7 @@ def describe(name, tri, tau):
     flags = ", ".join(k for k, v in sorted(rep.flags.items()) if v)
     print(f"{name}:")
     print(f"  exit dimension n_r = {rep.n_r}, flags set: {flags}")
+    print(f"  flags on which the coefficient route differs: {rep.disputed}")
     print(f"  oracle agreement: {eq} (residual {resid:.1e})")
 
 

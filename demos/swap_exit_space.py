@@ -56,6 +56,7 @@ def main():
 
     rep = classify_compression(tri, tau)
     print("classification flags:", rep.flags)
+    print("flags on which the coefficient route differs:", rep.disputed)
     eq, resid = relations_equal(rep.compression, C)
     print(f"formula route agrees with exit-space oracle: {eq} "
           f"(residual {resid:.1e})")

@@ -47,7 +47,6 @@ from .nevanlinna import (
 )
 from .extension import (
     CompressionReport,
-    RouteDisagreement,
     classify_compression,
     compression,
     compression_param,
@@ -57,7 +56,6 @@ from .extension import (
 )
 from .exitspace import (
     ExitSpaceModel,
-    ModelTriplet,
     ReducedProblem,
     build_exit_space,
     couple,

@@ -41,14 +41,7 @@ from .triplet import (
     extension_of,
     von_neumann_triplet,
 )
-from .extension import (
-    classify_compression,
-    compression,
-    flags_coefficients,
-    flags_geometric,
-    krein_resolvent,
-    rank_sum,
-)
+from .extension import classify_compression, krein_resolvent
 from .exitspace import (
     build_exit_space,
     chain_residuals,
@@ -330,9 +323,9 @@ class VerifyContext:
         return direct_compression(self.model)
 
     @cached_property
-    def compression(self):
-        """C(A~) by the formula route."""
-        return compression(self.tri, self.tau)
+    def report(self):
+        """C(A~) by the formula route, its flags by both routes and n_r."""
+        return classify_compression(self.tri, self.tau)
 
     @cached_property
     def minimal(self) -> bool:
@@ -361,14 +354,6 @@ def _decomposition_reassembly(ctx) -> float:
     return res
 
 
-def _classification_routes(ctx) -> float:
-    """Number of flags on which the geometric flags of C(A~) and the
-    coefficient flags of tau disagree."""
-    geo = flags_geometric(ctx.tri, ctx.compression)
-    coef = flags_coefficients(ctx.tau)
-    return float(sum(geo[k] != coef[k] for k in geo))
-
-
 def _krein_formula(ctx) -> float:
     lams = admissible_lambdas(ctx.rng, 3)
     return max(max(krein_residuals(ctx.tri, ctx.tau, ctx.model, lam))
@@ -379,7 +364,7 @@ def _exit_dimension(ctx) -> float:
     # a non-minimal model fails by its whole exit dimension
     if not ctx.minimal:
         return float(ctx.model.dim_r)
-    return abs(ctx.model.dim_r - rank_sum(ctx.tau))
+    return abs(ctx.model.dim_r - ctx.report.n_r)
 
 
 # The verify suite, in the order it runs; the order fixes the RNG draws.
@@ -388,14 +373,15 @@ CHECKS = {check.name: check for check in (
     Check("limits_analytic_vs_grid", 1e-6,
           lambda ctx: tau_limits(ctx.tau).grid_residual),
     Check("compression_equivalence", 1e-7, lambda ctx: relations_equal(
-        ctx.compression, ctx.chain[0])[1]),
+        ctx.report.compression, ctx.chain[0])[1]),
     Check("s_direct_matches_theta0", 1e-7, lambda ctx: relations_equal(
         ctx.chain[1], ctx.model.reduced.s_rel)[1]),
     Check("forbidden_route", 1e-7, lambda ctx: relations_equal(
         compression_via_forbidden(ctx.model), ctx.chain[0])[1]),
     Check("compression_chain", 1e-7,
           lambda ctx: max(chain_residuals(ctx.tri, ctx.chain).values())),
-    Check("classification_routes", 0.5, _classification_routes),
+    # the number of flags on which the geometric and coefficient routes differ
+    Check("classification_routes", 0.5, lambda ctx: len(ctx.report.disputed)),
     Check("krein_formula", 1e-8, _krein_formula),
     Check("exit_dimension", 0.5, _exit_dimension),
 )}

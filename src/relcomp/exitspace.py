@@ -81,15 +81,6 @@ def reduce_parameter(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ReducedPr
     return ReducedProblem(s_rel=S, pi_prime=pi_prime, tau1=dec.tau1)
 
 
-@dataclass(frozen=True)
-class ModelTriplet:
-    """Triplet for a symmetric relation S_r = pi_r.seed.A in C^{dim_r}
-    whose Weyl function is a prescribed uniformly strict rational function."""
-
-    dim_r: int
-    pi_r: BoundaryTriplet
-
-
 def psd_factor(m: np.ndarray) -> np.ndarray:
     """Surjective factor D with m = D^H D, rows = rank(m)."""
     if m.size == 0:
@@ -100,8 +91,9 @@ def psd_factor(m: np.ndarray) -> np.ndarray:
     return (np.sqrt(w[keep])[:, None] * v[:, keep].conj().T).astype(complex)
 
 
-def realize_model(tau1: RationalNevanlinna) -> ModelTriplet:
-    """Build a model whose Weyl function is tau1.
+def realize_model(tau1: RationalNevanlinna) -> BoundaryTriplet:
+    """Build a model triplet, for a symmetric relation in C^{n_r}, whose
+    Weyl function is tau1.
 
     The model space stacks one block per rank factor of the linear
     coefficient and of each pole residue; the base boundary maps produce
@@ -158,28 +150,32 @@ def realize_model(tau1: RationalNevanlinna) -> ModelTriplet:
         m = gamma_and_weyl(pi_r, lam).weyl
         if np.max(np.abs(m - tau1.tau0(lam)), initial=0.0) > 1e-8:
             raise ModelError(f"model Weyl function does not match tau1 at {lam}")
-    return ModelTriplet(dim_r=nr, pi_r=pi_r)
+    return pi_r
 
 
 @dataclass(frozen=True)
 class ExitSpaceModel:
-    """Self-adjoint coupling A~ in C^{n + dim_r}; base-space coordinates
-    come first in both pair components."""
+    """Self-adjoint coupling A~ in C^{n + dim_r} of the reduced problem with
+    the model triplet pi_r in C^{dim_r}; base-space coordinates come first
+    in both pair components."""
 
     dim_h: int
-    dim_r: int
     a_tilde: LinearRelation
     reduced: ReducedProblem
-    model: ModelTriplet
+    pi_r: BoundaryTriplet
+
+    @property
+    def dim_r(self) -> int:
+        return self.pi_r.space_dim
 
 
-def couple(reduced: ReducedProblem, model: ModelTriplet) -> ExitSpaceModel:
+def couple(reduced: ReducedProblem, pi_r: BoundaryTriplet) -> ExitSpaceModel:
     """A~ = {f-hat (+) f-hat_r: Gamma0' f-hat = Gamma0^r f-hat_r,
-    Gamma1' f-hat = -Gamma1^r f-hat_r}."""
-    pi_p, pi_r = reduced.pi_prime, model.pi_r
+    Gamma1' f-hat = -Gamma1^r f-hat_r} for the model triplet pi_r."""
+    pi_p = reduced.pi_prime
     if pi_p.boundary_dim != pi_r.boundary_dim:
         raise ValueError("boundary spaces of the two triplets differ")
-    n, nr, d = pi_p.space_dim, model.dim_r, pi_p.boundary_dim
+    n, nr, d = pi_p.space_dim, pi_r.space_dim, pi_p.boundary_dim
     g_p, g_r = pi_p.coord_map, pi_r.coord_map
     m1 = g_p.shape[1]
     coeff = null_space(np.hstack([g_p, np.vstack([-g_r[:d], g_r[d:]])]))
@@ -190,15 +186,13 @@ def couple(reduced: ReducedProblem, model: ModelTriplet) -> ExitSpaceModel:
     a_tilde = LinearRelation(n + nr, n + nr, cols)
     if classify_symmetry(a_tilde) != "self_adjoint":
         raise ModelError("coupled relation is not self-adjoint")
-    return ExitSpaceModel(dim_h=n, dim_r=nr, a_tilde=a_tilde,
-                          reduced=reduced, model=model)
+    return ExitSpaceModel(dim_h=n, a_tilde=a_tilde, reduced=reduced, pi_r=pi_r)
 
 
 def build_exit_space(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ExitSpaceModel:
     """Reduce, realize and couple in one step."""
     reduced = reduce_parameter(tri, tau)
-    model = realize_model(reduced.tau1)
-    return couple(reduced, model)
+    return couple(reduced, realize_model(reduced.tau1))
 
 
 def direct_compression(model: ExitSpaceModel):
@@ -242,7 +236,7 @@ def generalized_resolvent_direct(model: ExitSpaceModel, lam: complex) -> np.ndar
 def compression_via_forbidden(model: ExitSpaceModel) -> LinearRelation:
     """C(A~) computed from the forbidden relation of the model triplet:
     the extension of S with boundary parameter -F_r in the reduced triplet."""
-    f_r = forbidden_relation(model.model.pi_r)
+    f_r = forbidden_relation(model.pi_r)
     return extension_of(model.reduced.pi_prime, negate(f_r))
 
 

@@ -31,15 +31,6 @@ from .nevanlinna import RationalNevanlinna, eval_tau
 from .triplet import BoundaryTriplet, extension_of
 
 
-class RouteDisagreement(RuntimeError):
-    """The geometric and the coefficient-based classification disagree;
-    ``flags`` maps each disputed flag to its (geometric, coefficient) values."""
-
-    def __init__(self, flags: dict):
-        super().__init__(f"flag mismatch (geometric, coefficient): {flags}")
-        self.flags = flags
-
-
 def _middle_inverse(tau: RationalNevanlinna, lam: complex,
                     weyl: np.ndarray) -> np.ndarray:
     """Matrix of (tau(lam) + M(lam))^{-1} on the boundary space, given
@@ -109,11 +100,14 @@ def compression(tri: BoundaryTriplet, tau: RationalNevanlinna) -> LinearRelation
 @dataclass(frozen=True)
 class CompressionReport:
     """Classification of the compression C = C(A~) of the exit-space
-    extension attached to a rational parameter tau."""
+    extension attached to a rational parameter tau: ``flags`` are read off
+    C, and ``disputed`` maps each flag on which the coefficients of tau
+    say otherwise to its (geometric, coefficient) values."""
 
     tau_c: LinearRelation
     compression: LinearRelation
     flags: dict
+    disputed: dict
     n_r: int
 
 
@@ -157,16 +151,13 @@ def rank_sum(tau: RationalNevanlinna) -> int:
 def classify_compression(tri: BoundaryTriplet,
                          tau: RationalNevanlinna) -> CompressionReport:
     """Compute C(A~) and its flags two ways: from relation algebra on C and
-    from the coefficient structure of tau.  Raises RouteDisagreement if the
-    two routes differ."""
+    from the coefficient structure of tau, and the exit dimension n_r."""
     if tau.dim != tri.boundary_dim:
         raise ValueError("parameter dimension does not match the boundary space")
     tau_c = compression_param(tau)
     C = extension_of(tri, tau_c)
     geo = flags_geometric(tri, C)
     coef = flags_coefficients(tau)
-    if geo != coef:
-        diffs = {k: (geo[k], coef[k]) for k in geo if geo[k] != coef[k]}
-        raise RouteDisagreement(diffs)
+    disputed = {k: (geo[k], coef[k]) for k in geo if geo[k] != coef[k]}
     return CompressionReport(tau_c=tau_c, compression=C, flags=geo,
-                             n_r=rank_sum(tau))
+                             disputed=disputed, n_r=rank_sum(tau))

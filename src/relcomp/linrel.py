@@ -19,10 +19,12 @@ inversion cut; no other routine inverts a matrix.
 
 DEFAULT_TOL is the single tolerance of the package: no relation, triplet
 or parameter carries one.  Every rank decision is the cut of ``orth``,
-``null_space``, ``rank`` or ``complement``, the only routines that take
-an SVD: a singular value s counts when s > DEFAULT_TOL * max(s_max, 1),
+``null_space``, ``rank`` or ``complement``, which take an SVD: a
+singular value s counts when s > DEFAULT_TOL * max(s_max, 1),
 ``rank`` reads that cut off the singular values alone, and
-``complement`` takes the rank of its orthonormal frame as given.
+``complement`` takes the rank of its orthonormal frame as given.  The
+one other SVD is the ``lstsq`` of ``operator_part``, at numpy's own
+cut; spectral norms come from ``eigvalsh`` in ``_norm2``.
 ``psd_factor`` in the exit-space oracle makes the same cut on
 eigenvalues.  Every equality and containment verdict and the inversion
 cut of ``graph_operator`` read DEFAULT_TOL too.  ``orth`` alone takes
@@ -282,11 +284,9 @@ def operator_part(theta: LinearRelation) -> OperatorPartSplit:
     if theta.dim_from != theta.dim_to:
         raise ValueError("operator part is defined for relations in a single space")
     p = parts(theta)
-    if p.dom.shape[1] and p.mul.shape[1]:
-        overlap = float(np.linalg.norm(p.mul.conj().T @ p.dom, 2))
-        if overlap > 100 * DEFAULT_TOL:
-            raise ValueError(
-                f"dom theta not orthogonal to mul theta (overlap {overlap:.2e})")
+    overlap = _norm2(p.mul.conj().T @ p.dom)
+    if overlap > 100 * DEFAULT_TOL:
+        raise ValueError(f"dom theta not orthogonal to mul theta (overlap {overlap:.2e})")
     coeff, *_ = np.linalg.lstsq(theta.left, p.dom, rcond=None)
     if np.linalg.norm(theta.left @ coeff - p.dom) > 100 * DEFAULT_TOL:
         raise ValueError("domain frame not reachable inside the relation")

@@ -17,6 +17,7 @@ from .linrel import (
     DEFAULT_TOL,
     LinearRelation,
     SpectrumError,
+    _norm2,
     adjoint,
     containment_residual,
     contains,
@@ -147,13 +148,7 @@ def check_green(tri: BoundaryTriplet) -> float:
 
 
 def triplet_report(tri: BoundaryTriplet) -> dict:
-    """Residuals of the defining invariants of a boundary triplet.
-
-    The deficiency indices are read off dimensions, with no defect frame:
-    for nonreal lam no nonzero pair {f, f'} of the symmetric A has
-    f' = lam f, so ran(A - lam) = {f' - lam f} has dimension dim A and the
-    defect space ran(A - lam)^perp in C^n has n - dim A, at i and -i alike.
-    """
+    """Residuals of the defining invariants of a boundary triplet."""
     report = {"green": check_green(tri)}
     G = tri.coord_map
     d = tri.boundary_dim
@@ -162,13 +157,20 @@ def triplet_report(tri: BoundaryTriplet) -> dict:
     report["surjective"] = ker.shape[1] == G.shape[1] - 2 * d
     ker_rel = LinearRelation(tri.space_dim, tri.space_dim, tri.seed.A_star.frame @ ker)
     _, report["kernel_vs_A"] = relations_equal(ker_rel, tri.seed.A)
-    idx = (tri.space_dim - tri.seed.A.dim,) * 2
-    report["indices"] = idx
-    report["index_match"] = idx == (d, d)
     return report
 
 
 def assert_valid_triplet(tri: BoundaryTriplet) -> None:
+    """Raise TripletError unless tri is a boundary triplet.
+
+    A* = (J A)^perp has dimension 2n - dim A, and a seed whose frame of A*
+    has another is rejected first.  Given that count, a surjective
+    (Gamma0; Gamma1) whose kernel is A has rank 2d = dim A* - dim A, so d
+    is the deficiency index n - dim A.
+    """
+    n, dim_a, dim_a_star = tri.space_dim, tri.seed.A.dim, tri.seed.A_star.dim
+    if dim_a_star != 2 * n - dim_a:
+        raise TripletError(f"dim A* = {dim_a_star}, but 2n - dim A = {2 * n - dim_a}")
     rep = triplet_report(tri)
     if rep["green"] > GREEN_TOL:
         raise TripletError(f"Green identity residual {rep['green']:.2e}")
@@ -176,8 +178,6 @@ def assert_valid_triplet(tri: BoundaryTriplet) -> None:
         raise TripletError("stacked boundary map is not surjective")
     if rep["kernel_vs_A"] > 100 * DEFAULT_TOL:
         raise TripletError("kernel of the boundary map is not the seed relation")
-    if not rep["index_match"]:
-        raise TripletError(f"deficiency indices {rep['indices']} != boundary dim {tri.boundary_dim}")
 
 
 def von_neumann_triplet(seed: SymmetricSeed, V=None) -> BoundaryTriplet:
@@ -193,7 +193,7 @@ def von_neumann_triplet(seed: SymmetricSeed, V=None) -> BoundaryTriplet:
     if V is None:
         V = np.eye(d, dtype=complex)
     V = np.asarray(V, dtype=complex)
-    if V.shape != (d, d) or (d and np.linalg.norm(V.conj().T @ V - np.eye(d), 2) > 1e-10):
+    if V.shape != (d, d) or _norm2(V.conj().T @ V - np.eye(d)) > 1e-10:
         raise TripletError("V must be a d x d unitary")
 
     # 1/sqrt(2) rescales the ambient-orthonormal defect frames so that the
@@ -263,14 +263,14 @@ def check_weyl_identities(tri: BoundaryTriplet, lam: complex, z: complex):
         - (lam - z) * (r0 @ ws_z.gamma_field)
     res_weyl = ws_z.weyl - ws_l.weyl.conj().T \
         - (z - np.conj(lam)) * (ws_l.gamma_field.conj().T @ ws_z.gamma_field)
-    nrm = (lambda a: float(np.linalg.norm(a, 2)) if a.size else 0.0)
-    return nrm(res_gamma), nrm(res_weyl)
+    return _norm2(res_gamma), _norm2(res_weyl)
 
 
 def forbidden_relation(tri: BoundaryTriplet) -> LinearRelation:
     """Image under the boundary maps of {0} (+) mul A*."""
     n = tri.space_dim
-    mul_frame = parts(tri.seed.A_star).mul
+    a_star = tri.seed.A_star
+    mul_frame = orth(a_star.right @ null_space(a_star.left))
     return _boundary_image(
         tri, np.vstack([np.zeros((n, mul_frame.shape[1]), dtype=complex), mul_frame]))
 

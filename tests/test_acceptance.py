@@ -91,7 +91,7 @@ def test_criterion_1_compression_equivalence(corpus):
     t_start = time.perf_counter()
     worst, threshold = _worst(CHECKS["compression_equivalence"], corpus)
     for item in corpus:
-        assert classify_symmetry(item["ctx"].compression) == "self_adjoint"
+        assert classify_symmetry(item["ctx"].report.compression) == "self_adjoint"
     elapsed = time.perf_counter() - t_start
     ok = worst < threshold and elapsed < 60.0
     _report("criterion 1 compression equivalence", ok,
@@ -153,7 +153,7 @@ def test_criterion_4_flag_biconditionals(corpus):
               "transversal_with_A0")}
     for item in corpus:
         ctx = item["ctx"]
-        for flag, val in flags_geometric(ctx.tri, ctx.compression).items():
+        for flag, val in flags_geometric(ctx.tri, ctx.report.compression).items():
             sides[flag][int(bool(val))] += 1
     required = {
         "subset_A0": (20, 20),
@@ -183,8 +183,8 @@ def test_transversal_rank_matches_the_comp_sum_route(corpus):
     sides = [0, 0]
     for item in corpus:
         ctx = item["ctx"]
-        flag = flags_geometric(ctx.tri, ctx.compression)["transversal_with_A0"]
-        assert flag == _transversal_by_comp_sum(ctx.tri, ctx.compression)
+        flag = flags_geometric(ctx.tri, ctx.report.compression)["transversal_with_A0"]
+        assert flag == _transversal_by_comp_sum(ctx.tri, ctx.report.compression)
         sides[flag] += 1
     assert min(sides) >= 20, sides
 

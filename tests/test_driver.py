@@ -161,6 +161,13 @@ def test_readme_verify_example_matches_output(capsys):
     assert drop_elapsed(actual) == drop_elapsed(expected)
 
 
+def test_readme_library_example_runs():
+    readme = (REPO / "README.md").read_text()
+    example = readme.split("## Library example", 1)[1]
+    code = example.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+
+
 def test_build_problem_rejects_non_psd_b():
     inst = Instance(dim=1, seed_span=np.zeros((2, 0)),
                     triplet_kind="explicit",
@@ -304,18 +311,37 @@ def test_injected_fault_fails_exactly_its_check(monkeypatch, check):
 
 
 def test_verify_builds_one_compression_per_instance(monkeypatch):
+    """verify reads C(A~), its flags and n_r off one classify_compression."""
     calls = []
     param = extension.compression_param
     monkeypatch.setattr(extension, "compression_param",
-                        lambda tau: calls.append(tau) or param(tau))
+                        lambda tau: calls.append("param") or param(tau))
+    classify = driver.classify_compression
+    monkeypatch.setattr(driver, "classify_compression",
+                        lambda *args: calls.append("classify") or classify(*args))
     inst = generate_instance(np.random.default_rng(0), category="b_deficient")
     verify_instance(inst, np.random.default_rng(0))
-    assert len(calls) == 1
+    assert sorted(calls) == ["classify", "param"]
+
+
+def test_disputed_flag_fails_classification_routes(monkeypatch):
+    """A coefficient route that flips one flag is reported in ``disputed``,
+    not raised, and verify fails classification_routes by that one flag."""
+    coefficients = extension.flags_coefficients
+    monkeypatch.setattr(extension, "flags_coefficients", lambda tau: {
+        **coefficients(tau), "self_adjoint": False})
+    inst = generate_instance(np.random.default_rng(0), category="b_deficient")
+    tri, tau = build_problem(inst)
+    rep = extension.classify_compression(tri, tau)
+    assert rep.disputed == {"self_adjoint": (True, False)}
+    checks = verify_instance(inst, np.random.default_rng(0))
+    assert [(c.name, c.residual) for c in checks if not c.passed] == \
+        [("classification_routes", 1.0)]
 
 
 def test_verify_instance_factorization_count(monkeypatch):
     """One verify_instance of a fixed draw (n = 11, boundary dimension 6,
-    dim K = 1, one pole) takes 66 SVDs and 19 eigvalsh calls."""
+    dim K = 1, one pole) takes 62 SVDs and 20 eigvalsh calls."""
     inst = generate_instance(np.random.default_rng(13), 12, 6, 3)
     counts = {"svd": 0, "eigvalsh": 0}
     for name in counts:
@@ -324,7 +350,7 @@ def test_verify_instance_factorization_count(monkeypatch):
             return _factor(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     verify_instance(inst, np.random.default_rng(0))
-    assert counts == {"svd": 66, "eigvalsh": 19}
+    assert counts == {"svd": 62, "eigvalsh": 20}
 
 
 def test_report_names_the_check_that_raised(monkeypatch):
@@ -357,7 +383,7 @@ SEED_14_POINTS = [
 def test_admissible_lambdas_evaluates_nothing(monkeypatch):
     def refuse(*args):
         raise AssertionError("the sampler evaluated a resolvent")
-    for name in ("compression", "krein_resolvent", "resolvent"):
+    for name in ("classify_compression", "krein_resolvent", "resolvent"):
         monkeypatch.setattr(driver, name, refuse)
     rng = np.random.default_rng(14)
     generate_instance(rng, max_dim=6, max_boundary=3, category="b_full")

@@ -89,24 +89,24 @@ def test_reduced_seed_reads_its_adjoint_in_the_boundary_space(monkeypatch):
 
 def test_realize_linear_scalar():
     tau1 = RationalNevanlinna.build(1, b=[[1.0]])
-    model = realize_model(tau1)
-    assert model.dim_r == 1
-    assert model.pi_r.seed.A.dim == 0
-    m = gamma_and_weyl(model.pi_r, 1.3j).weyl
+    pi_r = realize_model(tau1)
+    assert pi_r.space_dim == 1
+    assert pi_r.seed.A.dim == 0
+    m = gamma_and_weyl(pi_r, 1.3j).weyl
     assert abs(m[0, 0] - 1.3j) < 1e-10
 
 
 def test_realize_pole_scalar():
     tau1 = RationalNevanlinna.build(1, poles=[(0.0, [[1.0]])])
-    model = realize_model(tau1)
-    assert model.dim_r == 1
-    m = gamma_and_weyl(model.pi_r, 2j).weyl
+    pi_r = realize_model(tau1)
+    assert pi_r.space_dim == 1
+    m = gamma_and_weyl(pi_r, 2j).weyl
     assert abs(m[0, 0] - 1.0 / (0.0 - 2j)) < 1e-10
 
 
 def test_realize_counts_rank_blocks():
     tau1 = RationalNevanlinna.build(1, b=[[1.0]], poles=[(1.0, [[2.0]])])
-    assert realize_model(tau1).dim_r == 2
+    assert realize_model(tau1).space_dim == 2
 
 
 def test_realize_rejects_mul_part():
@@ -126,12 +126,12 @@ def test_realize_weyl_matches_random():
     for _ in range(20):
         tau = random_tau(rng, int(rng.integers(1, 4)), k=0)
         tau1 = decompose_tau(tau).tau1
-        model = realize_model(tau1)
+        pi_r = realize_model(tau1)
         for _ in range(3):
             lam = complex(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.5, 2))
             if any(abs(lam - alpha) < 1e-3 for alpha, _ in tau1.poles):
                 continue
-            m = gamma_and_weyl(model.pi_r, lam).weyl
+            m = gamma_and_weyl(pi_r, lam).weyl
             assert np.max(np.abs(m - tau1.tau0(lam)), initial=0.0) < 1e-8
 
 

@@ -447,16 +447,43 @@ def test_graph_operator_rejects_what_a_removed_rule_rejected(inputs):
     assert min(rule_rejected, accepted) > 0, (rule_rejected, accepted)
 
 
+def _name_used(node):
+    """The numpy name an AST node uses: an attribute or an imported name,
+    and "norm2" for a ``norm`` call whose ord takes an SVD (2, -2, "nuc",
+    or an ord that is not a literal)."""
+    if isinstance(node, ast.Call) and \
+            getattr(node.func, "attr", getattr(node.func, "id", None)) == "norm":
+        ords = node.args[1:2] + [kw.value for kw in node.keywords if kw.arg == "ord"]
+        if not ords:
+            return None
+        try:
+            spectral = ast.literal_eval(ords[0]) in (2, -2, "nuc")
+        except ValueError:
+            spectral = True
+        return "norm2" if spectral else None
+    return node.attr if isinstance(node, ast.Attribute) else \
+        node.name if isinstance(node, ast.alias) else None
+
+
+@pytest.mark.parametrize("source, name", [
+    ("np.linalg.norm(x, 2)", "norm2"), ("norm(x, ord=-2)", "norm2"),
+    ("np.linalg.norm(x, 'nuc')", "norm2"), ("np.linalg.norm(x, k)", "norm2"),
+    ("np.linalg.norm(x)", None), ("np.linalg.norm(x, ord='fro')", None),
+    ("np.linalg.norm(x, 1)", None)])
+def test_a_norm_that_takes_an_svd_is_seen(source, name):
+    assert _name_used(ast.parse(source).body[0].value) == name
+
+
 def _sites(names):
     """(module, function) of every use of one of the numpy names in the
-    package; None for a use outside any function."""
+    package, as ``_name_used`` reads them; None for a use outside any
+    function."""
     sites = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         funcs = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
         for node in ast.walk(tree):
-            name = node.attr if isinstance(node, ast.Attribute) else \
-                node.name if isinstance(node, ast.alias) else None
+            name = _name_used(node)
             if name in names:
                 owner = max((f for f in funcs if f.lineno <= node.lineno <= f.end_lineno),
                             key=lambda f: f.lineno, default=None)
@@ -469,8 +496,11 @@ def test_every_inverse_goes_through_graph_operator():
 
 
 def test_every_svd_is_a_linrel_rank_cut():
-    assert _sites({"svd"}) == {("linrel", "orth"), ("linrel", "complement"),
-                               ("linrel", "null_space"), ("linrel", "rank")}
+    # operator_part's lstsq is the one SVD outside the cut; ROADMAP item 6
+    # lists it among the rank decisions a report should expose
+    assert _sites({"svd", "lstsq", "pinv", "norm2"}) == {
+        ("linrel", "orth"), ("linrel", "complement"), ("linrel", "null_space"),
+        ("linrel", "rank"), ("linrel", "operator_part")}
 
 
 @pytest.mark.parametrize("T", [full_relation(2), zero_relation(2)])

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from relcomp.linrel import (
+    LinearRelation,
     adjoint,
     classify_symmetry,
     comp_sum,
@@ -153,8 +154,7 @@ def test_frames_and_weyl_at_i_are_built_once_and_read_only(monkeypatch):
 
 def test_only_the_von_neumann_triplet_builds_defect_frames(monkeypatch):
     """von_neumann_triplet builds the two frames at +-i; checking a triplet
-    on a seed without frames builds none, and its indices equal the column
-    counts of the frames."""
+    on a seed without frames builds none."""
     calls = count_defect_frames(monkeypatch)
     rng = np.random.default_rng(2)
     for _ in range(15):
@@ -163,10 +163,21 @@ def test_only_the_von_neumann_triplet_builds_defect_frames(monkeypatch):
         tri = von_neumann_triplet(seed)
         assert calls == [1j, -1j]
         bare = SymmetricSeed(A=seed.A, A_star=seed.A_star)
-        report = triplet_report(BoundaryTriplet(bare, tri.gamma0, tri.gamma1))
+        BoundaryTriplet.from_ambient_maps(bare, tri.gamma0, tri.gamma1)
         assert len(calls) == 2
-        assert report["indices"] == defect(seed, 1j)[1]
-        assert report["index_match"]
+
+
+def test_wrongly_sized_adjoint_frame_raises():
+    """A seed whose frame of A* does not have dimension 2n - dim A is not
+    the seed of a boundary triplet; the error names both dimensions."""
+    seed = random_symmetric_seed(np.random.default_rng(5), 5, d=2)
+    tri = von_neumann_triplet(seed)
+    # one dimension short of A*, and all of C^5 (+) C^5
+    for frame in (seed.A_star.frame[:, :-1], np.eye(10, dtype=complex)):
+        bad = SymmetricSeed(A=seed.A, A_star=LinearRelation(5, 5, frame))
+        with pytest.raises(TripletError,
+                           match=rf"dim A\* = {frame.shape[1]}, but 2n - dim A = 7"):
+            BoundaryTriplet.from_ambient_maps(bad, tri.gamma0, tri.gamma1)
 
 
 def test_a0_built_once_per_triplet():
@@ -208,7 +219,7 @@ def test_von_neumann_green_residual():
         tri = von_neumann_triplet(seed, V=random_unitary(rng, d))
         assert check_green(tri) < GREEN_TOL
         rep = triplet_report(tri)
-        assert rep["surjective"] and rep["index_match"]
+        assert rep["surjective"]
         assert rep["kernel_vs_A"] < 1e-8
 
 
