@@ -70,17 +70,18 @@ def matrix_to_json(m: np.ndarray) -> list:
 def matrix_from_json(data, rows=None, cols=None) -> np.ndarray:
     """Inverse of matrix_to_json.  rows and cols, where given, are the
     declared shape: an empty list reads as that shape and any other shape
-    is an InputError."""
+    is an InputError, as are ragged rows and an entry that is not an
+    [re, im] pair of numbers."""
     try:
-        m = np.array([[complex(e[0], e[1]) for e in row] for row in data],
-                     dtype=complex)
-    except (TypeError, IndexError) as exc:
+        cells = [[complex(re, im) for re, im in row] for row in data]
+    except (TypeError, ValueError) as exc:
         raise InputError(f"malformed matrix: {exc}") from exc
+    if len({len(row) for row in cells}) > 1:
+        raise InputError("malformed matrix: ragged rows")
+    m = np.array(cells, dtype=complex)
     if not data:
         m = m.reshape(rows if rows is not None else 0,
                       cols if cols is not None else 0)
-    if m.ndim == 1:
-        m = m.reshape(len(data), 0)
     if rows not in (None, m.shape[0]) or cols not in (None, m.shape[1]):
         raise InputError(f"matrix of shape {m.shape} where {(rows, cols)} is declared")
     return m

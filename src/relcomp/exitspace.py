@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linrel import (
-    DEFAULT_TOL,
     LinearRelation,
     SpectrumError,
+    _cut,
     adjoint,
     classify_symmetry,
     containment_residual,
@@ -27,7 +27,6 @@ from .linrel import (
     negate,
     null_space,
     orth,
-    relations_equal,
     resolvent,
 )
 from .nevanlinna import RationalNevanlinna, decompose_tau
@@ -82,12 +81,10 @@ def reduce_parameter(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ReducedPr
 
 
 def psd_factor(m: np.ndarray) -> np.ndarray:
-    """Surjective factor D with m = D^H D, rows = rank(m)."""
-    if m.size == 0:
-        return np.zeros((0, m.shape[1] if m.ndim == 2 else 0), dtype=complex)
+    """Surjective factor D with m = D^H D on the eigenvalues that ``_cut``
+    keeps, rows = rank(m), in the ascending order of ``eigh``."""
     w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    cut = DEFAULT_TOL * max(float(np.max(np.abs(w))), 1.0)
-    keep = w > cut
+    keep = slice(len(w) - _cut(w[::-1]), None)
     return (np.sqrt(w[keep])[:, None] * v[:, keep].conj().T).astype(complex)
 
 
@@ -131,16 +128,8 @@ def realize_model(tau1: RationalNevanlinna) -> BoundaryTriplet:
         g1_base[sl, row:row + rj] = -np.eye(rj)            # -f_j
         row += rj
 
-    # S_r* = {f-hat: Gamma0_base f-hat in ran G}
-    proj_out = np.eye(nr, dtype=complex) - ran_g @ ran_g.conj().T
-    s_r_star_frame = null_space(proj_out @ g0_base)
     s_r_frame = null_space(np.vstack([g0_base, G.conj().T @ g1_base]))
-    s_r = LinearRelation(nr, nr, s_r_frame)
-    s_r_star = LinearRelation(nr, nr, s_r_star_frame)
-    ok, resid = relations_equal(s_r_star, adjoint(s_r))
-    if not ok:
-        raise ModelError(f"model adjoint inconsistent (residual {resid:.2e})")
-    seed_r = SymmetricSeed(A=s_r, A_star=s_r_star)
+    seed_r = SymmetricSeed.from_relation(LinearRelation(nr, nr, s_r_frame))
 
     e_coef = tau1.a_coef
     g0_amb = g_pinv @ g0_base

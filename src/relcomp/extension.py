@@ -144,8 +144,7 @@ def flags_coefficients(tau: RationalNevanlinna) -> dict:
 
 def rank_sum(tau: RationalNevanlinna) -> int:
     """Exit-space dimension rank B + sum_j rank A_j of a rational parameter."""
-    return sum(orth(m).shape[1]
-               for m in (tau.b_coef, *(aj for _, aj in tau.poles)))
+    return sum(rank(m) for m in (tau.b_coef, *(aj for _, aj in tau.poles)))
 
 
 def classify_compression(tri: BoundaryTriplet,

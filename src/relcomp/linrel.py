@@ -18,19 +18,18 @@ factor.  ``graph_operator`` computes it, from one LU and with the one
 inversion cut; no other routine inverts a matrix.
 
 DEFAULT_TOL is the single tolerance of the package: no relation, triplet
-or parameter carries one.  Every rank decision is the cut of ``orth``,
-``null_space``, ``rank`` or ``complement``, which take an SVD: a
-singular value s counts when s > DEFAULT_TOL * max(s_max, 1),
-``rank`` reads that cut off the singular values alone, and
-``complement`` takes the rank of its orthonormal frame as given.  The
-one other SVD is the ``lstsq`` of ``operator_part``, at numpy's own
-cut; spectral norms come from ``eigvalsh`` in ``_norm2``.
-``psd_factor`` in the exit-space oracle makes the same cut on
-eigenvalues.  Every equality and containment verdict and the inversion
-cut of ``graph_operator`` read DEFAULT_TOL too.  ``orth`` alone takes
-another value, for callers that orthonormalize a numerical estimate; the
-remaining fixed thresholds (Green identity, the model's Weyl-function
-match, pole distance) are constants or literals where they are used.
+or parameter carries one.  Every rank decision is made by ``_cut``,
+with no override: a descending singular value (or eigenvalue) s counts
+when s > DEFAULT_TOL * max(s_max, 1).  ``orth``, ``null_space``,
+``rank`` and ``operator_part`` apply it to the SVD they take,
+``psd_factor`` in the exit-space oracle to the eigenvalues of ``eigh``,
+and ``complement`` takes the rank of its orthonormal frame as given.
+Spectral norms come from ``eigvalsh`` in ``_norm2``, and the PSD test of
+``validate_tau`` reads smallest eigenvalues; neither decides a rank.
+Every equality and containment verdict and the inversion cut of
+``graph_operator`` read DEFAULT_TOL too; the remaining fixed thresholds
+(Green identity, the model's Weyl-function match, pole distance) are
+constants or literals where they are used.
 """
 from __future__ import annotations
 
@@ -53,19 +52,19 @@ def _as_complex(a) -> np.ndarray:
     return a
 
 
-def _cut(s: np.ndarray, tol: float = DEFAULT_TOL) -> int:
-    """Number of the descending singular values s above tol * max(s_max, 1)."""
-    return int(np.count_nonzero(s > tol * max(float(s[0]) if s.size else 0.0, 1.0)))
+def _cut(s: np.ndarray) -> int:
+    """Number of the descending values s above DEFAULT_TOL * max(s_max, 1):
+    the package's one rank rule."""
+    return int(np.count_nonzero(s > DEFAULT_TOL * max(float(s[0]) if s.size else 0.0, 1.0)))
 
 
-def orth(span, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Orthonormal basis of the column span; singular values below
-    tol * max(s_max, 1) are dropped."""
+def orth(span) -> np.ndarray:
+    """Orthonormal basis of the column span, to the rank of ``_cut``."""
     span = _as_complex(span)
     if span.shape[0] == 0 or span.shape[1] == 0:
         return np.zeros((span.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(span, full_matrices=False)
-    return u[:, :_cut(s, tol)]
+    return u[:, :_cut(s)]
 
 
 def rank(span) -> int:
@@ -278,21 +277,25 @@ def classify_symmetry(T: LinearRelation) -> str:
 def operator_part(theta: LinearRelation) -> OperatorPartSplit:
     """Split a symmetric relation into its operator part and multivalued part.
 
-    Raises ValueError if dom theta is not orthogonal to mul theta (which a
-    symmetric relation guarantees).
+    One SVD L = U S V^H of the left half L of theta's frame, cut by
+    ``_cut`` at rank k, gives dom theta = ran U_k, the coefficients
+    V_k S_k^{-1} that reach each dom column inside theta, and ker L, whose
+    image R ker L under the right half is mul theta.  Raises ValueError if
+    dom theta is not orthogonal to mul theta (which a symmetric relation
+    guarantees).
     """
     if theta.dim_from != theta.dim_to:
         raise ValueError("operator part is defined for relations in a single space")
-    p = parts(theta)
-    overlap = _norm2(p.mul.conj().T @ p.dom)
+    u, s, vh = np.linalg.svd(theta.left, full_matrices=True)
+    k = _cut(s)
+    dom = u[:, :k]
+    mul = orth(theta.right @ vh[k:].conj().T)
+    overlap = _norm2(mul.conj().T @ dom)
     if overlap > 100 * DEFAULT_TOL:
         raise ValueError(f"dom theta not orthogonal to mul theta (overlap {overlap:.2e})")
-    coeff, *_ = np.linalg.lstsq(theta.left, p.dom, rcond=None)
-    if np.linalg.norm(theta.left @ coeff - p.dom) > 100 * DEFAULT_TOL:
-        raise ValueError("domain frame not reachable inside the relation")
-    f_prime = theta.right @ coeff
-    op = f_prime - p.mul @ (p.mul.conj().T @ f_prime)
-    return OperatorPartSplit(mul_frame=p.mul, op_domain_frame=p.dom, op_matrix=op)
+    f_prime = theta.right @ (vh[:k].conj().T / s[:k])
+    op = f_prime - mul @ (mul.conj().T @ f_prime)
+    return OperatorPartSplit(mul_frame=mul, op_domain_frame=dom, op_matrix=op)
 
 
 def reassemble_operator_part(split: OperatorPartSplit, n: int) -> LinearRelation:

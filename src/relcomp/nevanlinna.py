@@ -24,6 +24,7 @@ from .linrel import (
     make_relation,
     null_space,
     orth,
+    rank,
 )
 
 DEFAULT_Y_GRID = (1e2, 1e3, 1e4, 1e5, 1e6)
@@ -140,7 +141,7 @@ def validate_tau(tau: RationalNevanlinna) -> list:
     for j, (alpha, aj) in enumerate(tau.poles):
         if not_psd[2 + j]:
             issues.append(f"pole {j}: residue not PSD")
-        if orth(aj).shape[1] == 0:
+        if rank(aj) == 0:
             issues.append(f"pole {j}: pole term vanishes")
     return issues
 

@@ -303,7 +303,7 @@ def check_forbidden_asymptotics(tri: BoundaryTriplet) -> dict:
         return {"ran_B_in_mul_F": 0.0, "relation_residual": 0.0,
                 "grid_consistent": True}
     b_est, consistent, n_limit = weyl_limits(tri)
-    ran_b = orth(b_est, 1e-8)
+    ran_b = orth(b_est)
     res_ran = containment_residual(ran_b, pf.mul)
     cols = []
     for i in range(pf.dom.shape[1]):
@@ -312,7 +312,7 @@ def check_forbidden_asymptotics(tri: BoundaryTriplet) -> dict:
     k = pf.mul.shape[1]
     mul_cols = np.vstack([np.zeros((d, k), dtype=complex), pf.mul])
     span = np.column_stack(cols + [mul_cols]) if cols or k else np.zeros((2 * d, 0), complex)
-    rebuilt = LinearRelation(d, d, orth(span, 1e-6))
+    rebuilt = LinearRelation(d, d, orth(span))
     _, res_rel = relations_equal(F, rebuilt)
     return {"ran_B_in_mul_F": res_ran, "relation_residual": res_rel,
             "grid_consistent": consistent}

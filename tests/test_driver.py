@@ -107,6 +107,31 @@ def test_malformed_instance_triplet_is_bad_input(tmp_path, case):
     assert main(["verify", "--replay", str(path)]) == 2
 
 
+# a matrix whose rows differ in length or whose entry is not an [re, im] pair
+MALFORMED_MATRICES = {
+    "ragged_rows": [[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0]]],
+    "ragged_empty_row": [[[1.0, 0.0]], []],
+    "entry_of_three": [[[1.0, 0.0, 3.0]]],
+    "entry_of_one": [[[1.0]]],
+    "bare_number_entry": [[1.0]],
+    "string_imaginary_part": [[[1.0, "0"]]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MATRICES))
+def test_malformed_matrix_is_bad_input(tmp_path, case):
+    with pytest.raises(InputError, match="malformed matrix"):
+        matrix_from_json(MALFORMED_MATRICES[case])
+    # the swap demo's B is 1 x 1
+    doc = json.loads(json.dumps(DEMOS["swap"].to_json()))
+    doc["tau"]["B"] = MALFORMED_MATRICES[case]
+    with pytest.raises(InputError, match="malformed matrix"):
+        Instance.from_json(doc)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--replay", str(path)]) == 2
+
+
 @pytest.mark.parametrize("coef", ["A", "B", "A_j"])
 @pytest.mark.parametrize("shape", [(2, 2), (1, 2)])
 def test_misshapen_tau_coefficient_is_bad_input(tmp_path, capsys, coef, shape):
@@ -341,7 +366,7 @@ def test_disputed_flag_fails_classification_routes(monkeypatch):
 
 def test_verify_instance_factorization_count(monkeypatch):
     """One verify_instance of a fixed draw (n = 11, boundary dimension 6,
-    dim K = 1, one pole) takes 62 SVDs and 20 eigvalsh calls."""
+    dim K = 1, one pole) takes 61 SVDs and 19 eigvalsh calls."""
     inst = generate_instance(np.random.default_rng(13), 12, 6, 3)
     counts = {"svd": 0, "eigvalsh": 0}
     for name in counts:
@@ -350,7 +375,7 @@ def test_verify_instance_factorization_count(monkeypatch):
             return _factor(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     verify_instance(inst, np.random.default_rng(0))
-    assert counts == {"svd": 62, "eigvalsh": 20}
+    assert counts == {"svd": 61, "eigvalsh": 19}
 
 
 def test_report_names_the_check_that_raised(monkeypatch):

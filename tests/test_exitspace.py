@@ -12,11 +12,14 @@ from relcomp.driver import (
     generate_instance,
     krein_residuals,
 )
+import relcomp.exitspace as exitspace
 from relcomp.exitspace import (
+    ModelError,
     build_exit_space,
     direct_compression,
     generalized_resolvent_direct,
     minimality,
+    psd_factor,
     realize_model,
     reduce_parameter,
 )
@@ -26,10 +29,11 @@ from relcomp.linrel import (
     classify_symmetry,
     graph_of,
     make_relation,
+    rank,
     relations_equal,
 )
 from relcomp.nevanlinna import RationalNevanlinna, decompose_tau
-from relcomp.triplet import gamma_and_weyl
+from relcomp.triplet import BoundaryTriplet, TripletError, gamma_and_weyl
 
 from test_extension import random_problem
 from test_nevanlinna import random_tau
@@ -237,3 +241,87 @@ def test_minimal_models_have_exact_exit_dimension():
         assert exit_dimension.residual(ctx) < exit_dimension.threshold
         checked += ctx.minimal
     assert checked >= 10
+
+
+def test_psd_factor_keeps_what_the_rank_cut_keeps():
+    """psd_factor has rank(m) rows for PSD m with an eigenvalue just above
+    or just below the cut DEFAULT_TOL * max(||m||, 1), at scales from 1e-6
+    to 1e6, and D^H D is m compressed to the kept eigenvectors."""
+    rng = np.random.default_rng(43)
+    for scale in (1e-6, 1.0, 1e6):
+        cut = DEFAULT_TOL * max(scale, 1.0)
+        for n in (2, 5):
+            u = np.linalg.qr(rng.standard_normal((n, n))
+                             + 1j * rng.standard_normal((n, n)))[0]
+            for edge in (1.01, 0.99):
+                w = np.zeros(n)
+                w[0], w[1] = scale, edge * cut
+                w[2:] = scale * rng.random(n - 2) * rng.integers(0, 2, n - 2)
+                m = (u * w) @ u.conj().T
+                kept = u[:, w > cut]
+                D = psd_factor(m)
+                assert D.shape == (rank(m), n) == (kept.shape[1], n)
+                on_kept = kept @ (kept.conj().T @ m @ kept) @ kept.conj().T
+                assert np.max(np.abs(D.conj().T @ D - on_kept)) <= 1e-14 * scale
+    assert psd_factor(np.zeros((3, 3))).shape == (0, 3)
+    assert rank(np.zeros((3, 3))) == 0
+
+
+def _strict_problem():
+    """(tri, tau) with K = H'' = {0}, so that tau1 = tau is nontrivial."""
+    rng = np.random.default_rng(3)
+    tri, tau = random_problem(rng, k=0)
+    while decompose_tau(tau).h_dprime.shape[1]:
+        tri, tau = random_problem(rng, k=0)
+    return tri, tau
+
+
+def _skew_boundary_maps(monkeypatch):
+    """Make every BoundaryTriplet.from_ambient_maps add i Gamma0 to Gamma1,
+    which breaks the Green identity by 2i Gamma0^H Gamma0."""
+    build = BoundaryTriplet.from_ambient_maps.__func__
+
+    def skewed(cls, seed, g0, g1):
+        return build(cls, seed, g0, np.asarray(g1) + 1j * np.asarray(g0))
+    monkeypatch.setattr(BoundaryTriplet, "from_ambient_maps", classmethod(skewed))
+
+
+def test_reduced_triplet_that_breaks_green_is_a_model_error(monkeypatch):
+    tri, tau = _strict_problem()
+    _skew_boundary_maps(monkeypatch)
+    with pytest.raises(ModelError, match="reduced triplet invalid"):
+        reduce_parameter(tri, tau)
+
+
+def test_model_maps_that_break_green_are_rejected(monkeypatch):
+    """realize_model takes the model's adjoint from its seed relation and
+    compares it with nothing; the triplet check still rejects maps that
+    break the Green identity."""
+    tau1 = decompose_tau(_strict_problem()[1]).tau1
+    _skew_boundary_maps(monkeypatch)
+    with pytest.raises(TripletError, match="Green identity"):
+        realize_model(tau1)
+
+
+def test_model_with_another_weyl_function_is_a_model_error(monkeypatch):
+    """Doubled rank factors still give a boundary triplet, but its Weyl
+    function is A + 4 (tau1 - A), not tau1."""
+    tau1 = decompose_tau(_strict_problem()[1]).tau1
+    factor = exitspace.psd_factor
+    monkeypatch.setattr(exitspace, "psd_factor", lambda m: 2 * factor(m))
+    with pytest.raises(ModelError, match="Weyl function"):
+        realize_model(tau1)
+
+
+def test_coupling_with_a_sign_flipped_model_is_a_model_error(monkeypatch):
+    """With Gamma1 of the model negated, the coupling conditions
+    Gamma1' f = -Gamma1^r f_r no longer cancel the Green forms."""
+    tri, tau = _strict_problem()
+    realize = exitspace.realize_model
+
+    def flipped(tau1):
+        pi_r = realize(tau1)
+        return dataclasses.replace(pi_r, gamma1=-pi_r.gamma1)
+    monkeypatch.setattr(exitspace, "realize_model", flipped)
+    with pytest.raises(ModelError, match="not self-adjoint"):
+        build_exit_space(tri, tau)

@@ -495,12 +495,39 @@ def test_every_inverse_goes_through_graph_operator():
     assert _sites({"inv", "matrix_rank"}) == {("linrel", "graph_operator")}
 
 
+def _cutting(sites):
+    """The (module, function) sites whose function calls ``_cut``."""
+    out = set()
+    for module, func in sites:
+        tree = ast.parse((SRC / f"{module}.py").read_text())
+        node = next(n for n in ast.walk(tree)
+                    if isinstance(n, ast.FunctionDef) and n.name == func)
+        if any(isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_cut"
+               for n in ast.walk(node)):
+            out.add((module, func))
+    return out
+
+
 def test_every_svd_is_a_linrel_rank_cut():
-    # operator_part's lstsq is the one SVD outside the cut; ROADMAP item 6
-    # lists it among the rank decisions a report should expose
-    assert _sites({"svd", "lstsq", "pinv", "norm2"}) == {
+    """Every SVD is cut by ``_cut``, except complement's, which takes the
+    rank of its orthonormal frame as given; no lstsq or pinv cuts at
+    numpy's own rcond."""
+    assert _sites({"lstsq", "pinv"}) == set()
+    svds = _sites({"svd", "norm2"})
+    assert svds == {
         ("linrel", "orth"), ("linrel", "complement"), ("linrel", "null_space"),
         ("linrel", "rank"), ("linrel", "operator_part")}
+    assert svds - _cutting(svds) == {("linrel", "complement")}
+
+
+def test_every_eigendecomposition_is_pinned():
+    """psd_factor cuts its eigenvalues with ``_cut``; _norm2 and
+    validate_tau read a largest and a smallest eigenvalue and decide no
+    rank."""
+    eigs = _sites({"eig", "eigh", "eigvals", "eigvalsh"})
+    assert eigs == {("exitspace", "psd_factor"), ("linrel", "_norm2"),
+                    ("nevanlinna", "validate_tau")}
+    assert _cutting(eigs) == {("exitspace", "psd_factor")}
 
 
 @pytest.mark.parametrize("T", [full_relation(2), zero_relation(2)])
