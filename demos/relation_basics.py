@@ -11,7 +11,6 @@ from relcomp import (
     classify_symmetry,
     graph_of,
     make_relation,
-    operator_part,
     parts,
     relations_equal,
     resolvent,
@@ -55,9 +54,9 @@ def main():
     ])
     mixed = make_relation(span, 2, 2)
     show("operator (-3) on span e1 plus mul span e2", mixed)
-    split = operator_part(mixed)
-    print("  operator part matrix on its domain:",
-          (split.op_domain_frame.conj().T @ split.op_matrix).real)
+    # parts returns frames, each fixed only up to a unit factor
+    p = parts(mixed)
+    print("  dom frame:", np.abs(p.dom.ravel()), " mul frame:", np.abs(p.mul.ravel()))
 
     # Equality compares subspaces, so frames may differ by any unitary.
     u = np.exp(0.7j)

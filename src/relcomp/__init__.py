@@ -15,7 +15,6 @@ from .linrel import (
     inverse,
     make_relation,
     negate,
-    operator_part,
     parts,
     relations_equal,
     resolvent,
@@ -39,7 +38,6 @@ from .triplet import (
 from .nevanlinna import (
     RationalNevanlinna,
     TauDecomposition,
-    TauLimits,
     decompose_tau,
     eval_tau,
     tau_limits,

@@ -371,8 +371,9 @@ def _exit_dimension(ctx) -> float:
 # The verify suite, in the order it runs; the order fixes the RNG draws.
 CHECKS = {check.name: check for check in (
     Check("decomposition_reassembly", 1e-7, _decomposition_reassembly),
-    Check("limits_analytic_vs_grid", 1e-6,
-          lambda ctx: tau_limits(ctx.tau).grid_residual),
+    # tau(iy) tends to -tau_c at i*infinity
+    Check("limit_parameter", 1e-8,
+          lambda ctx: tau_limits(ctx.tau, negate(ctx.report.tau_c))),
     Check("compression_equivalence", 1e-7, lambda ctx: relations_equal(
         ctx.report.compression, ctx.chain[0])[1]),
     Check("s_direct_matches_theta0", 1e-7, lambda ctx: relations_equal(

@@ -128,8 +128,12 @@ def realize_model(tau1: RationalNevanlinna) -> BoundaryTriplet:
         g1_base[sl, row:row + rj] = -np.eye(rj)            # -f_j
         row += rj
 
+    # S_r = ker (Gamma0_base; G^H Gamma1_base), and its adjoint is
+    # {f-hat: Gamma0_base f-hat in ran G}, read off the unit-scale rows
     s_r_frame = null_space(np.vstack([g0_base, G.conj().T @ g1_base]))
-    seed_r = SymmetricSeed.from_relation(LinearRelation(nr, nr, s_r_frame))
+    s_r_star = null_space(g0_base - ran_g @ (ran_g.conj().T @ g0_base))
+    seed_r = SymmetricSeed(A=LinearRelation(nr, nr, s_r_frame),
+                           A_star=LinearRelation(nr, nr, s_r_star))
 
     e_coef = tau1.a_coef
     g0_amb = g_pinv @ g0_base

@@ -20,20 +20,29 @@ inversion cut; no other routine inverts a matrix.
 DEFAULT_TOL is the single tolerance of the package: no relation, triplet
 or parameter carries one.  Every rank decision is made by ``_cut``,
 with no override: a descending singular value (or eigenvalue) s counts
-when s > DEFAULT_TOL * max(s_max, 1).  ``orth``, ``null_space``,
-``rank`` and ``operator_part`` apply it to the SVD they take,
-``psd_factor`` in the exit-space oracle to the eigenvalues of ``eigh``,
-and ``complement`` takes the rank of its orthonormal frame as given.
-Spectral norms come from ``eigvalsh`` in ``_norm2``, and the PSD test of
-``validate_tau`` reads smallest eigenvalues; neither decides a rank.
-Every equality and containment verdict and the inversion cut of
-``graph_operator`` read DEFAULT_TOL too; the remaining fixed thresholds
-(Green identity, the model's Weyl-function match, pole distance) are
-constants or literals where they are used.
+when s > DEFAULT_TOL * max(s_max, 1).  The cut is relative at and above
+unit scale and absolute below it: a span whose largest singular value
+is under 1 loses every value up to DEFAULT_TOL, so B = 1e-9 I has rank 0
+and ``make_relation(1e-9 * I_4, 2, 2)`` is the zero relation.
+``orth``, ``null_space`` and ``rank`` apply it to the SVD they take,
+``psd_factor`` in the exit-space oracle and ``tau_limits`` to the
+eigenvalues of ``eigh`` and ``eigvalsh``, and ``complement`` takes the
+rank of its orthonormal frame as given.  Spectral norms come from
+``eigvalsh`` in ``_norm2``, and the PSD test of ``validate_tau`` reads
+smallest eigenvalues; neither decides a rank.  Every equality and
+containment verdict and the inversion cut of ``graph_operator`` read
+DEFAULT_TOL too; the remaining fixed thresholds (Green identity, the
+model's Weyl-function match, pole distance) are constants or literals
+where they are used.
+
+A relation-valued function F(iy) tends to a relation at i*infinity when
+its gap to it vanishes; ``gap_limit`` is the one rule that measures such
+a limit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -145,19 +154,6 @@ class PartsReport:
     mul: np.ndarray
 
 
-@dataclass(frozen=True)
-class OperatorPartSplit:
-    """Split of a symmetric relation theta = B (+) mul theta.
-
-    op_matrix maps dom-coordinates (columns of op_domain_frame) to ambient
-    vectors orthogonal to mul theta.
-    """
-
-    mul_frame: np.ndarray
-    op_domain_frame: np.ndarray
-    op_matrix: np.ndarray
-
-
 def make_relation(raw_span, dim_from: int, dim_to: int) -> LinearRelation:
     """Orthonormalize a raw span matrix into a LinearRelation."""
     raw_span = _as_complex(raw_span)
@@ -252,6 +248,19 @@ def relations_equal(T1: LinearRelation, T2: LinearRelation):
     return resid < DEFAULT_TOL, resid
 
 
+def gap_limit(relation_at: Callable[[complex], LinearRelation],
+              target: LinearRelation, y1: float) -> float:
+    """Richardson value |y2 g(y2) - y1 g(y1)| / (y2 - y1), y2 = 10 y1, of
+    the gap g(y) = ``relations_equal(relation_at(iy), target)[1]``.
+
+    When the relation tends to target with a gap c/y + O(1/y^2), this is
+    O(1/y1^2); when it tends elsewhere, or has another dimension, it stays
+    of the size of the gap."""
+    y2 = 10.0 * y1
+    g1, g2 = (relations_equal(relation_at(1j * y), target)[1] for y in (y1, y2))
+    return abs(y2 * g2 - y1 * g1) / (y2 - y1)
+
+
 def contains(big: LinearRelation, small: LinearRelation) -> bool:
     """small subseteq big within tolerance."""
     _check_ambient(big, small)
@@ -272,41 +281,6 @@ def classify_symmetry(T: LinearRelation) -> str:
     if _norm2(green) >= DEFAULT_TOL:
         return "not_symmetric"
     return "self_adjoint" if T.dim == T.dim_from else "symmetric"
-
-
-def operator_part(theta: LinearRelation) -> OperatorPartSplit:
-    """Split a symmetric relation into its operator part and multivalued part.
-
-    One SVD L = U S V^H of the left half L of theta's frame, cut by
-    ``_cut`` at rank k, gives dom theta = ran U_k, the coefficients
-    V_k S_k^{-1} that reach each dom column inside theta, and ker L, whose
-    image R ker L under the right half is mul theta.  Raises ValueError if
-    dom theta is not orthogonal to mul theta (which a symmetric relation
-    guarantees).
-    """
-    if theta.dim_from != theta.dim_to:
-        raise ValueError("operator part is defined for relations in a single space")
-    u, s, vh = np.linalg.svd(theta.left, full_matrices=True)
-    k = _cut(s)
-    dom = u[:, :k]
-    mul = orth(theta.right @ vh[k:].conj().T)
-    overlap = _norm2(mul.conj().T @ dom)
-    if overlap > 100 * DEFAULT_TOL:
-        raise ValueError(f"dom theta not orthogonal to mul theta (overlap {overlap:.2e})")
-    f_prime = theta.right @ (vh[:k].conj().T / s[:k])
-    op = f_prime - mul @ (mul.conj().T @ f_prime)
-    return OperatorPartSplit(mul_frame=mul, op_domain_frame=dom, op_matrix=op)
-
-
-def reassemble_operator_part(split: OperatorPartSplit, n: int) -> LinearRelation:
-    """Rebuild {{h, Bh + k}: h in dom, k in mul} from a split."""
-    d0 = split.op_domain_frame.shape[1]
-    k = split.mul_frame.shape[1]
-    cols = np.zeros((2 * n, d0 + k), dtype=complex)
-    cols[:n, :d0] = split.op_domain_frame
-    cols[n:, :d0] = split.op_matrix
-    cols[n:, d0:] = split.mul_frame
-    return make_relation(cols, n, n)
 
 
 def graph_operator(left, right) -> np.ndarray:

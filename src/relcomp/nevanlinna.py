@@ -8,26 +8,29 @@ positive semidefinite pole residues at distinct real points:
 
     tau0(lam) = A + lam * B + sum_j A_j / (alpha_j - lam).
 
-Limits at infinity are computed in closed form; a numeric grid estimate is
-kept as a cross-check only.
+The compression of the exit-space extension is read off tau at i*infinity:
+the graph of tau(iy) tends to -tau_c as y grows, with a gap of order 1/y.
+``tau_limits`` measures that limit against a given relation by the one
+limit rule ``linrel.gap_limit``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .linrel import (
     DEFAULT_TOL,
     LinearRelation,
+    _cut,
     complement,
+    gap_limit,
     make_relation,
     null_space,
     orth,
     rank,
 )
-
-DEFAULT_Y_GRID = (1e2, 1e3, 1e4, 1e5, 1e6)
 
 
 @dataclass(frozen=True)
@@ -76,6 +79,14 @@ class RationalNevanlinna:
         """Dimension of H0 = K-perp."""
         return self.dim - self.mul_frame.shape[1]
 
+    @cached_property
+    def op_frame(self) -> np.ndarray:
+        """Read-only orthonormal frame complement(K) of K-perp, built on
+        first use and kept with the parameter."""
+        frame = complement(self.mul_frame, self.dim)
+        frame.setflags(write=False)
+        return frame
+
     def tau0(self, lam: complex) -> np.ndarray:
         """Operator part evaluated at lam, as a d x d matrix that vanishes
         on K."""
@@ -93,15 +104,22 @@ class RationalNevanlinna:
 
 def eval_tau(tau: RationalNevanlinna, lam: complex) -> LinearRelation:
     """The relation {{h, tau0(lam) h + k}: h in K-perp, k in K} inside C^d,
-    spanned by (I - P_K; tau0(lam) + P_K), whose Gram matrix
-    I + tau0(lam)^H tau0(lam) leaves the cut of ``orth`` nothing to decide."""
+    with the frame [Q, (0; K)].
+
+    Q is the QR factor of (h0; tau0(lam) h0) on the frame h0 = ``op_frame``
+    of K-perp.  h0 is orthonormal, so that span has rank dim K-perp however
+    large tau0(lam) is, and no rank is decided.  Q is orthogonal to (0; K),
+    since the Hermitian coefficients of tau0 vanish on K."""
     if lam.imag == 0:
         raise ValueError("tau is evaluated on the real axis")
     if any(abs(lam - alpha) < 1e-12 for alpha, _ in tau.poles):
         raise ValueError(f"evaluation at a pole of tau: {lam}")
-    proj_k = tau.mul_frame @ tau.mul_frame.conj().T
-    frame = np.vstack([np.eye(tau.dim) - proj_k, tau.tau0(lam) + proj_k])
-    return make_relation(frame, tau.dim, tau.dim)
+    h0, d = tau.op_frame, tau.dim
+    p = h0.shape[1]
+    frame = np.zeros((2 * d, d), dtype=complex)
+    frame[:, :p] = np.linalg.qr(np.vstack([h0, tau.tau0(lam) @ h0]))[0]
+    frame[d:, p:] = tau.mul_frame
+    return LinearRelation(d, d, frame)
 
 
 def validate_tau(tau: RationalNevanlinna) -> list:
@@ -193,42 +211,21 @@ def reassemble_decomposition(tau: RationalNevanlinna, dec: TauDecomposition,
     return make_relation(np.hstack([cols_p, cols_d, cols_k]), d, d)
 
 
-@dataclass(frozen=True)
-class TauLimits:
-    """Closed-form limits at i*infinity of a rational parameter, and the
-    largest discrepancy of the grid estimate from them."""
+def tau_limits(tau: RationalNevanlinna, target: LinearRelation) -> float:
+    """Gap limit (``gap_limit``) of the graph of tau(iy) against ``target``
+    at i*infinity; it is about 0 when tau(iy) tends to target.
 
-    n_dom_frame: np.ndarray
-    n_matrix: np.ndarray
-    grid_residual: float
-
-
-def _richardson(values_by_y):
-    """Eliminate the O(1/y) term from samples at the two largest grid points."""
-    (y1, v1), (y2, v2) = values_by_y[-2:]
-    return (y2 * v2 - y1 * v1) / (y2 - y1)
-
-
-def _growth_estimate(samples):
-    """Grid estimate of the linear-growth coefficient B of F from samples
-    (y, F(iy)), and whether F(iy)/(iy) agrees at the two largest y."""
-    scaled = [(y, m / (1j * y)) for y, m in samples]
-    consistent = np.max(np.abs(scaled[-1][1] - scaled[-2][1]), initial=0.0) < 1e-3
-    return _richardson(scaled), bool(consistent)
-
-
-def tau_limits(tau: RationalNevanlinna) -> TauLimits:
-    """Linear-growth coefficient and strong limit of tau0 at i*infinity.
-
-    Analytically the coefficient is B, the limit domain is ker B in K-perp
-    and the limit acts as A there; grid_residual is the largest entrywise
-    gap between these and their Richardson estimates on DEFAULT_Y_GRID.
-    """
-    ker_b = tau.op_kernel(tau.b_coef)
-    n_matrix = tau.a_coef @ ker_b
-    samples = [(y, tau.tau0(1j * y)) for y in DEFAULT_Y_GRID]
-    b_num, _ = _growth_estimate(samples)
-    n_num = _richardson([(y, m @ ker_b) for y, m in samples])
-    gap = float(max(np.max(np.abs(b_num - tau.b_coef), initial=0.0),
-                    np.max(np.abs(n_num - n_matrix), initial=0.0)))
-    return TauLimits(n_dom_frame=ker_b, n_matrix=n_matrix, grid_residual=gap)
+    The first point is y1 = 1e4 max(1, |alpha_j|, |A_j|_F,
+    (1 + |A|_F + sum_j |A_j|_F) / s), where s is the smallest eigenvalue
+    of B that ``_cut`` keeps; the last term is left out when it keeps none.
+    Past those scales the pole terms have reached their 1/y tail and iyB
+    dominates the bounded terms on ran B.  The factor 1e4 balances the
+    truncation error of the Richardson value, which shrinks like 1/y1^2,
+    against its rounding floor, which grows like eps y1 |B|."""
+    w = np.linalg.eigvalsh(tau.b_coef)[::-1]
+    kept = _cut(w)
+    norms = [np.linalg.norm(aj) for _, aj in tau.poles]
+    scales = [1.0, *(abs(alpha) for alpha, _ in tau.poles), *norms]
+    if kept:
+        scales.append((1.0 + np.linalg.norm(tau.a_coef) + sum(norms)) / w[kept - 1])
+    return gap_limit(lambda lam: eval_tau(tau, lam), target, 1e4 * max(scales))

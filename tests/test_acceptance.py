@@ -29,10 +29,13 @@ from relcomp.linrel import (
     classify_symmetry,
     comp_sum,
     graph_of,
+    inverse,
     make_relation,
+    negate,
     relations_equal,
     zero_relation,
 )
+import relcomp.triplet as triplet
 from relcomp.nevanlinna import RationalNevanlinna
 from relcomp.triplet import (
     GREEN_TOL,
@@ -259,8 +262,9 @@ def test_criterion_7_triplet_layer(corpus, corpus_rng):
     assert theta_checks >= 100 and worst_adj < 1e-7
 
 
-def test_criterion_8_forbidden_asymptotics():
-    """ran B_M inside mul F and limit reconstruction of F on model triplets."""
+def test_criterion_8_forbidden_asymptotics(monkeypatch):
+    """The graph of M(iy) tends to the forbidden relation F at i*infinity
+    on model triplets, and not to J F = {{f', -f}: {f, f'} in F}."""
     cases = [
         model_triplet([None]),          # M = lam
         model_triplet([0.3]),           # M = 1/(0.3-lam)
@@ -271,10 +275,14 @@ def test_criterion_8_forbidden_asymptotics():
     for tri in cases:
         m = gamma_and_weyl(tri, 1j).weyl   # sanity: closed form reachable
         assert np.isfinite(m).all()
-        out = check_forbidden_asymptotics(tri)
-        assert out["grid_consistent"]
-        worst = max(worst, out["ran_B_in_mul_F"], out["relation_residual"])
-    ok = worst < 1e-4
+        worst = max(worst, check_forbidden_asymptotics(tri))
+    forbidden = triplet.forbidden_relation
+    monkeypatch.setattr(triplet, "forbidden_relation",
+                        lambda tri: negate(inverse(forbidden(tri))))
+    rejected = min(check_forbidden_asymptotics(tri) for tri in cases)
+    ok = worst < 1e-6 and rejected > 1e-3
     _report("criterion 8 forbidden asymptotics", ok,
-            f"{len(cases)} model triplets, worst residual {worst:.2e}")
-    assert worst < 1e-4
+            f"{len(cases)} model triplets, worst residual {worst:.2e}, "
+            f"J F in place of F reads at least {rejected:.2e}")
+    assert worst < 1e-6
+    assert rejected > 1e-3

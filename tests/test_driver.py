@@ -16,6 +16,7 @@ from relcomp.linrel import make_relation, negate, relations_equal
 from relcomp.nevanlinna import RationalNevanlinna, eval_tau
 from relcomp.triplet import BoundaryTriplet, SymmetricSeed
 from relcomp.driver import (
+    CHECKS,
     DEMOS,
     Instance,
     InputError,
@@ -28,6 +29,7 @@ from relcomp.driver import (
     run_demo,
     run_verify,
     verify_instance,
+    VerifyContext,
 )
 
 REPO = Path(__file__).resolve().parents[1]
@@ -273,9 +275,9 @@ def test_explicit_verdicts_do_not_depend_on_frame_bases(monkeypatch):
     for plain, rotated in zip(*runs):
         assert [(c.name, c.passed) for c in plain] == [(c.name, c.passed) for c in rotated]
         for a, b in zip(plain, rotated):
-            # the grid estimate extrapolates, and amplifies rounding
-            if a.name != "limits_analytic_vs_grid":
-                assert abs(a.residual - b.residual) <= 1e-14, a.name
+            # the gap limit extrapolates, and amplifies rounding
+            bound = 1e-9 if a.name == "limit_parameter" else 1e-14
+            assert abs(a.residual - b.residual) <= bound, a.name
 
 
 KREIN_POINTS = (0.3 + 1j, -1.1 - 0.6j)
@@ -310,29 +312,41 @@ def test_problem_does_not_depend_on_frame_bases(monkeypatch):
             assert np.max(np.abs(a - b), initial=0.0) <= 1e-13
 
 
-# check -> (owner, attribute, wrapper that injects a fault into the original)
+# the check a fault aims at -> (owner, attribute, wrapper that injects the
+# fault into the original, every check the fault must fail, in CHECKS order)
 FAULTS = {
-    # tau_c with its sign flipped
-    "compression_equivalence": (extension, "compression_param",
-                                lambda param: lambda tau: negate(param(tau))),
+    # tau_c with its sign flipped: tau(iy) tends to -tau_c, not to tau_c
+    "compression_equivalence": (
+        extension, "compression_param",
+        lambda param: lambda tau: negate(param(tau)),
+        ["limit_parameter", "compression_equivalence"]),
     # the gamma(lam) (tau + M)^-1 gamma(conj lam)* term added, not subtracted
     "krein_formula": (extension, "_middle_inverse",
-                      lambda middle: lambda *args: -middle(*args)),
+                      lambda middle: lambda *args: -middle(*args),
+                      ["krein_formula"]),
     # tau0 with B off by 1e-3, but only far up the imaginary axis, where
-    # only the grid estimate looks
-    "limits_analytic_vs_grid": (
+    # only the gap limit looks
+    "limit_parameter": (
         RationalNevanlinna, "tau0",
-        lambda tau0: lambda self, lam: tau0(self, lam) + (abs(lam) > 50) * 1e-3 * lam),
+        lambda tau0: lambda self, lam: tau0(self, lam) + (abs(lam) > 50) * 1e-3 * lam,
+        ["limit_parameter"]),
+    # tau_c with A' built from 1.001 A
+    "scaled_a_prime": (
+        extension, "compression_param",
+        lambda param: lambda tau: param(dataclasses.replace(tau, a_coef=1.001 * tau.a_coef)),
+        ["limit_parameter", "compression_equivalence"]),
 }
 
 
-@pytest.mark.parametrize("check", sorted(FAULTS))
-def test_injected_fault_fails_exactly_its_check(monkeypatch, check):
-    owner, attr, inject = FAULTS[check]
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_injected_fault_fails_exactly_its_check(monkeypatch, fault):
+    owner, attr, inject, failing = FAULTS[fault]
     monkeypatch.setattr(owner, attr, inject(getattr(owner, attr)))
     inst = generate_instance(np.random.default_rng(0), category="b_deficient")
     checks = verify_instance(inst, np.random.default_rng(0))
-    assert [c.name for c in checks if not c.passed] == [check]
+    assert [c.name for c in checks if not c.passed] == failing
+    if "limit_parameter" in failing:
+        assert next(c.residual for c in checks if c.name == "limit_parameter") >= 1e-6
 
 
 def test_verify_builds_one_compression_per_instance(monkeypatch):
@@ -366,7 +380,7 @@ def test_disputed_flag_fails_classification_routes(monkeypatch):
 
 def test_verify_instance_factorization_count(monkeypatch):
     """One verify_instance of a fixed draw (n = 11, boundary dimension 6,
-    dim K = 1, one pole) takes 61 SVDs and 19 eigvalsh calls."""
+    dim K = 1, one pole) takes 53 SVDs and 22 eigvalsh calls."""
     inst = generate_instance(np.random.default_rng(13), 12, 6, 3)
     counts = {"svd": 0, "eigvalsh": 0}
     for name in counts:
@@ -375,7 +389,7 @@ def test_verify_instance_factorization_count(monkeypatch):
             return _factor(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     verify_instance(inst, np.random.default_rng(0))
-    assert counts == {"svd": 61, "eigvalsh": 19}
+    assert counts == {"svd": 53, "eigvalsh": 22}
 
 
 def test_report_names_the_check_that_raised(monkeypatch):
@@ -502,3 +516,31 @@ def test_cli_demo_exit_zero():
     proc = cli("demo", "swap")
     assert proc.returncode == 0
     assert "0.4j" in proc.stdout.replace(" ", "") or "flags" in proc.stdout
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6])
+def test_scaled_tau_keeps_its_verdicts(scale):
+    """On 30 instances drawn with default_rng(3), with tau's A, B and every
+    A_j multiplied by scale, limit_parameter passes on every instance at
+    every scale.  verify passes every instance, except that at 1e6
+    instance 17 raises: its reduced triplet's Green residual, 2.6e-10,
+    exceeds the absolute GREEN_TOL."""
+    threshold = CHECKS["limit_parameter"].threshold
+    known = {17: ("compression_equivalence", "ModelError")} if scale == 1e6 else {}
+    failures = {}
+    rng = np.random.default_rng(3)
+    for i in range(30):
+        inst = generate_instance(rng)
+        inst = dataclasses.replace(
+            inst, tau_a=scale * inst.tau_a, tau_b=scale * inst.tau_b,
+            tau_poles=tuple((alpha, scale * aj) for alpha, aj in inst.tau_poles))
+        ctx = VerifyContext(*build_problem(inst), np.random.default_rng(i))
+        assert CHECKS["limit_parameter"].residual(ctx) < threshold, i
+        try:
+            checks = verify_instance(inst, np.random.default_rng(i))
+        except Exception as exc:
+            assert "Green identity residual" in str(exc), exc
+            failures[i] = (exc.check_name, type(exc).__name__)
+        else:
+            assert all(c.passed for c in checks), (i, checks)
+    assert failures == known

@@ -23,11 +23,9 @@ from relcomp.linrel import (
     intersect,
     inverse,
     make_relation,
-    operator_part,
     orth,
     parts,
     rank,
-    reassemble_operator_part,
     relations_equal,
     resolvent,
     vertical_relation,
@@ -207,55 +205,6 @@ def test_classify_symmetry_green_form_matches_adjoint_route():
     for T, expected in cases:
         assert classify_symmetry(T) == expected
         assert _symmetry_via_adjoint(T) == expected
-
-
-def test_operator_part_vertical():
-    split = operator_part(vertical_relation(1))
-    assert split.mul_frame.shape[1] == 1
-    assert split.op_domain_frame.shape[1] == 0
-
-
-def test_operator_part_diagonal():
-    split = operator_part(graph_of(np.diag([1.0, 2.0])))
-    assert split.mul_frame.shape[1] == 0
-    recovered = split.op_matrix @ np.linalg.inv(split.op_domain_frame)
-    assert np.allclose(recovered, np.diag([1.0, 2.0]))
-
-
-def test_operator_part_kernel_block_assembly():
-    # {{h, -A'h (+) h'}: h in ker B, h' in ran B} for B=diag(0,1), A=diag(3,5)
-    span = np.array([
-        [1.0, 0.0],
-        [0.0, 0.0],
-        [-3.0, 0.0],
-        [0.0, 1.0],
-    ])
-    split = operator_part(make_relation(span, 2, 2))
-    assert subspace_equal(split.mul_frame, np.array([[0.0], [1.0]], dtype=complex))
-    assert subspace_equal(split.op_domain_frame,
-                          np.array([[1.0], [0.0]], dtype=complex))
-    b = split.op_domain_frame.conj().T @ split.op_matrix
-    assert np.allclose(b, [[-3.0]])
-
-
-def test_operator_part_reassembly_roundtrip():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        n = int(rng.integers(1, 5))
-        h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        h = (h + h.conj().T) / 2
-        m = int(rng.integers(0, n + 1))
-        q = np.linalg.qr(rng.standard_normal((n, n))
-                         + 1j * rng.standard_normal((n, n)))[0]
-        dom = q[:, :m]
-        span = np.vstack([
-            np.hstack([dom, np.zeros((n, n - m))]),
-            np.hstack([dom @ (dom.conj().T @ h @ dom), q[:, m:]]),
-        ])
-        theta = make_relation(span, n, n)
-        back = reassemble_operator_part(operator_part(theta), n)
-        eq, resid = relations_equal(theta, back)
-        assert eq, resid
 
 
 def test_selfadjoint_dom_complements_mul():
@@ -516,18 +465,19 @@ def test_every_svd_is_a_linrel_rank_cut():
     svds = _sites({"svd", "norm2"})
     assert svds == {
         ("linrel", "orth"), ("linrel", "complement"), ("linrel", "null_space"),
-        ("linrel", "rank"), ("linrel", "operator_part")}
+        ("linrel", "rank")}
     assert svds - _cutting(svds) == {("linrel", "complement")}
 
 
 def test_every_eigendecomposition_is_pinned():
-    """psd_factor cuts its eigenvalues with ``_cut``; _norm2 and
-    validate_tau read a largest and a smallest eigenvalue and decide no
-    rank."""
+    """psd_factor and tau_limits (the smallest kept eigenvalue of B, which
+    scales its first point y1) cut their eigenvalues with ``_cut``; _norm2
+    and validate_tau read a largest and a smallest eigenvalue and decide
+    no rank."""
     eigs = _sites({"eig", "eigh", "eigvals", "eigvalsh"})
     assert eigs == {("exitspace", "psd_factor"), ("linrel", "_norm2"),
-                    ("nevanlinna", "validate_tau")}
-    assert _cutting(eigs) == {("exitspace", "psd_factor")}
+                    ("nevanlinna", "validate_tau"), ("nevanlinna", "tau_limits")}
+    assert _cutting(eigs) == {("exitspace", "psd_factor"), ("nevanlinna", "tau_limits")}
 
 
 @pytest.mark.parametrize("T", [full_relation(2), zero_relation(2)])

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from relcomp.driver import CHECKS
-from relcomp.extension import rank_sum
+from relcomp.extension import compression_param, rank_sum
 from relcomp.linrel import (
     adjoint,
     complement,
     graph_of,
     make_relation,
+    negate,
     orth,
     relations_equal,
     vertical_relation,
@@ -80,6 +81,29 @@ def test_eval_rejects_poles_and_real_points():
         eval_tau(tau, 0.5 + 0j)
     with pytest.raises(ValueError):
         eval_tau(tau, 1.0 + 0j)
+
+
+@pytest.mark.parametrize("s, y", [(1e3, 1e9), (1e6, 1e6), (1e9, 1e3)])
+def test_eval_keeps_every_direction_when_tau0_is_large(s, y):
+    # |tau0(iy)| is about 1e12, and tau(iy) still has dimension d = 3
+    tau = RationalNevanlinna.build(3, a=np.diag([1.0, 2.0, 3.0]),
+                                   b=s * np.diag([1.0, 1e-3, 0.0]))
+    assert eval_tau(tau, 1j * y).dim == 3
+
+
+def test_eval_frame_is_orthonormal_far_up_the_axis():
+    """dim tau(iy) = d with an orthonormal frame, for y up to 1e12 and
+    every coefficient scaled by 1e6."""
+    rng = np.random.default_rng(53)
+    for _ in range(20):
+        d = int(rng.integers(1, 5))
+        tau = random_tau(rng, d)
+        tau = replace(tau, a_coef=1e6 * tau.a_coef, b_coef=1e6 * tau.b_coef,
+                      poles=tuple((alpha, 1e6 * aj) for alpha, aj in tau.poles))
+        for y in (1e3, 1e6, 1e9, 1e12):
+            frame = eval_tau(tau, 1j * y).frame
+            assert frame.shape[1] == d
+            assert np.max(np.abs(frame.conj().T @ frame - np.eye(d))) < 1e-13
 
 
 def v1_tau(d, a, b, poles, mul_span, lam):
@@ -253,29 +277,37 @@ def test_reassembly_pins_sign_convention():
 
 
 def test_limits_scalar_linear():
-    lim = tau_limits(RationalNevanlinna.build(1, b=[[1.0]]))
-    assert lim.n_dom_frame.shape[1] == 0
+    # tau(iy) = iy tends to the vertical relation {0} (+) C, not to its graph at 0
+    tau = RationalNevanlinna.build(1, b=[[1.0]])
+    assert tau_limits(tau, vertical_relation(1)) < 1e-12
+    assert tau_limits(tau, graph_of([[0.0]])) > 0.5
 
 
 def test_limits_scalar_pole():
-    lim = tau_limits(RationalNevanlinna.build(1, poles=[(0.0, [[1.0]])]))
-    assert lim.n_dom_frame.shape[1] == 1
-    assert np.allclose(lim.n_matrix, [[0.0]])
+    # tau(iy) = 1/(0 - iy) tends to the graph of 0
+    tau = RationalNevanlinna.build(1, poles=[(0.0, [[1.0]])])
+    assert tau_limits(tau, graph_of([[0.0]])) < 1e-12
+    assert tau_limits(tau, vertical_relation(1)) > 0.5
 
 
 def test_limits_constant():
     a = np.array([[1.0, 2.0], [2.0, -1.0]])
-    lim = tau_limits(RationalNevanlinna.build(2, a=a))
-    assert lim.n_dom_frame.shape[1] == 2
-    assert np.max(np.abs(lim.n_matrix - a @ lim.n_dom_frame)) < 1e-12
+    tau = RationalNevanlinna.build(2, a=a)
+    assert tau_limits(tau, graph_of(a)) < 1e-12
+    assert tau_limits(tau, graph_of(1.001 * a)) > 1e-4
 
 
 def test_limits_numeric_cross_check_random():
+    """tau(iy) tends to -tau_c, within the limit_parameter threshold,
+    and a target with A' off by 1e-3 is told apart."""
     rng = np.random.default_rng(43)
+    threshold = CHECKS["limit_parameter"].threshold
     for _ in range(20):
         tau = random_tau(rng, int(rng.integers(1, 4)))
-        assert tau_limits(tau).grid_residual \
-            < CHECKS["limits_analytic_vs_grid"].threshold
+        assert tau_limits(tau, negate(compression_param(tau))) < threshold
+        off = compression_param(replace(tau, a_coef=1.001 * tau.a_coef))
+        if relations_equal(off, compression_param(tau))[1] > 1e-6:
+            assert tau_limits(tau, negate(off)) > threshold
 
 
 def test_growth_identity_on_grid():
