@@ -32,7 +32,6 @@ from .triplet import (
     extension_of,
     forbidden_relation,
     gamma_and_weyl,
-    triplet_report,
     von_neumann_triplet,
 )
 from .nevanlinna import (

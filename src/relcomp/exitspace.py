@@ -164,19 +164,23 @@ class ExitSpaceModel:
 
 def couple(reduced: ReducedProblem, pi_r: BoundaryTriplet) -> ExitSpaceModel:
     """A~ = {f-hat (+) f-hat_r: Gamma0' f-hat = Gamma0^r f-hat_r,
-    Gamma1' f-hat = -Gamma1^r f-hat_r} for the model triplet pi_r."""
+    Gamma1' f-hat = -Gamma1^r f-hat_r} for the model triplet pi_r: S' (+) S_r
+    beside a QR frame of the injective {lift' x (+) lift_r diag(I, -I) x}."""
     pi_p = reduced.pi_prime
     if pi_p.boundary_dim != pi_r.boundary_dim:
         raise ValueError("boundary spaces of the two triplets differ")
     n, nr, d = pi_p.space_dim, pi_r.space_dim, pi_p.boundary_dim
-    g_p, g_r = pi_p.coord_map, pi_r.coord_map
-    m1 = g_p.shape[1]
-    coeff = null_space(np.hstack([g_p, np.vstack([-g_r[:d], g_r[d:]])]))
-    amb_p = pi_p.seed.A_star.frame @ coeff[:m1]
-    amb_r = pi_r.seed.A_star.frame @ coeff[m1:]
-    # rows of the orthonormal diag(frame', frame_r) @ coeff, reordered
-    cols = np.vstack([amb_p[:n], amb_r[:nr], amb_p[n:], amb_r[nr:]])
-    a_tilde = LinearRelation(n + nr, n + nr, cols)
+    mp, mr = pi_p.seed.A.dim, pi_r.seed.A.dim
+    frame = np.zeros((2 * (n + nr), mp + mr + 2 * d), dtype=complex)
+    frame[:2 * n, :mp] = pi_p.seed.A.frame
+    frame[2 * n:, mp:mp + mr] = pi_r.seed.A.frame
+    coupled = frame[:, mp + mr:]
+    coupled[:2 * n] = pi_p.lift
+    coupled[2 * n:] = pi_r.lift * np.repeat([1.0, -1.0], d)
+    coupled[:] = np.linalg.qr(coupled)[0]
+    # rows (f, f', f_r, f_r') reordered to (f, f_r, f', f_r')
+    order = np.r_[:n, 2 * n:2 * n + nr, n:2 * n, 2 * n + nr:2 * (n + nr)]
+    a_tilde = LinearRelation(n + nr, n + nr, frame[order])
     if classify_symmetry(a_tilde) != "self_adjoint":
         raise ModelError("coupled relation is not self-adjoint")
     return ExitSpaceModel(dim_h=n, a_tilde=a_tilde, reduced=reduced, pi_r=pi_r)

@@ -13,9 +13,9 @@ agree, so verdicts are gauge-free.
 
 Every inverse the package takes is the matrix R L^{-1} of a relation with
 frame (L; R): resolvents, ``as_operator``, the middle term of the Krein
-formula, the gamma field and the pseudo-inverse of a model's stacked
-factor.  ``graph_operator`` computes it, from one LU and with the one
-inversion cut; no other routine inverts a matrix.
+formula, the gamma field, a triplet's boundary lift and the model's
+pseudo-inverse.  ``graph_operator`` computes it, from one LU and with the
+one inversion cut; no other routine inverts a matrix.
 
 DEFAULT_TOL is the single tolerance of the package: no relation, triplet
 or parameter carries one.  Every rank decision is made by ``_cut``,

@@ -349,6 +349,41 @@ def test_injected_fault_fails_exactly_its_check(monkeypatch, fault):
         assert next(c.residual for c in checks if c.name == "limit_parameter") >= 1e-6
 
 
+def test_a_wrong_lift_is_caught_although_both_routes_read_it(monkeypatch):
+    """The formula route and the oracle share BoundaryTriplet.lift.  With
+    its Gamma1 half sign-flipped, verify fails or raises, naming a check,
+    on the FAULTS instance and on every instance of the five categories
+    with d >= 1 whose tau has an operator part.  When tau is purely
+    multivalued (K = C^d), both routes read A~ = A0 off the same wrong
+    lift, and verify passes: the oracle is not independent there."""
+    lift = BoundaryTriplet.__dict__["lift"].func
+
+    def flipped(tri):
+        out = lift(tri).copy()
+        out[:, tri.boundary_dim:] *= -1
+        return out
+
+    monkeypatch.setattr(BoundaryTriplet, "lift", property(flipped))
+    corpus = [generate_instance(np.random.default_rng(0), category="b_deficient")]
+    for category in ("random", "k_nontrivial", "transversal", "b_full", "b_deficient"):
+        rng = np.random.default_rng(5)
+        corpus += [generate_instance(rng, category=category) for _ in range(8)]
+    blind = 0
+    for i, inst in enumerate(corpus):
+        try:
+            checks = verify_instance(inst, np.random.default_rng(i))
+        except Exception as exc:
+            assert exc.check_name in CHECKS, i
+            continue
+        failed = [c.name for c in checks if not c.passed]
+        if inst.tau_a.shape[0]:
+            assert failed, i
+        else:
+            assert not failed, i
+            blind += 1
+    assert 0 < blind < len(corpus) // 4
+
+
 def test_verify_builds_one_compression_per_instance(monkeypatch):
     """verify reads C(A~), its flags and n_r off one classify_compression."""
     calls = []
@@ -380,16 +415,16 @@ def test_disputed_flag_fails_classification_routes(monkeypatch):
 
 def test_verify_instance_factorization_count(monkeypatch):
     """One verify_instance of a fixed draw (n = 11, boundary dimension 6,
-    dim K = 1, one pole) takes 53 SVDs and 22 eigvalsh calls."""
+    dim K = 1, one pole) takes 43 SVDs, 20 eigvalsh calls and 21 QRs."""
     inst = generate_instance(np.random.default_rng(13), 12, 6, 3)
-    counts = {"svd": 0, "eigvalsh": 0}
+    counts = {"svd": 0, "eigvalsh": 0, "qr": 0}
     for name in counts:
         def counted(*args, _name=name, _factor=getattr(np.linalg, name), **kwargs):
             counts[_name] += 1
             return _factor(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     verify_instance(inst, np.random.default_rng(0))
-    assert counts == {"svd": 53, "eigvalsh": 22}
+    assert counts == {"svd": 43, "eigvalsh": 20, "qr": 21}
 
 
 def test_report_names_the_check_that_raised(monkeypatch):
@@ -523,8 +558,11 @@ def test_scaled_tau_keeps_its_verdicts(scale):
     """On 30 instances drawn with default_rng(3), with tau's A, B and every
     A_j multiplied by scale, limit_parameter passes on every instance at
     every scale.  verify passes every instance, except that at 1e6
-    instance 17 raises: its reduced triplet's Green residual, 2.6e-10,
-    exceeds the absolute GREEN_TOL."""
+    instance 17 raises: its reduced triplet's Green residual, 6.7e-10,
+    exceeds the absolute GREEN_TOL.  A relative Green threshold would not
+    clear it: that triplet's Gamma' W' has singular values 1.2e6 and
+    8.4e-7 (condition number 1.4e12), so the inversion cut of its lift
+    rejects it too."""
     threshold = CHECKS["limit_parameter"].threshold
     known = {17: ("compression_equivalence", "ModelError")} if scale == 1e6 else {}
     failures = {}

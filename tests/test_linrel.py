@@ -480,6 +480,18 @@ def test_every_eigendecomposition_is_pinned():
     assert _cutting(eigs) == {("exitspace", "psd_factor"), ("nevanlinna", "tau_limits")}
 
 
+def test_every_qr_is_pinned():
+    """No QR decides a rank: eval_tau's (h0; tau0(lam) h0) and the lifted
+    columns of extension_of and couple have full column rank, the model's
+    stacked factor leaves its rank to graph_operator, and instance
+    generation draws random unitaries."""
+    qrs = _sites({"qr"})
+    assert qrs == {("nevanlinna", "eval_tau"), ("exitspace", "realize_model"),
+                   ("triplet", "extension_of"), ("exitspace", "couple"),
+                   ("driver", "_random_unitary")}
+    assert _cutting(qrs) == set()
+
+
 @pytest.mark.parametrize("T", [full_relation(2), zero_relation(2)])
 def test_resolvent_of_relation_without_n_dimensions(T):
     with pytest.raises(SpectrumError):

@@ -28,7 +28,6 @@ from relcomp.triplet import (
     extension_of,
     forbidden_relation,
     gamma_and_weyl,
-    triplet_report,
     von_neumann_triplet,
 )
 
@@ -180,6 +179,75 @@ def test_wrongly_sized_adjoint_frame_raises():
             BoundaryTriplet.from_ambient_maps(bad, tri.gamma0, tri.gamma1)
 
 
+@pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-4])
+def test_maps_that_do_not_vanish_on_a_break_green(eps):
+    """Gamma0 + eps X A.frame^H differs from Gamma0 on A alone; the Green
+    identity over A* rejects it, so no separate check that Gamma
+    vanishes on A is needed."""
+    rng = np.random.default_rng(90)
+    for _ in range(12):
+        n = int(rng.integers(3, 8))
+        d = int(rng.integers(1, n))
+        seed = random_symmetric_seed(rng, n, d=d)
+        tri = von_neumann_triplet(seed, V=random_unitary(rng, d))
+        x = rng.standard_normal((d, n - d)) + 1j * rng.standard_normal((d, n - d))
+        g0 = tri.gamma0 + eps * x @ seed.A.frame.conj().T
+        with pytest.raises(TripletError, match="Green identity residual"):
+            BoundaryTriplet.from_ambient_maps(seed, g0, tri.gamma1)
+
+
+def test_boundary_dimension_other_than_the_deficiency_index_raises():
+    """d = n - dim A + 1 (a zero row appended to both maps, which keeps the
+    Green identity) makes Gamma W non-square, so the lift raises;
+    d = n - dim A - 1 (the last row dropped) breaks the Green identity."""
+    seed = random_symmetric_seed(np.random.default_rng(91), 5, d=2)
+    tri = von_neumann_triplet(seed)
+    zero = np.zeros((1, 10), dtype=complex)
+    with pytest.raises(TripletError, match="not surjective"):
+        BoundaryTriplet.from_ambient_maps(seed, np.vstack([tri.gamma0, zero]),
+                                          np.vstack([tri.gamma1, zero]))
+    with pytest.raises(TripletError, match="Green identity residual"):
+        BoundaryTriplet.from_ambient_maps(seed, tri.gamma0[:1], tri.gamma1[:1])
+
+
+def _constraint_kernel(tri, theta):
+    """Reference A_theta: A*.frame times the kernel of the constraint
+    (I - P_theta) Gamma on A*, whose dimension dim A + dim theta is known."""
+    a_star = tri.seed.A_star
+    g = np.vstack([tri.gamma0, tri.gamma1]) @ a_star.frame
+    vh = np.linalg.svd(g - theta.frame @ (theta.frame.conj().T @ g))[2]
+    return a_star.frame @ vh[vh.shape[0] - tri.seed.A.dim - theta.dim:].conj().T
+
+
+def test_ill_conditioned_explicit_triplet():
+    """(s Gamma0, Gamma1 / s) keeps the Green identity while cond(Gamma W)
+    grows as s^2.  At s = 1e3 (cond 1e6) every A_theta stays within
+    10 eps cond(Gamma W) of the constraint-kernel reference (measured up
+    to 1.2 eps cond); at s = 1e5 (cond 1e10) the inversion cut of the lift
+    rejects the maps."""
+    rng = np.random.default_rng(92)
+    eps = np.finfo(float).eps
+    for _ in range(10):
+        n = int(rng.integers(3, 9))
+        seed = random_symmetric_seed(rng, n, d=int(rng.integers(1, n // 2 + 1)))
+        base = von_neumann_triplet(seed)
+        d = base.boundary_dim
+        tri = BoundaryTriplet.from_ambient_maps(seed, 1e3 * base.gamma0, base.gamma1 / 1e3)
+        w = np.linalg.svd(seed.A_star.frame.conj().T @ seed.A.frame)[0][:, seed.A.dim:]
+        cond = np.linalg.cond(np.vstack([tri.gamma0, tri.gamma1]) @ seed.A_star.frame @ w)
+        assert 1e5 < cond < 1e7
+        thetas = [vertical_relation(d), graph_of(np.zeros((d, d)))] + [
+            make_relation(rng.standard_normal((2 * d, r))
+                          + 1j * rng.standard_normal((2 * d, r)), d, d)
+            for r in range(2 * d + 1)]
+        for theta in thetas:
+            ext = extension_of(tri, theta)
+            ref = LinearRelation(n, n, _constraint_kernel(tri, theta))
+            assert relations_equal(ext, ref)[1] <= 10 * eps * cond
+        with pytest.raises(TripletError, match="not surjective"):
+            BoundaryTriplet.from_ambient_maps(seed, 1e5 * base.gamma0, base.gamma1 / 1e5)
+
+
 def test_a0_built_once_per_triplet():
     seed = random_symmetric_seed(np.random.default_rng(12), 4, d=2)
     tri = von_neumann_triplet(seed)
@@ -218,9 +286,10 @@ def test_von_neumann_green_residual():
         d = seed.space_dim - seed.A.dim
         tri = von_neumann_triplet(seed, V=random_unitary(rng, d))
         assert check_green(tri) < GREEN_TOL
-        rep = triplet_report(tri)
-        assert rep["surjective"]
-        assert rep["kernel_vs_A"] < 1e-8
+        # Gamma vanishes on A, and the lift inverts it on A* (-) A
+        gamma = np.vstack([tri.gamma0, tri.gamma1])
+        assert np.max(np.abs(gamma @ seed.A.frame), initial=0.0) < 1e-12
+        assert np.max(np.abs(gamma @ tri.lift - np.eye(2 * d)), initial=0.0) < 1e-12
 
 
 @pytest.mark.parametrize("d", [1, 3, 8])
