@@ -19,11 +19,11 @@ import numpy as np
 
 from .linrel import (
     LinearRelation,
+    _cut,
     classify_symmetry,
     contains,
     graph_operator,
     make_relation,
-    orth,
     rank,
     relations_equal,
 )
@@ -81,11 +81,15 @@ def compression_param(tau: RationalNevanlinna) -> LinearRelation:
     """Boundary relation tau_c of the compression C(A~):
 
     {{h, -A'h (+) h' (+) k}: h in ker B cap K-perp, h' in ran B, k in K},
-    where A' compresses the constant coefficient to ker B cap K-perp.
+    where A' compresses the constant coefficient to ker B cap K-perp, and
+    ran B and ker B cap K-perp are the two parts of row 0 of ``spectra``
+    that ``_cut`` splits.
     """
     d = tau.dim
-    ker_b = tau.op_kernel(tau.b_coef)
-    mul = np.hstack([orth(tau.b_coef), tau.mul_frame])
+    values, vectors = tau.spectra
+    rank_b = _cut(values[0])
+    ker_b = vectors[0][:, rank_b:]
+    mul = np.hstack([vectors[0][:, :rank_b], tau.mul_frame])
     a_prime = ker_b @ (ker_b.conj().T @ tau.a_coef @ ker_b)
     cols_dom = np.vstack([ker_b, -a_prime])
     cols_mul = np.vstack([np.zeros_like(mul), mul])
@@ -128,11 +132,11 @@ def flags_geometric(tri: BoundaryTriplet, C: LinearRelation) -> dict:
 
 
 def flags_coefficients(tau: RationalNevanlinna) -> dict:
-    """Flags of C(A~) read off tau: C = A0 iff ker B is trivial, and C is
-    transversal with A0 iff K = {0} and B = 0.  Both facts come from the
-    one kernel frame of B in K-perp, so they follow the cut of
-    ``null_space``."""
-    ker_b_dim = tau.op_kernel(tau.b_coef).shape[1]
+    """Flags of C(A~) read off tau: C = A0 iff ker B cap K-perp is trivial,
+    and C is transversal with A0 iff K = {0} and B = 0.  Both facts come
+    from rank B, ``_cut`` of row 0 of ``spectra``, the split that
+    ``compression_param`` reads ker B off too."""
+    ker_b_dim = tau.op_dim - _cut(tau.spectra[0][0])
     return {
         "subset_A0": ker_b_dim == 0,
         "equals_A0": ker_b_dim == 0,
@@ -143,8 +147,9 @@ def flags_coefficients(tau: RationalNevanlinna) -> dict:
 
 
 def rank_sum(tau: RationalNevanlinna) -> int:
-    """Exit-space dimension rank B + sum_j rank A_j of a rational parameter."""
-    return sum(rank(m) for m in (tau.b_coef, *(aj for _, aj in tau.poles)))
+    """Exit-space dimension rank B + sum_j rank A_j of a rational parameter,
+    each rank ``_cut`` of its row of ``spectra``."""
+    return sum(_cut(row) for row in tau.spectra[0])
 
 
 def classify_compression(tri: BoundaryTriplet,

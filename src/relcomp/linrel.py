@@ -24,10 +24,14 @@ when s > DEFAULT_TOL * max(s_max, 1).  The cut is relative at and above
 unit scale and absolute below it: a span whose largest singular value
 is under 1 loses every value up to DEFAULT_TOL, so B = 1e-9 I has rank 0
 and ``make_relation(1e-9 * I_4, 2, 2)`` is the zero relation.
-``orth``, ``null_space`` and ``rank`` apply it to the SVD they take,
-``psd_factor`` in the exit-space oracle and ``tau_limits`` to the
-eigenvalues of ``eigh`` and ``eigvalsh``, and ``complement`` takes the
-rank of its orthonormal frame as given.  Spectral norms come from
+``orth``, ``null_space`` and ``rank`` apply it to the SVD they take and
+``psd_factor`` in the exit-space oracle to the eigenvalues of its
+``eigh``.  Every rank of a parameter's B or A_j in the formula route
+(the split of tau_c, the coefficient flags, the exit dimension, the
+first point of ``tau_limits`` and the vanishing pole terms of
+``validate_tau``) is the cut of that coefficient's row of
+``RationalNevanlinna.spectra``, one stacked ``eigh``.  ``complement``
+takes the rank of its orthonormal frame as given.  Spectral norms come from
 ``eigvalsh`` in ``_norm2``, and the PSD test of ``validate_tau`` reads
 smallest eigenvalues; neither decides a rank.  Every equality and
 containment verdict and the inversion cut of ``graph_operator`` read

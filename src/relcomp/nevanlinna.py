@@ -29,7 +29,6 @@ from .linrel import (
     make_relation,
     null_space,
     orth,
-    rank,
 )
 
 
@@ -87,6 +86,23 @@ class RationalNevanlinna:
         frame.setflags(write=False)
         return frame
 
+    @cached_property
+    def spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only descending eigenvalues, (L + 1) x p, and eigenvectors
+        h0 v, (L + 1) x d x p, of the Hermitian parts of B, A_1 ... A_L on
+        K-perp, h0 = ``op_frame``, from one stacked ``eigh``; row 0 is B.
+
+        Every rank of these coefficients is ``_cut`` of its row, and the
+        first ``_cut`` eigenvectors of row 0 span ran B, the others
+        ker B in K-perp."""
+        h0 = self.op_frame
+        c = h0.conj().T @ np.array([self.b_coef, *(aj for _, aj in self.poles)]) @ h0
+        w, v = np.linalg.eigh((c + c.conj().transpose(0, 2, 1)) / 2)
+        values, vectors = w[:, ::-1], h0 @ v[:, :, ::-1]
+        values.setflags(write=False)
+        vectors.setflags(write=False)
+        return values, vectors
+
     def tau0(self, lam: complex) -> np.ndarray:
         """Operator part evaluated at lam, as a d x d matrix that vanishes
         on K."""
@@ -94,12 +110,6 @@ class RationalNevanlinna:
         for alpha, aj in self.poles:
             out = out + aj / (alpha - lam)
         return out
-
-    def op_kernel(self, *coefs) -> np.ndarray:
-        """Orthonormal frame of ker(coefs) inside K-perp; the rows of K^H add
-        dim K unit singular values, which leave the cut of ``null_space``
-        where the coefficients on K-perp put it."""
-        return null_space(np.vstack([*coefs, self.mul_frame.conj().T]))
 
 
 def eval_tau(tau: RationalNevanlinna, lam: complex) -> LinearRelation:
@@ -128,7 +138,8 @@ def validate_tau(tau: RationalNevanlinna) -> list:
     Each coefficient m must vanish on K, be Hermitian and (except A) be
     PSD up to the relative cut 100 DEFAULT_TOL max(1, max|m|), since the
     rounding of ``build``'s embedding h0 m h0^H grows with |m|; the Gram
-    check of the K frame stays absolute."""
+    check of the K frame stays absolute.  A PSD pole term vanishes when
+    ``_cut`` of its row of ``spectra`` keeps no eigenvalue."""
     issues = []
     d = tau.dim
     scale = 100 * DEFAULT_TOL
@@ -156,10 +167,10 @@ def validate_tau(tau: RationalNevanlinna) -> list:
     alphas = [alpha for alpha, _ in tau.poles]
     if len(set(alphas)) != len(alphas) or any(abs(a - b) < 1e-9 for i, a in enumerate(alphas) for b in alphas[:i]):
         issues.append("pole locations not distinct")
-    for j, (alpha, aj) in enumerate(tau.poles):
+    for j, row in enumerate(tau.spectra[0][1:]):
         if not_psd[2 + j]:
             issues.append(f"pole {j}: residue not PSD")
-        if rank(aj) == 0:
+        elif _cut(row) == 0:
             issues.append(f"pole {j}: pole term vanishes")
     return issues
 
@@ -184,7 +195,9 @@ class TauDecomposition:
 def decompose_tau(tau: RationalNevanlinna) -> TauDecomposition:
     """Split K-perp into ker(Im tau0) and its complement, and compress tau0
     to a uniformly strict function on the complement."""
-    hd = tau.op_kernel(tau.b_coef, *(aj for _, aj in tau.poles))
+    # the rows of K^H keep the kernel inside K-perp
+    hd = null_space(np.vstack([tau.b_coef, *(aj for _, aj in tau.poles),
+                               tau.mul_frame.conj().T]))
     hp = complement(np.hstack([hd, tau.mul_frame]), tau.dim)
     q = hp.shape[1]
     b1 = -(hp.conj().T @ tau.a_coef @ hd)
@@ -217,12 +230,13 @@ def tau_limits(tau: RationalNevanlinna, target: LinearRelation) -> float:
 
     The first point is y1 = 1e4 max(1, |alpha_j|, |A_j|_F,
     (1 + |A|_F + sum_j |A_j|_F) / s), where s is the smallest eigenvalue
-    of B that ``_cut`` keeps; the last term is left out when it keeps none.
+    of B (row 0 of ``spectra``) that ``_cut`` keeps; the last term is left
+    out when it keeps none.
     Past those scales the pole terms have reached their 1/y tail and iyB
     dominates the bounded terms on ran B.  The factor 1e4 balances the
     truncation error of the Richardson value, which shrinks like 1/y1^2,
     against its rounding floor, which grows like eps y1 |B|."""
-    w = np.linalg.eigvalsh(tau.b_coef)[::-1]
+    w = tau.spectra[0][0]
     kept = _cut(w)
     norms = [np.linalg.norm(aj) for _, aj in tau.poles]
     scales = [1.0, *(abs(alpha) for alpha, _ in tau.poles), *norms]

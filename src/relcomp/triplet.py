@@ -26,7 +26,6 @@ from .linrel import (
     graph_operator,
     make_relation,
     null_space,
-    orth,
     resolvent,
     vertical_relation,
 )
@@ -256,12 +255,10 @@ def check_weyl_identities(tri: BoundaryTriplet, lam: complex, z: complex):
 
 
 def forbidden_relation(tri: BoundaryTriplet) -> LinearRelation:
-    """Image under the boundary maps of {0} (+) mul A*."""
-    n = tri.space_dim
+    """Image under the boundary maps of {0} (+) mul A*, whose orthonormal
+    frame is the frame of A* times that of ker of its left half."""
     a_star = tri.seed.A_star
-    mul_frame = orth(a_star.right @ null_space(a_star.left))
-    return _boundary_image(
-        tri, np.vstack([np.zeros((n, mul_frame.shape[1]), dtype=complex), mul_frame]))
+    return _boundary_image(tri, a_star.frame @ null_space(a_star.left))
 
 
 def check_forbidden_asymptotics(tri: BoundaryTriplet) -> float:

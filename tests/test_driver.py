@@ -301,7 +301,8 @@ def test_problem_does_not_depend_on_frame_bases(monkeypatch):
         inst = generate_instance(rng, 12, 6, 3)
         if inst.tau_mul.shape[1]:   # K != {0}
             tri, tau = build_problem(inst)
-            data.append((inst.dim, inst.seed_span, tri.gamma0, tri.gamma1, vars(tau)))
+            fields = {f.name: getattr(tau, f.name) for f in dataclasses.fields(tau)}
+            data.append((inst.dim, inst.seed_span, tri.gamma0, tri.gamma1, fields))
     plain = [_ambient_problem(*args) for args in data]
     _rotate_frames(monkeypatch)
     rotated = [_ambient_problem(*args) for args in data]
@@ -415,16 +416,18 @@ def test_disputed_flag_fails_classification_routes(monkeypatch):
 
 def test_verify_instance_factorization_count(monkeypatch):
     """One verify_instance of a fixed draw (n = 11, boundary dimension 6,
-    dim K = 1, one pole) takes 43 SVDs, 20 eigvalsh calls and 21 QRs."""
+    dim K = 1, one pole) takes 36 SVDs, 19 eigvalsh calls, 3 eigh calls
+    (the parameter's ``spectra`` and the oracle's two ``psd_factor``
+    calls) and 21 QRs."""
     inst = generate_instance(np.random.default_rng(13), 12, 6, 3)
-    counts = {"svd": 0, "eigvalsh": 0, "qr": 0}
+    counts = {"svd": 0, "eigvalsh": 0, "eigh": 0, "qr": 0}
     for name in counts:
         def counted(*args, _name=name, _factor=getattr(np.linalg, name), **kwargs):
             counts[_name] += 1
             return _factor(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     verify_instance(inst, np.random.default_rng(0))
-    assert counts == {"svd": 43, "eigvalsh": 20, "qr": 21}
+    assert counts == {"svd": 36, "eigvalsh": 19, "eigh": 3, "qr": 21}
 
 
 def test_report_names_the_check_that_raised(monkeypatch):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from relcomp import driver
+from relcomp import driver, nevanlinna
 from relcomp.driver import CHECKS, VerifyContext, admissible_lambdas, krein_residuals
 from relcomp.exitspace import build_exit_space, generalized_resolvent_direct
 from relcomp.extension import (
@@ -16,10 +16,12 @@ from relcomp.extension import (
 )
 from relcomp.linrel import (
     DEFAULT_TOL,
+    _cut,
     classify_symmetry,
     graph_of,
     make_relation,
     negate,
+    rank,
     relations_equal,
     resolvent,
     vertical_relation,
@@ -248,8 +250,9 @@ def test_transversal_gives_operator_parameter():
 
 @pytest.mark.parametrize("s", [1e-6, 1e-8, 2e-9, 1e-10])
 def test_flag_routes_agree_for_a_small_linear_coefficient(s):
-    """Both routes decide whether B = s I vanishes by the cut of null_space,
-    so they agree on either side of it."""
+    """Both routes decide whether B = s I vanishes by the cut of row 0 of
+    ``spectra``, which ``compression_param`` splits too, so they agree on
+    either side of it."""
     tri = model_triplet([None])
     tau = RationalNevanlinna.build(1, b=[[s]], poles=[(0.0, [[1.0]])])
     assert flags_geometric(tri, compression(tri, tau)) == flags_coefficients(tau)
@@ -257,6 +260,39 @@ def test_flag_routes_agree_for_a_small_linear_coefficient(s):
     flags = classify_compression(tri, tau).flags
     assert flags["equals_A0"] == (s > DEFAULT_TOL)
     assert flags["transversal_with_A0"] == (s <= DEFAULT_TOL)
+
+
+def test_every_rank_of_b_is_the_cut_of_its_spectrum(monkeypatch):
+    """B with an eigenvalue at 1.01 or 0.99 times the cut
+    DEFAULT_TOL * max(||B||, 1), beside one at scale 1e-6, 1 or 1e6 or
+    alone, with K = {0} and K != {0}: the codimension of tau_c's domain in
+    K-perp, the coefficient flags, rank_sum and the eigenvalues that
+    tau_limits keeps for its first point y1 all read rank B as ``_cut`` of
+    row 0 of ``spectra``, which keeps exactly the eigenvalues above the
+    cut."""
+    first_points = []
+    monkeypatch.setattr(nevanlinna, "gap_limit",
+                        lambda relation_at, target, y1: first_points.append(y1) or 0.0)
+    rng = np.random.default_rng(47)
+    spectra = [(scale, edge * DEFAULT_TOL * max(scale, 1.0))
+               for scale in (1e-6, 1.0, 1e6) for edge in (1.01, 0.99)]
+    spectra += [(edge * DEFAULT_TOL,) * 2 for edge in (1.01, 0.99)]
+    for d, k in ((2, 0), (4, 2)):
+        mul = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k)) if k else None
+        for w in map(np.array, spectra):
+            u = random_unitary(rng, 2)
+            tau = RationalNevanlinna.build(d, b=(u * w) @ u.conj().T, mul_span=mul)
+            rank_b = _cut(tau.spectra[0][0])
+            assert rank_b == np.count_nonzero(w > DEFAULT_TOL * max(w[0], 1.0))
+            assert 2 - rank(compression_param(tau).left) == rank_b
+            flags = flags_coefficients(tau)
+            assert flags["equals_A0"] == (rank_b == 2)
+            assert flags["transversal_with_A0"] == (k == 0 and rank_b == 0)
+            assert rank_sum(tau) == rank_b
+            tau_limits(tau, vertical_relation(d))
+            # y1 = 1e4 max(1, (1 + |A|_F) / s) for the smallest kept s
+            smallest = w[rank_b - 1] if rank_b else np.inf
+            assert first_points.pop() == pytest.approx(1e4 * max(1.0, 1.0 / smallest))
 
 
 def test_rank_sum():

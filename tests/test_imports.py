@@ -1,4 +1,5 @@
-"""Every module of the package, the tests and the demos uses what it imports."""
+"""Every module of the package, the tests and the demos uses what it
+imports, and README's library example runs on what the package exports."""
 import ast
 from pathlib import Path
 
@@ -26,3 +27,10 @@ def test_no_unused_imports():
     unused = {str(p.relative_to(REPO)): names for p in paths
               if (names := _unused_imports(p))}
     assert unused == {}
+
+
+def test_readme_library_example_runs():
+    readme = (REPO / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})

@@ -470,14 +470,15 @@ def test_every_svd_is_a_linrel_rank_cut():
 
 
 def test_every_eigendecomposition_is_pinned():
-    """psd_factor and tau_limits (the smallest kept eigenvalue of B, which
-    scales its first point y1) cut their eigenvalues with ``_cut``; _norm2
-    and validate_tau read a largest and a smallest eigenvalue and decide
-    no rank."""
+    """psd_factor cuts its eigenvalues with ``_cut``; the parameter's
+    ``spectra`` takes the one eigendecomposition of B and the residues,
+    whose rows its readers cut (validate_tau's pole-vanishing test among
+    them); _norm2 and validate_tau's PSD test read a largest and a
+    smallest eigenvalue and decide no rank."""
     eigs = _sites({"eig", "eigh", "eigvals", "eigvalsh"})
     assert eigs == {("exitspace", "psd_factor"), ("linrel", "_norm2"),
-                    ("nevanlinna", "validate_tau"), ("nevanlinna", "tau_limits")}
-    assert _cutting(eigs) == {("exitspace", "psd_factor"), ("nevanlinna", "tau_limits")}
+                    ("nevanlinna", "validate_tau"), ("nevanlinna", "spectra")}
+    assert _cutting(eigs) == {("exitspace", "psd_factor"), ("nevanlinna", "validate_tau")}
 
 
 def test_every_qr_is_pinned():

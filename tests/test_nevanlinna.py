@@ -170,12 +170,17 @@ def test_validate_rejects_vanishing_pole_term():
     assert any("vanishes" in msg for msg in validate_tau(tau))
 
 
-@pytest.mark.parametrize("residue, rank", [(5e-8, 1), (5e-10, 0)])
+@pytest.mark.parametrize("residue, rank", [(5e-8, 1), (5e-10, 0), (-1.0, 0)])
 def test_pole_term_vanishes_exactly_when_its_rank_is_zero(residue, rank):
-    """validate_tau and rank_sum decide a residue's rank by the one orth cut."""
+    """validate_tau and rank_sum decide a residue's rank by the one cut of
+    its row of ``spectra``.  That cut reads signed eigenvalues, so it keeps
+    none of a negative-definite residue, which is reported as not PSD and
+    not as vanishing."""
     tau = RationalNevanlinna.build(1, poles=[(0.0, [[residue]])])
+    issues = validate_tau(tau)
     assert rank_sum(tau) == rank
-    assert any("vanishes" in msg for msg in validate_tau(tau)) == (rank == 0)
+    assert ("pole 0: residue not PSD" in issues) == (residue < 0)
+    assert ("pole 0: pole term vanishes" in issues) == (rank == 0 and residue >= 0)
 
 
 def test_validate_rejects_coincident_poles():
