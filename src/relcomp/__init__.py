@@ -53,14 +53,11 @@ from .extension import (
 )
 from .exitspace import (
     ExitSpaceModel,
-    ReducedProblem,
     build_exit_space,
-    couple,
     direct_compression,
     generalized_resolvent_direct,
     minimality,
-    realize_model,
-    reduce_parameter,
+    model_maps,
 )
 
 __version__ = "0.1.0"

@@ -1,13 +1,20 @@
 """Explicit exit-space models: brute-force oracle for compressions.
 
-A rational parameter tau is first reduced to a uniformly strict function
-tau1 on a smaller boundary space (absorbing the constant block into a
-symmetric extension S of the seed), tau1 is realized as the Weyl function
-of an explicit model triplet in C^{n_r}, and the two triplets are coupled
-into a self-adjoint relation A~ in C^{n + n_r}.  Compressions and
-generalized resolvents of A~ are then computed directly by subspace
-algebra, with no reference to the resolvent-formula machinery they are
-used to cross-validate.
+A rational parameter tau = {{h, tau0(lam) h + k}: h in K-perp, k in K}
+factors as tau0(lam) = A + G^H M_r(lam) G: G stacks ``psd_factor`` of B
+and of each A_j, and M_r(lam) = diag(lam I, (alpha_j - lam)^{-1} I) is the
+Weyl function of block model maps (Gamma0^r, Gamma1^r) on the trivial
+seed {{0, 0}} in C^{n_r}.  Coupling those maps to the given triplet gives
+the self-adjoint relation
+
+    A~ = {f-hat (+) f-hat_r: f-hat in A*, h = Gamma0 f-hat in K-perp,
+          G h = Gamma0^r f-hat_r, Gamma1 f-hat + A h + G^H Gamma1^r f-hat_r in K}
+
+in C^{n + n_r}, read off one null space.  Building A~ reads only Gamma0,
+Gamma1, A*, tau's coefficients and K: no boundary lift, extension, Weyl
+function or ``spectra`` of the formula route that it cross-validates.
+Compressions and generalized resolvents of A~ are then computed directly
+by subspace algebra.
 """
 from __future__ import annotations
 
@@ -17,67 +24,21 @@ import numpy as np
 
 from .linrel import (
     LinearRelation,
-    SpectrumError,
     _cut,
-    adjoint,
     classify_symmetry,
+    complement,
     containment_residual,
-    graph_operator,
     make_relation,
-    negate,
     null_space,
     orth,
     resolvent,
 )
-from .nevanlinna import RationalNevanlinna, decompose_tau
-from .triplet import (
-    BoundaryTriplet,
-    SymmetricSeed,
-    extension_of,
-    forbidden_relation,
-    gamma_and_weyl,
-)
+from .nevanlinna import RationalNevanlinna
+from .triplet import BoundaryTriplet, extension_of
 
 
 class ModelError(RuntimeError):
     """An internal consistency check of the oracle construction failed."""
-
-
-@dataclass(frozen=True)
-class ReducedProblem:
-    """Symmetric extension S absorbing the constant block of tau, with a
-    boundary triplet for S* whose parameter is the uniformly strict tau1."""
-
-    s_rel: LinearRelation
-    pi_prime: BoundaryTriplet
-    tau1: RationalNevanlinna
-
-
-def reduce_parameter(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ReducedProblem:
-    """Absorb the kernel block (B1, B2) and the multivalued part of tau into
-    the extension S = A_theta0 and restrict the boundary maps to S*.
-
-    S* is read in the boundary space, as (A_theta)* = A_{theta*}: the
-    extension for theta0*, with no adjoint taken in C^n (+) C^n.
-    """
-    if tau.dim != tri.boundary_dim:
-        raise ValueError("parameter dimension does not match the boundary space")
-    dec = decompose_tau(tau)
-    d = tau.dim
-    hp, hd = dec.h_prime, dec.h_dprime
-    # theta0 = {{h'', B1 h'' (+) B2 h'' (+) k}}
-    cols_dom = np.vstack([hd, hp @ dec.b1 + hd @ dec.b2])
-    cols_mul = np.vstack([np.zeros_like(tau.mul_frame), tau.mul_frame])
-    theta0 = make_relation(np.hstack([cols_dom, cols_mul]), d, d)
-    S = extension_of(tri, theta0)
-    seed_prime = SymmetricSeed(A=S, A_star=extension_of(tri, adjoint(theta0)))
-    g0p = hp.conj().T @ tri.gamma0
-    g1p = hp.conj().T @ tri.gamma1 - dec.b1 @ (hd.conj().T @ tri.gamma0)
-    try:
-        pi_prime = BoundaryTriplet.from_ambient_maps(seed_prime, g0p, g1p)
-    except Exception as exc:
-        raise ModelError(f"reduced triplet invalid: {exc}") from exc
-    return ReducedProblem(s_rel=S, pi_prime=pi_prime, tau1=dec.tau1)
 
 
 def psd_factor(m: np.ndarray) -> np.ndarray:
@@ -88,108 +49,80 @@ def psd_factor(m: np.ndarray) -> np.ndarray:
     return (np.sqrt(w[keep])[:, None] * v[:, keep].conj().T).astype(complex)
 
 
-def realize_model(tau1: RationalNevanlinna) -> BoundaryTriplet:
-    """Build a model triplet, for a symmetric relation in C^{n_r}, whose
-    Weyl function is tau1.
+def model_maps(tau: RationalNevanlinna) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(G, Gamma0^r, Gamma1^r): the n_r x d stack G of ``psd_factor`` of B
+    and of each A_j, and n_r x 2n_r block boundary maps on ambient pairs
+    (f_r, f_r') of C^{n_r}.
 
-    The model space stacks one block per rank factor of the linear
-    coefficient and of each pole residue; the base boundary maps produce
-    blockwise Weyl functions lam*I and (alpha_j - lam)^{-1} I, and a column
-    transform by G = stack of the factors turns their combination into tau1.
+    A row of B's block maps (f, f') to (f, f'), a row of pole j's block to
+    (f' - alpha_j f, -f).  On the trivial seed the defect space at lam is
+    {f' = lam f}, so their Weyl function is M_r(lam) =
+    diag(lam I, (alpha_j - lam)^{-1} I) and A + G^H M_r(lam) G = tau0(lam).
     """
-    if tau1.mul_frame.shape[1]:
-        raise ValueError("tau1 must have trivial multivalued part")
-    q = tau1.op_dim
-    d_fac = psd_factor(tau1.b_coef)
-    c_facs = [(alpha, psd_factor(aj)) for alpha, aj in tau1.poles]
-    G = np.vstack([d_fac] + [c for _, c in c_facs])
-    nr = G.shape[0]
-    # G = ran_g r is injective iff r is boundedly invertible; then ran_g
-    # spans ran G and r^{-1} ran_g^H is the pseudo-inverse of G
-    ran_g, r = np.linalg.qr(G)
-    try:
-        g_pinv = graph_operator(r, np.eye(q, dtype=complex)) @ ran_g.conj().T
-    except SpectrumError as exc:
-        raise ValueError("tau1 is not uniformly strict: stacked factor not injective") from exc
-
-    # base boundary maps on the trivial seed {{0,0}} in C^nr, acting on
-    # ambient pairs (f, f'); row blocks follow the block layout of H_r
-    g0_base = np.zeros((nr, 2 * nr), dtype=complex)
-    g1_base = np.zeros((nr, 2 * nr), dtype=complex)
-    rb = d_fac.shape[0]
-    g0_base[:rb, :rb] = np.eye(rb)          # f_B
-    g1_base[:rb, nr:nr + rb] = np.eye(rb)   # f'_B
-    row = rb
-    for alpha, c in c_facs:
-        rj = c.shape[0]
-        sl = slice(row, row + rj)
-        g0_base[sl, row:row + rj] = -alpha * np.eye(rj)
-        g0_base[sl, nr + row:nr + row + rj] = np.eye(rj)   # f'_j - alpha f_j
-        g1_base[sl, row:row + rj] = -np.eye(rj)            # -f_j
-        row += rj
-
-    # S_r = ker (Gamma0_base; G^H Gamma1_base), and its adjoint is
-    # {f-hat: Gamma0_base f-hat in ran G}, read off the unit-scale rows
-    s_r_frame = null_space(np.vstack([g0_base, G.conj().T @ g1_base]))
-    s_r_star = null_space(g0_base - ran_g @ (ran_g.conj().T @ g0_base))
-    seed_r = SymmetricSeed(A=LinearRelation(nr, nr, s_r_frame),
-                           A_star=LinearRelation(nr, nr, s_r_star))
-
-    e_coef = tau1.a_coef
-    g0_amb = g_pinv @ g0_base
-    g1_amb = G.conj().T @ g1_base + e_coef @ g0_amb
-    pi_r = BoundaryTriplet.from_ambient_maps(seed_r, g0_amb, g1_amb)
-    for lam in (1j, 2j, -1j, 0.5 + 1j, -1.5 + 0.7j):
-        m = gamma_and_weyl(pi_r, lam).weyl
-        if np.max(np.abs(m - tau1.tau0(lam)), initial=0.0) > 1e-8:
-            raise ModelError(f"model Weyl function does not match tau1 at {lam}")
-    return pi_r
+    facs = [psd_factor(tau.b_coef), *(psd_factor(aj) for _, aj in tau.poles)]
+    sizes = [f.shape[0] for f in facs]
+    b = np.repeat([1.0] + [0.0] * len(tau.poles), sizes)     # 1 on B's rows
+    alpha = np.repeat([0.0, *(alpha for alpha, _ in tau.poles)], sizes)
+    g0 = np.hstack([np.diag(b - alpha), np.diag(1 - b)])
+    g1 = np.hstack([np.diag(b - 1), np.diag(b)])
+    return np.vstack(facs), g0, g1
 
 
 @dataclass(frozen=True)
 class ExitSpaceModel:
-    """Self-adjoint coupling A~ in C^{n + dim_r} of the reduced problem with
-    the model triplet pi_r in C^{dim_r}; base-space coordinates come first
-    in both pair components."""
+    """Self-adjoint A~ in C^{n + dim_r}, base-space coordinates first in
+    both pair components, with the factor model it couples: G
+    (``factor``), the model maps and the oracle's own frame of K-perp."""
 
     dim_h: int
     a_tilde: LinearRelation
-    reduced: ReducedProblem
-    pi_r: BoundaryTriplet
+    factor: np.ndarray
+    gamma0_r: np.ndarray
+    gamma1_r: np.ndarray
+    op_frame: np.ndarray
 
     @property
     def dim_r(self) -> int:
-        return self.pi_r.space_dim
-
-
-def couple(reduced: ReducedProblem, pi_r: BoundaryTriplet) -> ExitSpaceModel:
-    """A~ = {f-hat (+) f-hat_r: Gamma0' f-hat = Gamma0^r f-hat_r,
-    Gamma1' f-hat = -Gamma1^r f-hat_r} for the model triplet pi_r: S' (+) S_r
-    beside a QR frame of the injective {lift' x (+) lift_r diag(I, -I) x}."""
-    pi_p = reduced.pi_prime
-    if pi_p.boundary_dim != pi_r.boundary_dim:
-        raise ValueError("boundary spaces of the two triplets differ")
-    n, nr, d = pi_p.space_dim, pi_r.space_dim, pi_p.boundary_dim
-    mp, mr = pi_p.seed.A.dim, pi_r.seed.A.dim
-    frame = np.zeros((2 * (n + nr), mp + mr + 2 * d), dtype=complex)
-    frame[:2 * n, :mp] = pi_p.seed.A.frame
-    frame[2 * n:, mp:mp + mr] = pi_r.seed.A.frame
-    coupled = frame[:, mp + mr:]
-    coupled[:2 * n] = pi_p.lift
-    coupled[2 * n:] = pi_r.lift * np.repeat([1.0, -1.0], d)
-    coupled[:] = np.linalg.qr(coupled)[0]
-    # rows (f, f', f_r, f_r') reordered to (f, f_r, f', f_r')
-    order = np.r_[:n, 2 * n:2 * n + nr, n:2 * n, 2 * n + nr:2 * (n + nr)]
-    a_tilde = LinearRelation(n + nr, n + nr, frame[order])
-    if classify_symmetry(a_tilde) != "self_adjoint":
-        raise ModelError("coupled relation is not self-adjoint")
-    return ExitSpaceModel(dim_h=n, a_tilde=a_tilde, reduced=reduced, pi_r=pi_r)
+        return self.factor.shape[0]
 
 
 def build_exit_space(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ExitSpaceModel:
-    """Reduce, realize and couple in one step."""
-    reduced = reduce_parameter(tri, tau)
-    return couple(reduced, realize_model(reduced.tau1))
+    """A~ from one null space of the d + n_r coupling conditions on
+    (c, f-hat_r), f-hat = A*.frame c: K^H Gamma0 f-hat = 0,
+    h0^H (Gamma1 f-hat + A Gamma0 f-hat + G^H Gamma1^r f-hat_r) = 0 for the
+    frame h0 = complement(K) of K-perp, and G Gamma0 f-hat = Gamma0^r f-hat_r.
+    Both frames are orthonormal, so the frame of A~ is too.
+
+    ModelError unless A~ has dimension n + n_r and is self-adjoint."""
+    if tau.dim != tri.boundary_dim:
+        raise ValueError("parameter dimension does not match the boundary space")
+    n, d = tri.space_dim, tau.dim
+    G, g0_r, g1_r = model_maps(tau)
+    nr = G.shape[0]
+    mul = tau.mul_frame
+    h0 = complement(mul, d)
+    k = mul.shape[1]
+    a_star = tri.seed.A_star.frame
+    g0, g1 = tri.gamma0 @ a_star, tri.gamma1 @ a_star
+    m = a_star.shape[1]
+    rows = np.zeros((d + nr, m + 2 * nr), dtype=complex)
+    rows[:k, :m] = mul.conj().T @ g0
+    rows[k:d, :m] = h0.conj().T @ (g1 + tau.a_coef @ g0)
+    rows[k:d, m:] = h0.conj().T @ (G.conj().T @ g1_r)
+    rows[d:, :m] = G @ g0
+    rows[d:, m:] = -g0_r
+    coeff = null_space(rows)
+    if coeff.shape[1] != n + nr:
+        raise ModelError(f"coupled relation has dimension {coeff.shape[1]}, "
+                         f"not n + n_r = {n + nr}")
+    base, exit_ = a_star @ coeff[:m], coeff[m:]
+    # pair components (f, f') and (f_r, f_r') reordered to (f, f_r, f', f_r')
+    a_tilde = LinearRelation(n + nr, n + nr,
+                             np.vstack([base[:n], exit_[:nr], base[n:], exit_[nr:]]))
+    if classify_symmetry(a_tilde) != "self_adjoint":
+        raise ModelError("coupled relation is not self-adjoint")
+    return ExitSpaceModel(dim_h=n, a_tilde=a_tilde, factor=G, gamma0_r=g0_r,
+                          gamma1_r=g1_r, op_frame=h0)
 
 
 def direct_compression(model: ExitSpaceModel):
@@ -230,11 +163,20 @@ def generalized_resolvent_direct(model: ExitSpaceModel, lam: complex) -> np.ndar
     return resolvent(model.a_tilde, lam)[:n, :n]
 
 
-def compression_via_forbidden(model: ExitSpaceModel) -> LinearRelation:
-    """C(A~) computed from the forbidden relation of the model triplet:
-    the extension of S with boundary parameter -F_r in the reduced triplet."""
-    f_r = forbidden_relation(model.pi_r)
-    return extension_of(model.reduced.pi_prime, negate(f_r))
+def compression_via_forbidden(tri: BoundaryTriplet, tau: RationalNevanlinna,
+                               model: ExitSpaceModel) -> LinearRelation:
+    """C(A~) = A_{-F} in the given triplet, where F = {{h, A h +
+    G^H Gamma1^r (0; f_r') + k}: h in K-perp, G h = Gamma0^r (0; f_r'),
+    k in K} carries the forbidden relation of the model maps."""
+    h0, G, nr = model.op_frame, model.factor, model.dim_r
+    g0_v, g1_v = model.gamma0_r[:, nr:], model.gamma1_r[:, nr:]
+    p, d = h0.shape[1], tau.dim
+    coeff = null_space(np.hstack([G @ h0, -g0_v]))
+    h = h0 @ coeff[:p]
+    mul = tau.mul_frame
+    span = np.hstack([np.vstack([h, -tau.a_coef @ h - G.conj().T @ (g1_v @ coeff[p:])]),
+                      np.vstack([np.zeros_like(mul), mul])])
+    return extension_of(tri, make_relation(span, d, d))
 
 
 def minimality(model: ExitSpaceModel) -> bool:

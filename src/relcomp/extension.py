@@ -18,10 +18,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linrel import (
+    DEFAULT_TOL,
     LinearRelation,
     _cut,
     classify_symmetry,
-    contains,
+    containment_residual,
     graph_operator,
     make_relation,
     rank,
@@ -116,15 +117,16 @@ class CompressionReport:
 
 
 def flags_geometric(tri: BoundaryTriplet, C: LinearRelation) -> dict:
-    """Flags of C read off by relation algebra against A, A0 and A*."""
+    """Flags of C read off by relation algebra against A, A0 and A*; C = A0
+    iff C is contained in A0 and has its dimension."""
     A0 = tri.a0
-    eq_a0, _ = relations_equal(C, A0)
+    subset_a0 = containment_residual(C.frame, A0.frame) < DEFAULT_TOL
     eq_a, _ = relations_equal(C, tri.seed.A)
     # C and A0 lie in A*, so C + A0 = A* iff the sum has the dimension of A*
     transversal = rank(np.hstack([C.frame, A0.frame])) == tri.seed.A_star.dim
     return {
-        "subset_A0": contains(A0, C),
-        "equals_A0": eq_a0,
+        "subset_A0": subset_a0,
+        "equals_A0": subset_a0 and C.dim == A0.dim,
         "equals_A": eq_a,
         "self_adjoint": classify_symmetry(C) == "self_adjoint",
         "transversal_with_A0": transversal,

@@ -13,9 +13,9 @@ agree, so verdicts are gauge-free.
 
 Every inverse the package takes is the matrix R L^{-1} of a relation with
 frame (L; R): resolvents, ``as_operator``, the middle term of the Krein
-formula, the gamma field, a triplet's boundary lift and the model's
-pseudo-inverse.  ``graph_operator`` computes it, from one LU and with the
-one inversion cut; no other routine inverts a matrix.
+formula, the gamma field and a triplet's boundary lift.
+``graph_operator`` computes it, from one LU and with the one inversion
+cut; no other routine inverts a matrix.
 
 DEFAULT_TOL is the single tolerance of the package: no relation, triplet
 or parameter carries one.  Every rank decision is made by ``_cut``,
@@ -35,9 +35,8 @@ takes the rank of its orthonormal frame as given.  Spectral norms come from
 ``eigvalsh`` in ``_norm2``, and the PSD test of ``validate_tau`` reads
 smallest eigenvalues; neither decides a rank.  Every equality and
 containment verdict and the inversion cut of ``graph_operator`` read
-DEFAULT_TOL too; the remaining fixed thresholds (Green identity, the
-model's Weyl-function match, pole distance) are constants or literals
-where they are used.
+DEFAULT_TOL too; the remaining fixed thresholds (Green identity, pole
+distance) are constants or literals where they are used.
 
 A relation-valued function F(iy) tends to a relation at i*infinity when
 its gap to it vanishes; ``gap_limit`` is the one rule that measures such

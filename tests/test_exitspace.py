@@ -1,4 +1,4 @@
-"""Exit-space oracle: reduction, model realization, coupling, compressions."""
+"""Exit-space oracle: factor model, coupling, compressions."""
 import dataclasses
 
 import numpy as np
@@ -19,124 +19,104 @@ from relcomp.exitspace import (
     direct_compression,
     generalized_resolvent_direct,
     minimality,
+    model_maps,
     psd_factor,
-    realize_model,
-    reduce_parameter,
 )
+from relcomp.extension import rank_sum
 from relcomp.linrel import (
     DEFAULT_TOL,
-    adjoint,
     classify_symmetry,
     graph_of,
     make_relation,
     rank,
     relations_equal,
+    zero_relation,
 )
-from relcomp.nevanlinna import RationalNevanlinna, decompose_tau
-from relcomp.triplet import BoundaryTriplet, TripletError, gamma_and_weyl
+from relcomp.nevanlinna import RationalNevanlinna
+import relcomp.triplet as triplet
+from relcomp.triplet import BoundaryTriplet, SymmetricSeed, gamma_and_weyl
 
 from test_extension import random_problem
 from test_nevanlinna import random_tau
-from test_triplet import count_defect_frames, model_triplet
+from test_triplet import model_triplet
 
 
-def test_reduce_strict_parameter_is_identity_like():
-    # K = H'' = {0}: S = A and the reduced triplet keeps the boundary maps
-    rng = np.random.default_rng(3)
-    tri, tau = random_problem(rng, k=0, b_rank=None)
-    while decompose_tau(tau).h_dprime.shape[1] or tau.mul_frame.shape[1]:
-        tri, tau = random_problem(rng, k=0)
-    red = reduce_parameter(tri, tau)
-    eq, _ = relations_equal(red.s_rel, tri.seed.A)
-    assert eq
-    assert red.pi_prime.boundary_dim == tri.boundary_dim
-
-
-def test_reduce_pure_mul_gives_a0():
+def test_pure_mul_gives_a0():
+    """K = C^d: no exit space, and A~ = A0 = ker Gamma0."""
     rng = np.random.default_rng(5)
     tri, _ = random_problem(rng)
     d = tri.boundary_dim
     tau = RationalNevanlinna.build(d, mul_span=np.eye(d))
-    red = reduce_parameter(tri, tau)
-    eq, _ = relations_equal(red.s_rel, tri.a0)
+    model = build_exit_space(tri, tau)
+    assert model.dim_r == 0
+    eq, _ = relations_equal(model.a_tilde, tri.a0)
     assert eq
-    assert red.pi_prime.boundary_dim == 0
 
 
-def test_reduce_dimension_bookkeeping():
-    # B = diag(1, 0), A = 0, no poles: H'' = span e2, dim H' = 1
+def test_exit_space_dimension_bookkeeping():
+    # B = diag(1, 0), A = 0, no poles: n_r = 1, dim A~ = n + n_r, and the
+    # direct S gains the direction H'' = span e2 over A
     rng = np.random.default_rng(7)
     tri, _ = random_problem(rng, n_max=5, d_max=2)
     while tri.boundary_dim != 2:
         tri, _ = random_problem(rng, n_max=5, d_max=2)
-    tau = RationalNevanlinna.build(2, b=np.diag([1.0, 0.0]))
-    red = reduce_parameter(tri, tau)
-    assert red.pi_prime.boundary_dim == 1
-    assert red.s_rel.dim == tri.seed.A.dim + 1
-
-
-def test_reduced_seed_reads_its_adjoint_in_the_boundary_space(monkeypatch):
-    """The reduced seed's S* = A_{theta0*} equals the adjoint of S taken in
-    C^n (+) C^n, and the reduction builds no defect frame."""
-    rng = np.random.default_rng(7)
-    problems = [build_problem(generate_instance(rng, 12, 6, 3)) for _ in range(30)]
-    problems.append(build_problem(generate_instance(
-        np.random.default_rng(292), max_dim=96, max_boundary=48, max_poles=4)))
-    calls = count_defect_frames(monkeypatch)
-    worst = 0.0
-    for tri, tau in problems:
-        red = reduce_parameter(tri, tau)
-        worst = max(worst, relations_equal(red.pi_prime.seed.A_star, adjoint(red.s_rel))[1])
-    assert calls == []
-    assert worst <= 1e-13
-
-
-def test_realize_linear_scalar():
-    tau1 = RationalNevanlinna.build(1, b=[[1.0]])
-    pi_r = realize_model(tau1)
-    assert pi_r.space_dim == 1
-    assert pi_r.seed.A.dim == 0
-    m = gamma_and_weyl(pi_r, 1.3j).weyl
-    assert abs(m[0, 0] - 1.3j) < 1e-10
-
-
-def test_realize_pole_scalar():
-    tau1 = RationalNevanlinna.build(1, poles=[(0.0, [[1.0]])])
-    pi_r = realize_model(tau1)
-    assert pi_r.space_dim == 1
-    m = gamma_and_weyl(pi_r, 2j).weyl
-    assert abs(m[0, 0] - 1.0 / (0.0 - 2j)) < 1e-10
-
-
-def test_realize_counts_rank_blocks():
-    tau1 = RationalNevanlinna.build(1, b=[[1.0]], poles=[(1.0, [[2.0]])])
-    assert realize_model(tau1).space_dim == 2
-
-
-def test_realize_rejects_mul_part():
-    with pytest.raises(ValueError):
-        realize_model(RationalNevanlinna.build(2, b=np.eye(2),
-                                               mul_span=[[1.0], [0.0]]))
-
-
-def test_realize_rejects_non_strict():
-    # B singular with no pole support on its kernel: Im tau1(i) not invertible
-    with pytest.raises(ValueError):
-        realize_model(RationalNevanlinna.build(2, b=np.diag([1.0, 0.0])))
+    model = build_exit_space(tri, RationalNevanlinna.build(2, b=np.diag([1.0, 0.0])))
+    n = tri.space_dim
+    assert model.dim_r == 1
+    assert model.a_tilde.dim == n + 1
+    assert direct_compression(model)[1].dim == tri.seed.A.dim + 1
 
 
 def test_realize_weyl_matches_random():
+    """On the trivial seed in C^{n_r}, the model maps have the Weyl function
+    M_r(lam) = diag(lam I, (alpha_j - lam)^{-1} I), with rank B rows of
+    lam and rank A_j rows for pole j, and A + G^H M_r(lam) G = tau0(lam);
+    the scalar cases included."""
     rng = np.random.default_rng(11)
-    for _ in range(20):
-        tau = random_tau(rng, int(rng.integers(1, 4)), k=0)
-        tau1 = decompose_tau(tau).tau1
-        pi_r = realize_model(tau1)
+    taus = [RationalNevanlinna.build(1, b=[[1.0]]),
+            RationalNevanlinna.build(1, poles=[(0.0, [[1.0]])]),
+            RationalNevanlinna.build(1, b=[[1.0]], poles=[(1.0, [[2.0]])])]
+    taus += [random_tau(rng, int(rng.integers(1, 4)), k=int(rng.integers(0, 2)))
+             for _ in range(20)]
+    for tau in taus:
+        G, g0_r, g1_r = model_maps(tau)
+        nr = G.shape[0]
+        assert nr == rank_sum(tau)
+        seed = SymmetricSeed.from_relation(zero_relation(nr))
+        tri_r = BoundaryTriplet.from_ambient_maps(seed, g0_r, g1_r)
+        ranks = [rank(tau.b_coef), *(rank(aj) for _, aj in tau.poles)]
         for _ in range(3):
             lam = complex(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.5, 2))
-            if any(abs(lam - alpha) < 1e-3 for alpha, _ in tau1.poles):
-                continue
-            m = gamma_and_weyl(pi_r, lam).weyl
-            assert np.max(np.abs(m - tau1.tau0(lam)), initial=0.0) < 1e-8
+            inverse_gaps = [1.0 / (alpha - lam) for alpha, _ in tau.poles]
+            expected = np.diag(np.repeat([lam, *inverse_gaps], ranks))
+            m_r = gamma_and_weyl(tri_r, lam).weyl
+            assert np.max(np.abs(m_r - expected), initial=0.0) < 1e-12
+            tau0 = tau.a_coef + G.conj().T @ m_r @ G
+            assert np.max(np.abs(tau0 - tau.tau0(lam))) < 1e-12
+    assert [model_maps(tau)[0].shape[0] for tau in taus[:3]] == [1, 1, 2]
+
+
+def test_build_exit_space_reads_no_formula_route(monkeypatch):
+    """A~ comes from Gamma0, Gamma1, A*, tau's coefficients and K alone: it
+    is built with the boundary lift, A0, the Weyl function, extensions and
+    tau's ``spectra`` and ``op_frame`` all made to raise."""
+    rng = np.random.default_rng(47)
+    problems = [random_problem(rng) for _ in range(10)]
+    problems.append(build_problem(generate_instance(
+        np.random.default_rng(292), max_dim=96, max_boundary=48, max_poles=4)))
+    expected = [build_exit_space(tri, tau).a_tilde for tri, tau in problems]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle read the formula route")
+    for cls, name in ((BoundaryTriplet, "lift"), (BoundaryTriplet, "a0"),
+                      (BoundaryTriplet, "weyl_at_i"), (RationalNevanlinna, "spectra"),
+                      (RationalNevanlinna, "op_frame")):
+        monkeypatch.setattr(cls, name, property(refuse))
+    for module, name in ((triplet, "gamma_and_weyl"), (triplet, "extension_of"),
+                         (exitspace, "extension_of")):
+        monkeypatch.setattr(module, name, refuse)
+    for (tri, tau), a_tilde in zip(problems, expected):
+        assert np.array_equal(build_exit_space(tri, tau).a_tilde.frame, a_tilde.frame)
 
 
 def test_swap_anchor_coupling():
@@ -267,61 +247,18 @@ def test_psd_factor_keeps_what_the_rank_cut_keeps():
     assert rank(np.zeros((3, 3))) == 0
 
 
-def _strict_problem():
-    """(tri, tau) with K = H'' = {0}, so that tau1 = tau is nontrivial."""
-    rng = np.random.default_rng(3)
-    tri, tau = random_problem(rng, k=0)
-    while decompose_tau(tau).h_dprime.shape[1]:
-        tri, tau = random_problem(rng, k=0)
-    return tri, tau
-
-
-def _skew_boundary_maps(monkeypatch):
-    """Make every BoundaryTriplet.from_ambient_maps add i Gamma0 to Gamma1,
-    which breaks the Green identity by 2i Gamma0^H Gamma0."""
-    build = BoundaryTriplet.from_ambient_maps.__func__
-
-    def skewed(cls, seed, g0, g1):
-        return build(cls, seed, g0, np.asarray(g1) + 1j * np.asarray(g0))
-    monkeypatch.setattr(BoundaryTriplet, "from_ambient_maps", classmethod(skewed))
-
-
-def test_reduced_triplet_that_breaks_green_is_a_model_error(monkeypatch):
-    tri, tau = _strict_problem()
-    _skew_boundary_maps(monkeypatch)
-    with pytest.raises(ModelError, match="reduced triplet invalid"):
-        reduce_parameter(tri, tau)
-
-
-def test_model_maps_that_break_green_are_rejected(monkeypatch):
-    """realize_model takes the model's adjoint from its seed relation and
-    compares it with nothing; the triplet check still rejects maps that
-    break the Green identity."""
-    tau1 = decompose_tau(_strict_problem()[1]).tau1
-    _skew_boundary_maps(monkeypatch)
-    with pytest.raises(TripletError, match="Green identity"):
-        realize_model(tau1)
-
-
-def test_model_with_another_weyl_function_is_a_model_error(monkeypatch):
-    """Doubled rank factors still give a boundary triplet, but its Weyl
-    function is A + 4 (tau1 - A), not tau1."""
-    tau1 = decompose_tau(_strict_problem()[1]).tau1
-    factor = exitspace.psd_factor
-    monkeypatch.setattr(exitspace, "psd_factor", lambda m: 2 * factor(m))
-    with pytest.raises(ModelError, match="Weyl function"):
-        realize_model(tau1)
-
-
 def test_coupling_with_a_sign_flipped_model_is_a_model_error(monkeypatch):
-    """With Gamma1 of the model negated, the coupling conditions
-    Gamma1' f = -Gamma1^r f_r no longer cancel the Green forms."""
-    tri, tau = _strict_problem()
-    realize = exitspace.realize_model
+    """With Gamma1^r negated, the coupling conditions no longer cancel the
+    Green forms of the base and model pairs."""
+    rng = np.random.default_rng(3)
+    tri, tau = random_problem(rng)
+    while rank_sum(tau) == 0:
+        tri, tau = random_problem(rng)
+    maps = exitspace.model_maps
 
-    def flipped(tau1):
-        pi_r = realize(tau1)
-        return dataclasses.replace(pi_r, gamma1=-pi_r.gamma1)
-    monkeypatch.setattr(exitspace, "realize_model", flipped)
+    def flipped(tau):
+        G, g0_r, g1_r = maps(tau)
+        return G, g0_r, -g1_r
+    monkeypatch.setattr(exitspace, "model_maps", flipped)
     with pytest.raises(ModelError, match="not self-adjoint"):
         build_exit_space(tri, tau)
