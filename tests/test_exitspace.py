@@ -67,23 +67,46 @@ def test_exit_space_dimension_bookkeeping():
     assert direct_compression(model)[1].dim == tri.seed.A.dim + 1
 
 
+def _model_triplet(tau):
+    """tau's model maps as a boundary triplet on the trivial seed in C^{n_r}."""
+    G, g0_r, g1_r = model_maps(tau)
+    seed = SymmetricSeed.from_relation(zero_relation(G.shape[0]))
+    return G, BoundaryTriplet.from_ambient_maps(seed, g0_r, g1_r)
+
+
+def test_realize_linear_scalar():
+    """tau = lam: one exit dimension, A = {0} on it, and M_r(lam) = lam."""
+    _, tri_r = _model_triplet(RationalNevanlinna.build(1, b=[[1.0]]))
+    assert tri_r.space_dim == 1
+    assert tri_r.seed.A.dim == 0
+    m = gamma_and_weyl(tri_r, 1.3j).weyl
+    assert abs(m[0, 0] - 1.3j) < 1e-12
+
+
+def test_realize_pole_scalar():
+    """tau = (0 - lam)^{-1}: one exit dimension and M_r(lam) = (0 - lam)^{-1}."""
+    _, tri_r = _model_triplet(RationalNevanlinna.build(1, poles=[(0.0, [[1.0]])]))
+    assert tri_r.space_dim == 1
+    m = gamma_and_weyl(tri_r, 2j).weyl
+    assert abs(m[0, 0] - 1.0 / (0.0 - 2j)) < 1e-12
+
+
+def test_realize_counts_rank_blocks():
+    """n_r counts rank B plus the rank of each pole coefficient."""
+    tau = RationalNevanlinna.build(1, b=[[1.0]], poles=[(1.0, [[2.0]])])
+    _, tri_r = _model_triplet(tau)
+    assert tri_r.space_dim == 2 == rank_sum(tau)
+
+
 def test_realize_weyl_matches_random():
     """On the trivial seed in C^{n_r}, the model maps have the Weyl function
     M_r(lam) = diag(lam I, (alpha_j - lam)^{-1} I), with rank B rows of
-    lam and rank A_j rows for pole j, and A + G^H M_r(lam) G = tau0(lam);
-    the scalar cases included."""
+    lam and rank A_j rows for pole j, and A + G^H M_r(lam) G = tau0(lam)."""
     rng = np.random.default_rng(11)
-    taus = [RationalNevanlinna.build(1, b=[[1.0]]),
-            RationalNevanlinna.build(1, poles=[(0.0, [[1.0]])]),
-            RationalNevanlinna.build(1, b=[[1.0]], poles=[(1.0, [[2.0]])])]
-    taus += [random_tau(rng, int(rng.integers(1, 4)), k=int(rng.integers(0, 2)))
-             for _ in range(20)]
-    for tau in taus:
-        G, g0_r, g1_r = model_maps(tau)
-        nr = G.shape[0]
-        assert nr == rank_sum(tau)
-        seed = SymmetricSeed.from_relation(zero_relation(nr))
-        tri_r = BoundaryTriplet.from_ambient_maps(seed, g0_r, g1_r)
+    for _ in range(20):
+        tau = random_tau(rng, int(rng.integers(1, 4)), k=int(rng.integers(0, 2)))
+        G, tri_r = _model_triplet(tau)
+        assert G.shape[0] == rank_sum(tau)
         ranks = [rank(tau.b_coef), *(rank(aj) for _, aj in tau.poles)]
         for _ in range(3):
             lam = complex(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.5, 2))
@@ -93,7 +116,6 @@ def test_realize_weyl_matches_random():
             assert np.max(np.abs(m_r - expected), initial=0.0) < 1e-12
             tau0 = tau.a_coef + G.conj().T @ m_r @ G
             assert np.max(np.abs(tau0 - tau.tau0(lam))) < 1e-12
-    assert [model_maps(tau)[0].shape[0] for tau in taus[:3]] == [1, 1, 2]
 
 
 def test_build_exit_space_reads_no_formula_route(monkeypatch):
