@@ -28,6 +28,8 @@ from .linrel import (
     classify_symmetry,
     complement,
     containment_residual,
+    extend,
+    kernel_split,
     make_relation,
     null_space,
     orth,
@@ -128,20 +130,27 @@ def build_exit_space(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ExitSpace
 def direct_compression(model: ExitSpaceModel):
     """Compression chain of A~ to the base space: (C, S, T) with
     S = A~ restricted to pairs entirely in H, C additionally projecting the
-    second component, T projecting both components."""
+    second component, T projecting both components.
+
+    With base the H rows of A~'s frame and f_r, f_r' its exit rows, C and
+    T are base times ker f_r and times everything, and S is base times
+    ker f_r cap ker f_r'.  Two ``kernel_split``s, of f_r and of f_r' on
+    ker f_r, split the coefficients into unitary blocks, so each set of
+    the chain is the one before it ``extend``ed by the base image of the
+    coefficients it adds: the frames are nested, S.frame opens C.frame and
+    C.frame opens T.frame, and each SVD is only as wide as the exit rank.
+    The base rows of the orthonormal frame times ker f_r cap ker f_r' are
+    an orthonormal frame already, so S is not orthonormalized again."""
     n, nr = model.dim_h, model.dim_r
     frame = model.a_tilde.frame
-    f_h, f_r = frame[:n], frame[n:n + nr]
-    fp_h, fp_r = frame[n + nr:2 * n + nr], frame[2 * n + nr:]
-    # C: left exit component zero, right exit component projected away
-    coeff_c = null_space(f_r)
-    C = make_relation(np.vstack([f_h @ coeff_c, fp_h @ coeff_c]), n, n)
-    # S: both exit components zero, so the base rows of the orthonormal
-    # frame @ coeff_s are an orthonormal frame already
-    coeff_s = null_space(np.vstack([f_r, fp_r]))
-    S = LinearRelation(n, n, np.vstack([f_h @ coeff_s, fp_h @ coeff_s]))
-    # T: project both components
-    T = make_relation(np.vstack([f_h, fp_h]), n, n)
+    f_r, fp_r = frame[n:n + nr], frame[2 * n + nr:]
+    base = np.vstack([frame[:n], frame[n + nr:2 * n + nr]])
+    to_c, rest_t = kernel_split(f_r)
+    to_s, rest_c = kernel_split(fp_r @ to_c)
+    base_c = base @ to_c
+    S = LinearRelation(n, n, base_c @ to_s)
+    C = LinearRelation(n, n, extend(S.frame, base_c @ rest_c))
+    T = LinearRelation(n, n, extend(C.frame, base @ rest_t))
     return C, S, T
 
 
@@ -189,15 +198,17 @@ def minimality(model: ExitSpaceModel) -> bool:
     invariant under R is invariant under R(-i) = R*.  So the model is
     minimal iff the Kalman rank of (R22, R21) is dim_r: an orthonormal
     block grows from ran R21 by R22 until it reaches dim_r or stops
-    growing.
+    growing.  Each step ``extend``s the block by R22 times only the columns
+    the step before added, since R22 maps the older ones into the block.
     """
     n, nr = model.dim_h, model.dim_r
     r = resolvent(model.a_tilde, 1j)
     r21, r22 = r[n:, :n], r[n:, n:]
     block = orth(r21)
+    added = block
     while block.shape[1] < nr:
-        grown = orth(np.hstack([block, r22 @ block]))
+        grown = extend(block, r22 @ added)
         if grown.shape[1] == block.shape[1]:
             return False
-        block = grown
+        block, added = grown, grown[:, block.shape[1]:]
     return True

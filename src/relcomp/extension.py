@@ -21,8 +21,8 @@ from .linrel import (
     DEFAULT_TOL,
     LinearRelation,
     _cut,
+    _norm2,
     classify_symmetry,
-    containment_residual,
     graph_operator,
     make_relation,
     rank,
@@ -118,12 +118,16 @@ class CompressionReport:
 
 def flags_geometric(tri: BoundaryTriplet, C: LinearRelation) -> dict:
     """Flags of C read off by relation algebra against A, A0 and A*; C = A0
-    iff C is contained in A0 and has its dimension."""
+    iff C is contained in A0 and has its dimension.
+
+    C and A0 lie in A*, so C + A0 = A* iff the part (I - P_A0) C of C off
+    A0 has rank dim A* - dim A0, the rank of one 2n x dim C SVD; its norm
+    is the containment residual of C in A0."""
     A0 = tri.a0
-    subset_a0 = containment_residual(C.frame, A0.frame) < DEFAULT_TOL
+    off_a0 = C.frame - A0.frame @ (A0.frame.conj().T @ C.frame)
+    subset_a0 = _norm2(off_a0) < DEFAULT_TOL
     eq_a, _ = relations_equal(C, tri.seed.A)
-    # C and A0 lie in A*, so C + A0 = A* iff the sum has the dimension of A*
-    transversal = rank(np.hstack([C.frame, A0.frame])) == tri.seed.A_star.dim
+    transversal = rank(off_a0) == tri.seed.A_star.dim - A0.dim
     return {
         "subset_A0": subset_a0,
         "equals_A0": subset_a0 and C.dim == A0.dim,

@@ -24,12 +24,14 @@ when s > DEFAULT_TOL * max(s_max, 1).  The cut is relative at and above
 unit scale and absolute below it: a span whose largest singular value
 is under 1 loses every value up to DEFAULT_TOL, so B = 1e-9 I has rank 0
 and ``make_relation(1e-9 * I_4, 2, 2)`` is the zero relation.
-``orth``, ``null_space`` and ``rank`` apply it to the SVD they take and
-``psd_factor`` in the exit-space oracle to the eigenvalues of its
-``eigh``.  Every rank of a parameter's B or A_j in the formula route
-(the split of tau_c, the coefficient flags, the exit dimension, the
-first point of ``tau_limits`` and the vanishing pole terms of
-``validate_tau``) is the cut of that coefficient's row of
+``orth``, ``kernel_split`` (whose kernel half is ``null_space``) and
+``rank`` apply it to the SVD they take, ``extend`` through the ``orth``
+of the part of a span off a frame, and ``psd_factor`` in the exit-space
+oracle to the eigenvalues of its ``eigh``.  Every rank of a parameter's
+B or A_j in the formula route (the split of tau_c, the coefficient
+flags, the exit dimension, the first point of ``tau_limits`` and the
+vanishing pole terms of ``validate_tau``) is the cut of that
+coefficient's row of
 ``RationalNevanlinna.spectra``, one stacked ``eigh``.  ``complement``
 takes the rank of its orthonormal frame as given.  Spectral norms come from
 ``eigvalsh`` in ``_norm2``, and the PSD test of ``validate_tau`` reads
@@ -98,16 +100,34 @@ def complement(frame, dim: int) -> np.ndarray:
     return u[:, frame.shape[1]:]
 
 
-def null_space(mat) -> np.ndarray:
-    """Orthonormal basis of ker(mat)."""
+def kernel_split(mat) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal bases (ker, row) of ker(mat) and of its orthogonal
+    complement, the row space, to the rank of ``_cut``, from one full SVD;
+    [ker, row] is unitary."""
     mat = _as_complex(mat)
     cols = mat.shape[1]
-    if cols == 0:
-        return np.zeros((0, 0), dtype=complex)
-    if mat.shape[0] == 0:
-        return np.eye(cols, dtype=complex)
+    if mat.shape[0] == 0 or cols == 0:
+        return np.eye(cols, dtype=complex), np.zeros((cols, 0), dtype=complex)
     _, s, vh = np.linalg.svd(mat, full_matrices=True)
-    return vh[_cut(s):].conj().T
+    r = _cut(s)
+    return vh[r:].conj().T, vh[:r].conj().T
+
+
+def null_space(mat) -> np.ndarray:
+    """Orthonormal basis of ker(mat)."""
+    return kernel_split(mat)[0]
+
+
+def extend(frame: np.ndarray, span) -> np.ndarray:
+    """The orthonormal frame [frame, orth(rest)] of span(frame) + span(span),
+    for an orthonormal frame, where rest is span with its projection onto
+    frame removed twice: one pass leaves rest off orthogonal to frame by
+    the rounding of that projection, which ``orth`` then amplifies by
+    1/||rest||."""
+    rest = _as_complex(span)
+    for _ in range(2):
+        rest = rest - frame @ (frame.conj().T @ rest)
+    return np.hstack([frame, orth(rest)])
 
 
 def _norm2(x: np.ndarray) -> float:

@@ -25,6 +25,7 @@ from relcomp.exitspace import (
     generalized_resolvent_direct,
 )
 from relcomp.linrel import (
+    LinearRelation,
     adjoint,
     classify_symmetry,
     comp_sum,
@@ -32,6 +33,7 @@ from relcomp.linrel import (
     inverse,
     make_relation,
     negate,
+    null_space,
     relations_equal,
     zero_relation,
 )
@@ -48,6 +50,8 @@ from relcomp.triplet import (
     gamma_and_weyl,
 )
 
+from test_exitspace import _uncoupled_problem
+from test_extension import random_problem
 from test_triplet import model_triplet
 
 CATEGORIES = (
@@ -192,6 +196,17 @@ def test_transversal_rank_matches_the_comp_sum_route(corpus):
     assert min(sides) >= 20, sides
 
 
+@pytest.mark.parametrize("eps, transversal", [(1e-6, True), (1e-12, False)])
+def test_transversality_near_the_cut(eps, transversal):
+    """A_theta for theta = graph(I / eps) is transversal with A0 for every
+    eps > 0 and tends to A0 as eps -> 0: the rank route and the comp_sum
+    route both read it as transversal at 1e-6 and both cut it at 1e-12."""
+    tri, _ = random_problem(np.random.default_rng(1), n_max=8, d_max=4)
+    C = extension_of(tri, graph_of(np.eye(tri.boundary_dim) / eps))
+    assert flags_geometric(tri, C)["transversal_with_A0"] == transversal
+    assert _transversal_by_comp_sum(tri, C) == transversal
+
+
 def test_criterion_5_exit_dimension(corpus):
     """Every model is minimal, with dim H_r = rank B + sum rank A_j."""
     worst, threshold = _worst(CHECKS["exit_dimension"], corpus)
@@ -226,6 +241,44 @@ def test_frames_built_without_orth_are_orthonormal(corpus):
     _report("frames without orth", worst <= 1e-13,
             f"{len(contexts)} instances, worst |F^H F - I| {worst:.1e}")
     assert worst <= 1e-13
+
+
+def _chain_by_null_spaces(model):
+    """Reference chain (C, S, T): C and S from null spaces of A~'s exit rows
+    on all of its frame, C and T orthonormalized from the full base rows."""
+    n, nr = model.dim_h, model.dim_r
+    frame = model.a_tilde.frame
+    f_h, f_r = frame[:n], frame[n:n + nr]
+    fp_h, fp_r = frame[n + nr:2 * n + nr], frame[2 * n + nr:]
+    coeff_c = null_space(f_r)
+    C = make_relation(np.vstack([f_h @ coeff_c, fp_h @ coeff_c]), n, n)
+    coeff_s = null_space(np.vstack([f_r, fp_r]))
+    S = LinearRelation(n, n, np.vstack([f_h @ coeff_s, fp_h @ coeff_s]))
+    T = make_relation(np.vstack([f_h, fp_h]), n, n)
+    return C, S, T
+
+
+def test_nested_chain_matches_the_null_space_route(corpus):
+    """direct_compression's nested frames span the reference chain's
+    relations, S.frame opens C.frame and C.frame opens T.frame exactly, and
+    C and T are orthonormal; on the corpus, on a model with n_r = 0 and on
+    the uncoupled model, whose exit rows f_r vanish."""
+    tri = corpus[0]["ctx"].tri
+    d = tri.boundary_dim
+    no_exit = build_exit_space(tri, RationalNevanlinna.build(d, mul_span=np.eye(d)))
+    assert no_exit.dim_r == 0
+    models = [item["ctx"].model for item in corpus] + [no_exit, _uncoupled_problem()[2]]
+    worst_gap = worst_frame = 0.0
+    for model in models:
+        C, S, T = direct_compression(model)
+        for nested, ref in zip((C, S, T), _chain_by_null_spaces(model)):
+            assert nested.dim == ref.dim
+            worst_gap = max(worst_gap, relations_equal(nested, ref)[1])
+        assert np.array_equal(S.frame, C.frame[:, :S.dim])
+        assert np.array_equal(C.frame, T.frame[:, :C.dim])
+        worst_frame = max(worst_frame, _frame_gap(C), _frame_gap(T))
+    assert worst_gap <= 1e-13
+    assert worst_frame <= 1e-14
 
 
 def test_criterion_7_triplet_layer(corpus, corpus_rng):

@@ -17,11 +17,13 @@ from relcomp.linrel import (
     comp_sum,
     containment_residual,
     contains,
+    extend,
     full_relation,
     graph_of,
     graph_operator,
     intersect,
     inverse,
+    kernel_split,
     make_relation,
     orth,
     parts,
@@ -446,7 +448,7 @@ def test_every_svd_is_a_linrel_rank_cut():
     assert _sites({"lstsq", "pinv"}) == set()
     svds = _sites({"svd", "norm2"})
     assert svds == {
-        ("linrel", "orth"), ("linrel", "complement"), ("linrel", "null_space"),
+        ("linrel", "orth"), ("linrel", "complement"), ("linrel", "kernel_split"),
         ("linrel", "rank")}
     assert svds - _cutting(svds) == {("linrel", "complement")}
 
@@ -631,6 +633,54 @@ def test_rank_is_the_column_count_of_orth():
             expected = int(np.count_nonzero(s > DEFAULT_TOL * max(s[0], 1.0)))
             assert rank(span) == orth(span).shape[1] == expected
     assert rank(np.zeros((4, 0))) == rank(np.zeros((0, 4))) == 0
+
+
+def _unitary_gap(u):
+    """max |U^H U - I| of a frame."""
+    return float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[1])), initial=0.0))
+
+
+def test_kernel_split_is_one_unitary_basis():
+    """[ker, row] is unitary, mat annihilates ker, and the row space has
+    the rank of the cut; with no rows everything is kernel, with no columns
+    both halves are empty."""
+    rng = np.random.default_rng(37)
+    for rows, cols, r in ((3, 5, 2), (5, 3, 3), (4, 4, 0), (6, 6, 6)):
+        mat = (_random_frame(rng, rows, r) * np.logspace(0, -3, r)) \
+            @ _random_frame(rng, cols, r).conj().T
+        ker, row = kernel_split(mat)
+        assert (ker.shape, row.shape) == ((cols, cols - r), (cols, r))
+        assert _unitary_gap(np.hstack([ker, row])) <= 1e-14
+        assert np.max(np.abs(mat @ ker), initial=0.0) <= 1e-14
+    ker, row = kernel_split(np.zeros((0, 3)))
+    assert np.array_equal(ker, np.eye(3)) and row.shape == (3, 0)
+    ker, row = kernel_split(np.zeros((4, 0)))
+    assert ker.shape == row.shape == (0, 0)
+
+
+def test_extend_adds_only_what_lies_outside_the_frame():
+    """extend keeps the frame as its first columns and adds the part of the
+    span off it, to the cut: nothing for an empty span or a span inside the
+    frame, a component at 1e-8 kept and one at 1e-11 dropped, and the
+    result orthonormal to 1e-14 when the span lies 1e-8 off the frame."""
+    rng = np.random.default_rng(41)
+    q = _random_frame(rng, 8, 5)
+    frame, off = q[:, :3], q[:, 3:]
+    span = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+    from_empty = extend(np.zeros((8, 0), dtype=complex), span)
+    assert from_empty.shape == (8, 2) and _unitary_gap(from_empty) <= 1e-14
+    assert containment_residual(span / np.linalg.norm(span, axis=0), from_empty) <= 1e-14
+    assert np.array_equal(extend(frame, np.zeros((8, 0))), frame)
+    inside = frame @ (rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4)))
+    assert np.array_equal(extend(frame, inside), frame)
+    for eps, added in ((1e-8, 2), (1e-11, 0)):
+        grown = extend(frame, inside[:, :2] + eps * off)
+        assert grown.shape == (8, 3 + added)
+        assert np.array_equal(grown[:, :3], frame)
+        assert _unitary_gap(grown) <= 1e-14
+    # the rounding of the projection, eps-sized, tilts a 1e-8 component by
+    # about eps / 1e-8
+    assert containment_residual(off, extend(frame, inside[:, :2] + 1e-8 * off)) <= 1e-7
 
 
 def test_as_operator_rejects_vertical():
