@@ -220,9 +220,8 @@ def parts(T: LinearRelation) -> PartsReport:
 
 
 def adjoint(T: LinearRelation) -> LinearRelation:
-    """Adjoint relation T* = (J T)^perp with J{f, f'} = {f', -f}."""
-    flipped = np.vstack([T.right, -T.left])
-    comp = complement(orth(flipped), T.dim_from + T.dim_to)
+    """Adjoint T* = (J T)^perp, J{f, f'} = {f', -f}, whose frame (R; -L) is orthonormal."""
+    comp = complement(np.vstack([T.right, -T.left]), T.dim_from + T.dim_to)
     return LinearRelation(T.dim_to, T.dim_from, comp)
 
 

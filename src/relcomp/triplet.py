@@ -1,11 +1,13 @@
 """Boundary triplets for the adjoint of a symmetric relation.
 
-The boundary maps Gamma0, Gamma1 are stored as d x 2n matrices acting on
-ambient pairs (f, f') in C^n (+) C^n.  Only their restriction to A*
-matters: two triplets whose maps agree on A* are the same triplet, and no
-basis of A* is part of one.  Gamma vanishes on A and maps W = A* (-) A
-onto C^{2d}, so each triplet keeps one boundary lift W (Gamma W)^{-1},
-and every extension is A_theta = A (+) lift(theta).
+A seed builds A* = A (+) N-hat_i (+) N-hat_{-i} (von Neumann's formula)
+from A alone.  The boundary maps Gamma0, Gamma1 are stored as d x 2n
+matrices acting on ambient pairs (f, f') in C^n (+) C^n.  Only their
+restriction to A* matters: two triplets whose maps agree on A* are the
+same triplet, and no basis of A* is part of one.  Gamma vanishes on A and
+maps W = [N-hat_i, N-hat_{-i}] = A* (-) A onto C^{2d}, so each triplet
+keeps one boundary lift W (Gamma W)^{-1}, and every extension is
+A_theta = A (+) lift(theta).
 """
 from __future__ import annotations
 
@@ -18,8 +20,7 @@ from .linrel import (
     LinearRelation,
     SpectrumError,
     _norm2,
-    adjoint,
-    complement,
+    classify_symmetry,
     contains,
     gap_limit,
     graph_of,
@@ -40,45 +41,47 @@ class TripletError(Exception):
 
 @dataclass(frozen=True)
 class SymmetricSeed:
-    """A closed symmetric relation A in C^n together with its adjoint."""
+    """A closed symmetric relation A in C^n and its read-only defect frames at +-i."""
 
     A: LinearRelation
-    A_star: LinearRelation
+    defect_frames_at_i: tuple[np.ndarray, np.ndarray]
+
+    def __post_init__(self):
+        for frame in self.defect_frames_at_i:
+            frame.setflags(write=False)
 
     @classmethod
     def from_relation(cls, A: LinearRelation) -> "SymmetricSeed":
-        A_star = adjoint(A)
-        if not contains(A_star, A):
+        if classify_symmetry(A) == "not_symmetric":
             raise ValueError("seed relation is not symmetric")
-        return cls(A=A, A_star=A_star)
+        return cls(A, (_defect_frame(A, 1j), _defect_frame(A, -1j)))
 
     @property
     def space_dim(self) -> int:
         return self.A.dim_from
 
     @cached_property
-    def defect_frames_at_i(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only defect frames at i and -i, built on first use and kept
-        with the seed."""
-        frames = (_defect_frame(self, 1j), _defect_frame(self, -1j))
-        for frame in frames:
-            frame.setflags(write=False)
-        return frames
+    def A_star(self) -> LinearRelation:
+        """A* with the orthonormal frame [A, N-hat_i, N-hat_{-i}], built on first use."""
+        n = self.space_dim
+        return LinearRelation(n, n, np.hstack([self.A.frame, *self.defect_frames_at_i]))
 
 
 def defect(seed: SymmetricSeed, lam: complex):
     """Frame of the graph defect subspace {f-hat in A*: f' = lam f} plus the
     deficiency indices (n+, n-); the frames at +-i are the seed's."""
     plus, minus = seed.defect_frames_at_i
-    frame = plus if lam == 1j else minus if lam == -1j else _defect_frame(seed, lam)
+    frame = plus if lam == 1j else minus if lam == -1j else _defect_frame(seed.A, lam)
     return frame, (plus.shape[1], minus.shape[1])
 
 
-def _defect_frame(seed: SymmetricSeed, lam: complex) -> np.ndarray:
-    """A* intersected with graph(lam I): the frame of A* times the
-    coefficients c with (R - lam L) c = 0, where L, R are its halves."""
-    a_star = seed.A_star
-    return a_star.frame @ null_space(a_star.right - lam * a_star.left)
+def _defect_frame(A: LinearRelation, lam: complex) -> np.ndarray:
+    """Frame (f; lam f) / sqrt(1 + |lam|^2) of N-hat_lam, f spanning
+    ker(A* - lam) = ker (R - conj(lam) L)^H for A's frame (L; R).  At +-i,
+    R -+ i L has the Gram matrix I +- i (R^H L - L^H R), so for a symmetric
+    A its columns are orthonormal and this rank cut is never close."""
+    f = null_space((A.right - np.conj(lam) * A.left).conj().T)
+    return np.vstack([f, lam * f]) / np.sqrt(1.0 + abs(lam) ** 2)
 
 
 @dataclass(frozen=True)
@@ -100,13 +103,11 @@ class BoundaryTriplet:
 
     @cached_property
     def lift(self) -> np.ndarray:
-        """Read-only W (Gamma W)^{-1}, 2n x 2d, for the orthonormal frame W
-        of A* (-) A, built on first use and kept with the triplet; its
-        ``graph_operator`` cut (Gamma W is square iff d = n - dim A) is the
-        verdict that Gamma maps A* onto C^{2d}, TripletError if not."""
-        a_star = self.seed.A_star
-        w = a_star.frame @ complement(a_star.frame.conj().T @ self.seed.A.frame,
-                                      a_star.dim)
+        """Read-only W (Gamma W)^{-1}, 2n x 2d, for the seed's defect frames
+        W = [N-hat_i, N-hat_{-i}] of A* (-) A, built on first use and kept;
+        its ``graph_operator`` cut (Gamma W is square iff d = n - dim A) is
+        the verdict that Gamma maps A* onto C^{2d}, TripletError if not."""
+        w = np.hstack(self.seed.defect_frames_at_i)
         try:
             lift = graph_operator(np.vstack([self.gamma0, self.gamma1]) @ w, w)
         except SpectrumError as exc:
@@ -153,8 +154,8 @@ def check_green(tri: BoundaryTriplet) -> float:
 def assert_valid_triplet(tri: BoundaryTriplet) -> None:
     """Raise TripletError unless tri is a boundary triplet.
 
-    A* = (J A)^perp has dimension 2n - dim A, and a seed whose frame of A*
-    has another is rejected first.  The Green identity over A* and a Gamma
+    A* = (J A)^perp has dimension 2n - dim A, and a seed whose frames give
+    A* another is rejected first.  The Green identity over A* and a Gamma
     onto C^{2d} (``lift``) force Gamma to vanish on A, whose Green form
     with all of A* is 0.
     """
@@ -168,9 +169,9 @@ def assert_valid_triplet(tri: BoundaryTriplet) -> None:
 
 
 def von_neumann_triplet(seed: SymmetricSeed, V=None) -> BoundaryTriplet:
-    """Concrete triplet from the graph-orthogonal decomposition
-    A* = A (+) N-hat_i (+) N-hat_{-i} and a unitary matching V of the
-    seed's defect frames N+, N- at +-i:
+    """Concrete triplet on the seed's graph-orthogonal decomposition
+    A* = A (+) N-hat_i (+) N-hat_{-i} and a unitary matching V of its
+    defect frames N+, N- at +-i, the columns of A* after A's:
     Gamma0 = (N+* + V N-*)/sqrt(2), Gamma1 = i(N+* - V N-*)/sqrt(2)."""
     n_plus_frame, n_minus_frame = seed.defect_frames_at_i
     d = n_plus_frame.shape[1]

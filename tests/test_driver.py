@@ -421,20 +421,38 @@ def test_disputed_flag_fails_classification_routes(monkeypatch):
         [("classification_routes", 1.0)]
 
 
-def test_verify_instance_factorization_count(monkeypatch):
-    """One verify_instance of a fixed draw (n = 11, boundary dimension 6,
-    dim K = 1, one pole) takes 26 SVDs, 18 eigvalsh calls, 3 eigh calls
-    (the parameter's ``spectra`` and the oracle's two ``psd_factor``
-    calls), 18 QRs and 15 LUs (``inv``, in ``graph_operator``)."""
-    inst = generate_instance(np.random.default_rng(13), 12, 6, 3)
+def _count_factorizations(monkeypatch, run) -> dict:
+    """Number of SVDs, eigvalsh, eigh, QR and LU (``inv``) calls in run()."""
     counts = {"svd": 0, "eigvalsh": 0, "eigh": 0, "qr": 0, "inv": 0}
     for name in counts:
         def counted(*args, _name=name, _factor=getattr(np.linalg, name), **kwargs):
             counts[_name] += 1
             return _factor(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    verify_instance(inst, np.random.default_rng(0))
-    assert counts == {"svd": 26, "eigvalsh": 18, "eigh": 3, "qr": 18, "inv": 15}
+    run()
+    return counts
+
+
+def test_verify_instance_factorization_count(monkeypatch):
+    """One verify_instance of a fixed draw (n = 11, boundary dimension 6,
+    dim K = 1, one pole) takes 23 SVDs, 18 eigvalsh calls, 3 eigh calls
+    (the parameter's ``spectra`` and the oracle's two ``psd_factor``
+    calls), 18 QRs and 15 LUs (``inv``, in ``graph_operator``)."""
+    inst = generate_instance(np.random.default_rng(13), 12, 6, 3)
+    counts = _count_factorizations(
+        monkeypatch, lambda: verify_instance(inst, np.random.default_rng(0)))
+    assert counts == {"svd": 23, "eigvalsh": 18, "eigh": 3, "qr": 18, "inv": 15}
+
+
+def test_build_problem_factorization_count(monkeypatch):
+    """build_problem alone on the same draw takes 6 SVDs (the seed's orth,
+    its two defect frames at +-i, and three in the parameter's ``build``
+    and ``op_frame``), 3 eigvalsh calls (the seed's Green form, the check
+    that V is unitary and ``validate_tau``), 1 eigh (``spectra``), no QR
+    and 1 LU (the triplet's lift)."""
+    inst = generate_instance(np.random.default_rng(13), 12, 6, 3)
+    counts = _count_factorizations(monkeypatch, lambda: build_problem(inst))
+    assert counts == {"svd": 6, "eigvalsh": 3, "eigh": 1, "qr": 0, "inv": 1}
 
 
 def test_report_names_the_check_that_raised(monkeypatch):

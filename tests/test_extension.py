@@ -117,6 +117,8 @@ def test_resolvent_conjugate_symmetry():
 
 
 def test_krein_resolvent_takes_no_defect_frame_per_lambda(monkeypatch):
+    """The seed's from_relation builds the two frames at +-i once; the
+    Krein resolvent builds none at any lam."""
     rng = np.random.default_rng(17)
     tri, tau = random_problem(rng)
     krein_resolvent(tri, tau, 0.3 + 1j)

@@ -32,11 +32,13 @@ from relcomp.triplet import (
 )
 
 
-def random_symmetric_seed(rng, n, d=None, allow_mul=True):
-    """Seed with prescribed deficiency index d (defaults to random)."""
+def random_symmetric_seed(rng, n, d=None, n_mul=None):
+    """Seed with prescribed deficiency index d and dimension n_mul of its
+    multivalued part (each random by default)."""
     if d is None:
         d = int(rng.integers(0, n + 1))
-    n_mul = int(rng.integers(0, n - d + 1)) if allow_mul else 0
+    if n_mul is None:
+        n_mul = int(rng.integers(0, n - d + 1))
     m = n - d - n_mul
     q = np.linalg.qr(rng.standard_normal((n, n))
                      + 1j * rng.standard_normal((n, n)))[0]
@@ -83,19 +85,41 @@ def test_defect_of_trivial_seed():
 
 
 @pytest.mark.parametrize("n", [6, 24, 96])
+def test_seed_adjoint_matches_the_complement_reference(n):
+    """The seed's A* = [A, N-hat_i, N-hat_{-i}] against ``adjoint``, the
+    complement of J A computed from A alone, and its frame orthonormal; a
+    relation that is not symmetric is rejected."""
+    rng = np.random.default_rng(300 + n)
+    seeds = [random_symmetric_seed(rng, n, d=n // 3, n_mul=n_mul)
+             for n_mul in (0, n // 4)]
+    seeds += [random_symmetric_seed(rng, n, d=0),
+              SymmetricSeed.from_relation(zero_relation(3))]
+    for seed in seeds:
+        assert relations_equal(seed.A_star, adjoint(seed.A))[1] <= 1e-13
+        frame = seed.A_star.frame
+        gram = frame.conj().T @ frame - np.eye(frame.shape[1])
+        assert np.max(np.abs(gram), initial=0.0) <= 1e-14
+    h = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    with pytest.raises(ValueError, match="not symmetric"):
+        SymmetricSeed.from_relation(graph_of(h))
+
+
+@pytest.mark.parametrize("n", [6, 24, 96])
 def test_defect_frame_matches_intersection_reference(n):
     """The one-SVD defect frame against A* cap graph(lam I) computed
-    independently through orthogonal complements."""
+    independently through orthogonal complements, with A* from
+    ``adjoint``, which reads no defect frame."""
     rng = np.random.default_rng(400 + n)
     for _ in range(2):
         seed = random_symmetric_seed(rng, n, d=int(rng.integers(1, n // 2 + 1)))
+        a_star = adjoint(seed.A)
         for lam in (1j, -1j, 0.3 + 1.7j, 100j, 1e6j):
             frame, _ = defect(seed, lam)
-            ref = intersect(seed.A_star, graph_of(lam * np.eye(n))).frame
+            ref = intersect(a_star, graph_of(lam * np.eye(n))).frame
             assert frame.shape[1] == ref.shape[1]
             graph_res = np.linalg.norm(frame[n:] - lam * frame[:n], 2) / max(1.0, abs(lam))
             assert graph_res <= 1e-13
-            assert containment_residual(frame, seed.A_star.frame) <= 1e-13
+            assert containment_residual(frame, a_star.frame) <= 1e-13
             # At 1e6i the subspace itself is ill-conditioned: both frames have
             # residuals near 1e-15 yet differ by about 1e-9 as subspaces.
             if abs(lam) <= 100:
@@ -125,57 +149,62 @@ def count_defect_frames(monkeypatch) -> list:
     calls = []
     frame_of = triplet._defect_frame
     monkeypatch.setattr(triplet, "_defect_frame",
-                        lambda seed, lam: calls.append(lam) or frame_of(seed, lam))
+                        lambda A, lam: calls.append(lam) or frame_of(A, lam))
     return calls
 
 
 def test_defect_at_plus_minus_i_reuses_its_frame(monkeypatch):
+    """from_relation builds the two frames at +-i once; defect reads them
+    there and builds one frame at any other lam."""
     calls = count_defect_frames(monkeypatch)
-    for first in (1j, -1j):
-        seed = random_symmetric_seed(np.random.default_rng(6), 5, d=2)
-        for lam, frames in ((first, 2), (-first, 0), (first, 0), (0.5j, 1)):
-            calls.clear()
-            _, idx = defect(seed, lam)
-            assert idx == (2, 2) and len(calls) == frames
+    seed = random_symmetric_seed(np.random.default_rng(6), 5, d=2)
+    assert calls == [1j, -1j]
+    for lam, frames in ((1j, 0), (-1j, 0), (0.5j, 1)):
+        calls.clear()
+        _, idx = defect(seed, lam)
+        assert idx == (2, 2) and len(calls) == frames
 
 
 def test_frames_and_weyl_at_i_are_built_once_and_read_only(monkeypatch):
+    """from_relation builds the two frames at +-i once; the triplet and its
+    gamma(i) and M(i) build none."""
     calls = count_defect_frames(monkeypatch)
     seed = random_symmetric_seed(np.random.default_rng(7), 6, d=3)
     tri = von_neumann_triplet(seed)
-    assert calls == [1j, -1j]
     at_i = tri.weyl_at_i
-    assert tri.weyl_at_i is at_i and len(calls) == 2
+    assert tri.weyl_at_i is at_i and calls == [1j, -1j]
     for cached in (*seed.defect_frames_at_i, at_i.gamma_field, at_i.weyl):
         with pytest.raises(ValueError, match="read-only"):
             cached[0, 0] = 0.0
 
 
-def test_only_the_von_neumann_triplet_builds_defect_frames(monkeypatch):
-    """von_neumann_triplet builds the two frames at +-i; checking a triplet
-    on a seed without frames builds none."""
+def test_only_from_relation_builds_the_frames_at_plus_minus_i(monkeypatch):
+    """from_relation builds the two frames at +-i, and building and checking
+    a von Neumann triplet on the seed builds none."""
     calls = count_defect_frames(monkeypatch)
     rng = np.random.default_rng(2)
     for _ in range(15):
-        seed = random_symmetric_seed(rng, int(rng.integers(1, 6)))
         calls.clear()
-        tri = von_neumann_triplet(seed)
+        seed = random_symmetric_seed(rng, int(rng.integers(1, 6)))
         assert calls == [1j, -1j]
-        bare = SymmetricSeed(A=seed.A, A_star=seed.A_star)
-        BoundaryTriplet.from_ambient_maps(bare, tri.gamma0, tri.gamma1)
+        tri = von_neumann_triplet(seed)
+        BoundaryTriplet.from_ambient_maps(seed, tri.gamma0, tri.gamma1)
         assert len(calls) == 2
 
 
 def test_wrongly_sized_adjoint_frame_raises():
-    """A seed whose frame of A* does not have dimension 2n - dim A is not
-    the seed of a boundary triplet; the error names both dimensions."""
+    """A seed whose frame [A, N-hat_i, N-hat_{-i}] of A* does not have
+    dimension 2n - dim A is not the seed of a boundary triplet; the error
+    names both dimensions."""
     seed = random_symmetric_seed(np.random.default_rng(5), 5, d=2)
     tri = von_neumann_triplet(seed)
-    # one dimension short of A*, and all of C^5 (+) C^5
-    for frame in (seed.A_star.frame[:, :-1], np.eye(10, dtype=complex)):
-        bad = SymmetricSeed(A=seed.A, A_star=LinearRelation(5, 5, frame))
+    plus, minus = seed.defect_frames_at_i
+    # one dimension short of A*, and one too many
+    for frames in ((plus, minus[:, :-1]), (plus, np.hstack([minus, plus[:, :1]]))):
+        bad = SymmetricSeed(A=seed.A, defect_frames_at_i=frames)
+        dim = seed.A.dim + frames[0].shape[1] + frames[1].shape[1]
         with pytest.raises(TripletError,
-                           match=rf"dim A\* = {frame.shape[1]}, but 2n - dim A = 7"):
+                           match=rf"dim A\* = {dim}, but 2n - dim A = 7"):
             BoundaryTriplet.from_ambient_maps(bad, tri.gamma0, tri.gamma1)
 
 
@@ -475,7 +504,7 @@ def test_forbidden_dimension_counts_mul_of_adjoint():
     # dim F = dim mul A* = codim of dom A; trivial only for dense domains,
     # which in finite dimension forces A self-adjoint
     rng = np.random.default_rng(61)
-    seed = random_symmetric_seed(rng, 4, d=2, allow_mul=False)
+    seed = random_symmetric_seed(rng, 4, d=2, n_mul=0)
     tri = von_neumann_triplet(seed)
     from relcomp.linrel import parts
     assert forbidden_relation(tri).dim == parts(seed.A_star).mul.shape[1] == 2
