@@ -24,6 +24,7 @@ from .linrel import (
     DEFAULT_TOL,
     make_relation,
     negate,
+    operator_relation,
     relations_equal,
     resolvent,
 )
@@ -362,9 +363,7 @@ def _s_direct_matches_theta0(ctx) -> float:
     """The direct S = A~ cap (H (+) H) against A_theta0, theta0 =
     {{h'', -A h'' + k}: h'' in H'' of the decomposition, k in K}."""
     tau, hd = ctx.tau, ctx.decomposition.h_dprime
-    mul = tau.mul_frame
-    span = np.block([[hd, np.zeros_like(mul)], [-tau.a_coef @ hd, mul]])
-    theta0 = make_relation(span, tau.dim, tau.dim)
+    theta0 = operator_relation(hd, -tau.a_coef @ hd, tau.mul_frame)
     return relations_equal(ctx.chain[1], extension_of(ctx.tri, theta0))[1]
 
 

@@ -24,7 +24,7 @@ from .linrel import (
     _norm2,
     classify_symmetry,
     graph_operator,
-    make_relation,
+    operator_relation,
     rank,
     relations_equal,
 )
@@ -84,17 +84,14 @@ def compression_param(tau: RationalNevanlinna) -> LinearRelation:
     {{h, -A'h (+) h' (+) k}: h in ker B cap K-perp, h' in ran B, k in K},
     where A' compresses the constant coefficient to ker B cap K-perp, and
     ran B and ker B cap K-perp are the two parts of row 0 of ``spectra``
-    that ``_cut`` splits.
+    that ``_cut`` splits: the ``operator_relation`` on dom = ker B cap
+    K-perp and mul = [ran B, K], of dimension d at every scale of A.
     """
-    d = tau.dim
     values, vectors = tau.spectra
     rank_b = _cut(values[0])
     ker_b = vectors[0][:, rank_b:]
-    mul = np.hstack([vectors[0][:, :rank_b], tau.mul_frame])
-    a_prime = ker_b @ (ker_b.conj().T @ tau.a_coef @ ker_b)
-    cols_dom = np.vstack([ker_b, -a_prime])
-    cols_mul = np.vstack([np.zeros_like(mul), mul])
-    return make_relation(np.hstack([cols_dom, cols_mul]), d, d)
+    image = -ker_b @ (ker_b.conj().T @ tau.a_coef @ ker_b)
+    return operator_relation(ker_b, image, np.hstack([vectors[0][:, :rank_b], tau.mul_frame]))
 
 
 def compression(tri: BoundaryTriplet, tau: RationalNevanlinna) -> LinearRelation:

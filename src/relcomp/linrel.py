@@ -5,11 +5,12 @@ frame of shape (n0 + n1) x r; the first n0 coordinates of a column are
 the "left" vector f, the remaining n1 the "right" vector f', encoding the
 pair {f, f'}.  Every ``LinearRelation`` frame must be orthonormal: the
 checks below read dimensions, containments and symmetry off the frames
-without orthonormalizing them again.  A span that is not orthonormal
-enters through ``make_relation``.  Equality is the projector distance
-||P1 - P2||, read without forming either 2N x 2N projector: it is 1 when
-the dimensions differ, and the one-sided gap ||(I - P2) F1|| when they
-agree, so verdicts are gauge-free.
+without orthonormalizing them again.  A span whose dimension is known
+enters through ``operator_relation``, with no cut; any other span through
+``make_relation``.  Equality is the projector distance ||P1 - P2||, read
+without forming either 2N x 2N projector: it is 1 when the dimensions
+differ, and the one-sided gap ||(I - P2) F1|| when they agree, so
+verdicts are gauge-free.
 
 Every inverse the package takes is the matrix R L^{-1} of a relation with
 frame (L; R): resolvents, ``as_operator``, the middle term of the Krein
@@ -28,17 +29,17 @@ and ``make_relation(1e-9 * I_4, 2, 2)`` is the zero relation.
 ``rank`` apply it to the SVD they take, ``extend`` through the ``orth``
 of the part of a span off a frame, and ``psd_factor`` in the exit-space
 oracle to the eigenvalues of its ``eigh``.  Every rank of a parameter's
-B or A_j in the formula route (the split of tau_c, the coefficient
-flags, the exit dimension, the first point of ``tau_limits`` and the
-vanishing pole terms of ``validate_tau``) is the cut of that
-coefficient's row of
-``RationalNevanlinna.spectra``, one stacked ``eigh``.  ``complement``
-takes the rank of its orthonormal frame as given.  Spectral norms come from
-``eigvalsh`` in ``_norm2``, and the PSD test of ``validate_tau`` reads
-smallest eigenvalues; neither decides a rank.  Every equality and
-containment verdict and the inversion cut of ``graph_operator`` read
-DEFAULT_TOL too; the remaining fixed thresholds (Green identity, pole
-distance) are constants or literals where they are used.
+B or A_j in the formula route (the split of tau_c, H'' of
+``decompose_tau``, the coefficient flags, the exit dimension, the first
+point of ``tau_limits`` and the vanishing pole terms of ``validate_tau``)
+is the cut of that coefficient's row of ``RationalNevanlinna.spectra``,
+one stacked ``eigh``, whose smallest values the PSD test of
+``validate_tau`` reads.  ``complement`` takes the rank of its orthonormal
+frame as given.  Spectral norms come from ``eigvalsh`` in ``_norm2`` and
+decide no rank.  Every equality and containment verdict and the inversion
+cut of ``graph_operator`` read DEFAULT_TOL too; the remaining fixed
+thresholds (Green identity, pole distance) are constants or literals
+where they are used.
 
 A relation-valued function F(iy) tends to a relation at i*infinity when
 its gap to it vanishes; ``gap_limit`` is the one rule that measures such
@@ -202,12 +203,25 @@ def vertical_relation(n: int) -> LinearRelation:
     return LinearRelation(n, n, frame)
 
 
+def operator_relation(dom, image, mul=None) -> LinearRelation:
+    """{{h, Xh}: h in span dom} + {0} (+) span mul, for an orthonormal dom,
+    image = X dom and an orthonormal mul (none if None) with mul^H image = 0.
+    Its frame [QR(dom; image), (0; mul)] decides no rank: the singular
+    values of (dom; image) are all at least 1."""
+    if mul is None:
+        mul = np.zeros((image.shape[0], 0), dtype=complex)
+    (n_from, r), (n_to, m) = dom.shape, mul.shape
+    frame = np.zeros((n_from + n_to, r + m), dtype=complex)
+    frame[:, :r] = np.linalg.qr(np.vstack([dom, image]))[0]
+    frame[n_from:, r:] = mul
+    return LinearRelation(n_from, n_to, frame)
+
+
 def graph_of(matrix) -> LinearRelation:
-    """Graph of an everywhere-defined operator C^{cols} -> C^{rows}."""
+    """Graph of an everywhere-defined operator C^{cols} -> C^{rows}: the
+    ``operator_relation`` on dom = I, of dimension cols at every scale."""
     matrix = _as_complex(matrix)
-    n_to, n_from = matrix.shape
-    span = np.vstack([np.eye(n_from, dtype=complex), matrix])
-    return make_relation(span, n_from, n_to)
+    return operator_relation(np.eye(matrix.shape[1], dtype=complex), matrix)
 
 
 def parts(T: LinearRelation) -> PartsReport:

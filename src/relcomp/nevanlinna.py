@@ -26,8 +26,8 @@ from .linrel import (
     _cut,
     complement,
     gap_limit,
-    make_relation,
-    null_space,
+    kernel_split,
+    operator_relation,
     orth,
 )
 
@@ -114,22 +114,14 @@ class RationalNevanlinna:
 
 def eval_tau(tau: RationalNevanlinna, lam: complex) -> LinearRelation:
     """The relation {{h, tau0(lam) h + k}: h in K-perp, k in K} inside C^d,
-    with the frame [Q, (0; K)].
-
-    Q is the QR factor of (h0; tau0(lam) h0) on the frame h0 = ``op_frame``
-    of K-perp.  h0 is orthonormal, so that span has rank dim K-perp however
-    large tau0(lam) is, and no rank is decided.  Q is orthogonal to (0; K),
-    since the Hermitian coefficients of tau0 vanish on K."""
+    the ``operator_relation`` on dom = ``op_frame``, image = tau0(lam) dom
+    and mul = K: it has dimension d however large tau0(lam) is, and the
+    Hermitian coefficients of tau0 vanish on K."""
     if lam.imag == 0:
         raise ValueError("tau is evaluated on the real axis")
     if any(abs(lam - alpha) < 1e-12 for alpha, _ in tau.poles):
         raise ValueError(f"evaluation at a pole of tau: {lam}")
-    h0, d = tau.op_frame, tau.dim
-    p = h0.shape[1]
-    frame = np.zeros((2 * d, d), dtype=complex)
-    frame[:, :p] = np.linalg.qr(np.vstack([h0, tau.tau0(lam) @ h0]))[0]
-    frame[d:, p:] = tau.mul_frame
-    return LinearRelation(d, d, frame)
+    return operator_relation(tau.op_frame, tau.tau0(lam) @ tau.op_frame, tau.mul_frame)
 
 
 def validate_tau(tau: RationalNevanlinna) -> list:
@@ -138,8 +130,9 @@ def validate_tau(tau: RationalNevanlinna) -> list:
     Each coefficient m must vanish on K, be Hermitian and (except A) be
     PSD up to the relative cut 100 DEFAULT_TOL max(1, max|m|), since the
     rounding of ``build``'s embedding h0 m h0^H grows with |m|; the Gram
-    check of the K frame stays absolute.  A PSD pole term vanishes when
-    ``_cut`` of its row of ``spectra`` keeps no eigenvalue."""
+    check of the K frame stays absolute.  The PSD test reads the last,
+    smallest value of the coefficient's row of ``spectra``, on K-perp; a
+    PSD pole term vanishes when ``_cut`` of its row keeps no eigenvalue."""
     issues = []
     d = tau.dim
     scale = 100 * DEFAULT_TOL
@@ -155,17 +148,15 @@ def validate_tau(tau: RationalNevanlinna) -> list:
     cuts = scale * np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))
     if np.any(np.abs(stack @ tau.mul_frame).max(axis=(1, 2), initial=0.0) > cuts):
         issues.append("coefficients do not vanish on K")
-    stack_h = stack.conj().transpose(0, 2, 1)
-    not_psd = np.abs(stack - stack_h).max(axis=(1, 2), initial=0.0) > cuts
-    if d:
-        low = np.linalg.eigvalsh(stack[1:] + stack_h[1:]).min(axis=1) / 2
-        not_psd[1:] |= low < -cuts[1:]
+    not_psd = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0) > cuts
+    if tau.op_dim:
+        not_psd[1:] |= tau.spectra[0][:, -1] < -cuts[1:]
     if not_psd[0]:
         issues.append("A not Hermitian")
     if not_psd[1]:
         issues.append("B not PSD")
     alphas = [alpha for alpha, _ in tau.poles]
-    if len(set(alphas)) != len(alphas) or any(abs(a - b) < 1e-9 for i, a in enumerate(alphas) for b in alphas[:i]):
+    if any(abs(a - b) < 1e-9 for i, a in enumerate(alphas) for b in alphas[:i]):
         issues.append("pole locations not distinct")
     for j, row in enumerate(tau.spectra[0][1:]):
         if not_psd[2 + j]:
@@ -193,12 +184,13 @@ class TauDecomposition:
 
 
 def decompose_tau(tau: RationalNevanlinna) -> TauDecomposition:
-    """Split K-perp into ker(Im tau0) and its complement, and compress tau0
-    to a uniformly strict function on the complement."""
-    # the rows of K^H keep the kernel inside K-perp
-    hd = null_space(np.vstack([tau.b_coef, *(aj for _, aj in tau.poles),
-                               tau.mul_frame.conj().T]))
-    hp = complement(np.hstack([hd, tau.mul_frame]), tau.dim)
+    """Split K-perp into H'' = ker(Im tau0) and H', the span of ran B and
+    every ran A_j (each kept by ``_cut`` of its row of ``spectra``), by one
+    ``kernel_split``; compress tau0 to a uniformly strict function on H'."""
+    h0 = tau.op_frame
+    ranges = np.hstack([v[:, :_cut(w)] for w, v in zip(*tau.spectra)])
+    ker, row = kernel_split(ranges.conj().T @ h0)
+    hd, hp = h0 @ ker, h0 @ row
     q = hp.shape[1]
     b1 = -(hp.conj().T @ tau.a_coef @ hd)
     b2 = -(hd.conj().T @ tau.a_coef @ hd)
@@ -213,15 +205,13 @@ def decompose_tau(tau: RationalNevanlinna) -> TauDecomposition:
 
 def reassemble_decomposition(tau: RationalNevanlinna, dec: TauDecomposition,
                              lam: complex) -> LinearRelation:
-    """Rebuild tau(lam) from the block decomposition; pins the sign
+    """Rebuild tau(lam) from the block decomposition, the
+    ``operator_relation`` on dom = [H', H''] with mul = K; pins the sign
     convention of the constant block."""
-    d = tau.dim
     hp, hd = dec.h_prime, dec.h_dprime
-    t1 = dec.tau1.tau0(lam)
-    cols_p = np.vstack([hp, hp @ t1 - hd @ dec.b1.conj().T])
-    cols_d = np.vstack([hd, -hp @ dec.b1 - hd @ dec.b2])
-    cols_k = np.vstack([np.zeros_like(tau.mul_frame), tau.mul_frame])
-    return make_relation(np.hstack([cols_p, cols_d, cols_k]), d, d)
+    image = np.hstack([hp @ dec.tau1.tau0(lam) - hd @ dec.b1.conj().T,
+                       -hp @ dec.b1 - hd @ dec.b2])
+    return operator_relation(np.hstack([hp, hd]), image, tau.mul_frame)
 
 
 def tau_limits(tau: RationalNevanlinna, target: LinearRelation) -> float:

@@ -5,6 +5,7 @@ categories so that every classification flag is exercised on both sides.
 Residuals and thresholds of verify checks come from ``driver.CHECKS``.
 Each test prints a single PASS/FAIL line with its headline numbers.
 """
+import dataclasses
 import time
 
 import numpy as np
@@ -18,7 +19,7 @@ from relcomp.driver import (
     generate_instance,
     krein_residuals,
 )
-from relcomp.extension import compression, flags_geometric
+from relcomp.extension import compression, compression_param, flags_geometric
 from relcomp.exitspace import (
     build_exit_space,
     direct_compression,
@@ -34,11 +35,12 @@ from relcomp.linrel import (
     make_relation,
     negate,
     null_space,
+    operator_relation,
     relations_equal,
     zero_relation,
 )
 import relcomp.triplet as triplet
-from relcomp.nevanlinna import RationalNevanlinna
+from relcomp.nevanlinna import RationalNevanlinna, decompose_tau, eval_tau
 from relcomp.triplet import (
     GREEN_TOL,
     BoundaryTriplet,
@@ -227,20 +229,29 @@ def _frame_gap(T):
 def test_frames_built_without_orth_are_orthonormal(corpus):
     """A0, C(A~), A~ and the direct S are products of orthonormal frames,
     built without orthonormalizing again; on the corpus and at n = 96 they
-    stay orthonormal."""
+    stay orthonormal.  So do the ``operator_relation`` frames of tau_c,
+    theta0 (as ``s_direct_matches_theta0`` builds it) and tau(lam) with
+    tau's constant coefficient scaled by 1e9."""
     big = generate_instance(np.random.default_rng(292), max_dim=96,
                             max_boundary=48, max_poles=4)
     assert big.dim == 96
     contexts = [item["ctx"] for item in corpus] \
         + [VerifyContext(*build_problem(big), None)]
-    worst = 0.0
+    worst = worst_scaled = 0.0
     for ctx in contexts:
         for T in (ctx.tri.a0, compression(ctx.tri, ctx.tau),
                   ctx.model.a_tilde, ctx.chain[1]):
             worst = max(worst, _frame_gap(T))
-    _report("frames without orth", worst <= 1e-13,
-            f"{len(contexts)} instances, worst |F^H F - I| {worst:.1e}")
+        tau = dataclasses.replace(ctx.tau, a_coef=1e9 * ctx.tau.a_coef)
+        hd = decompose_tau(tau).h_dprime
+        for T in (compression_param(tau), eval_tau(tau, 0.3 + 1j),
+                  operator_relation(hd, -tau.a_coef @ hd, tau.mul_frame)):
+            worst_scaled = max(worst_scaled, _frame_gap(T))
+    _report("frames without orth", worst <= 1e-13 and worst_scaled <= 1e-14,
+            f"{len(contexts)} instances, worst |F^H F - I| {worst:.1e}, "
+            f"{worst_scaled:.1e} for tau_c, theta0 and tau(lam) at A x 1e9")
     assert worst <= 1e-13
+    assert worst_scaled <= 1e-14
 
 
 def _chain_by_null_spaces(model):

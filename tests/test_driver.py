@@ -230,6 +230,27 @@ def test_verify_instance_checks_all_pass():
     assert names == set(driver.CHECKS)
 
 
+def _b_beside_a_large_residue(b, a):
+    """n = 4, d = 2, V = I and K = {0}, with B = diag(b, 0) and one pole at
+    0.5 whose residue diag(0, a) is far larger than B."""
+    rng = np.random.default_rng(0)
+    dom = driver._random_unitary(rng, 4)[:, :2]
+    span = np.vstack([dom, driver._random_hermitian(rng, 4) @ dom])
+    return Instance(dim=4, seed_span=span, triplet_kind="von_neumann",
+                    triplet_data={"V": np.eye(2)}, tau_dim=2,
+                    tau_mul=np.zeros((2, 0)), tau_a=np.zeros((2, 2)),
+                    tau_b=np.diag([b, 0.0]), tau_poles=((0.5, np.diag([0.0, a])),))
+
+
+@pytest.mark.parametrize("b, a", [(1e-7, 1e3), (1e-6, 1e4), (1e-3, 1e7)])
+def test_b_beside_a_large_residue_passes_every_check(b, a):
+    """The cut of each row of ``spectra`` keeps B and A_1, so H'' = {0};
+    the decomposition and theta0 read H'' off those same cuts, not off one
+    cut relative to the larger coefficient, which would drop B."""
+    checks = verify_instance(_b_beside_a_large_residue(b, a), np.random.default_rng(1))
+    assert [c.name for c in checks if not c.passed] == []
+
+
 def _explicit_instances(count):
     """Instances of generate_instance(default_rng(7), 12, 6, 3) with each
     triplet written out as its two ambient maps."""
@@ -245,18 +266,22 @@ def _explicit_instances(count):
 
 
 def _rotate_frames(monkeypatch):
-    """Right-multiply every frame orth, null_space and complement return by
-    a seeded random unitary, in every relcomp module that binds them."""
+    """Right-multiply every frame orth, null_space, complement and
+    kernel_split (each of its two) return by a seeded random unitary, in
+    every relcomp module that binds them."""
     rng = np.random.default_rng(11)
+
+    def rotate(f):
+        return f @ driver._random_unitary(rng, f.shape[1])
 
     def rotated(frame_of):
         def frame(*args, **kwargs):
             f = frame_of(*args, **kwargs)
-            return f @ driver._random_unitary(rng, f.shape[1])
+            return tuple(map(rotate, f)) if isinstance(f, tuple) else rotate(f)
         return frame
 
     patched = {name: rotated(getattr(linrel, name))
-               for name in ("orth", "null_space", "complement")}
+               for name in ("orth", "null_space", "complement", "kernel_split")}
     for module in [m for name, m in sys.modules.items() if name.startswith("relcomp.")]:
         for name, frame_of in patched.items():
             if hasattr(module, name):
@@ -435,24 +460,24 @@ def _count_factorizations(monkeypatch, run) -> dict:
 
 def test_verify_instance_factorization_count(monkeypatch):
     """One verify_instance of a fixed draw (n = 11, boundary dimension 6,
-    dim K = 1, one pole) takes 23 SVDs, 18 eigvalsh calls, 3 eigh calls
+    dim K = 1, one pole) takes 17 SVDs, 17 eigvalsh calls, 3 eigh calls
     (the parameter's ``spectra`` and the oracle's two ``psd_factor``
-    calls), 18 QRs and 15 LUs (``inv``, in ``graph_operator``)."""
+    calls), 23 QRs and 15 LUs (``inv``, in ``graph_operator``)."""
     inst = generate_instance(np.random.default_rng(13), 12, 6, 3)
     counts = _count_factorizations(
         monkeypatch, lambda: verify_instance(inst, np.random.default_rng(0)))
-    assert counts == {"svd": 23, "eigvalsh": 18, "eigh": 3, "qr": 18, "inv": 15}
+    assert counts == {"svd": 17, "eigvalsh": 17, "eigh": 3, "qr": 23, "inv": 15}
 
 
 def test_build_problem_factorization_count(monkeypatch):
     """build_problem alone on the same draw takes 6 SVDs (the seed's orth,
     its two defect frames at +-i, and three in the parameter's ``build``
-    and ``op_frame``), 3 eigvalsh calls (the seed's Green form, the check
-    that V is unitary and ``validate_tau``), 1 eigh (``spectra``), no QR
-    and 1 LU (the triplet's lift)."""
+    and ``op_frame``), 2 eigvalsh calls (the seed's Green form and the
+    check that V is unitary), 1 eigh (``spectra``, which ``validate_tau``
+    reads), no QR and 1 LU (the triplet's lift)."""
     inst = generate_instance(np.random.default_rng(13), 12, 6, 3)
     counts = _count_factorizations(monkeypatch, lambda: build_problem(inst))
-    assert counts == {"svd": 6, "eigvalsh": 3, "eigh": 1, "qr": 0, "inv": 1}
+    assert counts == {"svd": 6, "eigvalsh": 2, "eigh": 1, "qr": 0, "inv": 1}
 
 
 def test_report_names_the_check_that_raised(monkeypatch):

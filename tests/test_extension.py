@@ -185,13 +185,19 @@ def test_compression_param_block():
 
 
 def test_tau_c_selfadjoint_and_tau_infinity():
-    """tau_c is self-adjoint, and the graph of tau(iy) tends to -tau_c as
-    y grows, not to tau_c: the gap is O(1/y), so its Richardson value
-    vanishes."""
+    """tau_c is self-adjoint, of dimension d, and the graph of tau(iy)
+    tends to -tau_c as y grows, not to tau_c: the gap is O(1/y), so its
+    Richardson value vanishes.  Beside 30 random parameters, B =
+    diag(1, 0, 0) with a constant coefficient of scale 1e9 and 1e12 keeps
+    ran B in tau_c's multivalued part."""
     rng = np.random.default_rng(17)
-    for _ in range(30):
-        tau = random_tau(rng, int(rng.integers(1, 4)))
+    taus = [random_tau(rng, int(rng.integers(1, 4))) for _ in range(30)]
+    x = np.random.default_rng(5).standard_normal((3, 3))
+    taus += [RationalNevanlinna.build(3, a=s * (x + x.T) / 2, b=np.diag([1.0, 0.0, 0.0]))
+             for s in (1e9, 1e12)]
+    for tau in taus:
         tc = compression_param(tau)
+        assert tc.dim == tau.dim
         assert classify_symmetry(tc) == "self_adjoint"
         assert tau_limits(tau, negate(tc)) < CHECKS["limit_parameter"].threshold
         if relations_equal(tc, negate(tc))[1] > 1e-3:

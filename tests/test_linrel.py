@@ -191,6 +191,8 @@ def test_classify_symmetry_green_form_matches_adjoint_route():
         (zero_relation(3), "symmetric"),
         (full_relation(3), "not_symmetric"),
         (graph_of(np.array([[0.0, 1.0], [1.0, 0.0]])), "self_adjoint"),
+        # a graph keeps its dimension however large the operator is
+        *((graph_of(np.diag([s, 0.0])), "self_adjoint") for s in (1e9, 1e10, 1e12)),
         (self_adjoint, "self_adjoint"),
         (LinearRelation(6, 6, perturbed(rng, self_adjoint.frame, 1e-11)),
          "self_adjoint"),
@@ -456,23 +458,41 @@ def test_every_svd_is_a_linrel_rank_cut():
 def test_every_eigendecomposition_is_pinned():
     """psd_factor cuts its eigenvalues with ``_cut``; the parameter's
     ``spectra`` takes the one eigendecomposition of B and the residues,
-    whose rows its readers cut (validate_tau's pole-vanishing test among
-    them); _norm2 and validate_tau's PSD test read a largest and a
-    smallest eigenvalue and decide no rank."""
+    whose rows its readers cut or read (validate_tau's PSD and
+    pole-vanishing tests among them); _norm2 reads a largest eigenvalue
+    and decides no rank."""
     eigs = _sites({"eig", "eigh", "eigvals", "eigvalsh"})
     assert eigs == {("exitspace", "psd_factor"), ("linrel", "_norm2"),
-                    ("nevanlinna", "validate_tau"), ("nevanlinna", "spectra")}
-    assert _cutting(eigs) == {("exitspace", "psd_factor"), ("nevanlinna", "validate_tau")}
+                    ("nevanlinna", "spectra")}
+    assert _cutting(eigs) == {("exitspace", "psd_factor")}
 
 
 def test_every_qr_is_pinned():
-    """No QR decides a rank: eval_tau's (h0; tau0(lam) h0) and the lifted
-    columns of extension_of have full column rank, and instance generation
-    draws random unitaries."""
+    """No QR decides a rank: operator_relation's (dom; image) on an
+    orthonormal dom and the lifted columns of extension_of have full column
+    rank, and instance generation draws random unitaries."""
     qrs = _sites({"qr"})
-    assert qrs == {("nevanlinna", "eval_tau"), ("triplet", "extension_of"),
+    assert qrs == {("linrel", "operator_relation"), ("triplet", "extension_of"),
                    ("driver", "_random_unitary")}
     assert _cutting(qrs) == set()
+
+
+def test_make_relation_is_called_only_on_spans_of_unknown_rank():
+    """A relation whose dimension is known by construction enters through
+    operator_relation, with no rank cut; make_relation's SVD is left to the
+    seed span, a componentwise sum, a boundary image and the forbidden
+    route's span."""
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                callers |= {(path.stem, func.name) for node in ast.walk(func)
+                            if isinstance(node, ast.Call)
+                            and getattr(node.func, "id", None) == "make_relation"}
+    assert callers == {("driver", "build_problem"), ("linrel", "comp_sum"),
+                       ("triplet", "_boundary_image"),
+                       ("exitspace", "compression_via_forbidden")}
 
 
 @pytest.mark.parametrize("T", [full_relation(2), zero_relation(2)])
