@@ -25,15 +25,16 @@ import numpy as np
 from .linrel import (
     LinearRelation,
     _cut,
+    _norm2,
     classify_symmetry,
     complement,
     containment_residual,
     extend,
+    graph_operator,
     kernel_split,
     make_relation,
     null_space,
     orth,
-    resolvent,
 )
 from .nevanlinna import RationalNevanlinna
 from .triplet import BoundaryTriplet, extension_of
@@ -156,20 +157,26 @@ def direct_compression(model: ExitSpaceModel):
 
 def chain_residuals(tri: BoundaryTriplet, chain) -> dict:
     """Containment residuals of A <= S <= C <= T <= A* for the direct
-    compression chain (C, S, T)."""
+    compression chain (C, S, T).  A*^perp = J A, whose frame (R; -L) is
+    orthonormal, so the residual of T in A* is ||(J A)^H T||."""
     C, S, T = chain
+    a = tri.seed.A
     return {
-        "A_in_S": containment_residual(tri.seed.A.frame, S.frame),
+        "A_in_S": containment_residual(a.frame, S.frame),
         "S_in_C": containment_residual(S.frame, C.frame),
         "C_in_T": containment_residual(C.frame, T.frame),
-        "T_in_A_star": containment_residual(T.frame, tri.seed.A_star.frame),
+        "T_in_A_star": _norm2(np.vstack([a.right, -a.left]).conj().T @ T.frame),
     }
 
 
 def generalized_resolvent_direct(model: ExitSpaceModel, lam: complex) -> np.ndarray:
-    """Base-space block of (A~ - lam)^{-1}."""
+    """Base-space block of (A~ - lam)^{-1}: with L, R the halves of A~'s
+    frame, the resolvent is L (R - lam L)^{-1} (``resolvent``), so the
+    block is the graph operator of (R - lam L; L[:n]) on its first n
+    columns, from the same LU and with the same cut."""
     n = model.dim_h
-    return resolvent(model.a_tilde, lam)[:n, :n]
+    A_tilde = model.a_tilde
+    return graph_operator(A_tilde.right - lam * A_tilde.left, A_tilde.left[:n])[:, :n]
 
 
 def compression_via_forbidden(tri: BoundaryTriplet, tau: RationalNevanlinna,
@@ -200,10 +207,14 @@ def minimality(model: ExitSpaceModel) -> bool:
     block grows from ran R21 by R22 until it reaches dim_r or stops
     growing.  Each step ``extend``s the block by R22 times only the columns
     the step before added, since R22 maps the older ones into the block.
+    The exit rows [R21, R22] of R are the graph operator of
+    (R~ - i L~; L~[n:]) for the halves L~, R~ of A~'s frame, as in
+    ``resolvent``, from the same LU and with the same cut.
     """
     n, nr = model.dim_h, model.dim_r
-    r = resolvent(model.a_tilde, 1j)
-    r21, r22 = r[n:, :n], r[n:, n:]
+    A_tilde = model.a_tilde
+    r = graph_operator(A_tilde.right - 1j * A_tilde.left, A_tilde.left[n:])
+    r21, r22 = r[:, :n], r[:, n:]
     block = orth(r21)
     added = block
     while block.shape[1] < nr:

@@ -21,7 +21,7 @@ from .linrel import (
     DEFAULT_TOL,
     LinearRelation,
     _cut,
-    _norm2,
+    _norm_below,
     classify_symmetry,
     graph_operator,
     operator_relation,
@@ -117,12 +117,17 @@ def flags_geometric(tri: BoundaryTriplet, C: LinearRelation) -> dict:
     """Flags of C read off by relation algebra against A, A0 and A*; C = A0
     iff C is contained in A0 and has its dimension.
 
-    C and A0 lie in A*, so C + A0 = A* iff the part (I - P_A0) C of C off
-    A0 has rank dim A* - dim A0, the rank of one 2n x dim C SVD; its norm
-    is the containment residual of C in A0."""
+    A0 is self-adjoint, so J A0 = A0^perp, and J A = A*^perp; hence
+    A* (-) A0 = J (A0 (-) A).  ``extension_of`` lays A0's frame out as
+    [A, q0], so Z = J q0 = (q0_R; -q0_L) is an orthonormal d-column frame
+    of A* (-) A0.  C and A0 lie in A*, so the part (I - P_A0) C of C off
+    A0 is Z Z^H C: its norm, the containment residual of C in A0, and its
+    rank are those of the d x dim C matrix Z^H C, and C + A0 = A* iff that
+    rank is dim A* - dim A0 = d."""
     A0 = tri.a0
-    off_a0 = C.frame - A0.frame @ (A0.frame.conj().T @ C.frame)
-    subset_a0 = _norm2(off_a0) < DEFAULT_TOL
+    n, q0 = tri.space_dim, A0.frame[:, tri.seed.A.dim:]
+    off_a0 = np.vstack([q0[n:], -q0[:n]]).conj().T @ C.frame
+    subset_a0 = _norm_below(off_a0, DEFAULT_TOL)
     eq_a, _ = relations_equal(C, tri.seed.A)
     transversal = rank(off_a0) == tri.seed.A_star.dim - A0.dim
     return {

@@ -35,11 +35,22 @@ point of ``tau_limits`` and the vanishing pole terms of ``validate_tau``)
 is the cut of that coefficient's row of ``RationalNevanlinna.spectra``,
 one stacked ``eigh``, whose smallest values the PSD test of
 ``validate_tau`` reads.  ``complement`` takes the rank of its orthonormal
-frame as given.  Spectral norms come from ``eigvalsh`` in ``_norm2`` and
-decide no rank.  Every equality and containment verdict and the inversion
-cut of ``graph_operator`` read DEFAULT_TOL too; the remaining fixed
-thresholds (Green identity, pole distance) are constants or literals
-where they are used.
+frame as given.  ``kernel_split`` needs every right singular vector: a
+wide matrix is factored as its tall adjoint, whose full U holds them,
+since LAPACK's full SVD is about twice as fast in that orientation and
+the singular values, so the cut, are the same; any other matrix is
+factored as it is, with its thin U.  Spectral norms come from ``eigvalsh`` of the Gram
+matrix on the smaller side in ``_norm2`` and decide no rank.  A verdict
+that reports no residual (``contains``, ``classify_symmetry``, the
+subset flag of C against A0, the unitarity of V) asks ``_norm_below``,
+which reads ||x||_2 < b off the bracket
+||x||_F / sqrt(min(rows, cols)) <= ||x||_2 <= ||x||_F and takes
+``_norm2`` only when b lies inside it.  Green forms R^H L - L^H R come
+from the one product X = R^H L as X - X^H (``_green_form``).  Every
+equality and containment verdict and the inversion cut of
+``graph_operator`` read DEFAULT_TOL too; the remaining fixed thresholds
+(Green identity, pole distance) are constants or literals where they are
+used.
 
 A relation-valued function F(iy) tends to a relation at i*infinity when
 its gap to it vanishes; ``gap_limit`` is the one rule that measures such
@@ -103,15 +114,21 @@ def complement(frame, dim: int) -> np.ndarray:
 
 def kernel_split(mat) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (ker, row) of ker(mat) and of its orthogonal
-    complement, the row space, to the rank of ``_cut``, from one full SVD;
-    [ker, row] is unitary."""
+    complement, the row space, to the rank of ``_cut``, from one SVD that
+    yields every right singular vector; [ker, row] is unitary.  A wide mat
+    is factored as mat^H, whose full U holds them (the module docstring
+    says why); any other mat needs only its thin SVD."""
     mat = _as_complex(mat)
-    cols = mat.shape[1]
-    if mat.shape[0] == 0 or cols == 0:
+    rows, cols = mat.shape
+    if rows == 0 or cols == 0:
         return np.eye(cols, dtype=complex), np.zeros((cols, 0), dtype=complex)
-    _, s, vh = np.linalg.svd(mat, full_matrices=True)
+    if rows < cols:
+        v, s, _ = np.linalg.svd(mat.conj().T, full_matrices=True)
+    else:
+        _, s, vh = np.linalg.svd(mat, full_matrices=False)
+        v = vh.conj().T
     r = _cut(s)
-    return vh[r:].conj().T, vh[:r].conj().T
+    return v[:, r:], v[:, :r]
 
 
 def null_space(mat) -> np.ndarray:
@@ -132,10 +149,35 @@ def extend(frame: np.ndarray, span) -> np.ndarray:
 
 
 def _norm2(x: np.ndarray) -> float:
-    """Spectral norm of x as sqrt(lambda_max(x^H x)), 0 for an empty x."""
+    """Spectral norm of x as the square root of the largest eigenvalue of
+    its Gram matrix on the smaller side, x x^H or x^H x; 0 for an empty x."""
     if x.size == 0:
         return 0.0
-    return float(np.sqrt(max(np.linalg.eigvalsh(x.conj().T @ x)[-1], 0.0)))
+    gram = x @ x.conj().T if x.shape[0] < x.shape[1] else x.conj().T @ x
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+
+
+def _norm_below(x: np.ndarray, bound: float) -> bool:
+    """Whether ||x||_2 < bound, for a verdict that reports no residual.
+
+    ||x||_F / sqrt(min(rows, cols)) <= ||x||_2 <= ||x||_F, so the Frobenius
+    norm settles the verdict unless bound lies inside that bracket; only
+    then is ``_norm2`` taken, so the verdict is that of ``_norm2``."""
+    if x.size == 0:
+        return bound > 0.0
+    fro = float(np.linalg.norm(x))
+    if fro < bound:
+        return True
+    if fro > bound * np.sqrt(min(x.shape)):
+        return False
+    return _norm2(x) < bound
+
+
+def _green_form(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Green form R^H L - L^H R of the columns of the frame (L; R), from
+    the one product X = R^H L as X - X^H."""
+    x = right.conj().T @ left
+    return x - x.conj().T
 
 
 def containment_residual(sub: np.ndarray, sup: np.ndarray) -> float:
@@ -300,7 +342,8 @@ def gap_limit(relation_at: Callable[[complex], LinearRelation],
 def contains(big: LinearRelation, small: LinearRelation) -> bool:
     """small subseteq big within tolerance."""
     _check_ambient(big, small)
-    return containment_residual(small.frame, big.frame) < DEFAULT_TOL
+    sub, sup = small.frame, big.frame
+    return _norm_below(sub - sup @ (sup.conj().T @ sub), DEFAULT_TOL)
 
 
 def classify_symmetry(T: LinearRelation) -> str:
@@ -313,8 +356,7 @@ def classify_symmetry(T: LinearRelation) -> str:
     """
     if T.dim_from != T.dim_to:
         raise ValueError("symmetry is defined for relations in a single space")
-    green = T.right.conj().T @ T.left - T.left.conj().T @ T.right
-    if _norm2(green) >= DEFAULT_TOL:
+    if not _norm_below(_green_form(T.left, T.right), DEFAULT_TOL):
         return "not_symmetric"
     return "self_adjoint" if T.dim == T.dim_from else "symmetric"
 

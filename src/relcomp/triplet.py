@@ -19,7 +19,9 @@ import numpy as np
 from .linrel import (
     LinearRelation,
     SpectrumError,
+    _green_form,
     _norm2,
+    _norm_below,
     classify_symmetry,
     contains,
     gap_limit,
@@ -144,10 +146,8 @@ def check_green(tri: BoundaryTriplet) -> float:
     """Max residual of the abstract Green identity over pairs of frame
     vectors of A*."""
     a_star = tri.seed.A_star
-    top, bot = a_star.left, a_star.right
-    lhs = (top.conj().T @ bot - bot.conj().T @ top).T
-    g0, g1 = tri.gamma0 @ a_star.frame, tri.gamma1 @ a_star.frame
-    rhs = (g0.conj().T @ g1 - g1.conj().T @ g0).T
+    lhs = _green_form(a_star.left, a_star.right)
+    rhs = _green_form(tri.gamma0 @ a_star.frame, tri.gamma1 @ a_star.frame)
     return float(np.max(np.abs(lhs - rhs), initial=0.0))
 
 
@@ -181,7 +181,7 @@ def von_neumann_triplet(seed: SymmetricSeed, V=None) -> BoundaryTriplet:
     if V is None:
         V = np.eye(d, dtype=complex)
     V = np.asarray(V, dtype=complex)
-    if V.shape != (d, d) or _norm2(V.conj().T @ V - np.eye(d)) > 1e-10:
+    if V.shape != (d, d) or not _norm_below(V.conj().T @ V - np.eye(d), 1e-10):
         raise TripletError("V must be a d x d unitary")
 
     # 1/sqrt(2) rescales the ambient-orthonormal defect frames so that the

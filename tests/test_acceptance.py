@@ -26,7 +26,9 @@ from relcomp.exitspace import (
     generalized_resolvent_direct,
 )
 from relcomp.linrel import (
+    DEFAULT_TOL,
     LinearRelation,
+    _norm2,
     adjoint,
     classify_symmetry,
     comp_sum,
@@ -36,6 +38,7 @@ from relcomp.linrel import (
     negate,
     null_space,
     operator_relation,
+    rank,
     relations_equal,
     zero_relation,
 )
@@ -186,6 +189,15 @@ def _transversal_by_comp_sum(tri, C):
     return relations_equal(comp_sum(C, tri.a0), tri.seed.A_star)[0]
 
 
+def _flags_by_projection(tri, C):
+    """Reference: (transversal_with_A0, subset_A0) read off the 2n x dim C
+    projection (I - P_A0) C of C off A0, by its rank against
+    dim A* - dim A0 and its spectral norm against the cut."""
+    A0 = tri.a0
+    off = C.frame - A0.frame @ (A0.frame.conj().T @ C.frame)
+    return rank(off) == tri.seed.A_star.dim - A0.dim, _norm2(off) < DEFAULT_TOL
+
+
 def test_transversal_rank_matches_the_comp_sum_route(corpus):
     """flags_geometric reads transversality as a rank; on the corpus it
     agrees with the comp_sum route, on both sides of the flag."""
@@ -198,15 +210,45 @@ def test_transversal_rank_matches_the_comp_sum_route(corpus):
     assert min(sides) >= 20, sides
 
 
-@pytest.mark.parametrize("eps, transversal", [(1e-6, True), (1e-12, False)])
+def test_flags_in_a_star_minus_a0_match_the_projection_route(corpus):
+    """flags_geometric reads transversality and subset_A0 off the d-column
+    frame J(A0 - A) of A* - A0; on the corpus and at n = 96 both agree
+    with the 2n-row projection off A0, on both sides of each flag."""
+    big = generate_instance(np.random.default_rng(292), max_dim=96,
+                            max_boundary=48, max_poles=4)
+    contexts = [item["ctx"] for item in corpus] \
+        + [VerifyContext(*build_problem(big), None)]
+    sides = {"transversal_with_A0": [0, 0], "subset_A0": [0, 0]}
+    for ctx in contexts:
+        C = ctx.report.compression
+        flags = flags_geometric(ctx.tri, C)
+        assert (flags["transversal_with_A0"], flags["subset_A0"]) == \
+            _flags_by_projection(ctx.tri, C)
+        for name, count in sides.items():
+            count[flags[name]] += 1
+    assert all(min(count) >= 20 for count in sides.values()), sides
+
+
+def _near_cut_triplets():
+    return [*(random_problem(np.random.default_rng(seed), n_max=8, d_max=4)[0]
+              for seed in range(5)),
+            model_triplet([None, 0.5, -2.0])]
+
+
+@pytest.mark.parametrize("eps, transversal", [(1e-6, True), (1e-8, True), (1e-12, False)])
 def test_transversality_near_the_cut(eps, transversal):
     """A_theta for theta = graph(I / eps) is transversal with A0 for every
-    eps > 0 and tends to A0 as eps -> 0: the rank route and the comp_sum
-    route both read it as transversal at 1e-6 and both cut it at 1e-12."""
-    tri, _ = random_problem(np.random.default_rng(1), n_max=8, d_max=4)
-    C = extension_of(tri, graph_of(np.eye(tri.boundary_dim) / eps))
-    assert flags_geometric(tri, C)["transversal_with_A0"] == transversal
-    assert _transversal_by_comp_sum(tri, C) == transversal
+    eps > 0 and tends to A0 as eps -> 0: the rank route and the projection
+    route both read it as transversal at 1e-6 and 1e-8 and both cut it at
+    1e-12.  (The comp_sum route is left out: the column its orth keeps for
+    an angle eps is accurate only to about 1e-16 / eps, so it misreads
+    1e-8 on most of these triplets.)"""
+    for tri in _near_cut_triplets():
+        C = extension_of(tri, graph_of(np.eye(tri.boundary_dim) / eps))
+        flags = flags_geometric(tri, C)
+        assert flags["transversal_with_A0"] == transversal
+        assert (flags["transversal_with_A0"], flags["subset_A0"]) == \
+            _flags_by_projection(tri, C)
 
 
 def test_criterion_5_exit_dimension(corpus):

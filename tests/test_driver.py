@@ -460,24 +460,45 @@ def _count_factorizations(monkeypatch, run) -> dict:
 
 def test_verify_instance_factorization_count(monkeypatch):
     """One verify_instance of a fixed draw (n = 11, boundary dimension 6,
-    dim K = 1, one pole) takes 17 SVDs, 17 eigvalsh calls, 3 eigh calls
+    dim K = 1, one pole) takes 17 SVDs, 12 eigvalsh calls (the reported
+    residuals of ``relations_equal`` and ``chain_residuals``; the symmetry
+    and subset verdicts are settled by Frobenius norms), 3 eigh calls
     (the parameter's ``spectra`` and the oracle's two ``psd_factor``
     calls), 23 QRs and 15 LUs (``inv``, in ``graph_operator``)."""
     inst = generate_instance(np.random.default_rng(13), 12, 6, 3)
     counts = _count_factorizations(
         monkeypatch, lambda: verify_instance(inst, np.random.default_rng(0)))
-    assert counts == {"svd": 17, "eigvalsh": 17, "eigh": 3, "qr": 23, "inv": 15}
+    assert counts == {"svd": 17, "eigvalsh": 12, "eigh": 3, "qr": 23, "inv": 15}
 
 
 def test_build_problem_factorization_count(monkeypatch):
     """build_problem alone on the same draw takes 6 SVDs (the seed's orth,
     its two defect frames at +-i, and three in the parameter's ``build``
-    and ``op_frame``), 2 eigvalsh calls (the seed's Green form and the
-    check that V is unitary), 1 eigh (``spectra``, which ``validate_tau``
-    reads), no QR and 1 LU (the triplet's lift)."""
+    and ``op_frame``), no eigvalsh (the Frobenius norms of the seed's
+    Green form and of V^H V - I settle both verdicts), 1 eigh
+    (``spectra``, which ``validate_tau`` reads), no QR and 1 LU (the
+    triplet's lift)."""
     inst = generate_instance(np.random.default_rng(13), 12, 6, 3)
     counts = _count_factorizations(monkeypatch, lambda: build_problem(inst))
-    assert counts == {"svd": 6, "eigvalsh": 2, "eigh": 1, "qr": 0, "inv": 1}
+    assert counts == {"svd": 6, "eigvalsh": 0, "eigh": 1, "qr": 0, "inv": 1}
+
+
+def test_no_full_svd_of_a_wide_matrix(monkeypatch):
+    """One verify_instance at n = 96 takes no SVD with full unitaries of a
+    matrix with fewer rows than columns: LAPACK's full SVD is about twice
+    as fast on the tall orientation, so kernel_split factors a wide mat as
+    mat^H."""
+    inst = generate_instance(np.random.default_rng(292), 96, 48, 4)
+    calls = []
+    svd = np.linalg.svd
+
+    def recorded(a, full_matrices=True, compute_uv=True, **kwargs):
+        calls.append((a.shape, full_matrices and compute_uv))
+        return svd(a, full_matrices=full_matrices, compute_uv=compute_uv, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    verify_instance(inst, np.random.default_rng(0))
+    assert any(full for _, full in calls)
+    assert [(shape, full) for shape, full in calls if full and shape[0] < shape[1]] == []
 
 
 def test_report_names_the_check_that_raised(monkeypatch):

@@ -7,10 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relcomp.linrel as linrel
 from relcomp.linrel import (
     DEFAULT_TOL,
     LinearRelation,
     SpectrumError,
+    _cut,
+    _norm2,
+    _norm_below,
     adjoint,
     as_operator,
     classify_symmetry,
@@ -183,6 +187,16 @@ def _symmetric_relation(rng, n, m, k):
     return make_relation(span, n, n)
 
 
+def _normal_graph(rng, green, flat, n=4):
+    """Graph of U diag(i t) U^H, t = g / (1 + sqrt(1 - g^2)) on every
+    coordinate (flat) or on one, whose Green form has spectral norm
+    2t / (1 + t^2) = g = green."""
+    t = np.zeros(n)
+    t[:n if flat else 1] = green / (1 + np.sqrt(1 - green ** 2))
+    u = _unitary(rng, n)
+    return graph_of((u * 1j * t) @ u.conj().T)
+
+
 def test_classify_symmetry_green_form_matches_adjoint_route():
     rng = np.random.default_rng(77)
     self_adjoint = _symmetric_relation(rng, 6, 4, 2)
@@ -198,6 +212,11 @@ def test_classify_symmetry_green_form_matches_adjoint_route():
          "self_adjoint"),
         (LinearRelation(6, 6, perturbed(rng, self_adjoint.frame, 1e-7)),
          "not_symmetric"),
+        # Green norms planted on both sides of the cut, with a flat and a
+        # rank-one spectrum: the two ends of its Frobenius bracket
+        *((_normal_graph(rng, green, flat), expected)
+          for green, expected in ((0.5e-9, "self_adjoint"), (2e-9, "not_symmetric"))
+          for flat in (True, False)),
     ]
     for n in (1, 2, 5, 9):
         for m in range(n + 1):
@@ -661,21 +680,53 @@ def _unitary_gap(u):
 
 
 def test_kernel_split_is_one_unitary_basis():
-    """[ker, row] is unitary, mat annihilates ker, and the row space has
-    the rank of the cut; with no rows everything is kernel, with no columns
-    both halves are empty."""
+    """In every orientation, tall, wide and square, kernel_split keeps the
+    rank of ``_cut`` of the singular values, [ker, row] is unitary and mat
+    maps ker to the cut singular values alone; wide matrices carry values
+    planted just above (2e-9 s_max) and below (5e-10 s_max) the cut.  With
+    no rows everything is kernel, with no columns both halves are empty."""
     rng = np.random.default_rng(37)
-    for rows, cols, r in ((3, 5, 2), (5, 3, 3), (4, 4, 0), (6, 6, 6)):
-        mat = (_random_frame(rng, rows, r) * np.logspace(0, -3, r)) \
-            @ _random_frame(rng, cols, r).conj().T
+    near_cut = [1.0, 0.3, 2e-9, 5e-10]
+    for rows, cols, s in ((3, 5, np.logspace(0, -3, 2)), (5, 3, np.logspace(0, -3, 3)),
+                          (4, 4, []), (6, 6, np.logspace(0, -3, 6)),
+                          (9, 4, [1.0, 1e-12]), (84, 96, np.logspace(0, -8, 60)),
+                          (6, 14, near_cut), (50, 177, [1e3 * v for v in near_cut]),
+                          (3, 8, [1.0, 0.5, 0.25]), (4, 9, [1e-3, 2e-12])):
+        mat = _with_singular_values(rng, rows, cols, np.asarray(s, dtype=float))
+        values = np.linalg.svd(mat, compute_uv=False)
+        r = _cut(values)
         ker, row = kernel_split(mat)
         assert (ker.shape, row.shape) == ((cols, cols - r), (cols, r))
         assert _unitary_gap(np.hstack([ker, row])) <= 1e-14
-        assert np.max(np.abs(mat @ ker), initial=0.0) <= 1e-14
+        cut_off = values[r] if r < len(values) else 0.0
+        assert abs(_norm2(mat @ ker) - cut_off) <= 1e-13 * _norm2(mat)
     ker, row = kernel_split(np.zeros((0, 3)))
     assert np.array_equal(ker, np.eye(3)) and row.shape == (3, 0)
     ker, row = kernel_split(np.zeros((4, 0)))
     assert ker.shape == row.shape == (0, 0)
+
+
+def test_norm_below_is_the_verdict_of_norm2(monkeypatch):
+    """_norm_below(x, b) is _norm2(x) < b with ||x||_2 planted at
+    b (1 -+ 1e-6), on a graded spectrum and at both ends of the Frobenius
+    bracket, a rank-one and a flat spectrum, and on empty x; it takes no
+    _norm2 when the bracket settles the verdict."""
+    rng = np.random.default_rng(41)
+    for b in (1e-10, 1e-9, 1.0, 1e6):
+        for rows, cols in ((5, 3), (3, 5), (6, 6), (1, 4)):
+            k = min(rows, cols)
+            for s in (np.logspace(0, -2, k), np.ones(1), np.ones(k)):
+                for factor in (1 - 1e-6, 1 + 1e-6):
+                    x = _with_singular_values(rng, rows, cols, b * factor * s)
+                    assert _norm_below(x, b) == (_norm2(x) < b) == (factor < 1)
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        assert _norm_below(np.zeros(shape), 1e-9) == (_norm2(np.zeros(shape)) < 1e-9)
+
+    def unused(x):
+        raise AssertionError("the Frobenius bracket settles this verdict")
+    monkeypatch.setattr(linrel, "_norm2", unused)
+    x = _with_singular_values(rng, 6, 4, np.ones(4))
+    assert _norm_below(x, 2.1) and not _norm_below(x, 0.9)
 
 
 def test_extend_adds_only_what_lies_outside_the_frame():
