@@ -423,15 +423,18 @@ def verify_instance(inst: Instance, rng) -> list:
 def run_verify(count: int = 10, max_dim: int = 6, max_boundary: int = 3,
                max_poles: int = 3, rng_seed: int = 0,
                replay_instance: Instance | None = None) -> dict:
-    """Generate (or replay) instances, verify, and assemble a v1 report."""
+    """Generate (or replay) instances, verify, and assemble a v1 report;
+    a replay verifies, and reports, one instance."""
     if min(count, max_dim, max_boundary) < 1 or max_poles < 0:
         raise InputError("bounds must be positive")
+    if replay_instance is not None:
+        count = 1
     rng = np.random.default_rng(rng_seed)
     t_start = time.perf_counter()
     instances = []
     failures = []
     total_checks = passed_checks = 0
-    for i in range(count if replay_instance is None else 1):
+    for i in range(count):
         if replay_instance is not None:
             inst = replay_instance
         else:

@@ -103,7 +103,7 @@ def build_exit_space(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ExitSpace
     G, g0_r, g1_r = model_maps(tau)
     nr = G.shape[0]
     mul = tau.mul_frame
-    h0 = complement(mul, d)
+    h0 = complement(mul)
     k = mul.shape[1]
     a_star = tri.seed.A_star.frame
     g0, g1 = tri.gamma0 @ a_star, tri.gamma1 @ a_star

@@ -25,26 +25,27 @@ when s > DEFAULT_TOL * max(s_max, 1).  The cut is relative at and above
 unit scale and absolute below it: a span whose largest singular value
 is under 1 loses every value up to DEFAULT_TOL, so B = 1e-9 I has rank 0
 and ``make_relation(1e-9 * I_4, 2, 2)`` is the zero relation.
-``orth``, ``kernel_split`` (whose kernel half is ``null_space``) and
-``rank`` apply it to the SVD they take, ``extend`` through the ``orth``
-of the part of a span off a frame, and ``psd_factor`` in the exit-space
-oracle to the eigenvalues of its ``eigh``.  Every rank of a parameter's
-B or A_j in the formula route (the split of tau_c, H'' of
-``decompose_tau``, the coefficient flags, the exit dimension, the first
-point of ``tau_limits`` and the vanishing pole terms of ``validate_tau``)
-is the cut of that coefficient's row of ``RationalNevanlinna.spectra``,
-one stacked ``eigh``, whose smallest values the PSD test of
-``validate_tau`` reads.  ``complement`` takes the rank of its orthonormal
-frame as given.  ``kernel_split`` needs every right singular vector: a
-wide matrix is factored as its tall adjoint, whose full U holds them,
-since LAPACK's full SVD is about twice as fast in that orientation and
-the singular values, so the cut, are the same; any other matrix is
-factored as it is, with its thin U.  Spectral norms come from ``eigvalsh`` of the Gram
-matrix on the smaller side in ``_norm2`` and decide no rank.  A verdict
-that reports no residual (``contains``, ``classify_symmetry``, the
-subset flag of C against A0, the unitarity of V) asks ``_norm_below``,
-which reads ||x||_2 < b off the bracket
-||x||_F / sqrt(min(rows, cols)) <= ||x||_2 <= ||x||_F and takes
+Only ``orth``, ``kernel_split`` and ``rank`` take an SVD, and each
+cuts it with ``_cut``.  Every kernel is read off ``kernel_split``:
+``null_space`` is its kernel half, ``complement(F)`` the kernel of F^H
+and ``intersect`` one ``null_space``.  ``extend`` applies the cut
+through the ``orth`` of the part of a span off a frame, and
+``psd_factor`` in the exit-space oracle to the eigenvalues of its
+``eigh``.  Every rank of a parameter's B or A_j in the formula route
+(the split of tau_c, H'' of ``decompose_tau``, the coefficient flags,
+the exit dimension, the first point of ``tau_limits`` and the vanishing
+pole terms of ``validate_tau``) is the cut of that coefficient's row
+of ``RationalNevanlinna.spectra``, one stacked ``eigh``, whose smallest
+values the PSD test of ``validate_tau`` reads.  ``kernel_split`` needs every right singular
+vector: a wide matrix is factored as its tall adjoint, whose full U
+holds them, since LAPACK's full SVD is about twice as fast in that
+orientation and the singular values, so the cut, are the same; any
+other matrix is factored as it is, with its thin U.  Spectral norms
+come from ``eigvalsh`` of the Gram matrix on the smaller side in
+``_norm2`` and decide no rank.  A verdict that reports no residual
+(``contains``, ``classify_symmetry``, the subset flag of C against A0,
+the unitarity of V) asks ``_norm_below``, which reads ||x||_2 < b off
+the bracket ||x||_F / sqrt(min(rows, cols)) <= ||x||_2 <= ||x||_F and takes
 ``_norm2`` only when b lies inside it.  Green forms R^H L - L^H R come
 from the one product X = R^H L as X - X^H (``_green_form``).  Every
 equality and containment verdict and the inversion cut of
@@ -102,16 +103,6 @@ def rank(span) -> int:
     return _cut(np.linalg.svd(span, compute_uv=False))
 
 
-def complement(frame, dim: int) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of an orthonormal frame
-    inside C^dim."""
-    frame = _as_complex(frame)
-    if frame.shape[1] == 0:
-        return np.eye(dim, dtype=complex)
-    u, _, _ = np.linalg.svd(frame, full_matrices=True)
-    return u[:, frame.shape[1]:]
-
-
 def kernel_split(mat) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal bases (ker, row) of ker(mat) and of its orthogonal
     complement, the row space, to the rank of ``_cut``, from one SVD that
@@ -134,6 +125,12 @@ def kernel_split(mat) -> tuple[np.ndarray, np.ndarray]:
 def null_space(mat) -> np.ndarray:
     """Orthonormal basis of ker(mat)."""
     return kernel_split(mat)[0]
+
+
+def complement(frame) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of an orthonormal
+    frame, the kernel of frame^H; the identity for a frame of no columns."""
+    return kernel_split(np.conj(frame).T)[0]
 
 
 def extend(frame: np.ndarray, span) -> np.ndarray:
@@ -270,14 +267,15 @@ def parts(T: LinearRelation) -> PartsReport:
     """Domain, range, kernel and multivalued part of a relation."""
     dom = orth(T.left)
     ran = orth(T.right)
-    ker = orth(T.left @ null_space(T.right))
-    mul = orth(T.right @ null_space(T.left))
+    # an orthonormal frame times an orthonormal kernel is orthonormal
+    ker = T.left @ null_space(T.right)
+    mul = T.right @ null_space(T.left)
     return PartsReport(dom=dom, ran=ran, ker=ker, mul=mul)
 
 
 def adjoint(T: LinearRelation) -> LinearRelation:
     """Adjoint T* = (J T)^perp, J{f, f'} = {f', -f}, whose frame (R; -L) is orthonormal."""
-    comp = complement(np.vstack([T.right, -T.left]), T.dim_from + T.dim_to)
+    comp = complement(np.vstack([T.right, -T.left]))
     return LinearRelation(T.dim_to, T.dim_from, comp)
 
 
@@ -303,13 +301,12 @@ def comp_sum(T1: LinearRelation, T2: LinearRelation) -> LinearRelation:
 
 
 def intersect(T1: LinearRelation, T2: LinearRelation) -> LinearRelation:
-    """Intersection via orthogonal complements."""
+    """Intersection F1 ker((I - P2) F1) for the frame F1 of T1 and the
+    projector P2 onto T2: the c with F1 c in T2, from one SVD."""
     _check_ambient(T1, T2)
-    dim = T1.dim_from + T1.dim_to
-    c1 = complement(T1.frame, dim)
-    c2 = complement(T2.frame, dim)
-    comp = complement(orth(np.hstack([c1, c2])), dim)
-    return LinearRelation(T1.dim_from, T1.dim_to, comp)
+    f1, f2 = T1.frame, T2.frame
+    kernel = null_space(f1 - f2 @ (f2.conj().T @ f1))
+    return LinearRelation(T1.dim_from, T1.dim_to, f1 @ kernel)
 
 
 def relations_equal(T1: LinearRelation, T2: LinearRelation):

@@ -47,7 +47,7 @@ class RationalNevanlinna:
     def build(cls, dim: int, a=None, b=None, poles=(), mul_span=None,
               tol: float = DEFAULT_TOL) -> "RationalNevanlinna":
         """Construct from coefficients on the coordinates of the frame
-        h0 = complement(orth(mul_span), dim) of K-perp; each is embedded as
+        h0 = complement(orth(mul_span)) of K-perp; each is embedded as
         h0 m h0^H, and a coefficient that is not p x p, p = dim K-perp,
         raises ValueError.
 
@@ -60,7 +60,7 @@ class RationalNevanlinna:
             mul = np.zeros((dim, 0), dtype=complex)
         else:
             mul = orth(np.asarray(mul_span, dtype=complex).reshape(dim, -1))
-        h0 = complement(mul, dim)
+        h0 = complement(mul)
         p = h0.shape[1]
 
         def ambient(m, name):
@@ -82,7 +82,7 @@ class RationalNevanlinna:
     def op_frame(self) -> np.ndarray:
         """Read-only orthonormal frame complement(K) of K-perp, built on
         first use and kept with the parameter."""
-        frame = complement(self.mul_frame, self.dim)
+        frame = complement(self.mul_frame)
         frame.setflags(write=False)
         return frame
 

@@ -38,6 +38,7 @@ from relcomp.linrel import (
     negate,
     null_space,
     operator_relation,
+    parts,
     rank,
     relations_equal,
     zero_relation,
@@ -262,18 +263,18 @@ def test_criterion_5_exit_dimension(corpus):
     assert minimal == len(corpus)
 
 
-def _frame_gap(T):
-    """max |F^H F - I| of a relation's frame."""
-    F = T.frame
+def _frame_gap(F):
+    """max |F^H F - I| of a frame."""
     return float(np.max(np.abs(F.conj().T @ F - np.eye(F.shape[1])), initial=0.0))
 
 
 def test_frames_built_without_orth_are_orthonormal(corpus):
     """A0, C(A~), A~ and the direct S are products of orthonormal frames,
     built without orthonormalizing again; on the corpus and at n = 96 they
-    stay orthonormal.  So do the ``operator_relation`` frames of tau_c,
-    theta0 (as ``s_direct_matches_theta0`` builds it) and tau(lam) with
-    tau's constant coefficient scaled by 1e9."""
+    stay orthonormal, as do the kernel and multivalued-part frames that
+    ``parts`` reads off A*, C(A~) and A~.  So do the ``operator_relation``
+    frames of tau_c, theta0 (as ``s_direct_matches_theta0`` builds it) and
+    tau(lam) with tau's constant coefficient scaled by 1e9."""
     big = generate_instance(np.random.default_rng(292), max_dim=96,
                             max_boundary=48, max_poles=4)
     assert big.dim == 96
@@ -281,14 +282,17 @@ def test_frames_built_without_orth_are_orthonormal(corpus):
         + [VerifyContext(*build_problem(big), None)]
     worst = worst_scaled = 0.0
     for ctx in contexts:
-        for T in (ctx.tri.a0, compression(ctx.tri, ctx.tau),
-                  ctx.model.a_tilde, ctx.chain[1]):
-            worst = max(worst, _frame_gap(T))
+        C = compression(ctx.tri, ctx.tau)
+        for T in (ctx.tri.a0, C, ctx.model.a_tilde, ctx.chain[1]):
+            worst = max(worst, _frame_gap(T.frame))
+        for T in (ctx.tri.seed.A_star, C, ctx.model.a_tilde):
+            p = parts(T)
+            worst = max(worst, _frame_gap(p.ker), _frame_gap(p.mul))
         tau = dataclasses.replace(ctx.tau, a_coef=1e9 * ctx.tau.a_coef)
         hd = decompose_tau(tau).h_dprime
         for T in (compression_param(tau), eval_tau(tau, 0.3 + 1j),
                   operator_relation(hd, -tau.a_coef @ hd, tau.mul_frame)):
-            worst_scaled = max(worst_scaled, _frame_gap(T))
+            worst_scaled = max(worst_scaled, _frame_gap(T.frame))
     _report("frames without orth", worst <= 1e-13 and worst_scaled <= 1e-14,
             f"{len(contexts)} instances, worst |F^H F - I| {worst:.1e}, "
             f"{worst_scaled:.1e} for tau_c, theta0 and tau(lam) at A x 1e9")
@@ -329,7 +333,7 @@ def test_nested_chain_matches_the_null_space_route(corpus):
             worst_gap = max(worst_gap, relations_equal(nested, ref)[1])
         assert np.array_equal(S.frame, C.frame[:, :S.dim])
         assert np.array_equal(C.frame, T.frame[:, :C.dim])
-        worst_frame = max(worst_frame, _frame_gap(C), _frame_gap(T))
+        worst_frame = max(worst_frame, _frame_gap(C.frame), _frame_gap(T.frame))
     assert worst_gap <= 1e-13
     assert worst_frame <= 1e-14
 

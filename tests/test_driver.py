@@ -91,6 +91,7 @@ MALFORMED_TRIPLETS = {
     "explicit_with_V": ("canonical", lambda tri: tri.update(V=[[[1.0, 0.0]]])),
     "von_neumann_without_V": ("random", _without("V")),
     "von_neumann_V_2x2": ("random", lambda tri: tri.update(V=matrix_to_json(np.eye(2)))),
+    "unknown_kind": ("canonical", lambda tri: tri.update(kind="cayley")),
 }
 
 
@@ -211,6 +212,25 @@ def test_build_problem_rejects_nonsymmetric_seed():
                     triplet_kind="von_neumann", tau_dim=0)
     with pytest.raises(InputError, match="not symmetric"):
         build_problem(inst)
+
+
+# in-memory instance -> (edit that build_problem rejects, error message)
+MALFORMED_PROBLEMS = {
+    "seed_span_rows": (lambda inst: dataclasses.replace(inst, seed_span=inst.seed_span[1:]),
+                       "seed span must have 2\\*dim rows"),
+    "tau_dim_off_boundary": (lambda inst: dataclasses.replace(inst, tau_dim=inst.tau_dim + 1),
+                             "tau dimension"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PROBLEMS))
+def test_malformed_in_memory_instance_is_bad_input(case):
+    edit, message = MALFORMED_PROBLEMS[case]
+    inst = edit(generate_instance(np.random.default_rng(0)))
+    with pytest.raises(InputError, match=message):
+        build_problem(inst)
+    with pytest.raises(InputError, match=message):
+        run_verify(replay_instance=inst)
 
 
 def test_verify_report_deterministic():
@@ -606,6 +626,18 @@ def test_cli_replay_roundtrip(tmp_path):
     path.write_text(json.dumps(inst.to_json()))
     proc = cli("verify", "--replay", str(path), "--seed", "1")
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_replay_reports_one_instance(tmp_path, capsys):
+    """A replay verifies one instance, and both reports say so, whatever
+    --count is."""
+    path = tmp_path / "swap.json"
+    path.write_text(json.dumps(DEMOS["swap"].to_json()))
+    assert main(["verify", "--replay", str(path), "--format", "json"]) == 0
+    body = json.loads(capsys.readouterr().out)["body"]
+    assert body["params"]["count"] == len(body["instances"]) == 1
+    assert main(["verify", "--replay", str(path), "--count", "7"]) == 0
+    assert "  instances=1 max_dim=" in capsys.readouterr().out
 
 
 def test_cli_unknown_demo_exit_two():

@@ -19,6 +19,7 @@ from relcomp.linrel import (
     as_operator,
     classify_symmetry,
     comp_sum,
+    complement,
     containment_residual,
     contains,
     extend,
@@ -146,6 +147,81 @@ def test_graph_meets_vertical_at_zero():
 def test_intersect_dimension_mismatch():
     with pytest.raises(ValueError):
         intersect(zero_relation(1), zero_relation(2))
+
+
+def _complement_by_full_svd(frame):
+    """The complement of an orthonormal d x k frame as the last d - k
+    columns of the full U of its SVD."""
+    return np.linalg.svd(frame, full_matrices=True)[0][:, frame.shape[1]:]
+
+
+def test_complement_and_adjoint_match_the_full_svd_route():
+    """complement and adjoint read the full U of the SVD of the tall frame
+    (on the adjoint's J F = (R; -L)), bit for bit, so the coordinates of a
+    tau file's h0 do not move; on orthonormal d x k frames with d up to 60,
+    k = 0 and k = d included, and on the J frames of random relations."""
+    rng = np.random.default_rng(41)
+    for d, k in ((1, 0), (1, 1), (2, 1), (5, 0), (5, 2), (5, 5), (17, 6),
+                 (40, 39), (60, 0), (60, 23), (60, 60)):
+        frame = _unitary(rng, d)[:, :k]
+        assert np.array_equal(complement(frame), _complement_by_full_svd(frame))
+    for n0, n1, r in ((1, 1, 1), (3, 3, 0), (3, 3, 2), (4, 2, 6), (2, 5, 3),
+                      (12, 12, 12), (24, 24, 30), (30, 30, 60)):
+        span = rng.standard_normal((n0 + n1, r)) + 1j * rng.standard_normal((n0 + n1, r))
+        T = make_relation(span, n0, n1)
+        j_frame = np.vstack([T.right, -T.left])
+        expected = _complement_by_full_svd(j_frame)
+        assert np.array_equal(complement(j_frame), expected)
+        T_star = adjoint(T)
+        assert (T_star.dim_from, T_star.dim_to) == (n1, n0)
+        assert np.array_equal(T_star.frame, expected)
+
+
+def _intersect_by_complements(T1, T2):
+    """T1 meet T2 as the complement of the span of the two complements."""
+    def comp(frame):
+        if frame.shape[1] == 0:
+            return np.eye(frame.shape[0], dtype=complex)
+        return _complement_by_full_svd(frame)
+    meet = comp(orth(np.hstack([comp(T1.frame), comp(T2.frame)])))
+    return LinearRelation(T1.dim_from, T1.dim_to, meet)
+
+
+def test_intersect_matches_the_complement_route(monkeypatch):
+    """On pairs that share a planted subspace of dimension 0 to 3 and are
+    otherwise in general position, intersect has the planted dimension,
+    lies within 1e-12 of the complement route, has an orthonormal frame
+    and takes one SVD."""
+    rng = np.random.default_rng(43)
+    pairs = []
+    for n0, n1 in ((1, 2), (2, 2), (3, 5), (6, 6), (10, 14)):
+        dim = n0 + n1
+        for m in range(4):
+            for extra1, extra2 in ((0, 0), (1, 2), (dim - m, 0), ((dim - m) // 2, (dim - m) // 2)):
+                if m + extra1 + extra2 > dim:
+                    continue
+                q = _unitary(rng, dim)
+                shared, rest = q[:, :m], q[:, m:]
+                spans = (np.hstack([shared, rest[:, :extra1]]),
+                         np.hstack([shared, rest[:, extra1:extra1 + extra2]]))
+                # mix each span's columns so neither frame starts with the shared part
+                T1, T2 = (make_relation(sp @ _unitary(rng, sp.shape[1]), n0, n1)
+                          for sp in spans)
+                pairs.append((T1, T2, m))
+    assert len(pairs) >= 50
+    references = [_intersect_by_complements(T1, T2) for T1, T2, _ in pairs]
+    svd, calls, meets = np.linalg.svd, [], []
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kwargs: calls.append(1)
+                        or svd(*args, **kwargs))
+    for T1, T2, _ in pairs:
+        calls.clear()
+        meets.append((intersect(T1, T2), len(calls)))
+    monkeypatch.undo()
+    for (T1, _, m), reference, (meet, svds) in zip(pairs, references, meets):
+        assert meet.dim == reference.dim == m
+        assert relations_equal(meet, reference)[1] <= 1e-12
+        assert _unitary_gap(meet.frame) <= 1e-14
+        assert svds == (1 if T1.dim else 0)
 
 
 def test_classify_swap_matrix():
@@ -463,15 +539,13 @@ def _cutting(sites):
 
 
 def test_every_svd_is_a_linrel_rank_cut():
-    """Every SVD is cut by ``_cut``, except complement's, which takes the
-    rank of its orthonormal frame as given; no lstsq or pinv cuts at
-    numpy's own rcond."""
+    """Every SVD is cut by ``_cut``: three routines take one, and every
+    kernel and complement is read off ``kernel_split``; no lstsq or pinv
+    cuts at numpy's own rcond."""
     assert _sites({"lstsq", "pinv"}) == set()
     svds = _sites({"svd", "norm2"})
-    assert svds == {
-        ("linrel", "orth"), ("linrel", "complement"), ("linrel", "kernel_split"),
-        ("linrel", "rank")}
-    assert svds - _cutting(svds) == {("linrel", "complement")}
+    assert svds == {("linrel", "orth"), ("linrel", "kernel_split"), ("linrel", "rank")}
+    assert svds - _cutting(svds) == set()
 
 
 def test_every_eigendecomposition_is_pinned():

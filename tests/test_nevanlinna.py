@@ -108,9 +108,9 @@ def test_eval_frame_is_orthonormal_far_up_the_axis():
 
 def v1_tau(d, a, b, poles, mul_span, lam):
     """tau(lam) as the v1 convention defines it: the p x p coefficients act
-    on the coordinates of h0 = complement(orth(mul_span), d)."""
+    on the coordinates of h0 = complement(orth(mul_span))."""
     mul = orth(mul_span)
-    h0 = complement(mul, d)
+    h0 = complement(mul)
     t0 = a + lam * b + sum(aj / (alpha - lam) for alpha, aj in poles)
     k = mul.shape[1]
     return make_relation(np.block([[h0, np.zeros((d, k))], [h0 @ t0, mul]]), d, d)
