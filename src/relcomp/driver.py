@@ -39,6 +39,7 @@ from .nevanlinna import (
 from .triplet import (
     BoundaryTriplet,
     SymmetricSeed,
+    TripletError,
     extension_of,
     von_neumann_triplet,
 )
@@ -169,29 +170,29 @@ class Instance:
 
 
 def build_problem(inst: Instance):
-    """Materialize (triplet, tau) from an instance; InputError on invalid data."""
+    """Materialize (triplet, tau) from an instance.  An instance outside the
+    paper's hypotheses raises InputError, converted once for the seed with
+    its triplet and once for tau, whether raised or listed by validate_tau."""
     if inst.seed_span.shape[0] != 2 * inst.dim:
         raise InputError("seed span must have 2*dim rows")
-    A = make_relation(inst.seed_span, inst.dim, inst.dim)
     try:
-        seed = SymmetricSeed.from_relation(A)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    if inst.triplet_kind == "von_neumann":
-        tri = von_neumann_triplet(seed, V=inst.triplet_data.get("V"))
-    else:
-        tri = BoundaryTriplet.from_ambient_maps(
-            seed, inst.triplet_data["gamma0"], inst.triplet_data["gamma1"])
-    if tri.boundary_dim != inst.tau_dim:
-        raise InputError(
-            f"tau dimension {inst.tau_dim} != boundary dimension {tri.boundary_dim}")
+        seed = SymmetricSeed.from_relation(make_relation(inst.seed_span, inst.dim, inst.dim))
+        if inst.triplet_kind == "von_neumann":
+            tri = von_neumann_triplet(seed, V=inst.triplet_data.get("V"))
+        else:
+            tri = BoundaryTriplet.from_ambient_maps(
+                seed, inst.triplet_data["gamma0"], inst.triplet_data["gamma1"])
+    except (ValueError, TripletError) as exc:
+        raise InputError(f"invalid seed or triplet: {exc}") from exc
     try:
-        tau = RationalNevanlinna.build(
-            inst.tau_dim, a=inst.tau_a, b=inst.tau_b, poles=inst.tau_poles,
-            mul_span=inst.tau_mul if inst.tau_mul.shape[1] else None)
+        if tri.boundary_dim != inst.tau_dim:
+            raise ValueError(f"tau dimension {inst.tau_dim} != boundary dimension "
+                             f"{tri.boundary_dim}")
+        tau = RationalNevanlinna.build(inst.tau_dim, a=inst.tau_a, b=inst.tau_b,
+                                       poles=inst.tau_poles, mul_span=inst.tau_mul)
+        problems = validate_tau(tau)
     except ValueError as exc:
-        raise InputError(f"invalid tau: {exc}") from exc
-    problems = validate_tau(tau)
+        problems = [str(exc)]
     if problems:
         raise InputError("invalid tau: " + "; ".join(problems))
     return tri, tau
@@ -207,9 +208,9 @@ def _random_unitary(rng, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def _random_hermitian(rng, n: int, scale: float = 1.0) -> np.ndarray:
+def _random_hermitian(rng, n: int) -> np.ndarray:
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return scale * (z + z.conj().T) / 2
+    return (z + z.conj().T) / 2
 
 
 def _random_psd_of_rank(rng, n: int, rank: int) -> np.ndarray:

@@ -97,8 +97,6 @@ def build_exit_space(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ExitSpace
     Both frames are orthonormal, so the frame of A~ is too.
 
     ModelError unless A~ has dimension n + n_r and is self-adjoint."""
-    if tau.dim != tri.boundary_dim:
-        raise ValueError("parameter dimension does not match the boundary space")
     n, d = tri.space_dim, tau.dim
     G, g0_r, g1_r = model_maps(tau)
     nr = G.shape[0]

@@ -164,8 +164,6 @@ def classify_compression(tri: BoundaryTriplet,
                          tau: RationalNevanlinna) -> CompressionReport:
     """Compute C(A~) and its flags two ways: from relation algebra on C and
     from the coefficient structure of tau, and the exit dimension n_r."""
-    if tau.dim != tri.boundary_dim:
-        raise ValueError("parameter dimension does not match the boundary space")
     tau_c = compression_param(tau)
     C = extension_of(tri, tau_c)
     geo = flags_geometric(tri, C)

@@ -73,6 +73,8 @@ class SpectrumError(Exception):
 
 
 def _as_complex(a) -> np.ndarray:
+    """a as a complex array; ValueError on a NaN or inf entry, the package's
+    one finiteness rule for the matrices it reads from its callers."""
     a = np.asarray(a, dtype=complex)
     if a.size and not np.all(np.isfinite(a)):
         raise ValueError("non-finite entries in matrix")

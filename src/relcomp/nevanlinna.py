@@ -23,6 +23,7 @@ import numpy as np
 from .linrel import (
     DEFAULT_TOL,
     LinearRelation,
+    _as_complex,
     _cut,
     complement,
     gap_limit,
@@ -46,32 +47,35 @@ class RationalNevanlinna:
     @classmethod
     def build(cls, dim: int, a=None, b=None, poles=(), mul_span=None,
               tol: float = DEFAULT_TOL) -> "RationalNevanlinna":
-        """Construct from coefficients on the coordinates of the frame
-        h0 = complement(orth(mul_span)) of K-perp; each is embedded as
-        h0 m h0^H, and a coefficient that is not p x p, p = dim K-perp,
-        raises ValueError.
-
-        ``tol`` stays for callers that pass it explicitly; it must equal
-        DEFAULT_TOL, the package's single tolerance, or ValueError is
-        raised."""
+        """Construct from a dim x k span of K, k >= 0, and coefficients on
+        the coordinates of the frame h0 = complement(orth(mul_span)) of
+        K-perp, kept as ``op_frame``; each is embedded as h0 m h0^H.  A span
+        of another row count, a coefficient that is not p x p, p = dim K-perp,
+        a non-finite entry or pole location and a ``tol`` other than
+        DEFAULT_TOL, the package's single tolerance, kept for callers that
+        pass it, raise ValueError."""
         if tol != DEFAULT_TOL:
             raise ValueError(f"tol must be DEFAULT_TOL ({DEFAULT_TOL}), got {tol}")
-        if mul_span is None:
-            mul = np.zeros((dim, 0), dtype=complex)
-        else:
-            mul = orth(np.asarray(mul_span, dtype=complex).reshape(dim, -1))
+        mul = orth(np.zeros((dim, 0)) if mul_span is None else mul_span)
+        if mul.shape[0] != dim:
+            raise ValueError(f"mul_span has {mul.shape[0]} rows, not {dim}")
         h0 = complement(mul)
         p = h0.shape[1]
 
         def ambient(m, name):
-            m = np.zeros((p, p), dtype=complex) if m is None else np.asarray(m, dtype=complex)
+            m = np.zeros((p, p), dtype=complex) if m is None else _as_complex(m)
             if m.shape != (p, p):
                 raise ValueError(f"{name} has shape {m.shape}, not ({p}, {p}) on K-perp")
             return h0 @ m @ h0.conj().T
         poles = tuple((float(alpha), ambient(aj, f"pole {j} residue"))
                       for j, (alpha, aj) in enumerate(poles))
-        return cls(dim=dim, mul_frame=mul, a_coef=ambient(a, "A"),
-                   b_coef=ambient(b, "B"), poles=poles)
+        if not np.all(np.isfinite([alpha for alpha, _ in poles])):
+            raise ValueError("non-finite pole location")
+        tau = cls(dim=dim, mul_frame=mul, a_coef=ambient(a, "A"),
+                  b_coef=ambient(b, "B"), poles=poles)
+        h0.setflags(write=False)
+        vars(tau)["op_frame"] = h0     # op_frame's cache, so K is complemented once
+        return tau
 
     @property
     def op_dim(self) -> int:
@@ -132,18 +136,22 @@ def validate_tau(tau: RationalNevanlinna) -> list:
     rounding of ``build``'s embedding h0 m h0^H grows with |m|; the Gram
     check of the K frame stays absolute.  The PSD test reads the last,
     smallest value of the coefficient's row of ``spectra``, on K-perp; a
-    PSD pole term vanishes when ``_cut`` of its row keeps no eigenvalue."""
-    issues = []
-    d = tau.dim
+    PSD pole term vanishes when ``_cut`` of its row keeps no eigenvalue.
+    Non-finite entries and misshapen coefficients are listed alone."""
     scale = 100 * DEFAULT_TOL
+    coefs = [tau.a_coef, tau.b_coef, *(aj for _, aj in tau.poles)]
+    alphas = [alpha for alpha, _ in tau.poles]
+    issues = [f"non-finite {name}" for name, parts in (("mul frame", [tau.mul_frame]),
+              ("coefficients", coefs), ("pole locations", [alphas]))
+              if not all(np.isfinite(m).all() for m in parts)]
+    if any(m.shape != (tau.dim, tau.dim) for m in coefs):
+        issues.append("coefficient shape mismatch")
+    if issues:
+        return issues
     if tau.mul_frame.shape[1]:
         gram = tau.mul_frame.conj().T @ tau.mul_frame
         if np.max(np.abs(gram - np.eye(gram.shape[0]))) > scale:
             issues.append("mul frame not orthonormal")
-    coefs = [tau.a_coef, tau.b_coef, *(aj for _, aj in tau.poles)]
-    if any(m.shape != (d, d) for m in coefs):
-        issues.append("coefficient shape mismatch")
-        return issues
     stack = np.array(coefs)
     cuts = scale * np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))
     if np.any(np.abs(stack @ tau.mul_frame).max(axis=(1, 2), initial=0.0) > cuts):
@@ -155,7 +163,6 @@ def validate_tau(tau: RationalNevanlinna) -> list:
         issues.append("A not Hermitian")
     if not_psd[1]:
         issues.append("B not PSD")
-    alphas = [alpha for alpha, _ in tau.poles]
     if any(abs(a - b) < 1e-9 for i, a in enumerate(alphas) for b in alphas[:i]):
         issues.append("pole locations not distinct")
     for j, row in enumerate(tau.spectra[0][1:]):

@@ -19,6 +19,7 @@ import numpy as np
 from .linrel import (
     LinearRelation,
     SpectrumError,
+    _as_complex,
     _green_form,
     _norm2,
     _norm_below,
@@ -134,10 +135,10 @@ class BoundaryTriplet:
     @classmethod
     def from_ambient_maps(cls, seed: SymmetricSeed, g0_ambient,
                           g1_ambient) -> "BoundaryTriplet":
-        """Build from boundary maps given as d x 2n matrices on ambient pairs
-        and check that they form a boundary triplet."""
-        tri = cls(seed=seed, gamma0=np.array(g0_ambient, dtype=complex),
-                  gamma1=np.array(g1_ambient, dtype=complex))
+        """Build from copies of d x 2n boundary maps on ambient pairs, with
+        ValueError on a non-finite entry, and check that they form a triplet."""
+        tri = cls(seed=seed, gamma0=_as_complex(g0_ambient).copy(),
+                  gamma1=_as_complex(g1_ambient).copy())
         assert_valid_triplet(tri)
         return tri
 
@@ -171,16 +172,11 @@ def assert_valid_triplet(tri: BoundaryTriplet) -> None:
 def von_neumann_triplet(seed: SymmetricSeed, V=None) -> BoundaryTriplet:
     """Concrete triplet on the seed's graph-orthogonal decomposition
     A* = A (+) N-hat_i (+) N-hat_{-i} and a unitary matching V of its
-    defect frames N+, N- at +-i, the columns of A* after A's:
-    Gamma0 = (N+* + V N-*)/sqrt(2), Gamma1 = i(N+* - V N-*)/sqrt(2)."""
+    defect frames N+, N- at +-i, both n - dim A wide, the columns of A*
+    after A's: Gamma0 = (N+* + V N-*)/sqrt(2), Gamma1 = i(N+* - V N-*)/sqrt(2)."""
     n_plus_frame, n_minus_frame = seed.defect_frames_at_i
     d = n_plus_frame.shape[1]
-    if n_minus_frame.shape[1] != d:
-        raise TripletError(
-            f"unequal deficiency indices ({d}, {n_minus_frame.shape[1]})")
-    if V is None:
-        V = np.eye(d, dtype=complex)
-    V = np.asarray(V, dtype=complex)
+    V = np.eye(d, dtype=complex) if V is None else _as_complex(V)
     if V.shape != (d, d) or not _norm_below(V.conj().T @ V - np.eye(d), 1e-10):
         raise TripletError("V must be a d x d unitary")
 
@@ -228,14 +224,11 @@ class WeylSample:
 
 
 def gamma_and_weyl(tri: BoundaryTriplet, lam: complex) -> WeylSample:
-    """Invert Gamma0 on the defect subspace at lam."""
+    """Invert Gamma0 on the defect subspace at lam; TripletError where it
+    is not invertible, as when that subspace is not d-dimensional."""
     if abs(lam.imag) == 0:
         raise ValueError("Weyl function is evaluated on the real axis")
-    d = tri.boundary_dim
     frame, _ = defect(tri.seed, lam)
-    if frame.shape[1] != d:
-        raise TripletError(
-            f"defect dimension {frame.shape[1]} != boundary dim {d} at {lam}")
     try:
         X = graph_operator(tri.gamma0 @ frame, frame)
     except SpectrumError as exc:

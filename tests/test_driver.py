@@ -1,6 +1,7 @@
 """Driver: serialization round-trips, determinism, CLI exit codes."""
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -231,6 +232,68 @@ def test_malformed_in_memory_instance_is_bad_input(case):
         build_problem(inst)
     with pytest.raises(InputError, match=message):
         run_verify(replay_instance=inst)
+
+
+def _put(value, *path):
+    """Edit that sets the entry at path in an instance document to value."""
+    def edit(doc):
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    return edit
+
+
+# instance -> (edit of its document outside the paper's hypotheses, the
+# part build_problem names); json writes and reads NaN and Infinity
+INVALID_INSTANCES = {
+    "gamma1_equals_gamma0": ("canonical", lambda doc: doc["triplet"].update(
+        gamma1=doc["triplet"]["gamma0"]), "invalid seed or triplet: Green identity"),
+    "V_not_unitary": ("random", _put([[[2.0, 0.0]]], "triplet", "V"),
+                      "invalid seed or triplet: V must be a d x d unitary"),
+    "nan_in_V": ("random", _put(math.nan, "triplet", "V", 0, 0, 0),
+                 "invalid seed or triplet: non-finite"),
+    "nan_in_seed_span": ("random", _put(math.nan, "seed_span", 0, 0, 1),
+                         "invalid seed or triplet: non-finite"),
+    "nan_in_gamma0": ("canonical", _put(math.nan, "triplet", "gamma0", 0, 1, 0),
+                      "invalid seed or triplet: non-finite"),
+    "nan_in_A": ("swap", _put(math.nan, "tau", "A", 0, 0, 0), "invalid tau: non-finite"),
+    "inf_in_B": ("swap", _put(math.inf, "tau", "B", 0, 0, 0), "invalid tau: non-finite"),
+    "nan_pole": ("swap", _put(math.nan, "tau", "poles", 0, "alpha"),
+                 "invalid tau: non-finite pole location"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_INSTANCES))
+def test_invalid_instance_is_bad_input(tmp_path, capsys, case):
+    """An instance outside the paper's hypotheses is rejected by
+    build_problem as bad input (exit 2), not reported as a failed check."""
+    source, edit, message = INVALID_INSTANCES[case]
+    inst = DEMOS[source] if source in DEMOS else \
+        generate_instance(np.random.default_rng(5), max_boundary=1)
+    doc = json.loads(json.dumps(inst.to_json()))
+    edit(doc)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=message):
+        build_problem(Instance.from_json(json.loads(path.read_text())))
+    assert main(["verify", "--replay", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and "raised in" not in out + err
+
+
+def test_build_problem_takes_one_complement(monkeypatch):
+    """build and the op_frame it keeps share one complement(K); the frame
+    equals a fresh complement bit for bit."""
+    calls = []
+    for module in [m for name, m in sys.modules.items() if name.startswith("relcomp.")]:
+        if hasattr(module, "complement"):
+            monkeypatch.setattr(module, "complement", lambda frame, _c=module.complement:
+                                calls.append(frame.shape) or _c(frame))
+    _, tau = build_problem(generate_instance(np.random.default_rng(13), 12, 6, 3))
+    assert tau.op_frame is tau.op_frame and not tau.op_frame.flags.writeable
+    assert calls == [(6, 1)]
+    assert np.array_equal(tau.op_frame, linrel.complement(tau.mul_frame))
 
 
 def test_verify_report_deterministic():
@@ -480,7 +543,7 @@ def _count_factorizations(monkeypatch, run) -> dict:
 
 def test_verify_instance_factorization_count(monkeypatch):
     """One verify_instance of a fixed draw (n = 11, boundary dimension 6,
-    dim K = 1, one pole) takes 17 SVDs, 12 eigvalsh calls (the reported
+    dim K = 1, one pole) takes 16 SVDs, 12 eigvalsh calls (the reported
     residuals of ``relations_equal`` and ``chain_residuals``; the symmetry
     and subset verdicts are settled by Frobenius norms), 3 eigh calls
     (the parameter's ``spectra`` and the oracle's two ``psd_factor``
@@ -488,19 +551,20 @@ def test_verify_instance_factorization_count(monkeypatch):
     inst = generate_instance(np.random.default_rng(13), 12, 6, 3)
     counts = _count_factorizations(
         monkeypatch, lambda: verify_instance(inst, np.random.default_rng(0)))
-    assert counts == {"svd": 17, "eigvalsh": 12, "eigh": 3, "qr": 23, "inv": 15}
+    assert counts == {"svd": 16, "eigvalsh": 12, "eigh": 3, "qr": 23, "inv": 15}
 
 
 def test_build_problem_factorization_count(monkeypatch):
-    """build_problem alone on the same draw takes 6 SVDs (the seed's orth,
-    its two defect frames at +-i, and three in the parameter's ``build``
-    and ``op_frame``), no eigvalsh (the Frobenius norms of the seed's
-    Green form and of V^H V - I settle both verdicts), 1 eigh
+    """build_problem alone on the same draw takes 5 SVDs (the seed's orth,
+    its two defect frames at +-i, and the orth and the one complement of
+    the parameter's ``build``, which ``op_frame`` keeps), no eigvalsh
+    (the Frobenius norms of the seed's Green form and of V^H V - I settle
+    both verdicts), 1 eigh
     (``spectra``, which ``validate_tau`` reads), no QR and 1 LU (the
     triplet's lift)."""
     inst = generate_instance(np.random.default_rng(13), 12, 6, 3)
     counts = _count_factorizations(monkeypatch, lambda: build_problem(inst))
-    assert counts == {"svd": 6, "eigvalsh": 0, "eigh": 1, "qr": 0, "inv": 1}
+    assert counts == {"svd": 5, "eigvalsh": 0, "eigh": 1, "qr": 0, "inv": 1}
 
 
 def test_no_full_svd_of_a_wide_matrix(monkeypatch):

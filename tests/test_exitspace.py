@@ -22,7 +22,7 @@ from relcomp.exitspace import (
     model_maps,
     psd_factor,
 )
-from relcomp.extension import rank_sum
+from relcomp.extension import classify_compression, rank_sum
 from relcomp.linrel import (
     DEFAULT_TOL,
     classify_symmetry,
@@ -51,6 +51,17 @@ def test_pure_mul_gives_a0():
     assert model.dim_r == 0
     eq, _ = relations_equal(model.a_tilde, tri.a0)
     assert eq
+
+
+@pytest.mark.parametrize("route", [build_exit_space, classify_compression])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_parameter_off_the_boundary_space_raises(route, extra):
+    """The oracle and the formula route each reject a tau whose dimension
+    is not the boundary dimension with ValueError."""
+    tri, _ = random_problem(np.random.default_rng(5))
+    d = tri.boundary_dim + extra
+    with pytest.raises(ValueError):
+        route(tri, RationalNevanlinna.build(d, b=np.eye(d)))
 
 
 def test_exit_space_dimension_bookkeeping():

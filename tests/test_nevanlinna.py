@@ -160,6 +160,51 @@ def test_build_rejects_a_tolerance_other_than_the_default():
         RationalNevanlinna.build(1, tol=1e-6)
 
 
+@pytest.mark.parametrize("d", [0, 1, 3])
+def test_build_reads_a_span_without_columns_as_k_zero(d):
+    """A d x 0 span of K, d = 0 included, builds the parameter that no span
+    builds, bit for bit."""
+    a = np.diag(np.arange(d, dtype=complex))
+    spanned = RationalNevanlinna.build(d, a=a, mul_span=np.zeros((d, 0)))
+    default = RationalNevanlinna.build(d, a=a)
+    assert spanned.mul_frame.shape == (d, 0)
+    for field in ("mul_frame", "a_coef", "b_coef", "op_frame"):
+        assert np.array_equal(getattr(spanned, field), getattr(default, field))
+    assert validate_tau(spanned) == []
+
+
+def test_build_rejects_a_span_of_another_row_count():
+    with pytest.raises(ValueError, match="mul_span has 3 rows, not 2"):
+        RationalNevanlinna.build(2, mul_span=np.ones((3, 1)))
+
+
+@pytest.mark.parametrize("kw", [
+    {"a": [[np.nan]]},
+    {"b": [[np.inf]]},
+    {"poles": [(0.0, [[complex(1.0, np.nan)]])]},
+    {"poles": [(np.nan, [[1.0]])]},
+    {"poles": [(-np.inf, [[1.0]])]},
+])
+def test_build_rejects_non_finite_entries_and_pole_locations(kw):
+    with pytest.raises(ValueError, match="non-finite"):
+        RationalNevanlinna.build(1, **kw)
+
+
+@pytest.mark.parametrize("field, value, issue", [
+    ("a_coef", np.array([[np.nan]]), "non-finite coefficients"),
+    ("b_coef", np.array([[np.inf]]), "non-finite coefficients"),
+    ("poles", ((np.nan, np.eye(1)),), "non-finite pole locations"),
+    ("poles", ((0.0, np.array([[-np.inf]])),), "non-finite coefficients"),
+    ("mul_frame", np.full((1, 1), np.nan), "non-finite mul frame"),
+])
+def test_validate_lists_non_finite_entries(field, value, issue):
+    """Every comparison validate_tau makes is false at a NaN, so a directly
+    constructed parameter with one is listed by its non-finite entries."""
+    tau = replace(RationalNevanlinna.build(1, poles=[(0.0, [[1.0]])]),
+                  **{field: value})
+    assert validate_tau(tau) == [issue]
+
+
 def test_validate_rejects_non_psd_b():
     tau = RationalNevanlinna.build(1, b=[[-1e-3]])
     assert any("B not PSD" in msg for msg in validate_tau(tau))
