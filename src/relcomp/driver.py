@@ -11,6 +11,7 @@ explicitly, so reports reproduce across platforms.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -177,11 +178,15 @@ def build_problem(inst: Instance):
         raise InputError("seed span must have 2*dim rows")
     try:
         seed = SymmetricSeed.from_relation(make_relation(inst.seed_span, inst.dim, inst.dim))
+        maps = inst.triplet_data
         if inst.triplet_kind == "von_neumann":
-            tri = von_neumann_triplet(seed, V=inst.triplet_data.get("V"))
+            tri = von_neumann_triplet(seed, V=maps.get("V"))
+        elif inst.triplet_kind == "explicit":
+            if not {"gamma0", "gamma1"} <= maps.keys():
+                raise ValueError("an explicit triplet needs the maps gamma0 and gamma1")
+            tri = BoundaryTriplet.from_ambient_maps(seed, maps["gamma0"], maps["gamma1"])
         else:
-            tri = BoundaryTriplet.from_ambient_maps(
-                seed, inst.triplet_data["gamma0"], inst.triplet_data["gamma1"])
+            raise ValueError(f"unknown triplet kind: {inst.triplet_kind!r}")
     except (ValueError, TripletError) as exc:
         raise InputError(f"invalid seed or triplet: {exc}") from exc
     try:
@@ -592,19 +597,21 @@ def main(argv=None) -> int:
                     replay = Instance.from_json(json.load(fh))
             except (OSError, json.JSONDecodeError) as exc:
                 raise InputError(f"cannot read instance file: {exc}") from exc
-        wrapped = run_verify(count=args.count, max_dim=args.max_dim,
-                             max_boundary=args.max_boundary,
-                             max_poles=args.max_poles, rng_seed=args.seed,
-                             replay_instance=replay)
-        if args.format == "json":
-            text = json.dumps(wrapped, indent=2, sort_keys=True)
-        else:
-            text = report_text(wrapped)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text + "\n")
-        else:
-            print(text)
+        # opened before the batch runs, so an unwritable path costs no run
+        try:
+            out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+        except OSError as exc:
+            raise InputError(f"cannot write report: {exc}") from exc
+        with out as fh:
+            wrapped = run_verify(count=args.count, max_dim=args.max_dim,
+                                 max_boundary=args.max_boundary,
+                                 max_poles=args.max_poles, rng_seed=args.seed,
+                                 replay_instance=replay)
+            if args.format == "json":
+                text = json.dumps(wrapped, indent=2, sort_keys=True)
+            else:
+                text = report_text(wrapped)
+            print(text, file=fh)
         return 0 if wrapped["body"]["all_passed"] else 1
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -21,6 +21,7 @@ from .linrel import (
     DEFAULT_TOL,
     LinearRelation,
     _cut,
+    _inversion_cut,
     _norm_below,
     classify_symmetry,
     graph_operator,
@@ -53,29 +54,33 @@ def krein_resolvent(tri: BoundaryTriplet, tau: RationalNevanlinna,
     ``weyl_at_i``, through the identities
 
         gamma(lam) = (A0 - i) R0(lam) gamma(i),
-        M(lam) = M(i)* + (lam + i) gamma(i)* gamma(lam).
+        gamma(conj lam)* = gamma(i)* (A0 + i) R0(lam),
+        M(lam) = Re M(i) + gamma(i)* (1 + lam A0) R0(lam) gamma(i),
 
-    With L, R the halves of A0's frame, R0(lam) = L (R - lam L)^{-1} and
-    (A0 - i) R0(lam) = (R - i L)(R - lam L)^{-1} come from one graph
-    operator.  The product form keeps its relative accuracy at large |lam|,
-    where the equal additive form gamma(i) + (lam - i) R0(lam) gamma(i)
-    cancels.  gamma(conj lam) comes from the gamma-field identity
-    gamma(conj lam) = gamma(lam) + (conj lam - lam) R0(conj lam) gamma(lam),
-    with R0(conj lam) = R0(lam)* because A0 is self-adjoint.
+    the last the Nevanlinna form of M(i)* + (lam + i) gamma(i)* gamma(lam)
+    by Im M(i) = gamma(i)* gamma(i), so that M(conj lam) = M(lam)* holds
+    term by term.  A0 = span(U c; U s) is diagonalized once per triplet
+    (``a0_spectrum``), and with v = s - lam c each operator above is
+    U diag(w / v) U^H for w = c, s -+ i c or c + lam s: no factorization
+    per lam.  lam is rejected exactly where ``graph_operator`` would reject
+    R - lam L for A0's frame (L; R): that cut reads unitarily invariant
+    norms, here those of v.  The product forms keep their relative
+    accuracy at large |lam|, where the equal additive form
+    gamma(i) + (lam - i) R0(lam) gamma(i) cancels.
     """
     if abs(lam.imag) == 0:
         raise ValueError("Weyl function is evaluated on the real axis")
-    left, right = tri.a0.left, tri.a0.right
-    both = graph_operator(right - lam * left, np.vstack([left, right - 1j * left]))
-    n = tri.space_dim
-    r0, shifted = both[:n], both[n:]
-    at_i = tri.weyl_at_i
-    gamma = shifted @ at_i.gamma_field
-    weyl = at_i.weyl.conj().T + (lam + 1j) * (at_i.gamma_field.conj().T @ gamma)
-    gamma_adj = gamma.conj().T
-    gamma_bar_adj = gamma_adj + (lam - np.conj(lam)) * (gamma_adj @ r0)
+    u, c, s = tri.a0_spectrum
+    v = s - lam * c
+    _inversion_cut(np.linalg.norm(v), np.linalg.norm(1.0 / v))
+    at_i, u_adj = tri.weyl_at_i, u.conj().T
+    g = u_adj @ at_i.gamma_field
+    g_adj = g.conj().T
+    gamma = u @ (((s - 1j * c) / v)[:, None] * g)
+    weyl = (at_i.weyl + at_i.weyl.conj().T) / 2.0 + g_adj @ (((c + lam * s) / v)[:, None] * g)
+    gamma_bar_adj = (g_adj * ((s + 1j * c) / v)) @ u_adj
     mid = _middle_inverse(tau, lam, weyl)
-    return r0 - gamma @ mid @ gamma_bar_adj
+    return (u * (c / v)) @ u_adj - gamma @ mid @ gamma_bar_adj
 
 
 def compression_param(tau: RationalNevanlinna) -> LinearRelation:

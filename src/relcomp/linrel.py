@@ -14,9 +14,13 @@ verdicts are gauge-free.
 
 Every inverse the package takes is the matrix R L^{-1} of a relation with
 frame (L; R): resolvents, ``as_operator``, the middle term of the Krein
-formula, the gamma field and a triplet's boundary lift.
-``graph_operator`` computes it, from one LU and with the one inversion
-cut; no other routine inverts a matrix.
+formula, the gamma field, a triplet's boundary lift and the rotated
+relation of ``diagonalize``.  ``graph_operator`` computes it, from one
+LU and with the one inversion cut, ``_inversion_cut``; no other routine
+inverts a matrix.  The Krein resolvent reads A0's resolvent off the
+frame (U diag(c); U diag(s)) of ``diagonalize``, where R - lam L is
+U diag(s - lam c) and needs no LU, and cuts lam by ``_inversion_cut``
+too.
 
 DEFAULT_TOL is the single tolerance of the package: no relation, triplet
 or parameter carries one.  Every rank decision is made by ``_cut``,
@@ -31,7 +35,8 @@ cuts it with ``_cut``.  Every kernel is read off ``kernel_split``:
 and ``intersect`` one ``null_space``.  ``extend`` applies the cut
 through the ``orth`` of the part of a span off a frame, and
 ``psd_factor`` in the exit-space oracle to the eigenvalues of its
-``eigh``.  Every rank of a parameter's B or A_j in the formula route
+``eigh``; the ``eigvalsh`` and ``eigh`` of ``diagonalize`` decide no
+rank.  Every rank of a parameter's B or A_j in the formula route
 (the split of tau_c, H'' of ``decompose_tau``, the coefficient flags,
 the exit dimension, the first point of ``tau_limits`` and the vanishing
 pole terms of ``validate_tau``) is the cut of that coefficient's row
@@ -59,6 +64,7 @@ a limit.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -377,10 +383,55 @@ def graph_operator(left, right) -> np.ndarray:
         left_inv = np.linalg.inv(left)
     except np.linalg.LinAlgError as exc:
         raise SpectrumError("left half of the frame is not invertible") from exc
-    bound = np.linalg.norm(left_inv) * DEFAULT_TOL * np.sqrt(np.linalg.norm(left) ** 2 + 1.0)
-    if not bound < 1.0:
-        raise SpectrumError("left half of the frame is numerically singular")
+    _inversion_cut(np.linalg.norm(left), np.linalg.norm(left_inv))
     return right @ left_inv
+
+
+def _inversion_cut(left_fro: float, inverse_fro: float) -> None:
+    """SpectrumError unless inverse_fro * DEFAULT_TOL * sqrt(left_fro^2 + 1)
+    is below 1, a NaN or inf included: the cut of ``graph_operator`` on the
+    Frobenius norms of a left half and of its inverse.  Both norms are
+    unitarily invariant, so a left half U diag(v) W with U, W unitary is
+    cut on the 2-norms of v and 1/v."""
+    if not inverse_fro * DEFAULT_TOL * np.sqrt(left_fro ** 2 + 1.0) < 1.0:
+        raise SpectrumError("left half of the frame is numerically singular")
+
+
+def diagonalize(T: LinearRelation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Unitary U and the cosines c and sines s of angles theta with
+    T = span(U diag(c); U diag(s)), for a self-adjoint T in C^n; no rank is
+    decided.  The eigenvalues of T are the tan theta_k, with theta_k =
+    pi/2 on mul T, and (T - lam)^{-1} = U diag(c / (s - lam c)) U^H.
+
+    With L, R the halves of T's frame, L L^H = U diag(c^2) U^H, so its
+    ``eigvalsh`` gives each theta_k up to sign.  Rotating the pair by the
+    midpoint phi of the widest gap among the +-theta_k mod pi, which is at
+    least pi / (2n), leaves every |sin(theta_k - phi)| at least
+    sin(pi / (4n)), and
+    S = ``graph_operator``(cos phi R - sin phi L, cos phi L + sin phi R)
+    is the Hermitian U diag(cot(theta - phi)) U^H.  The ``eigh`` of S gives
+    U and sigma, and theta = phi + arccot sigma.
+    """
+    if T.dim_from != T.dim_to or T.dim != T.dim_from:
+        raise ValueError("diagonalize needs a relation of dimension n in C^n")
+    if T.dim == 0:
+        return np.zeros((0, 0), dtype=complex), np.zeros(0), np.zeros(0)
+    left, right = T.left, T.right
+    # theta_k in [0, pi/2], descending
+    theta = np.arccos(np.sqrt(np.clip(np.linalg.eigvalsh(left @ left.conj().T), 0.0, 1.0)))
+    # the +-theta_k mod pi are symmetric about 0 and about pi/2, so their
+    # widest gap is one of those between -theta_min, the ascending theta_k
+    # and pi - theta_max
+    points = np.concatenate([[-theta[-1]], theta[::-1], [np.pi - theta[0]]])
+    k = int(np.argmax(np.diff(points)))
+    phi = float(points[k] + points[k + 1]) / 2.0
+    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+    cot = graph_operator(cos_phi * right - sin_phi * left, cos_phi * left + sin_phi * right)
+    sigma, unitary = np.linalg.eigh((cot + cot.conj().T) / 2.0)
+    # cos and sin of phi + arccot sigma, by the addition formulas: a cosine
+    # read off theta itself would lose the relative accuracy of a small one
+    hyp = np.hypot(1.0, sigma)
+    return unitary, (sigma * cos_phi - sin_phi) / hyp, (sigma * sin_phi + cos_phi) / hyp
 
 
 def as_operator(T: LinearRelation) -> np.ndarray:

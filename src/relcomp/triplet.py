@@ -25,6 +25,7 @@ from .linrel import (
     _norm_below,
     classify_symmetry,
     contains,
+    diagonalize,
     gap_limit,
     graph_of,
     graph_operator,
@@ -122,6 +123,17 @@ class BoundaryTriplet:
     def a0(self) -> LinearRelation:
         """A0 = ker Gamma0, built on first use and kept with the triplet."""
         return extension_of(self, vertical_relation(self.boundary_dim))
+
+    @cached_property
+    def a0_spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (U, cos theta, sin theta) of ``diagonalize(a0)``, built
+        on first use and kept with the triplet; the Krein resolvent reads
+        R0(lam) = U diag(cos theta / (sin theta - lam cos theta)) U^H off it
+        at every lam."""
+        spectrum = diagonalize(self.a0)
+        for part in spectrum:
+            part.setflags(write=False)
+        return spectrum
 
     @cached_property
     def weyl_at_i(self) -> WeylSample:

@@ -282,6 +282,24 @@ def test_invalid_instance_is_bad_input(tmp_path, capsys, case):
     assert err.startswith("error: ") and "raised in" not in out + err
 
 
+@pytest.mark.parametrize("kind, data, message", [
+    ("cayley", {"gamma0": np.array([[1.0, 0.0]]), "gamma1": np.array([[0.0, 1.0]])},
+     "unknown triplet kind: 'cayley'"),
+    ("explicit", {"gamma0": np.array([[1.0, 0.0]])},
+     "an explicit triplet needs the maps gamma0 and gamma1"),
+])
+def test_in_memory_triplet_of_no_known_kind_is_bad_input(kind, data, message):
+    """An in-memory Instance, which Instance.from_json never checked, with
+    an unknown triplet kind or an explicit triplet short of a map raises
+    InputError from build_problem, and run_verify passes it on instead of
+    reporting a failed verification."""
+    inst = dataclasses.replace(DEMOS["canonical"], triplet_kind=kind, triplet_data=data)
+    with pytest.raises(InputError, match=f"invalid seed or triplet: {message}"):
+        build_problem(inst)
+    with pytest.raises(InputError, match=message):
+        run_verify(replay_instance=inst)
+
+
 def test_build_problem_takes_one_complement(monkeypatch):
     """build and the op_frame it keeps share one complement(K); the frame
     equals a fresh complement bit for bit."""
@@ -543,15 +561,17 @@ def _count_factorizations(monkeypatch, run) -> dict:
 
 def test_verify_instance_factorization_count(monkeypatch):
     """One verify_instance of a fixed draw (n = 11, boundary dimension 6,
-    dim K = 1, one pole) takes 16 SVDs, 12 eigvalsh calls (the reported
-    residuals of ``relations_equal`` and ``chain_residuals``; the symmetry
-    and subset verdicts are settled by Frobenius norms), 3 eigh calls
-    (the parameter's ``spectra`` and the oracle's two ``psd_factor``
-    calls), 23 QRs and 15 LUs (``inv``, in ``graph_operator``)."""
+    dim K = 1, one pole) takes 16 SVDs, 13 eigvalsh calls (the reported
+    residuals of ``relations_equal`` and ``chain_residuals``, and the angles
+    of ``diagonalize(A0)``; the symmetry and subset verdicts are settled by
+    Frobenius norms), 4 eigh calls (the parameter's ``spectra``, the
+    oracle's two ``psd_factor`` calls and ``diagonalize(A0)``), 23 QRs and
+    13 LUs (``inv``, in ``graph_operator``; the Krein resolvent takes one
+    per lam for the middle term, and none for A0's resolvent)."""
     inst = generate_instance(np.random.default_rng(13), 12, 6, 3)
     counts = _count_factorizations(
         monkeypatch, lambda: verify_instance(inst, np.random.default_rng(0)))
-    assert counts == {"svd": 16, "eigvalsh": 12, "eigh": 3, "qr": 23, "inv": 15}
+    assert counts == {"svd": 16, "eigvalsh": 13, "eigh": 4, "qr": 23, "inv": 13}
 
 
 def test_build_problem_factorization_count(monkeypatch):
@@ -681,6 +701,17 @@ def test_cli_input_error_exit_two(tmp_path):
     proc = cli("verify", "--replay", str(bad))
     assert proc.returncode == 2
     assert "error:" in proc.stderr
+
+
+def test_cli_unwritable_out_is_bad_input(tmp_path, capsys, monkeypatch):
+    """An --out in a directory that does not exist exits 2 with an error
+    line, before any instance is verified."""
+    monkeypatch.setattr(driver, "run_verify", lambda **kwargs: pytest.fail("batch ran"))
+    out = tmp_path / "missing" / "report.json"
+    assert main(["verify", "--count", "1", "--out", str(out)]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stderr.startswith("error: cannot write report") and stdout == ""
+    assert not out.parent.exists()
 
 
 def test_cli_replay_roundtrip(tmp_path):

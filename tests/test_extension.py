@@ -16,6 +16,7 @@ from relcomp.extension import (
 )
 from relcomp.linrel import (
     DEFAULT_TOL,
+    SpectrumError,
     _cut,
     classify_symmetry,
     graph_of,
@@ -140,6 +141,28 @@ def test_krein_resolvent_relative_accuracy_up_to_large_lambda():
             direct = generalized_resolvent_direct(model, lam)
             err = np.linalg.norm(krein_resolvent(tri, tau, lam) - direct, 2)
             assert err <= 2e-12 * np.linalg.norm(direct, 2), (shape, lam)
+
+
+def test_krein_rejects_lambda_where_the_lu_of_a0_does():
+    """With tau = {0} (+) C^d the Krein resolvent is R0(lam), read off
+    ``a0_spectrum``; it raises SpectrumError at t_k + 1e-13 i for every
+    finite eigenvalue t_k of A0, as ``resolvent(tri.a0, lam)`` does, and
+    neither raises at t_k + 1e-3 i."""
+    rng = np.random.default_rng(31)
+    for n, d, n_mul in ((4, 2, 0), (6, 3, 2), (9, 4, 3)):
+        seed = random_symmetric_seed(rng, n, d=d, n_mul=n_mul)
+        tri = von_neumann_triplet(seed, V=random_unitary(rng, d))
+        tau = RationalNevanlinna.build(d, mul_span=np.eye(d))
+        _, c, s = tri.a0_spectrum
+        finite = np.abs(c) > 1e-6
+        assert np.count_nonzero(finite) >= n - n_mul - d
+        for t in s[finite] / c[finite]:
+            for reject in (lambda lam: krein_resolvent(tri, tau, lam),
+                           lambda lam: resolvent(tri.a0, lam)):
+                with pytest.raises(SpectrumError):
+                    reject(t + 1e-13j)
+            krein_resolvent(tri, tau, t + 1e-3j)
+            resolvent(tri.a0, t + 1e-3j)
 
 
 def test_weyl_at_i_is_read_by_krein_and_not_by_the_reference():

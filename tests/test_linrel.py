@@ -22,6 +22,7 @@ from relcomp.linrel import (
     complement,
     containment_residual,
     contains,
+    diagonalize,
     extend,
     full_relation,
     graph_of,
@@ -553,10 +554,11 @@ def test_every_eigendecomposition_is_pinned():
     ``spectra`` takes the one eigendecomposition of B and the residues,
     whose rows its readers cut or read (validate_tau's PSD and
     pole-vanishing tests among them); _norm2 reads a largest eigenvalue
-    and decides no rank."""
+    and diagonalize the angles and the unitary of a self-adjoint relation,
+    and neither decides a rank."""
     eigs = _sites({"eig", "eigh", "eigvals", "eigvalsh"})
     assert eigs == {("exitspace", "psd_factor"), ("linrel", "_norm2"),
-                    ("nevanlinna", "spectra")}
+                    ("linrel", "diagonalize"), ("nevanlinna", "spectra")}
     assert _cutting(eigs) == {("exitspace", "psd_factor")}
 
 
@@ -852,3 +854,72 @@ def test_inverse_commutes_with_adjoint():
         T = random_relation(rng, 3)
         eq, resid = relations_equal(adjoint(inverse(T)), inverse(adjoint(T)))
         assert eq, resid
+
+
+# eigenvalue families of a self-adjoint relation, inf for its multivalued part
+SPECTRA = {
+    "random": lambda rng, n: 2.0 * rng.standard_normal(n),
+    "mul_and_kernel": lambda rng, n: np.where(
+        np.arange(n) % 3 == 0, np.inf,
+        np.where(np.arange(n) % 3 == 1, 0.0, rng.standard_normal(n))),
+    "repeated": lambda rng, n: np.repeat(rng.standard_normal(n), 3)[:n],
+    "plus_minus_pairs": lambda rng, n: np.ravel(
+        [[t, -t - 1e-12] for t in rng.standard_normal(n)])[:n],
+    "t_beside_inverse": lambda rng, n: np.ravel(
+        [[t, 1.0 / t] for t in np.exp(rng.standard_normal(n))])[:n],
+    "scaled_up": lambda rng, n: 1e6 * rng.standard_normal(n),
+    "scaled_down": lambda rng, n: 1e-6 * rng.standard_normal(n),
+}
+
+
+def _self_adjoint_with_spectrum(rng, t):
+    """T = span(U0 c; U0 s) W for random unitaries U0, W, with c, s the
+    cosine and sine of arctan t (0 and 1 where t is inf), formed without
+    an angle so a small cosine keeps its relative accuracy; and its exact
+    resolvent at lam, U0 diag(1 / (t - lam)) U0^H with 0 on mul T."""
+    n = len(t)
+    u0, w = (np.linalg.qr(rng.standard_normal((n, n))
+                          + 1j * rng.standard_normal((n, n)))[0] for _ in range(2))
+    finite = np.where(np.isinf(t), 0.0, t)
+    hyp = np.hypot(1.0, finite)
+    c, s = np.where(np.isinf(t), 0.0, 1.0 / hyp), np.where(np.isinf(t), 1.0, finite / hyp)
+    T = LinearRelation(n, n, np.vstack([u0 * c, u0 * s]) @ w)
+    return T, lambda lam: (u0 * np.where(np.isinf(t), 0.0, 1.0 / (finite - lam))) @ u0.conj().T
+
+
+def _relative_error(approx, exact):
+    scale = np.linalg.norm(exact, 2)
+    diff = np.linalg.norm(approx - exact, 2)
+    return diff / scale if scale else diff
+
+
+@pytest.mark.parametrize("family", sorted(SPECTRA))
+def test_diagonalize_a_self_adjoint_relation(family):
+    """diagonalize returns a unitary U and c, s with T = span(U c; U s),
+    each to 1e-13, and U diag(c / (s - lam c)) U^H is as close to the exact
+    resolvent as the LU of ``resolvent``, or within 1e-14."""
+    rng = np.random.default_rng(sorted(SPECTRA).index(family))
+    worst_spectral = worst_lu = 0.0
+    for n in (1, 2, 5, 17, 60):
+        T, exact = _self_adjoint_with_spectrum(rng, SPECTRA[family](rng, n))
+        u, c, s = diagonalize(T)
+        assert np.linalg.norm(u.conj().T @ u - np.eye(n), 2) <= 1e-13
+        spectral_frame = LinearRelation(n, n, np.vstack([u * c, u * s]))
+        assert relations_equal(spectral_frame, T)[1] <= 1e-13
+        for lam in (0.3 + 0.7j, -2 + 0.5j, 10j, 1e5j):
+            spectral = (u * (c / (s - lam * c))) @ u.conj().T
+            worst_spectral = max(worst_spectral, _relative_error(spectral, exact(lam)))
+            worst_lu = max(worst_lu, _relative_error(resolvent(T, lam), exact(lam)))
+    assert worst_spectral <= max(worst_lu, 1e-14), (worst_spectral, worst_lu)
+
+
+@pytest.mark.parametrize("T", [zero_relation(2), full_relation(2),
+                               make_relation(np.eye(3)[:, :2], 1, 2)])
+def test_diagonalize_needs_n_dimensions_in_one_space(T):
+    with pytest.raises(ValueError):
+        diagonalize(T)
+
+
+def test_diagonalize_the_relation_in_no_space():
+    u, c, s = diagonalize(zero_relation(0))
+    assert u.shape == (0, 0) and c.shape == s.shape == (0,)

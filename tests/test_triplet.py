@@ -166,14 +166,15 @@ def test_defect_at_plus_minus_i_reuses_its_frame(monkeypatch):
 
 
 def test_frames_and_weyl_at_i_are_built_once_and_read_only(monkeypatch):
-    """from_relation builds the two frames at +-i once; the triplet and its
-    gamma(i) and M(i) build none."""
+    """from_relation builds the two frames at +-i once; the triplet, its
+    gamma(i) and M(i) and A0's spectrum build none, and each is kept."""
     calls = count_defect_frames(monkeypatch)
     seed = random_symmetric_seed(np.random.default_rng(7), 6, d=3)
     tri = von_neumann_triplet(seed)
-    at_i = tri.weyl_at_i
-    assert tri.weyl_at_i is at_i and calls == [1j, -1j]
-    for cached in (*seed.defect_frames_at_i, at_i.gamma_field, at_i.weyl):
+    at_i, spectrum = tri.weyl_at_i, tri.a0_spectrum
+    assert tri.weyl_at_i is at_i and tri.a0_spectrum is spectrum
+    assert calls == [1j, -1j]
+    for cached in (*seed.defect_frames_at_i, at_i.gamma_field, at_i.weyl, *spectrum):
         with pytest.raises(ValueError, match="read-only"):
             cached[0, 0] = 0.0
 
