@@ -6,7 +6,6 @@ from .linrel import (
     LinearRelation,
     SpectrumError,
     adjoint,
-    as_operator,
     classify_symmetry,
     comp_sum,
     contains,
@@ -45,7 +44,6 @@ from .nevanlinna import (
 from .extension import (
     CompressionReport,
     classify_compression,
-    compression,
     compression_param,
     flags_coefficients,
     flags_geometric,

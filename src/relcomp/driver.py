@@ -70,13 +70,29 @@ def matrix_to_json(m: np.ndarray) -> list:
     return [[[float(z.real), float(z.imag)] for z in row] for row in m]
 
 
+def _number(value) -> float:
+    """value as a float, for a JSON int or float; TypeError for anything
+    else, a bool or a numeric string included."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
+
+
+def _dimension(value) -> int:
+    """value as an int, for a JSON number that is a nonnegative integer."""
+    number = _number(value)
+    if not (number.is_integer() and number >= 0):
+        raise ValueError(f"not a dimension: {value!r}")
+    return int(number)
+
+
 def matrix_from_json(data, rows=None, cols=None) -> np.ndarray:
     """Inverse of matrix_to_json.  rows and cols, where given, are the
     declared shape: an empty list reads as that shape and any other shape
     is an InputError, as are ragged rows and an entry that is not an
     [re, im] pair of numbers."""
     try:
-        cells = [[complex(re, im) for re, im in row] for row in data]
+        cells = [[complex(_number(re), _number(im)) for re, im in row] for row in data]
     except (TypeError, ValueError) as exc:
         raise InputError(f"malformed matrix: {exc}") from exc
     if len({len(row) for row in cells}) > 1:
@@ -136,9 +152,9 @@ class Instance:
         try:
             if doc.get("schema") != INSTANCE_SCHEMA:
                 raise InputError(f"unknown instance schema: {doc.get('schema')!r}")
-            n = int(doc["dim"])
+            n = _dimension(doc["dim"])
             tau = doc["tau"]
-            d = int(tau["dim"])
+            d = _dimension(tau["dim"])
             tri = doc["triplet"]
             kind = tri["kind"]
             # the column count of each matrix of the kind, all with d rows:
@@ -153,9 +169,9 @@ class Instance:
             tri_data = {k: matrix_from_json(tri[k], rows=d, cols=cols)
                         for k, cols in shapes.items()}
             mul = matrix_from_json(tau["mul_basis"], rows=d)
-            poles = tuple((float(p["alpha"]), matrix_from_json(p["A_j"]))
+            poles = tuple((_number(p["alpha"]), matrix_from_json(p["A_j"]))
                           for p in tau["poles"])
-            doc_tol = float(doc.get("tol", DEFAULT_TOL))
+            doc_tol = _number(doc.get("tol", DEFAULT_TOL))
             if doc_tol != DEFAULT_TOL:
                 raise InputError(f"instance tol {doc_tol} is not the package "
                                  f"tolerance {DEFAULT_TOL}")
@@ -174,8 +190,6 @@ def build_problem(inst: Instance):
     """Materialize (triplet, tau) from an instance.  An instance outside the
     paper's hypotheses raises InputError, converted once for the seed with
     its triplet and once for tau, whether raised or listed by validate_tau."""
-    if inst.seed_span.shape[0] != 2 * inst.dim:
-        raise InputError("seed span must have 2*dim rows")
     try:
         seed = SymmetricSeed.from_relation(make_relation(inst.seed_span, inst.dim, inst.dim))
         maps = inst.triplet_data

@@ -99,11 +99,6 @@ def compression_param(tau: RationalNevanlinna) -> LinearRelation:
     return operator_relation(ker_b, image, np.hstack([vectors[0][:, :rank_b], tau.mul_frame]))
 
 
-def compression(tri: BoundaryTriplet, tau: RationalNevanlinna) -> LinearRelation:
-    """C(A~) = A_{tau_c}, the compression of the exit-space extension."""
-    return extension_of(tri, compression_param(tau))
-
-
 @dataclass(frozen=True)
 class CompressionReport:
     """Classification of the compression C = C(A~) of the exit-space

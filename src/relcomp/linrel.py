@@ -13,11 +13,11 @@ differ, and the one-sided gap ||(I - P2) F1|| when they agree, so
 verdicts are gauge-free.
 
 Every inverse the package takes is the matrix R L^{-1} of a relation with
-frame (L; R): resolvents, ``as_operator``, the middle term of the Krein
-formula, the gamma field, a triplet's boundary lift and the rotated
-relation of ``diagonalize``.  ``graph_operator`` computes it, from one
-LU and with the one inversion cut, ``_inversion_cut``; no other routine
-inverts a matrix.  The Krein resolvent reads A0's resolvent off the
+frame (L; R): resolvents, the middle term of the Krein formula, the
+gamma field, a triplet's boundary lift and the rotated relation of
+``diagonalize``.  ``graph_operator`` computes it, from one LU and with
+the one inversion cut, ``_inversion_cut``; no other routine inverts a
+matrix.  The Krein resolvent reads A0's resolvent off the
 frame (U diag(c); U diag(s)) of ``diagonalize``, where R - lam L is
 U diag(s - lam c) and needs no LU, and cuts lam by ``_inversion_cut``
 too.
@@ -238,11 +238,6 @@ def zero_relation(n: int) -> LinearRelation:
     return LinearRelation(n, n, np.zeros((2 * n, 0), dtype=complex))
 
 
-def full_relation(n: int) -> LinearRelation:
-    """All of C^n (+) C^n."""
-    return LinearRelation(n, n, np.eye(2 * n, dtype=complex))
-
-
 def vertical_relation(n: int) -> LinearRelation:
     """{0} (+) C^n, the purely multivalued self-adjoint relation."""
     frame = np.zeros((2 * n, n), dtype=complex)
@@ -432,14 +427,6 @@ def diagonalize(T: LinearRelation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # read off theta itself would lose the relative accuracy of a small one
     hyp = np.hypot(1.0, sigma)
     return unitary, (sigma * cos_phi - sin_phi) / hyp, (sigma * sin_phi + cos_phi) / hyp
-
-
-def as_operator(T: LinearRelation) -> np.ndarray:
-    """Matrix of T if it is an everywhere-defined single-valued operator.
-
-    Raises SpectrumError otherwise.
-    """
-    return graph_operator(T.left, T.right)
 
 
 def resolvent(T: LinearRelation, lam: complex) -> np.ndarray:

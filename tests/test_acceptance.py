@@ -19,7 +19,7 @@ from relcomp.driver import (
     generate_instance,
     krein_residuals,
 )
-from relcomp.extension import compression, compression_param, flags_geometric
+from relcomp.extension import compression_param, flags_geometric
 from relcomp.exitspace import (
     build_exit_space,
     direct_compression,
@@ -282,7 +282,7 @@ def test_frames_built_without_orth_are_orthonormal(corpus):
         + [VerifyContext(*build_problem(big), None)]
     worst = worst_scaled = 0.0
     for ctx in contexts:
-        C = compression(ctx.tri, ctx.tau)
+        C = ctx.report.compression
         for T in (ctx.tri.a0, C, ctx.model.a_tilde, ctx.chain[1]):
             worst = max(worst, _frame_gap(T.frame))
         for T in (ctx.tri.seed.A_star, C, ctx.model.a_tilde):

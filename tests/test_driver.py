@@ -110,7 +110,8 @@ def test_malformed_instance_triplet_is_bad_input(tmp_path, case):
     assert main(["verify", "--replay", str(path)]) == 2
 
 
-# a matrix whose rows differ in length or whose entry is not an [re, im] pair
+# a matrix whose rows differ in length or whose entry is not an [re, im]
+# pair of numbers
 MALFORMED_MATRICES = {
     "ragged_rows": [[[1.0, 0.0], [2.0, 0.0]], [[3.0, 0.0]]],
     "ragged_empty_row": [[[1.0, 0.0]], []],
@@ -118,6 +119,7 @@ MALFORMED_MATRICES = {
     "entry_of_one": [[[1.0]]],
     "bare_number_entry": [[1.0]],
     "string_imaginary_part": [[[1.0, "0"]]],
+    "bool_entry": [[[True, False]]],
 }
 
 
@@ -189,13 +191,6 @@ def test_readme_verify_example_matches_output(capsys):
     assert drop_elapsed(actual) == drop_elapsed(expected)
 
 
-def test_readme_library_example_runs():
-    readme = (REPO / "README.md").read_text()
-    example = readme.split("## Library example", 1)[1]
-    code = example.split("```python\n", 1)[1].split("```", 1)[0]
-    exec(compile(code, "README.md", "exec"), {})
-
-
 def test_build_problem_rejects_non_psd_b():
     inst = Instance(dim=1, seed_span=np.zeros((2, 0)),
                     triplet_kind="explicit",
@@ -218,7 +213,7 @@ def test_build_problem_rejects_nonsymmetric_seed():
 # in-memory instance -> (edit that build_problem rejects, error message)
 MALFORMED_PROBLEMS = {
     "seed_span_rows": (lambda inst: dataclasses.replace(inst, seed_span=inst.seed_span[1:]),
-                       "seed span must have 2\\*dim rows"),
+                       "invalid seed or triplet: span must be"),
     "tau_dim_off_boundary": (lambda inst: dataclasses.replace(inst, tau_dim=inst.tau_dim + 1),
                              "tau dimension"),
 }
@@ -244,8 +239,9 @@ def _put(value, *path):
     return edit
 
 
-# instance -> (edit of its document outside the paper's hypotheses, the
-# part build_problem names); json writes and reads NaN and Infinity
+# instance -> (edit of its document outside the paper's hypotheses or with
+# a malformed scalar, the part build_problem or Instance.from_json names);
+# json writes and reads NaN and Infinity
 INVALID_INSTANCES = {
     "gamma1_equals_gamma0": ("canonical", lambda doc: doc["triplet"].update(
         gamma1=doc["triplet"]["gamma0"]), "invalid seed or triplet: Green identity"),
@@ -261,6 +257,13 @@ INVALID_INSTANCES = {
     "inf_in_B": ("swap", _put(math.inf, "tau", "B", 0, 0, 0), "invalid tau: non-finite"),
     "nan_pole": ("swap", _put(math.nan, "tau", "poles", 0, "alpha"),
                  "invalid tau: non-finite pole location"),
+    "fractional_dim": ("random", lambda doc: doc.update(dim=doc["dim"] + 0.7),
+                       "malformed instance: not a dimension"),
+    "negative_dim": ("swap", _put(-1, "dim"), "malformed instance: not a dimension"),
+    "string_dim": ("random", lambda doc: doc.update(dim=str(doc["dim"])),
+                   "malformed instance: not a number"),
+    "string_pole": ("swap", _put("0.5", "tau", "poles", 0, "alpha"),
+                    "malformed instance: not a number"),
 }
 
 
@@ -414,8 +417,8 @@ def _ambient_problem(n, seed_span, gamma0, gamma1, tau_fields):
     seed = SymmetricSeed.from_relation(make_relation(seed_span, n, n))
     tri = BoundaryTriplet.from_ambient_maps(seed, gamma0, gamma1)
     tau = RationalNevanlinna(**tau_fields)
-    relations = [eval_tau(tau, KREIN_POINTS[0]), extension.compression_param(tau),
-                 tri.a0, extension.compression(tri, tau)]
+    report = extension.classify_compression(tri, tau)
+    relations = [eval_tau(tau, KREIN_POINTS[0]), report.tau_c, tri.a0, report.compression]
     return relations, [extension.krein_resolvent(tri, tau, lam) for lam in KREIN_POINTS]
 
 

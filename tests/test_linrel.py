@@ -16,7 +16,6 @@ from relcomp.linrel import (
     _norm2,
     _norm_below,
     adjoint,
-    as_operator,
     classify_symmetry,
     comp_sum,
     complement,
@@ -24,7 +23,6 @@ from relcomp.linrel import (
     contains,
     diagonalize,
     extend,
-    full_relation,
     graph_of,
     graph_operator,
     intersect,
@@ -113,7 +111,8 @@ def test_adjoint_identity_graph():
 
 
 def test_adjoint_of_zero_is_full():
-    eq, _ = relations_equal(adjoint(zero_relation(1)), full_relation(1))
+    eq, _ = relations_equal(adjoint(zero_relation(1)),
+                            LinearRelation(1, 1, np.eye(2, dtype=complex)))
     assert eq
 
 
@@ -128,7 +127,7 @@ def test_adjoint_matches_hermitian_transpose_oracle():
 def test_comp_sum_spans_everything():
     horizontal = make_relation(np.array([[1.0], [0.0]]), 1, 1)
     eq, _ = relations_equal(comp_sum(vertical_relation(1), horizontal),
-                            full_relation(1))
+                            LinearRelation(1, 1, np.eye(2, dtype=complex)))
     assert eq
 
 
@@ -280,7 +279,7 @@ def test_classify_symmetry_green_form_matches_adjoint_route():
     cases = [
         (vertical_relation(3), "self_adjoint"),
         (zero_relation(3), "symmetric"),
-        (full_relation(3), "not_symmetric"),
+        (LinearRelation(3, 3, np.eye(6, dtype=complex)), "not_symmetric"),
         (graph_of(np.array([[0.0, 1.0], [1.0, 0.0]])), "self_adjoint"),
         # a graph keeps its dimension however large the operator is
         *((graph_of(np.diag([s, 0.0])), "self_adjoint") for s in (1e9, 1e10, 1e12)),
@@ -431,9 +430,9 @@ def _with_singular_values(rng, rows, cols, s):
 NEAR_CUT = (0.0, 1e-3, 0.1, 0.5, 0.9, 0.99, 1.01, 1.1, 2.0, 10.0, 1e3)
 
 
-def _as_operator_inputs(rng):
-    """Orthonormal frames (L; R) with s_min(L) near 1e-9, where as_operator
-    used to reject s_min(L) <= 1e-9."""
+def _frame_halves_inputs(rng):
+    """Orthonormal frames (L; R) with s_min(L) near 1e-9, where the matrix
+    of a relation used to be rejected for s_min(L) <= 1e-9."""
     for n in (1, 3, 8):
         for f in NEAR_CUT:
             c = rng.uniform(0.1, 1.0, n)
@@ -441,9 +440,9 @@ def _as_operator_inputs(rng):
             vh = _unitary(rng, n).conj().T
             frame = np.vstack([(_unitary(rng, n) * c) @ vh,
                                (_unitary(rng, n) * np.sqrt(1.0 - c ** 2)) @ vh])
-            T = LinearRelation(n, n, frame)
-            yield (np.linalg.svd(T.left, compute_uv=False)[-1] <= 1e-9,
-                   lambda: as_operator(T))
+            left, right = frame[:n], frame[n:]
+            yield (np.linalg.svd(left, compute_uv=False)[-1] <= 1e-9,
+                   lambda: graph_operator(left, right))
 
 
 def _gamma_and_weyl_inputs(rng):
@@ -460,8 +459,8 @@ def _gamma_and_weyl_inputs(rng):
                        lambda: graph_operator(g0, coords))
 
 
-@pytest.mark.parametrize("inputs", [_as_operator_inputs, _gamma_and_weyl_inputs],
-                         ids=["as_operator", "gamma_and_weyl"])
+@pytest.mark.parametrize("inputs", [_frame_halves_inputs, _gamma_and_weyl_inputs],
+                         ids=["frame_halves", "gamma_and_weyl"])
 def test_graph_operator_rejects_what_a_removed_rule_rejected(inputs):
     """Each invertibility rule that graph_operator replaced stays here as
     the reference: the kernel rejects every matrix the rule rejected."""
@@ -590,7 +589,8 @@ def test_make_relation_is_called_only_on_spans_of_unknown_rank():
                        ("exitspace", "compression_via_forbidden")}
 
 
-@pytest.mark.parametrize("T", [full_relation(2), zero_relation(2)])
+@pytest.mark.parametrize("T", [LinearRelation(2, 2, np.eye(4, dtype=complex)),
+                               zero_relation(2)])
 def test_resolvent_of_relation_without_n_dimensions(T):
     with pytest.raises(SpectrumError):
         resolvent(T, 1j)
@@ -724,7 +724,7 @@ def test_one_sided_gap_matches_the_two_sided_reference():
 def test_unequal_dimensions_are_unequal_without_a_factorization(monkeypatch):
     rng = np.random.default_rng(8)
     pairs = [(random_relation(rng, 4, r=3), random_relation(rng, 4, r=5)),
-             (zero_relation(3), full_relation(3))]
+             (zero_relation(3), LinearRelation(3, 3, np.eye(6, dtype=complex)))]
 
     def no_factorization(*args, **kwargs):
         raise AssertionError("factorization called")
@@ -830,9 +830,10 @@ def test_extend_adds_only_what_lies_outside_the_frame():
     assert containment_residual(off, extend(frame, inside[:, :2] + 1e-8 * off)) <= 1e-7
 
 
-def test_as_operator_rejects_vertical():
+def test_graph_operator_rejects_vertical():
+    T = vertical_relation(1)
     with pytest.raises(SpectrumError):
-        as_operator(vertical_relation(1))
+        graph_operator(T.left, T.right)
 
 
 @settings(max_examples=40, deadline=None)
@@ -913,7 +914,8 @@ def test_diagonalize_a_self_adjoint_relation(family):
     assert worst_spectral <= max(worst_lu, 1e-14), (worst_spectral, worst_lu)
 
 
-@pytest.mark.parametrize("T", [zero_relation(2), full_relation(2),
+@pytest.mark.parametrize("T", [zero_relation(2),
+                               LinearRelation(2, 2, np.eye(4, dtype=complex)),
                                make_relation(np.eye(3)[:, :2], 1, 2)])
 def test_diagonalize_needs_n_dimensions_in_one_space(T):
     with pytest.raises(ValueError):
