@@ -7,11 +7,9 @@ from .linrel import (
     SpectrumError,
     adjoint,
     classify_symmetry,
-    comp_sum,
     contains,
     graph_of,
     intersect,
-    inverse,
     make_relation,
     negate,
     parts,

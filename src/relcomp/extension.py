@@ -21,7 +21,9 @@ from .linrel import (
     DEFAULT_TOL,
     LinearRelation,
     _cut,
+    _fro,
     _inversion_cut,
+    _points,
     _norm_below,
     classify_symmetry,
     graph_operator,
@@ -33,10 +35,10 @@ from .nevanlinna import RationalNevanlinna, eval_tau
 from .triplet import BoundaryTriplet, extension_of
 
 
-def _middle_inverse(tau: RationalNevanlinna, lam: complex,
+def _middle_inverse(tau: RationalNevanlinna, lam,
                     weyl: np.ndarray) -> np.ndarray:
     """Matrix of (tau(lam) + M(lam))^{-1} on the boundary space, given
-    M(lam) = weyl.
+    M(lam) = weyl; a stack of them for an array lam and a stack of weyl.
 
     With L, R the halves of tau(lam)'s frame, the sum is the relation with
     frame (L; R + M L), and its inverse is the graph operator
@@ -47,8 +49,10 @@ def _middle_inverse(tau: RationalNevanlinna, lam: complex,
 
 
 def krein_resolvent(tri: BoundaryTriplet, tau: RationalNevanlinna,
-                    lam: complex) -> np.ndarray:
-    """Generalized resolvent of the seed relation at lam for parameter tau.
+                    lam) -> np.ndarray:
+    """Generalized resolvent of the seed relation at lam for parameter tau,
+    or the stack of them at each point of an array lam; ValueError or
+    SpectrumError when any point is rejected.
 
     gamma and M come from their values at i, kept with the triplet as
     ``weyl_at_i``, through the identities
@@ -68,19 +72,22 @@ def krein_resolvent(tri: BoundaryTriplet, tau: RationalNevanlinna,
     accuracy at large |lam|, where the equal additive form
     gamma(i) + (lam - i) R0(lam) gamma(i) cancels.
     """
-    if abs(lam.imag) == 0:
+    if any(z.imag == 0 for z in np.asarray(lam).ravel().tolist()):
         raise ValueError("Weyl function is evaluated on the real axis")
     u, c, s = tri.a0_spectrum
-    v = s - lam * c
-    _inversion_cut(np.linalg.norm(v), np.linalg.norm(1.0 / v))
+    at = _points(lam, 1)
+    v = s - at * c
+    _inversion_cut(_fro(v, 1), _fro(1.0 / v, 1))
     at_i, u_adj = tri.weyl_at_i, u.conj().T
     g = u_adj @ at_i.gamma_field
     g_adj = g.conj().T
-    gamma = u @ (((s - 1j * c) / v)[:, None] * g)
-    weyl = (at_i.weyl + at_i.weyl.conj().T) / 2.0 + g_adj @ (((c + lam * s) / v)[:, None] * g)
-    gamma_bar_adj = (g_adj * ((s + 1j * c) / v)) @ u_adj
+    gamma = u @ (((s - 1j * c) / v)[..., None] * g)
+    weyl = (at_i.weyl + at_i.weyl.conj().T) / 2.0 + g_adj @ (((c + at * s) / v)[..., None] * g)
+    gamma_bar_adj = (g_adj * ((s + 1j * c) / v)[..., None, :]) @ u_adj
     mid = _middle_inverse(tau, lam, weyl)
-    return (u * (c / v)) @ u_adj - gamma @ mid @ gamma_bar_adj
+    out = (u * (c / v)[..., None, :]) @ u_adj
+    out -= gamma @ mid @ gamma_bar_adj
+    return out
 
 
 def compression_param(tau: RationalNevanlinna) -> LinearRelation:

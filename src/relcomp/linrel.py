@@ -22,6 +22,27 @@ frame (U diag(c); U diag(s)) of ``diagonalize``, where R - lam L is
 U diag(s - lam c) and needs no LU, and cuts lam by ``_inversion_cut``
 too.
 
+A relation-valued function sampled at m points is one ``LinearRelation``
+whose frame stacks the m frames on a leading axis, and the formula route
+evaluates the points of a check as one such stack, with one point as
+the 0-d case of the same code: ``operator_relation``, ``negate``,
+``graph_operator`` (its cut applied to each matrix), ``resolvent``, and
+``containment_residual``, ``_norm2`` and ``relations_equal`` (one
+residual per point) broadcast over it, as do ``tau0``, ``eval_tau``
+(which rejects a real point or a pole anywhere in the stack) and
+``reassemble_decomposition`` in ``nevanlinna``, ``extension_of`` in
+``triplet`` and ``krein_resolvent`` in ``extension``.  What decides a
+rank (``orth``, ``kernel_split``, ``rank``, ``diagonalize``,
+``classify_symmetry``) takes one matrix and raises ValueError on a
+stack.  Two readers stay per point.  The oracle's
+``generalized_resolvent_direct`` takes one LU of the (n + n_r)-square
+frame of A~ per point: stacked, those matrices raised the peak memory of
+a verify at n = 96 with no gain in speed, and a loop of its own keeps it
+visibly apart from the formula route.  ``gap_limit`` reads two points,
+and its other caller, ``check_forbidden_asymptotics``, reads each off
+``gamma_and_weyl``, whose defect frame is a rank decision, one SVD per
+point.
+
 DEFAULT_TOL is the single tolerance of the package: no relation, triplet
 or parameter carries one.  Every rank decision is made by ``_cut``,
 with no override: a descending singular value (or eigenvalue) s counts
@@ -87,15 +108,43 @@ def _as_complex(a) -> np.ndarray:
     return a
 
 
+def _points(lam, axes: int):
+    """lam as an array that broadcasts over a stack with one entry per
+    point, each entry with ``axes`` axes of its own: an array of points
+    gains ``axes`` trailing axes of length 1, and one point is a numpy
+    scalar, whose arithmetic costs what a Python number's does."""
+    lam = np.asarray(lam)
+    return lam.reshape(lam.shape + (1,) * axes) if lam.ndim else lam[()]
+
+
+def _fro(x: np.ndarray, axes: int):
+    """2-norm of each block of x over its last ``axes`` axes, the Frobenius
+    norm of each matrix for axes = 2: each block as one row of reals r, and
+    r r^T from one BLAS product per block.  As in ``np.linalg.norm``, an
+    inf or NaN entry gives an inf or NaN norm with no floating-point
+    warning, for the cut that reads it."""
+    row = np.ascontiguousarray(x).reshape(x.shape[:x.ndim - axes] + (1, -1)).view(float)
+    return np.sqrt((row @ row.swapaxes(-1, -2))[..., 0, 0])
+
+
 def _cut(s: np.ndarray) -> int:
     """Number of the descending values s above DEFAULT_TOL * max(s_max, 1):
     the package's one rank rule."""
     return int(np.count_nonzero(s > DEFAULT_TOL * max(float(s[0]) if s.size else 0.0, 1.0)))
 
 
+def _unstacked(a: np.ndarray) -> np.ndarray:
+    """a itself when it is one matrix; ValueError for any other shape.  A
+    rank is decided on one matrix: the SVD of a stack of them would be cut
+    as if it were one."""
+    if a.ndim != 2:
+        raise ValueError(f"a rank is decided on one matrix, not on shape {a.shape}")
+    return a
+
+
 def orth(span) -> np.ndarray:
     """Orthonormal basis of the column span, to the rank of ``_cut``."""
-    span = _as_complex(span)
+    span = _unstacked(_as_complex(span))
     if span.shape[0] == 0 or span.shape[1] == 0:
         return np.zeros((span.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(span, full_matrices=False)
@@ -105,7 +154,7 @@ def orth(span) -> np.ndarray:
 def rank(span) -> int:
     """Dimension of the column span by the cut of ``orth``, from the
     singular values alone."""
-    span = _as_complex(span)
+    span = _unstacked(_as_complex(span))
     if span.shape[0] == 0 or span.shape[1] == 0:
         return 0
     return _cut(np.linalg.svd(span, compute_uv=False))
@@ -117,7 +166,7 @@ def kernel_split(mat) -> tuple[np.ndarray, np.ndarray]:
     yields every right singular vector; [ker, row] is unitary.  A wide mat
     is factored as mat^H, whose full U holds them (the module docstring
     says why); any other mat needs only its thin SVD."""
-    mat = _as_complex(mat)
+    mat = _unstacked(_as_complex(mat))
     rows, cols = mat.shape
     if rows == 0 or cols == 0:
         return np.eye(cols, dtype=complex), np.zeros((cols, 0), dtype=complex)
@@ -153,13 +202,18 @@ def extend(frame: np.ndarray, span) -> np.ndarray:
     return np.hstack([frame, orth(rest)])
 
 
-def _norm2(x: np.ndarray) -> float:
+def _norm2(x: np.ndarray):
     """Spectral norm of x as the square root of the largest eigenvalue of
-    its Gram matrix on the smaller side, x x^H or x^H x; 0 for an empty x."""
+    its Gram matrix on the smaller side, x x^H or x^H x; 0 for an empty x.
+    A float for a matrix x, and for a stack of matrices the array of
+    their norms, from one stacked ``eigvalsh``."""
     if x.size == 0:
-        return 0.0
-    gram = x @ x.conj().T if x.shape[0] < x.shape[1] else x.conj().T @ x
-    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+        norms = np.zeros(x.shape[:-2])
+    else:
+        x_adj = x.conj().swapaxes(-1, -2)
+        gram = x @ x_adj if x.shape[-2] < x.shape[-1] else x_adj @ x
+        norms = np.sqrt(np.maximum(np.linalg.eigvalsh(gram)[..., -1], 0.0))
+    return norms if norms.ndim else float(norms)
 
 
 def _norm_below(x: np.ndarray, bound: float) -> bool:
@@ -185,36 +239,39 @@ def _green_form(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return x - x.conj().T
 
 
-def containment_residual(sub: np.ndarray, sup: np.ndarray) -> float:
+def containment_residual(sub: np.ndarray, sup: np.ndarray):
     """Spectral norm of (I - P_sup) restricted to the columns of sub, for
-    an orthonormal frame sup."""
-    return _norm2(sub - sup @ (sup.conj().T @ sub))
+    an orthonormal frame sup; one per matrix of stacked frames."""
+    off = sup @ (sup.conj().swapaxes(-1, -2) @ sub)
+    return _norm2(np.subtract(sub, off, out=off))
 
 
 @dataclass(frozen=True)
 class LinearRelation:
-    """A subspace of C^{dim_from} (+) C^{dim_to} with an orthonormal frame."""
+    """A subspace of C^{dim_from} (+) C^{dim_to} with an orthonormal frame,
+    or a relation-valued function sampled at m points, whose frame stacks
+    the m frames of one dimension on a leading axis."""
 
     dim_from: int
     dim_to: int
     frame: np.ndarray
 
     def __post_init__(self):
-        if self.frame.shape[0] != self.dim_from + self.dim_to:
+        if self.frame.shape[-2] != self.dim_from + self.dim_to:
             raise ValueError("frame row count does not match ambient dimension")
         self.frame.setflags(write=False)
 
     @property
     def dim(self) -> int:
-        return self.frame.shape[1]
+        return self.frame.shape[-1]
 
     @property
     def left(self) -> np.ndarray:
-        return self.frame[: self.dim_from]
+        return self.frame[..., : self.dim_from, :]
 
     @property
     def right(self) -> np.ndarray:
-        return self.frame[self.dim_from:]
+        return self.frame[..., self.dim_from:, :]
 
 
 @dataclass(frozen=True)
@@ -249,13 +306,16 @@ def operator_relation(dom, image, mul=None) -> LinearRelation:
     """{{h, Xh}: h in span dom} + {0} (+) span mul, for an orthonormal dom,
     image = X dom and an orthonormal mul (none if None) with mul^H image = 0.
     Its frame [QR(dom; image), (0; mul)] decides no rank: the singular
-    values of (dom; image) are all at least 1."""
+    values of (dom; image) are all at least 1.  A stack of images gives
+    the stack of relations, from one stacked QR."""
     if mul is None:
-        mul = np.zeros((image.shape[0], 0), dtype=complex)
+        mul = np.zeros((image.shape[-2], 0), dtype=complex)
     (n_from, r), (n_to, m) = dom.shape, mul.shape
-    frame = np.zeros((n_from + n_to, r + m), dtype=complex)
-    frame[:, :r] = np.linalg.qr(np.vstack([dom, image]))[0]
-    frame[n_from:, r:] = mul
+    frame = np.zeros(image.shape[:-2] + (n_from + n_to, r + m), dtype=complex)
+    frame[..., :n_from, :r] = dom
+    frame[..., n_from:, :r] = image
+    frame[..., :r] = np.linalg.qr(frame[..., :r])[0]
+    frame[..., n_from:, r:] = mul
     return LinearRelation(n_from, n_to, frame)
 
 
@@ -282,25 +342,14 @@ def adjoint(T: LinearRelation) -> LinearRelation:
     return LinearRelation(T.dim_to, T.dim_from, comp)
 
 
-def inverse(T: LinearRelation) -> LinearRelation:
-    """Inverse relation: swap the pair components."""
-    return LinearRelation(T.dim_to, T.dim_from, np.vstack([T.right, T.left]))
-
-
 def negate(T: LinearRelation) -> LinearRelation:
     """The relation {{f, -f'}: {f, f'} in T}."""
-    return LinearRelation(T.dim_from, T.dim_to, np.vstack([T.left, -T.right]))
+    return LinearRelation(T.dim_from, T.dim_to, np.concatenate([T.left, -T.right], axis=-2))
 
 
 def _check_ambient(T1: LinearRelation, T2: LinearRelation) -> None:
     if (T1.dim_from, T1.dim_to) != (T2.dim_from, T2.dim_to):
         raise ValueError("ambient dimension mismatch")
-
-
-def comp_sum(T1: LinearRelation, T2: LinearRelation) -> LinearRelation:
-    """Componentwise sum: span of the union of the two subspaces."""
-    _check_ambient(T1, T2)
-    return make_relation(np.hstack([T1.frame, T2.frame]), T1.dim_from, T1.dim_to)
 
 
 def intersect(T1: LinearRelation, T2: LinearRelation) -> LinearRelation:
@@ -313,7 +362,8 @@ def intersect(T1: LinearRelation, T2: LinearRelation) -> LinearRelation:
 
 
 def relations_equal(T1: LinearRelation, T2: LinearRelation):
-    """Equality by the gap ||P1 - P2||; returns (equal, residual).
+    """Equality by the gap ||P1 - P2||; returns (equal, residual), each
+    an array over the points of stacked relations.
 
     The gap is 1 when the dimensions differ.  When they agree, the two
     one-sided gaps ||(I - P2) P1|| and ||(I - P1) P2|| are equal (Kato), so
@@ -321,8 +371,10 @@ def relations_equal(T1: LinearRelation, T2: LinearRelation):
     """
     _check_ambient(T1, T2)
     if T1.dim != T2.dim:
-        return False, 1.0
-    resid = containment_residual(T1.frame, T2.frame)
+        stack = np.broadcast_shapes(T1.frame.shape[:-2], T2.frame.shape[:-2])
+        resid = np.ones(stack) if stack else 1.0
+    else:
+        resid = containment_residual(T1.frame, T2.frame)
     return resid < DEFAULT_TOL, resid
 
 
@@ -356,6 +408,7 @@ def classify_symmetry(T: LinearRelation) -> str:
     """
     if T.dim_from != T.dim_to:
         raise ValueError("symmetry is defined for relations in a single space")
+    _unstacked(T.frame)
     if not _norm_below(_green_form(T.left, T.right), DEFAULT_TOL):
         return "not_symmetric"
     return "self_adjoint" if T.dim == T.dim_from else "symmetric"
@@ -373,22 +426,26 @@ def graph_operator(left, right) -> np.ndarray:
     s_max, so this cut rejects every left with
     s_min <= DEFAULT_TOL * sqrt(s_max^2 + 1) and is never looser than that
     SVD cut.  The ``+ 1`` makes the cut absolute below unit scale.
+
+    Stacked halves give the stack of matrices, from one stacked LU, and
+    SpectrumError when the cut rejects any one of them.
     """
     try:
         left_inv = np.linalg.inv(left)
     except np.linalg.LinAlgError as exc:
         raise SpectrumError("left half of the frame is not invertible") from exc
-    _inversion_cut(np.linalg.norm(left), np.linalg.norm(left_inv))
+    _inversion_cut(_fro(left, 2), _fro(left_inv, 2))
     return right @ left_inv
 
 
-def _inversion_cut(left_fro: float, inverse_fro: float) -> None:
+def _inversion_cut(left_fro, inverse_fro) -> None:
     """SpectrumError unless inverse_fro * DEFAULT_TOL * sqrt(left_fro^2 + 1)
-    is below 1, a NaN or inf included: the cut of ``graph_operator`` on the
-    Frobenius norms of a left half and of its inverse.  Both norms are
-    unitarily invariant, so a left half U diag(v) W with U, W unitary is
-    cut on the 2-norms of v and 1/v."""
-    if not inverse_fro * DEFAULT_TOL * np.sqrt(left_fro ** 2 + 1.0) < 1.0:
+    is below 1, a NaN or inf included, for each pair of the arrays: the cut
+    of ``graph_operator`` on the Frobenius norms of a left half and of its
+    inverse.  Both norms are unitarily invariant, so a left half U diag(v) W
+    with U, W unitary is cut on the 2-norms of v and 1/v."""
+    ratio = inverse_fro * DEFAULT_TOL * np.sqrt(left_fro ** 2 + 1.0)
+    if not all((ratio < 1.0).ravel().tolist()):
         raise SpectrumError("left half of the frame is numerically singular")
 
 
@@ -409,6 +466,7 @@ def diagonalize(T: LinearRelation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     if T.dim_from != T.dim_to or T.dim != T.dim_from:
         raise ValueError("diagonalize needs a relation of dimension n in C^n")
+    _unstacked(T.frame)
     if T.dim == 0:
         return np.zeros((0, 0), dtype=complex), np.zeros(0), np.zeros(0)
     left, right = T.left, T.right
@@ -429,9 +487,11 @@ def diagonalize(T: LinearRelation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return unitary, (sigma * cos_phi - sin_phi) / hyp, (sigma * sin_phi + cos_phi) / hyp
 
 
-def resolvent(T: LinearRelation, lam: complex) -> np.ndarray:
+def resolvent(T: LinearRelation, lam) -> np.ndarray:
     """Matrix of (T - lam)^{-1} = {{f' - lam f, f}} when it is an
-    everywhere-defined operator; SpectrumError otherwise.
+    everywhere-defined operator; SpectrumError otherwise.  An array lam,
+    with T one relation or a stack of as many, gives the stack of
+    resolvents.
 
     With L, R the left and right halves of T's frame, the inverse is the
     graph operator L (R - lam L)^{-1}, so lam is rejected by the cut of
@@ -439,4 +499,4 @@ def resolvent(T: LinearRelation, lam: complex) -> np.ndarray:
     """
     if T.dim_from != T.dim_to:
         raise ValueError("resolvent is defined for relations in a single space")
-    return graph_operator(T.right - lam * T.left, T.left)
+    return graph_operator(T.right - _points(lam, 2) * T.left, T.left)

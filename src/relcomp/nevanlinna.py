@@ -25,6 +25,7 @@ from .linrel import (
     LinearRelation,
     _as_complex,
     _cut,
+    _points,
     complement,
     gap_limit,
     kernel_split,
@@ -107,24 +108,29 @@ class RationalNevanlinna:
         vectors.setflags(write=False)
         return values, vectors
 
-    def tau0(self, lam: complex) -> np.ndarray:
+    def tau0(self, lam) -> np.ndarray:
         """Operator part evaluated at lam, as a d x d matrix that vanishes
-        on K."""
+        on K, or at each point of an array lam, as a stack of them;
+        ValueError when a point is real or within 1e-12 of a pole."""
+        points = np.asarray(lam).ravel().tolist()
+        if any(z.imag == 0 for z in points):
+            raise ValueError("tau is evaluated on the real axis")
+        at_pole = [z for z in points for alpha, _ in self.poles if abs(z - alpha) < 1e-12]
+        if at_pole:
+            raise ValueError(f"evaluation at a pole of tau: {at_pole[0]}")
+        lam = _points(lam, 2)
         out = self.a_coef + lam * self.b_coef
         for alpha, aj in self.poles:
             out = out + aj / (alpha - lam)
         return out
 
 
-def eval_tau(tau: RationalNevanlinna, lam: complex) -> LinearRelation:
+def eval_tau(tau: RationalNevanlinna, lam) -> LinearRelation:
     """The relation {{h, tau0(lam) h + k}: h in K-perp, k in K} inside C^d,
     the ``operator_relation`` on dom = ``op_frame``, image = tau0(lam) dom
     and mul = K: it has dimension d however large tau0(lam) is, and the
-    Hermitian coefficients of tau0 vanish on K."""
-    if lam.imag == 0:
-        raise ValueError("tau is evaluated on the real axis")
-    if any(abs(lam - alpha) < 1e-12 for alpha, _ in tau.poles):
-        raise ValueError(f"evaluation at a pole of tau: {lam}")
+    Hermitian coefficients of tau0 vanish on K.  An array lam gives the
+    stack of relations; ``tau0`` rejects a real point or a pole."""
     return operator_relation(tau.op_frame, tau.tau0(lam) @ tau.op_frame, tau.mul_frame)
 
 
@@ -211,13 +217,16 @@ def decompose_tau(tau: RationalNevanlinna) -> TauDecomposition:
 
 
 def reassemble_decomposition(tau: RationalNevanlinna, dec: TauDecomposition,
-                             lam: complex) -> LinearRelation:
+                             lam) -> LinearRelation:
     """Rebuild tau(lam) from the block decomposition, the
     ``operator_relation`` on dom = [H', H''] with mul = K; pins the sign
-    convention of the constant block."""
+    convention of the constant block.  An array lam gives the stack of
+    relations."""
     hp, hd = dec.h_prime, dec.h_dprime
-    image = np.hstack([hp @ dec.tau1.tau0(lam) - hd @ dec.b1.conj().T,
-                       -hp @ dec.b1 - hd @ dec.b2])
+    varying = hp @ dec.tau1.tau0(lam) - hd @ dec.b1.conj().T
+    image = np.empty(varying.shape[:-1] + (hp.shape[1] + hd.shape[1],), dtype=complex)
+    image[..., :hp.shape[1]] = varying
+    image[..., hp.shape[1]:] = -hp @ dec.b1 - hd @ dec.b2
     return operator_relation(np.hstack([hp, hd]), image, tau.mul_frame)
 
 

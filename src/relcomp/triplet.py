@@ -202,14 +202,15 @@ def von_neumann_triplet(seed: SymmetricSeed, V=None) -> BoundaryTriplet:
 def extension_of(tri: BoundaryTriplet, theta: LinearRelation) -> LinearRelation:
     """A_theta = {f-hat in A*: {Gamma0 f-hat, Gamma1 f-hat} in theta}: the
     frame of A beside a QR frame of the injective lift(theta), in A* (-) A,
-    so no rank is decided."""
+    so no rank is decided.  A stack of theta gives the stack of extensions,
+    from one stacked QR."""
     d = tri.boundary_dim
     if (theta.dim_from, theta.dim_to) != (d, d):
         raise ValueError("theta must be a relation in the boundary space")
     n, a = tri.space_dim, tri.seed.A.frame
-    frame = np.empty((2 * n, a.shape[1] + theta.dim), dtype=complex)
-    frame[:, :a.shape[1]] = a
-    frame[:, a.shape[1]:] = np.linalg.qr(tri.lift @ theta.frame)[0]
+    frame = np.empty(theta.frame.shape[:-2] + (2 * n, a.shape[1] + theta.dim), dtype=complex)
+    frame[..., :a.shape[1]] = a
+    frame[..., a.shape[1]:] = np.linalg.qr(tri.lift @ theta.frame)[0]
     return LinearRelation(n, n, frame)
 
 

@@ -454,10 +454,11 @@ FAULTS = {
                       lambda middle: lambda *args: -middle(*args),
                       ["krein_formula"]),
     # tau0 with B off by 1e-3, but only far up the imaginary axis, where
-    # only the gap limit looks
+    # only the gap limit looks; lam may be a stack of points
     "limit_parameter": (
         RationalNevanlinna, "tau0",
-        lambda tau0: lambda self, lam: tau0(self, lam) + (abs(lam) > 50) * 1e-3 * lam,
+        lambda tau0: lambda self, lam: tau0(self, lam)
+        + ((np.abs(lam) > 50) * 1e-3 * np.asarray(lam))[..., None, None],
         ["limit_parameter"]),
     # tau_c with A' built from 1.001 A
     "scaled_a_prime": (
@@ -564,17 +565,28 @@ def _count_factorizations(monkeypatch, run) -> dict:
 
 def test_verify_instance_factorization_count(monkeypatch):
     """One verify_instance of a fixed draw (n = 11, boundary dimension 6,
-    dim K = 1, one pole) takes 16 SVDs, 13 eigvalsh calls (the reported
-    residuals of ``relations_equal`` and ``chain_residuals``, and the angles
-    of ``diagonalize(A0)``; the symmetry and subset verdicts are settled by
-    Frobenius norms), 4 eigh calls (the parameter's ``spectra``, the
-    oracle's two ``psd_factor`` calls and ``diagonalize(A0)``), 23 QRs and
-    13 LUs (``inv``, in ``graph_operator``; the Krein resolvent takes one
-    per lam for the middle term, and none for A0's resolvent)."""
+    dim K = 1, one pole) takes 16 SVDs and 4 eigh calls (the parameter's
+    ``spectra``, the oracle's two ``psd_factor`` calls and
+    ``diagonalize(A0)``).  A check that reads three lam evaluates the
+    formula route on their stack, one call per factorization, and the
+    oracle at each lam.  So it takes 11 eigvalsh calls: one per reported
+    residual of ``relations_equal`` (one for the stacked
+    ``decomposition_reassembly``, two for the gap limit and three for the
+    compressions) and of ``chain_residuals`` (four), and the angles of
+    ``diagonalize(A0)``; the symmetry and subset verdicts are settled by
+    Frobenius norms.  It takes 13 QRs: ``operator_relation`` in the stacked
+    ``eval_tau`` of ``decomposition_reassembly``, ``_middle_inverse`` and
+    the canonical resolvent, in ``reassemble_decomposition``, in the two
+    gap-limit points, in ``compression_param`` and in theta0, and
+    ``extension_of`` for A0, C, theta0, the forbidden route and the stacked
+    canonical resolvent.  It takes 9 LUs (``inv``, in ``graph_operator``):
+    the triplet's lift, gamma(i), ``diagonalize(A0)``, the stacked middle
+    term and canonical resolvent, ``minimality`` and the oracle's three
+    points; A0's resolvent needs none."""
     inst = generate_instance(np.random.default_rng(13), 12, 6, 3)
     counts = _count_factorizations(
         monkeypatch, lambda: verify_instance(inst, np.random.default_rng(0)))
-    assert counts == {"svd": 16, "eigvalsh": 13, "eigh": 4, "qr": 23, "inv": 13}
+    assert counts == {"svd": 16, "eigvalsh": 11, "eigh": 4, "qr": 13, "inv": 9}
 
 
 def test_build_problem_factorization_count(monkeypatch):

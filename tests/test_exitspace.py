@@ -240,8 +240,7 @@ def test_generalized_resolvent_matches_krein():
     for _ in range(15):
         tri, tau = random_problem(rng)
         model = build_exit_space(tri, tau)
-        lam = admissible_lambdas(rng, 1)[0]
-        _, direct = krein_residuals(tri, tau, model, lam)
+        _, direct = krein_residuals(tri, tau, model, admissible_lambdas(rng, 1))
         assert direct < CHECKS["krein_formula"].threshold
 
 

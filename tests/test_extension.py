@@ -99,9 +99,9 @@ def test_resolvent_identity_random():
     rng = np.random.default_rng(11)
     for _ in range(25):
         tri, tau = random_problem(rng)
-        lam = admissible_lambdas(rng, 1)[0]
+        lams = admissible_lambdas(rng, 1)
         model = build_exit_space(tri, tau)
-        assert max(krein_residuals(tri, tau, model, lam)) \
+        assert max(krein_residuals(tri, tau, model, lams)) \
             < CHECKS["krein_formula"].threshold
 
 

@@ -45,9 +45,9 @@ def test_readme_library_example_runs():
 # Public names of the package that nothing in it, the demos or README's
 # library example calls, each kept for a reason:
 KEPT = (
-    # the tests use them as references, and README's relation-arithmetic
-    # list advertises them
-    "comp_sum", "inverse", "intersect",
+    # the tests use it as a reference, and README's relation-arithmetic
+    # list advertises it
+    "intersect",
     # the paper's limit M(iy) -> F at i*infinity; ROADMAP item 5 gives it a caller
     "check_forbidden_asymptotics",
 )

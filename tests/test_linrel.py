@@ -12,12 +12,12 @@ from relcomp.linrel import (
     DEFAULT_TOL,
     LinearRelation,
     SpectrumError,
+    _check_ambient,
     _cut,
     _norm2,
     _norm_below,
     adjoint,
     classify_symmetry,
-    comp_sum,
     complement,
     containment_residual,
     contains,
@@ -26,7 +26,6 @@ from relcomp.linrel import (
     graph_of,
     graph_operator,
     intersect,
-    inverse,
     kernel_split,
     make_relation,
     orth,
@@ -39,6 +38,18 @@ from relcomp.linrel import (
 )
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "relcomp"
+
+
+def comp_sum(T1: LinearRelation, T2: LinearRelation) -> LinearRelation:
+    """Reference componentwise sum: the span of the union of the two
+    subspaces, orthonormalized by make_relation."""
+    _check_ambient(T1, T2)
+    return make_relation(np.hstack([T1.frame, T2.frame]), T1.dim_from, T1.dim_to)
+
+
+def inverse(T: LinearRelation) -> LinearRelation:
+    """Reference inverse relation: the pair components swapped."""
+    return LinearRelation(T.dim_to, T.dim_from, np.vstack([T.right, T.left]))
 
 
 def random_relation(rng, n, r=None):
@@ -521,6 +532,27 @@ def _sites(names):
     return sites
 
 
+def _stacked_self_adjoint():
+    """Two self-adjoint relations in C^2 (graphs of real diagonal matrices)
+    as one relation with a stacked frame."""
+    frames = [graph_of(np.diag([a, 1.0])).frame for a in (0.5, -2.0)]
+    return LinearRelation(2, 2, np.array(frames))
+
+
+@pytest.mark.parametrize("decide", [
+    lambda T: orth(T.frame),
+    lambda T: kernel_split(T.frame),
+    lambda T: rank(T.frame),
+    diagonalize,
+    classify_symmetry,
+], ids=["orth", "kernel_split", "rank", "diagonalize", "classify_symmetry"])
+def test_rank_decisions_reject_a_stacked_frame(decide):
+    """A rank is decided on one matrix: a stack of frames would be read as
+    one matrix and could get a wrong verdict."""
+    with pytest.raises(ValueError, match="one matrix"):
+        decide(_stacked_self_adjoint())
+
+
 def test_every_inverse_goes_through_graph_operator():
     assert _sites({"inv", "matrix_rank"}) == {("linrel", "graph_operator")}
 
@@ -574,8 +606,7 @@ def test_every_qr_is_pinned():
 def test_make_relation_is_called_only_on_spans_of_unknown_rank():
     """A relation whose dimension is known by construction enters through
     operator_relation, with no rank cut; make_relation's SVD is left to the
-    seed span, a componentwise sum, a boundary image and the forbidden
-    route's span."""
+    seed span, a boundary image and the forbidden route's span."""
     callers = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -584,7 +615,7 @@ def test_make_relation_is_called_only_on_spans_of_unknown_rank():
                 callers |= {(path.stem, func.name) for node in ast.walk(func)
                             if isinstance(node, ast.Call)
                             and getattr(node.func, "id", None) == "make_relation"}
-    assert callers == {("driver", "build_problem"), ("linrel", "comp_sum"),
+    assert callers == {("driver", "build_problem"),
                        ("triplet", "_boundary_image"),
                        ("exitspace", "compression_via_forbidden")}
 

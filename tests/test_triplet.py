@@ -6,7 +6,6 @@ from relcomp.linrel import (
     LinearRelation,
     adjoint,
     classify_symmetry,
-    comp_sum,
     containment_residual,
     graph_of,
     intersect,
@@ -30,6 +29,8 @@ from relcomp.triplet import (
     gamma_and_weyl,
     von_neumann_triplet,
 )
+
+from test_linrel import comp_sum
 
 
 def random_symmetric_seed(rng, n, d=None, n_mul=None):
