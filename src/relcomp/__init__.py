@@ -37,7 +37,6 @@ from .nevanlinna import (
     decompose_tau,
     eval_tau,
     tau_limits,
-    validate_tau,
 )
 from .extension import (
     CompressionReport,

@@ -35,7 +35,6 @@ from .nevanlinna import (
     eval_tau,
     reassemble_decomposition,
     tau_limits,
-    validate_tau,
 )
 from .triplet import (
     BoundaryTriplet,
@@ -189,7 +188,8 @@ class Instance:
 def build_problem(inst: Instance):
     """Materialize (triplet, tau) from an instance.  An instance outside the
     paper's hypotheses raises InputError, converted once for the seed with
-    its triplet and once for tau, whether raised or listed by validate_tau."""
+    its triplet and once for tau, whose every violation
+    ``RationalNevanlinna.build`` names in one ValueError."""
     try:
         seed = SymmetricSeed.from_relation(make_relation(inst.seed_span, inst.dim, inst.dim))
         maps = inst.triplet_data
@@ -209,11 +209,8 @@ def build_problem(inst: Instance):
                              f"{tri.boundary_dim}")
         tau = RationalNevanlinna.build(inst.tau_dim, a=inst.tau_a, b=inst.tau_b,
                                        poles=inst.tau_poles, mul_span=inst.tau_mul)
-        problems = validate_tau(tau)
     except ValueError as exc:
-        problems = [str(exc)]
-    if problems:
-        raise InputError("invalid tau: " + "; ".join(problems))
+        raise InputError(f"invalid tau: {exc}") from exc
     return tri, tau
 
 

@@ -60,15 +60,15 @@ through the ``orth`` of the part of a span off a frame, and
 rank.  Every rank of a parameter's B or A_j in the formula route
 (the split of tau_c, H'' of ``decompose_tau``, the coefficient flags,
 the exit dimension, the first point of ``tau_limits`` and the vanishing
-pole terms of ``validate_tau``) is the cut of that coefficient's row
-of ``RationalNevanlinna.spectra``, one stacked ``eigh``, whose smallest
-values the PSD test of ``validate_tau`` reads.  ``kernel_split`` needs every right singular
-vector: a wide matrix is factored as its tall adjoint, whose full U
-holds them, since LAPACK's full SVD is about twice as fast in that
-orientation and the singular values, so the cut, are the same; any
-other matrix is factored as it is, with its thin U.  Spectral norms
-come from ``eigvalsh`` of the Gram matrix on the smaller side in
-``_norm2`` and decide no rank.  A verdict that reports no residual
+pole terms that ``RationalNevanlinna.build`` rejects) is the cut of that
+coefficient's row of ``RationalNevanlinna.spectra``, one stacked
+``eigh``, whose smallest values the PSD test of ``build`` reads.
+``kernel_split`` needs every right singular vector: a wide matrix is
+factored as its tall adjoint, whose full U holds them, since LAPACK's
+full SVD is about twice as fast in that orientation and the singular
+values, so the cut, are the same; any other matrix is factored as it
+is, with its thin U.  Spectral norms come from ``eigvalsh`` of the
+Gram matrix on the smaller side in ``_norm2`` and decide no rank.  A verdict that reports no residual
 (``contains``, ``classify_symmetry``, the subset flag of C against A0,
 the unitarity of V) asks ``_norm_below``, which reads ||x||_2 < b off
 the bracket ||x||_F / sqrt(min(rows, cols)) <= ||x||_2 <= ||x||_F and takes

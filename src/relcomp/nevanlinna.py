@@ -48,13 +48,22 @@ class RationalNevanlinna:
     @classmethod
     def build(cls, dim: int, a=None, b=None, poles=(), mul_span=None,
               tol: float = DEFAULT_TOL) -> "RationalNevanlinna":
-        """Construct from a dim x k span of K, k >= 0, and coefficients on
-        the coordinates of the frame h0 = complement(orth(mul_span)) of
-        K-perp, kept as ``op_frame``; each is embedded as h0 m h0^H.  A span
-        of another row count, a coefficient that is not p x p, p = dim K-perp,
-        a non-finite entry or pole location and a ``tol`` other than
-        DEFAULT_TOL, the package's single tolerance, kept for callers that
-        pass it, raise ValueError."""
+        """Construct and check a parameter from a dim x k span of K, k >= 0,
+        and coefficients on the coordinates of the frame
+        h0 = complement(orth(mul_span)) of K-perp, kept as ``op_frame``; each
+        is embedded as h0 m h0^H.  A span of another row count, a
+        coefficient that is not p x p, p = dim K-perp, a non-finite entry, a
+        pole location that is not a finite real number and a ``tol`` other
+        than DEFAULT_TOL, the package's single tolerance, kept for callers
+        that pass it, raise ValueError.
+
+        The parameter must then have a Hermitian A, a PSD B and PSD residues
+        at distinct poles, with no pole term that vanishes, each embedded m
+        up to the relative cut 100 DEFAULT_TOL max(1, max|m|), since the
+        embedding's rounding grows with |m|.  The PSD test reads the
+        smallest value of m's row of ``spectra``, and a pole term vanishes
+        when ``_cut`` of its row keeps none.  One ValueError names every
+        violation.  Direct construction checks nothing."""
         if tol != DEFAULT_TOL:
             raise ValueError(f"tol must be DEFAULT_TOL ({DEFAULT_TOL}), got {tol}")
         mul = orth(np.zeros((dim, 0)) if mul_span is None else mul_span)
@@ -63,19 +72,45 @@ class RationalNevanlinna:
         h0 = complement(mul)
         p = h0.shape[1]
 
+        def location(alpha, j):
+            if isinstance(alpha, bool) or not isinstance(
+                    alpha, (int, float, np.integer, np.floating)):
+                raise ValueError(f"pole {j} location {alpha!r} is not a real number")
+            if not np.isfinite(alpha):
+                raise ValueError("non-finite pole location")
+            return float(alpha)
+
         def ambient(m, name):
             m = np.zeros((p, p), dtype=complex) if m is None else _as_complex(m)
             if m.shape != (p, p):
                 raise ValueError(f"{name} has shape {m.shape}, not ({p}, {p}) on K-perp")
             return h0 @ m @ h0.conj().T
-        poles = tuple((float(alpha), ambient(aj, f"pole {j} residue"))
+        poles = tuple((location(alpha, j), ambient(aj, f"pole {j} residue"))
                       for j, (alpha, aj) in enumerate(poles))
-        if not np.all(np.isfinite([alpha for alpha, _ in poles])):
-            raise ValueError("non-finite pole location")
         tau = cls(dim=dim, mul_frame=mul, a_coef=ambient(a, "A"),
                   b_coef=ambient(b, "B"), poles=poles)
         h0.setflags(write=False)
         vars(tau)["op_frame"] = h0     # op_frame's cache, so K is complemented once
+
+        stack = np.array([tau.a_coef, tau.b_coef, *(aj for _, aj in poles)])
+        cuts = 100 * DEFAULT_TOL * np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))
+        skew = stack - stack.conj().transpose(0, 2, 1)
+        not_psd = np.abs(skew).max(axis=(1, 2), initial=0.0) > cuts
+        values = tau.spectra[0]
+        if p:
+            not_psd[1:] |= values[:, -1] < -cuts[1:]
+        issues = [issue for issue, bad in (("A not Hermitian", not_psd[0]),
+                                           ("B not PSD", not_psd[1])) if bad]
+        alphas = [alpha for alpha, _ in poles]
+        if any(abs(x - y) < 1e-9 for i, x in enumerate(alphas) for y in alphas[:i]):
+            issues.append("pole locations not distinct")
+        for j, row in enumerate(values[1:]):
+            if not_psd[2 + j]:
+                issues.append(f"pole {j}: residue not PSD")
+            elif _cut(row) == 0:
+                issues.append(f"pole {j}: pole term vanishes")
+        if issues:
+            raise ValueError("; ".join(issues))
         return tau
 
     @property
@@ -132,51 +167,6 @@ def eval_tau(tau: RationalNevanlinna, lam) -> LinearRelation:
     Hermitian coefficients of tau0 vanish on K.  An array lam gives the
     stack of relations; ``tau0`` rejects a real point or a pole."""
     return operator_relation(tau.op_frame, tau.tau0(lam) @ tau.op_frame, tau.mul_frame)
-
-
-def validate_tau(tau: RationalNevanlinna) -> list:
-    """List of violated structural conditions (empty means valid).
-
-    Each coefficient m must vanish on K, be Hermitian and (except A) be
-    PSD up to the relative cut 100 DEFAULT_TOL max(1, max|m|), since the
-    rounding of ``build``'s embedding h0 m h0^H grows with |m|; the Gram
-    check of the K frame stays absolute.  The PSD test reads the last,
-    smallest value of the coefficient's row of ``spectra``, on K-perp; a
-    PSD pole term vanishes when ``_cut`` of its row keeps no eigenvalue.
-    Non-finite entries and misshapen coefficients are listed alone."""
-    scale = 100 * DEFAULT_TOL
-    coefs = [tau.a_coef, tau.b_coef, *(aj for _, aj in tau.poles)]
-    alphas = [alpha for alpha, _ in tau.poles]
-    issues = [f"non-finite {name}" for name, parts in (("mul frame", [tau.mul_frame]),
-              ("coefficients", coefs), ("pole locations", [alphas]))
-              if not all(np.isfinite(m).all() for m in parts)]
-    if any(m.shape != (tau.dim, tau.dim) for m in coefs):
-        issues.append("coefficient shape mismatch")
-    if issues:
-        return issues
-    if tau.mul_frame.shape[1]:
-        gram = tau.mul_frame.conj().T @ tau.mul_frame
-        if np.max(np.abs(gram - np.eye(gram.shape[0]))) > scale:
-            issues.append("mul frame not orthonormal")
-    stack = np.array(coefs)
-    cuts = scale * np.maximum(1.0, np.abs(stack).max(axis=(1, 2), initial=0.0))
-    if np.any(np.abs(stack @ tau.mul_frame).max(axis=(1, 2), initial=0.0) > cuts):
-        issues.append("coefficients do not vanish on K")
-    not_psd = np.abs(stack - stack.conj().transpose(0, 2, 1)).max(axis=(1, 2), initial=0.0) > cuts
-    if tau.op_dim:
-        not_psd[1:] |= tau.spectra[0][:, -1] < -cuts[1:]
-    if not_psd[0]:
-        issues.append("A not Hermitian")
-    if not_psd[1]:
-        issues.append("B not PSD")
-    if any(abs(a - b) < 1e-9 for i, a in enumerate(alphas) for b in alphas[:i]):
-        issues.append("pole locations not distinct")
-    for j, row in enumerate(tau.spectra[0][1:]):
-        if not_psd[2 + j]:
-            issues.append(f"pole {j}: residue not PSD")
-        elif _cut(row) == 0:
-            issues.append(f"pole {j}: pole term vanishes")
-    return issues
 
 
 @dataclass(frozen=True)

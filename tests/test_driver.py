@@ -210,12 +210,22 @@ def test_build_problem_rejects_nonsymmetric_seed():
         build_problem(inst)
 
 
+def _pole_at(location):
+    """Edit that gives an in-memory instance one pole at location, with the
+    identity on K-perp as its residue."""
+    return lambda inst: dataclasses.replace(
+        inst, tau_poles=((location, np.eye(inst.tau_dim - inst.tau_mul.shape[1])),))
+
+
 # in-memory instance -> (edit that build_problem rejects, error message)
 MALFORMED_PROBLEMS = {
     "seed_span_rows": (lambda inst: dataclasses.replace(inst, seed_span=inst.seed_span[1:]),
                        "invalid seed or triplet: span must be"),
     "tau_dim_off_boundary": (lambda inst: dataclasses.replace(inst, tau_dim=inst.tau_dim + 1),
                              "tau dimension"),
+    "complex_pole": (_pole_at(0.5 + 0.1j), "invalid tau: pole 0 location .* is not a real"),
+    "none_pole": (_pole_at(None), "invalid tau: pole 0 location None is not a real"),
+    "string_pole": (_pole_at("0.5"), "invalid tau: pole 0 location '0.5' is not a real"),
 }
 
 
@@ -595,7 +605,7 @@ def test_build_problem_factorization_count(monkeypatch):
     the parameter's ``build``, which ``op_frame`` keeps), no eigvalsh
     (the Frobenius norms of the seed's Green form and of V^H V - I settle
     both verdicts), 1 eigh
-    (``spectra``, which ``validate_tau`` reads), no QR and 1 LU (the
+    (``spectra``, whose rows ``build`` checks), no QR and 1 LU (the
     triplet's lift)."""
     inst = generate_instance(np.random.default_rng(13), 12, 6, 3)
     counts = _count_factorizations(monkeypatch, lambda: build_problem(inst))

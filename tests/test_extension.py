@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from relcomp import driver, nevanlinna
-from relcomp.driver import CHECKS, VerifyContext, admissible_lambdas, krein_residuals
+from relcomp import nevanlinna
+from relcomp.driver import (CHECKS, VerifyContext, admissible_lambdas, build_problem,
+                            krein_residuals)
 from relcomp.exitspace import build_exit_space, generalized_resolvent_direct
 from relcomp.extension import (
     classify_compression,
@@ -29,30 +30,10 @@ from relcomp.nevanlinna import RationalNevanlinna, tau_limits
 from relcomp.triplet import WeylSample, check_weyl_identities, extension_of
 
 from test_nevanlinna import random_tau
+from test_stacking import SWEEP_SHAPES, sweep_instance
 from test_triplet import (count_defect_frames, model_triplet,
                           random_symmetric_seed, random_unitary)
 from relcomp.triplet import von_neumann_triplet
-
-# (n, boundary dim d, dim of tau's multivalued part, rank of B, pole ranks)
-SWEEP_SHAPES = ((48, 8, 0, 8, (4, 4)), (56, 16, 4, 6, (6,)), (64, 24, 0, 12, (12, 6)))
-
-
-def shaped_problem(rng, n, d, k, b_rank, pole_ranks):
-    """von Neumann triplet of a seed with deficiency d and a tau with the
-    given structure, drawn with the instance generator's helpers."""
-    dom = driver._random_unitary(rng, n)[:, :n - d]
-    span = np.vstack([dom, driver._random_hermitian(rng, n) @ dom])
-    p = d - k
-    poles = tuple((float(alpha), driver._random_psd_of_rank(rng, p, r))
-                  for alpha, r in zip(np.linspace(-2.5, 2.5, len(pole_ranks)),
-                                      pole_ranks))
-    return driver.build_problem(driver.Instance(
-        dim=n, seed_span=span, triplet_kind="von_neumann",
-        triplet_data={"V": driver._random_unitary(rng, d)}, tau_dim=d,
-        tau_mul=driver._random_unitary(rng, d)[:, :k],
-        tau_a=driver._random_hermitian(rng, p),
-        tau_b=driver._random_psd_of_rank(rng, p, b_rank), tau_poles=poles))
-
 
 def random_problem(rng, n_max=6, d_max=3, **tau_kwargs):
     n = int(rng.integers(2, n_max + 1))
@@ -133,7 +114,7 @@ def test_krein_resolvent_relative_accuracy_up_to_large_lambda():
     misses this bound by cancellation."""
     rng = np.random.default_rng(0)
     for shape in SWEEP_SHAPES:
-        tri, tau = shaped_problem(rng, *shape)
+        tri, tau = build_problem(sweep_instance(rng, *shape))
         model = build_exit_space(tri, tau)
         for lam in (0.7 + 0.5j, 10j, 1e3j, 1e5j, 50 + 1j):
             direct = generalized_resolvent_direct(model, lam)

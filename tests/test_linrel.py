@@ -583,8 +583,8 @@ def test_every_svd_is_a_linrel_rank_cut():
 def test_every_eigendecomposition_is_pinned():
     """psd_factor cuts its eigenvalues with ``_cut``; the parameter's
     ``spectra`` takes the one eigendecomposition of B and the residues,
-    whose rows its readers cut or read (validate_tau's PSD and
-    pole-vanishing tests among them); _norm2 reads a largest eigenvalue
+    whose rows its readers cut or read (``build``'s PSD and pole-vanishing
+    tests among them); _norm2 reads a largest eigenvalue
     and diagonalize the angles and the unitary of a self-adjoint relation,
     and neither decides a rank."""
     eigs = _sites({"eig", "eigh", "eigvals", "eigvalsh"})

@@ -112,11 +112,12 @@ def _raised(call):
 
 
 def _bad_points(tri, tau):
-    """A point 1e-13 i off an eigenvalue of A0, one 1e-13 i off a pole of
-    tau and a real one."""
+    """A point 1e-13 i off an eigenvalue of A0, that eigenvalue itself, one
+    1e-13 i off a pole of tau and a real one."""
     _, c, s = tri.a0_spectrum
     k = int(np.argmax(np.abs(c)))
     return {"a0_eigenvalue": complex(s[k] / c[k], 1e-13),
+            "a0_real": complex(s[k] / c[k], 0.0),
             "tau_pole": complex(tau.poles[0][0], 1e-13),
             "real": complex(0.3, 0.0)}
 
@@ -131,15 +132,23 @@ def test_a_bad_point_in_a_stack_raises_what_the_point_raises(shape):
         "eval_tau": lambda lam: eval_tau(tau, lam),
         "reassemble_decomposition": lambda lam: reassemble_decomposition(tau, dec, lam),
     }
+    bad_points = _bad_points(tri, tau)
     raised = {}
-    for name, bad in _bad_points(tri, tau).items():
+    for name, bad in bad_points.items():
         stack = np.array([0.4 + 0.9j, bad, -1.1 - 0.6j])
         for route, call in routes.items():
             alone, stacked = _raised(lambda: call(bad)), _raised(lambda: call(stack))
             assert alone is stacked, (name, route, alone, stacked)
             raised[name, route] = alone
     assert raised["a0_eigenvalue", "krein_resolvent"] is SpectrumError
-    assert raised["a0_eigenvalue", "resolvent"] is SpectrumError
-    for name in ("tau_pole", "real"):
+    for name in ("a0_eigenvalue", "a0_real"):
+        assert raised[name, "resolvent"] is SpectrumError, name
+    for name in ("a0_real", "tau_pole", "real"):
         for route in ("krein_resolvent", "eval_tau", "reassemble_decomposition"):
             assert raised[name, route] is ValueError, (name, route)
+    # the Krein route rejects a real point itself, wherever it stands in a
+    # stack, before tau0 or A0's resolvent can
+    bad = bad_points["a0_real"]
+    for lam in (bad, np.array([0.4 + 0.9j, bad, -1.1 - 0.6j])):
+        with pytest.raises(ValueError, match="Weyl function is evaluated on the real axis"):
+            krein_resolvent(tri, tau, lam)
