@@ -7,7 +7,6 @@ from .linrel import (
     SpectrumError,
     adjoint,
     classify_symmetry,
-    contains,
     graph_of,
     intersect,
     make_relation,

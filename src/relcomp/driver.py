@@ -149,6 +149,8 @@ class Instance:
     @classmethod
     def from_json(cls, doc: dict) -> "Instance":
         try:
+            if not isinstance(doc, dict):
+                raise TypeError(f"top level is a {type(doc).__name__}, not an object")
             if doc.get("schema") != INSTANCE_SCHEMA:
                 raise InputError(f"unknown instance schema: {doc.get('schema')!r}")
             n = _dimension(doc["dim"])
@@ -350,10 +352,6 @@ class VerifyContext:
         """C(A~) by the formula route, its flags by both routes and n_r."""
         return classify_compression(self.tri, self.tau)
 
-    @cached_property
-    def minimal(self) -> bool:
-        return minimality(self.model)
-
 
 def krein_residuals(tri, tau, model, lams) -> tuple[float, float]:
     """Worst residuals of the Krein formula over the points lams, against
@@ -392,7 +390,7 @@ def _krein_formula(ctx) -> float:
 
 def _exit_dimension(ctx) -> float:
     # a non-minimal model fails by its whole exit dimension
-    if not ctx.minimal:
+    if not minimality(ctx.model):
         return float(ctx.model.dim_r)
     return abs(ctx.model.dim_r - ctx.report.n_r)
 

@@ -28,24 +28,11 @@ from .linrel import (
     classify_symmetry,
     graph_operator,
     operator_relation,
-    rank,
+    orth,
     relations_equal,
 )
 from .nevanlinna import RationalNevanlinna, eval_tau
 from .triplet import BoundaryTriplet, extension_of
-
-
-def _middle_inverse(tau: RationalNevanlinna, lam,
-                    weyl: np.ndarray) -> np.ndarray:
-    """Matrix of (tau(lam) + M(lam))^{-1} on the boundary space, given
-    M(lam) = weyl; a stack of them for an array lam and a stack of weyl.
-
-    With L, R the halves of tau(lam)'s frame, the sum is the relation with
-    frame (L; R + M L), and its inverse is the graph operator
-    L (R + M L)^{-1}; SpectrumError if it is not boundedly invertible.
-    """
-    T = eval_tau(tau, lam)
-    return graph_operator(T.right + weyl @ T.left, T.left)
 
 
 def krein_resolvent(tri: BoundaryTriplet, tau: RationalNevanlinna,
@@ -66,14 +53,20 @@ def krein_resolvent(tri: BoundaryTriplet, tau: RationalNevanlinna,
     term by term.  A0 = span(U c; U s) is diagonalized once per triplet
     (``a0_spectrum``), and with v = s - lam c each operator above is
     U diag(w / v) U^H for w = c, s -+ i c or c + lam s: no factorization
-    per lam.  lam is rejected exactly where ``graph_operator`` would reject
-    R - lam L for A0's frame (L; R): that cut reads unitarily invariant
-    norms, here those of v.  The product forms keep their relative
-    accuracy at large |lam|, where the equal additive form
+    per lam.  ``eval_tau`` comes first, so ``tau0`` rejects a real point or
+    a pole before any 1/v; at a nonreal lam, v is never 0, as
+    s^2 + c^2 = 1.  lam is rejected exactly where ``graph_operator`` would
+    reject R - lam L for A0's frame (L; R): that cut reads unitarily
+    invariant norms, here those of v.  The product forms keep their
+    relative accuracy at large |lam|, where the equal additive form
     gamma(i) + (lam - i) R0(lam) gamma(i) cancels.
+
+    The middle term (tau(lam) + M(lam))^{-1}: with L, R the halves of
+    tau(lam)'s frame, the sum is the relation with frame (L; R + M L), and
+    its inverse is the graph operator L (R + M L)^{-1}; SpectrumError if it
+    is not boundedly invertible.
     """
-    if any(z.imag == 0 for z in np.asarray(lam).ravel().tolist()):
-        raise ValueError("Weyl function is evaluated on the real axis")
+    T = eval_tau(tau, lam)
     u, c, s = tri.a0_spectrum
     at = _points(lam, 1)
     v = s - at * c
@@ -84,9 +77,8 @@ def krein_resolvent(tri: BoundaryTriplet, tau: RationalNevanlinna,
     gamma = u @ (((s - 1j * c) / v)[..., None] * g)
     weyl = (at_i.weyl + at_i.weyl.conj().T) / 2.0 + g_adj @ (((c + at * s) / v)[..., None] * g)
     gamma_bar_adj = (g_adj * ((s + 1j * c) / v)[..., None, :]) @ u_adj
-    mid = _middle_inverse(tau, lam, weyl)
     out = (u * (c / v)[..., None, :]) @ u_adj
-    out -= gamma @ mid @ gamma_bar_adj
+    out -= gamma @ graph_operator(T.right + weyl @ T.left, T.left) @ gamma_bar_adj
     return out
 
 
@@ -136,7 +128,7 @@ def flags_geometric(tri: BoundaryTriplet, C: LinearRelation) -> dict:
     off_a0 = np.vstack([q0[n:], -q0[:n]]).conj().T @ C.frame
     subset_a0 = _norm_below(off_a0, DEFAULT_TOL)
     eq_a, _ = relations_equal(C, tri.seed.A)
-    transversal = rank(off_a0) == tri.seed.A_star.dim - A0.dim
+    transversal = orth(off_a0).shape[1] == tri.seed.A_star.dim - A0.dim
     return {
         "subset_A0": subset_a0,
         "equals_A0": subset_a0 and C.dim == A0.dim,

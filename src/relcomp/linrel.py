@@ -32,7 +32,7 @@ residual per point) broadcast over it, as do ``tau0``, ``eval_tau``
 (which rejects a real point or a pole anywhere in the stack) and
 ``reassemble_decomposition`` in ``nevanlinna``, ``extension_of`` in
 ``triplet`` and ``krein_resolvent`` in ``extension``.  What decides a
-rank (``orth``, ``kernel_split``, ``rank``, ``diagonalize``,
+rank (``orth``, ``kernel_split``, ``diagonalize``,
 ``classify_symmetry``) takes one matrix and raises ValueError on a
 stack.  Two readers stay per point.  The oracle's
 ``generalized_resolvent_direct`` takes one LU of the (n + n_r)-square
@@ -50,8 +50,9 @@ when s > DEFAULT_TOL * max(s_max, 1).  The cut is relative at and above
 unit scale and absolute below it: a span whose largest singular value
 is under 1 loses every value up to DEFAULT_TOL, so B = 1e-9 I has rank 0
 and ``make_relation(1e-9 * I_4, 2, 2)`` is the zero relation.
-Only ``orth``, ``kernel_split`` and ``rank`` take an SVD, and each
-cuts it with ``_cut``.  Every kernel is read off ``kernel_split``:
+Only ``orth`` and ``kernel_split`` take an SVD, and each cuts it
+with ``_cut``; a dimension is the column count of an ``orth``.  Every
+kernel is read off ``kernel_split``:
 ``null_space`` is its kernel half, ``complement(F)`` the kernel of F^H
 and ``intersect`` one ``null_space``.  ``extend`` applies the cut
 through the ``orth`` of the part of a span off a frame, and
@@ -68,9 +69,10 @@ factored as its tall adjoint, whose full U holds them, since LAPACK's
 full SVD is about twice as fast in that orientation and the singular
 values, so the cut, are the same; any other matrix is factored as it
 is, with its thin U.  Spectral norms come from ``eigvalsh`` of the
-Gram matrix on the smaller side in ``_norm2`` and decide no rank.  A verdict that reports no residual
-(``contains``, ``classify_symmetry``, the subset flag of C against A0,
-the unitarity of V) asks ``_norm_below``, which reads ||x||_2 < b off
+Gram matrix on the smaller side in ``_norm2`` and decide no rank.
+``containment_residual`` is the one containment routine.  A verdict that
+reports no residual (``classify_symmetry``, the subset flag of C against
+A0, the unitarity of V) asks ``_norm_below``, which reads ||x||_2 < b off
 the bracket ||x||_F / sqrt(min(rows, cols)) <= ||x||_2 <= ||x||_F and takes
 ``_norm2`` only when b lies inside it.  Green forms R^H L - L^H R come
 from the one product X = R^H L as X - X^H (``_green_form``).  Every
@@ -149,15 +151,6 @@ def orth(span) -> np.ndarray:
         return np.zeros((span.shape[0], 0), dtype=complex)
     u, s, _ = np.linalg.svd(span, full_matrices=False)
     return u[:, :_cut(s)]
-
-
-def rank(span) -> int:
-    """Dimension of the column span by the cut of ``orth``, from the
-    singular values alone."""
-    span = _unstacked(_as_complex(span))
-    if span.shape[0] == 0 or span.shape[1] == 0:
-        return 0
-    return _cut(np.linalg.svd(span, compute_uv=False))
 
 
 def kernel_split(mat) -> tuple[np.ndarray, np.ndarray]:
@@ -389,13 +382,6 @@ def gap_limit(relation_at: Callable[[complex], LinearRelation],
     y2 = 10.0 * y1
     g1, g2 = (relations_equal(relation_at(1j * y), target)[1] for y in (y1, y2))
     return abs(y2 * g2 - y1 * g1) / (y2 - y1)
-
-
-def contains(big: LinearRelation, small: LinearRelation) -> bool:
-    """small subseteq big within tolerance."""
-    _check_ambient(big, small)
-    sub, sup = small.frame, big.frame
-    return _norm_below(sub - sup @ (sup.conj().T @ sub), DEFAULT_TOL)
 
 
 def classify_symmetry(T: LinearRelation) -> str:

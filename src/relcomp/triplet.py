@@ -17,14 +17,16 @@ from functools import cached_property
 import numpy as np
 
 from .linrel import (
+    DEFAULT_TOL,
     LinearRelation,
     SpectrumError,
     _as_complex,
+    _check_ambient,
     _green_form,
     _norm2,
     _norm_below,
     classify_symmetry,
-    contains,
+    containment_residual,
     diagonalize,
     gap_limit,
     graph_of,
@@ -148,9 +150,13 @@ class BoundaryTriplet:
     def from_ambient_maps(cls, seed: SymmetricSeed, g0_ambient,
                           g1_ambient) -> "BoundaryTriplet":
         """Build from copies of d x 2n boundary maps on ambient pairs, with
-        ValueError on a non-finite entry, and check that they form a triplet."""
-        tri = cls(seed=seed, gamma0=_as_complex(g0_ambient).copy(),
-                  gamma1=_as_complex(g1_ambient).copy())
+        ValueError on a non-finite entry or on maps that are not both d x 2n,
+        and check that they form a triplet."""
+        g0, g1 = _as_complex(g0_ambient), _as_complex(g1_ambient)
+        if g0.ndim != 2 or g0.shape != g1.shape or g0.shape[1] != 2 * seed.space_dim:
+            raise ValueError(f"boundary maps of shapes {g0.shape} and {g1.shape} "
+                             f"are not both d x {2 * seed.space_dim}")
+        tri = cls(seed=seed, gamma0=g0.copy(), gamma1=g1.copy())
         assert_valid_triplet(tri)
         return tri
 
@@ -216,7 +222,10 @@ def extension_of(tri: BoundaryTriplet, theta: LinearRelation) -> LinearRelation:
 
 def boundary_param_of(tri: BoundaryTriplet, A_tilde: LinearRelation) -> LinearRelation:
     """Inverse of the extension parametrization: theta = Gamma(A_tilde)."""
-    if not contains(A_tilde, tri.seed.A) or not contains(tri.seed.A_star, A_tilde):
+    seed = tri.seed
+    _check_ambient(seed.A, A_tilde)
+    if not (containment_residual(seed.A.frame, A_tilde.frame) < DEFAULT_TOL
+            and containment_residual(A_tilde.frame, seed.A_star.frame) < DEFAULT_TOL):
         raise ValueError("not a proper extension: A subseteq A~ subseteq A* fails")
     return _boundary_image(tri, A_tilde.frame)
 

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -13,6 +14,7 @@ import pytest
 import relcomp.driver as driver
 import relcomp.extension as extension
 import relcomp.linrel as linrel
+from relcomp.exitspace import build_exit_space, generalized_resolvent_direct
 from relcomp.linrel import make_relation, negate, relations_equal
 from relcomp.nevanlinna import RationalNevanlinna, eval_tau
 from relcomp.triplet import BoundaryTriplet, SymmetricSeed
@@ -62,6 +64,21 @@ def test_instance_roundtrip_bit_exact():
 def test_from_json_rejects_unknown_schema():
     with pytest.raises(InputError):
         Instance.from_json({"schema": "nope"})
+
+
+@pytest.mark.parametrize("text, kind", [("[1, 2]", "list"), ('"hello"', "str"),
+                                        ("null", "NoneType")], ids=["list", "string", "null"])
+def test_replay_of_a_document_that_is_not_an_object_is_bad_input(tmp_path, capsys,
+                                                                  text, kind):
+    """A JSON document whose top level is not an object is malformed input
+    (exit 2 with an error line), not a failed check (exit 1)."""
+    message = f"malformed instance: top level is a {kind}, not an object"
+    with pytest.raises(InputError, match=message):
+        Instance.from_json(json.loads(text))
+    path = tmp_path / "inst.json"
+    path.write_text(text)
+    assert main(["verify", "--replay", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_from_json_rejects_another_tolerance():
@@ -313,6 +330,29 @@ def test_in_memory_triplet_of_no_known_kind_is_bad_input(kind, data, message):
         run_verify(replay_instance=inst)
 
 
+@pytest.mark.parametrize("gamma0, gamma1", [
+    (np.ones((1, 3)), np.array([[0.0, 1.0]])),
+    (np.ones((2, 2)), np.array([[0.0, 1.0]])),
+    (np.ones((1, 1)), np.array([[0.0, 1.0]])),
+    (np.array([[1.0, 0.0]]), np.ones((2, 2))),
+], ids=["gamma0_1x3", "gamma0_2x2", "gamma0_1x1", "gamma1_2x2"])
+def test_in_memory_boundary_maps_not_d_x_2n_are_bad_input(gamma0, gamma1):
+    """On the canonical demo (n = 1), explicit maps that are not both d x 2
+    raise a ValueError naming both shapes from the library call, and
+    InputError from build_problem and run_verify."""
+    message = re.escape(f"boundary maps of shapes {gamma0.shape} and {gamma1.shape} "
+                        "are not both d x 2")
+    seed = SymmetricSeed.from_relation(make_relation(np.zeros((2, 0)), 1, 1))
+    with pytest.raises(ValueError, match=message):
+        BoundaryTriplet.from_ambient_maps(seed, gamma0, gamma1)
+    inst = dataclasses.replace(DEMOS["canonical"],
+                               triplet_data={"gamma0": gamma0, "gamma1": gamma1})
+    with pytest.raises(InputError, match=f"invalid seed or triplet: {message}"):
+        build_problem(inst)
+    with pytest.raises(InputError, match=message):
+        run_verify(replay_instance=inst)
+
+
 def test_build_problem_takes_one_complement(monkeypatch):
     """build and the op_frame it keeps share one complement(K); the frame
     equals a fresh complement bit for bit."""
@@ -459,9 +499,10 @@ FAULTS = {
         extension, "compression_param",
         lambda param: lambda tau: negate(param(tau)),
         ["limit_parameter", "compression_equivalence"]),
-    # the gamma(lam) (tau + M)^-1 gamma(conj lam)* term added, not subtracted
-    "krein_formula": (extension, "_middle_inverse",
-                      lambda middle: lambda *args: -middle(*args),
+    # the gamma(lam) (tau + M)^-1 gamma(conj lam)* term added, not subtracted:
+    # krein_resolvent is the one caller of graph_operator in extension
+    "krein_formula": (extension, "graph_operator",
+                      lambda inverse: lambda *args: -inverse(*args),
                       ["krein_formula"]),
     # tau0 with B off by 1e-3, but only far up the imaginary axis, where
     # only the gap limit looks; lam may be a stack of points
@@ -585,8 +626,8 @@ def test_verify_instance_factorization_count(monkeypatch):
     compressions) and of ``chain_residuals`` (four), and the angles of
     ``diagonalize(A0)``; the symmetry and subset verdicts are settled by
     Frobenius norms.  It takes 13 QRs: ``operator_relation`` in the stacked
-    ``eval_tau`` of ``decomposition_reassembly``, ``_middle_inverse`` and
-    the canonical resolvent, in ``reassemble_decomposition``, in the two
+    ``eval_tau`` of ``decomposition_reassembly``, of ``krein_resolvent``
+    and of the canonical resolvent, in ``reassemble_decomposition``, in the two
     gap-limit points, in ``compression_param`` and in theta0, and
     ``extension_of`` for A0, C, theta0, the forbidden route and the stacked
     canonical resolvent.  It takes 9 LUs (``inv``, in ``graph_operator``):
@@ -669,14 +710,14 @@ def test_admissible_lambdas_evaluates_nothing(monkeypatch):
 
 def test_spectral_lambda_fails_krein_formula_by_name(monkeypatch):
     # tau = 1/2 and M(lam) = lam: -1/2 is an eigenvalue of A_{-tau}, and a
-    # real point, where the Weyl function is not evaluated
+    # real point, where tau0 refuses to evaluate tau
     monkeypatch.setattr(driver, "admissible_lambdas",
                         lambda rng, count: [-0.5] * count)
     wrapped = run_verify(rng_seed=0, replay_instance=DEMOS["canonical"])
     [failure] = wrapped["body"]["failures"]
     assert failure["failed"] == ["exception:ValueError"]
     assert failure["error"]["check"] == "krein_formula"
-    assert failure["error"]["message"] == "Weyl function is evaluated on the real axis"
+    assert failure["error"]["message"] == "tau is evaluated on the real axis"
 
 
 def test_verify_rejects_bad_bounds():
@@ -684,10 +725,22 @@ def test_verify_rejects_bad_bounds():
         run_verify(count=0)
 
 
+# each demo's generalized resolvent at 2i in closed form: on the seed
+# {{0, 0}} in C, R0 = 0 and M(lam) = lam, so R(lam) = -1/(tau(lam) + lam),
+# with tau(lam) = -1/lam (swap), 1/2 (canonical) or lam (a0)
+DEMO_RESOLVENTS_AT_2I = {"swap": 0.4j, "canonical": -1.0 / (0.5 + 2j), "a0": 0.25j}
+
+
 def test_demo_outputs():
-    for name in ("swap", "canonical", "a0"):
+    """Each demo prints its flags and residual, and both routes give its
+    closed-form resolvent at 2i."""
+    for name, value in DEMO_RESOLVENTS_AT_2I.items():
         text = run_demo(name)
         assert "flags" in text and "residual" in text
+        tri, tau = build_problem(DEMOS[name])
+        for r in (extension.krein_resolvent(tri, tau, 2j),
+                  generalized_resolvent_direct(build_exit_space(tri, tau), 2j)):
+            assert r.shape == (1, 1) and abs(r[0, 0] - value) < 1e-12, (name, r)
     with pytest.raises(InputError):
         run_demo("nope")
 
@@ -699,11 +752,13 @@ def test_demo_instances_verify():
 
 
 def run_python(*args):
-    """A child interpreter that imports relcomp from this checkout's src."""
+    """A child interpreter that imports relcomp from this checkout's src and
+    turns every warning into an error, as tier-1 does in its own process."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"),
                                                       env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, "-W", "error", *args],
+                          capture_output=True, text=True, env=env)
 
 
 def cli(*args):
@@ -774,9 +829,14 @@ def test_demo_script_runs(script):
 
 
 def test_cli_demo_exit_zero():
+    """The swap demo prints 0.4i, its closed-form value at 2i, on both
+    resolvent lines."""
     proc = cli("demo", "swap")
-    assert proc.returncode == 0
-    assert "0.4j" in proc.stdout.replace(" ", "") or "flags" in proc.stdout
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    for prefix in ("generalized resolvent at 2j:", "Krein formula at 2j:"):
+        [line] = [line for line in lines if line.startswith(prefix)]
+        assert line[len(prefix):].replace(" ", "") == "[[0.+0.4j]]", line
 
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6])

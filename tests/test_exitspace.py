@@ -28,7 +28,7 @@ from relcomp.linrel import (
     classify_symmetry,
     graph_of,
     make_relation,
-    rank,
+    orth,
     relations_equal,
     zero_relation,
 )
@@ -118,7 +118,7 @@ def test_realize_weyl_matches_random():
         tau = random_tau(rng, int(rng.integers(1, 4)), k=int(rng.integers(0, 2)))
         G, tri_r = _model_triplet(tau)
         assert G.shape[0] == rank_sum(tau)
-        ranks = [rank(tau.b_coef), *(rank(aj) for _, aj in tau.poles)]
+        ranks = [orth(m).shape[1] for m in (tau.b_coef, *(aj for _, aj in tau.poles))]
         for _ in range(3):
             lam = complex(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.5, 2))
             inverse_gaps = [1.0 / (alpha - lam) for alpha, _ in tau.poles]
@@ -251,7 +251,7 @@ def test_minimal_models_have_exact_exit_dimension():
     for _ in range(30):
         ctx = VerifyContext(*random_problem(rng), None)
         assert exit_dimension.residual(ctx) < exit_dimension.threshold
-        checked += ctx.minimal
+        checked += minimality(ctx.model)
     assert checked >= 10
 
 
@@ -272,11 +272,11 @@ def test_psd_factor_keeps_what_the_rank_cut_keeps():
                 m = (u * w) @ u.conj().T
                 kept = u[:, w > cut]
                 D = psd_factor(m)
-                assert D.shape == (rank(m), n) == (kept.shape[1], n)
+                assert D.shape == (orth(m).shape[1], n) == (kept.shape[1], n)
                 on_kept = kept @ (kept.conj().T @ m @ kept) @ kept.conj().T
                 assert np.max(np.abs(D.conj().T @ D - on_kept)) <= 1e-14 * scale
     assert psd_factor(np.zeros((3, 3))).shape == (0, 3)
-    assert rank(np.zeros((3, 3))) == 0
+    assert orth(np.zeros((3, 3))).shape == (3, 0)
 
 
 def test_coupling_with_a_sign_flipped_model_is_a_model_error(monkeypatch):
@@ -293,4 +293,15 @@ def test_coupling_with_a_sign_flipped_model_is_a_model_error(monkeypatch):
         return G, g0_r, -g1_r
     monkeypatch.setattr(exitspace, "model_maps", flipped)
     with pytest.raises(ModelError, match="not self-adjoint"):
+        build_exit_space(tri, tau)
+
+
+def test_coupled_relation_of_the_wrong_dimension_is_a_model_error(monkeypatch):
+    """With a column of the coupling kernel dropped, A~ has dimension
+    n + n_r - 1, and the model is refused before its symmetry is read."""
+    tri, tau = random_problem(np.random.default_rng(3))
+    kernel = exitspace.null_space
+    monkeypatch.setattr(exitspace, "null_space", lambda mat: kernel(mat)[:, 1:])
+    n_nr = tri.space_dim + rank_sum(tau)
+    with pytest.raises(ModelError, match=rf"dimension {n_nr - 1}, not n \+ n_r = {n_nr}"):
         build_exit_space(tri, tau)

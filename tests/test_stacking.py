@@ -146,9 +146,9 @@ def test_a_bad_point_in_a_stack_raises_what_the_point_raises(shape):
     for name in ("a0_real", "tau_pole", "real"):
         for route in ("krein_resolvent", "eval_tau", "reassemble_decomposition"):
             assert raised[name, route] is ValueError, (name, route)
-    # the Krein route rejects a real point itself, wherever it stands in a
-    # stack, before tau0 or A0's resolvent can
+    # the Krein route evaluates tau first, so tau0 rejects a real point,
+    # wherever it stands in a stack, before A0's resolvent divides by it
     bad = bad_points["a0_real"]
     for lam in (bad, np.array([0.4 + 0.9j, bad, -1.1 - 0.6j])):
-        with pytest.raises(ValueError, match="Weyl function is evaluated on the real axis"):
+        with pytest.raises(ValueError, match="tau is evaluated on the real axis"):
             krein_resolvent(tri, tau, lam)

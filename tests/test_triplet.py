@@ -2,8 +2,10 @@
 import numpy as np
 import pytest
 
+import relcomp.triplet as triplet
 from relcomp.linrel import (
     LinearRelation,
+    SpectrumError,
     adjoint,
     classify_symmetry,
     containment_residual,
@@ -407,6 +409,18 @@ def test_boundary_param_roundtrip():
     assert eq
 
 
+def test_boundary_param_of_rejects_a_relation_not_between_a_and_a_star():
+    """{0} does not contain A, C^n (+) C^n is not contained in A*, and a
+    relation in another space is neither."""
+    seed = random_symmetric_seed(np.random.default_rng(31), 4, d=1)
+    tri, n = von_neumann_triplet(seed), seed.space_dim
+    for outside in (zero_relation(n), LinearRelation(n, n, np.eye(2 * n, dtype=complex))):
+        with pytest.raises(ValueError, match="not a proper extension"):
+            boundary_param_of(tri, outside)
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        boundary_param_of(tri, zero_relation(n + 1))
+
+
 def test_adjoint_commutes_with_parametrization():
     rng = np.random.default_rng(41)
     for _ in range(30):
@@ -459,6 +473,21 @@ def test_scalar_weyl_functions():
     for lam in (1j, 2j):
         ws = gamma_and_weyl(tri2, lam)
         assert abs(ws.weyl[0, 0] - 1.0 / (0.7 - lam)) < 1e-12
+
+
+def test_weyl_function_is_not_evaluated_on_the_real_axis():
+    with pytest.raises(ValueError, match="Weyl function is evaluated on the real axis"):
+        gamma_and_weyl(model_triplet([None]), complex(0.5, 0.0))
+
+
+def test_gamma0_singular_on_the_defect_subspace_is_a_triplet_error(monkeypatch):
+    tri = model_triplet([None])
+
+    def singular(left, right):
+        raise SpectrumError("left half of the frame is not invertible")
+    monkeypatch.setattr(triplet, "graph_operator", singular)
+    with pytest.raises(TripletError, match="Gamma0 restricted to the defect subspace"):
+        gamma_and_weyl(tri, 2j)
 
 
 def test_weyl_nevanlinna_positivity_and_symmetry():
