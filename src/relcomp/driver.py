@@ -33,7 +33,6 @@ from .nevanlinna import (
     RationalNevanlinna,
     decompose_tau,
     eval_tau,
-    reassemble_decomposition,
     tau_limits,
 )
 from .triplet import (
@@ -47,7 +46,6 @@ from .extension import classify_compression, krein_resolvent
 from .exitspace import (
     build_exit_space,
     chain_residuals,
-    compression_via_forbidden,
     direct_compression,
     generalized_resolvent_direct,
     minimality,
@@ -239,11 +237,18 @@ def _random_psd_of_rank(rng, n: int, rank: int) -> np.ndarray:
     return (u * w) @ u.conj().T
 
 
+CATEGORIES = ("b_full", "b_deficient", "k_nontrivial", "transversal",
+              "selfadjoint_seed", "random")
+
+
 def generate_instance(rng, max_dim: int = 6, max_boundary: int = 3,
                       max_poles: int = 3, category: str = "random") -> Instance:
     """Draw a random instance; `category` forces a region of parameter space:
     'b_full' (ker B trivial), 'b_deficient', 'k_nontrivial', 'transversal'
-    (K = {0}, B = 0, poles only), 'selfadjoint_seed' (boundary dim 0)."""
+    (K = {0}, B = 0, poles only), 'selfadjoint_seed' (boundary dim 0), or
+    none ('random').  Any other category raises ValueError before a draw."""
+    if category not in CATEGORIES:
+        raise ValueError(f"unknown category {category!r}; choose from {CATEGORIES}")
     n = int(rng.integers(1, max_dim + 1))
     if category == "selfadjoint_seed":
         d = 0
@@ -335,10 +340,6 @@ class VerifyContext:
         self.tri, self.tau, self.rng = tri, tau, rng
 
     @cached_property
-    def decomposition(self):
-        return decompose_tau(self.tau)
-
-    @cached_property
     def model(self):
         return build_exit_space(self.tri, self.tau)
 
@@ -368,18 +369,10 @@ def krein_residuals(tri, tau, model, lams) -> tuple[float, float]:
                         initial=0.0)), direct
 
 
-def _decomposition_reassembly(ctx) -> float:
-    lams = np.array([complex(ctx.rng.uniform(-2, 2), ctx.rng.uniform(0.5, 2.0))
-                     for _ in range(3)])
-    _, res = relations_equal(eval_tau(ctx.tau, lams),
-                             reassemble_decomposition(ctx.tau, ctx.decomposition, lams))
-    return float(np.max(res, initial=0.0))
-
-
 def _s_direct_matches_theta0(ctx) -> float:
     """The direct S = A~ cap (H (+) H) against A_theta0, theta0 =
     {{h'', -A h'' + k}: h'' in H'' of the decomposition, k in K}."""
-    tau, hd = ctx.tau, ctx.decomposition.h_dprime
+    tau, hd = ctx.tau, decompose_tau(ctx.tau).h_dprime
     theta0 = operator_relation(hd, -tau.a_coef @ hd, tau.mul_frame)
     return relations_equal(ctx.chain[1], extension_of(ctx.tri, theta0))[1]
 
@@ -395,17 +388,16 @@ def _exit_dimension(ctx) -> float:
     return abs(ctx.model.dim_r - ctx.report.n_r)
 
 
-# The verify suite, in the order it runs; the order fixes the RNG draws.
+# The verify suite, in the order it runs.  Only krein_formula draws, from
+# the generator of its instance alone (run_verify), so a check added or
+# deleted moves no other residual.
 CHECKS = {check.name: check for check in (
-    Check("decomposition_reassembly", 1e-7, _decomposition_reassembly),
     # tau(iy) tends to -tau_c at i*infinity
     Check("limit_parameter", 1e-8,
           lambda ctx: tau_limits(ctx.tau, negate(ctx.report.tau_c))),
     Check("compression_equivalence", 1e-7, lambda ctx: relations_equal(
         ctx.report.compression, ctx.chain[0])[1]),
     Check("s_direct_matches_theta0", 1e-7, _s_direct_matches_theta0),
-    Check("forbidden_route", 1e-7, lambda ctx: relations_equal(
-        compression_via_forbidden(ctx.tri, ctx.tau, ctx.model), ctx.chain[0])[1]),
     Check("compression_chain", 1e-7,
           lambda ctx: max(chain_residuals(ctx.tri, ctx.chain).values())),
     # the number of flags on which the geometric and coefficient routes differ
@@ -439,7 +431,9 @@ def run_verify(count: int = 10, max_dim: int = 6, max_boundary: int = 3,
                max_poles: int = 3, rng_seed: int = 0,
                replay_instance: Instance | None = None) -> dict:
     """Generate (or replay) instances, verify, and assemble a v1 report;
-    a replay verifies, and reports, one instance."""
+    a replay verifies, and reports, one instance.  The instances come from
+    one default_rng(rng_seed), and the checks of instance i draw from
+    default_rng([rng_seed, i]) alone."""
     if min(count, max_dim, max_boundary) < 1 or max_poles < 0:
         raise InputError("bounds must be positive")
     if replay_instance is not None:
@@ -456,7 +450,7 @@ def run_verify(count: int = 10, max_dim: int = 6, max_boundary: int = 3,
             inst = generate_instance(rng, max_dim, max_boundary, max_poles)
         error = None
         try:
-            checks = verify_instance(inst, rng)
+            checks = verify_instance(inst, np.random.default_rng([rng_seed, i]))
         except InputError:
             raise
         except Exception as exc:

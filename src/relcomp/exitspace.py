@@ -12,7 +12,9 @@ the self-adjoint relation
 
 in C^{n + n_r}, read off one null space.  Building A~ reads only Gamma0,
 Gamma1, A*, tau's coefficients and K: no boundary lift, extension, Weyl
-function or ``spectra`` of the formula route that it cross-validates.
+function or ``spectra`` of the formula route that it cross-validates, and
+the module imports nothing of that route: only the BoundaryTriplet class
+from ``triplet`` and nothing from ``extension``.
 Compressions and generalized resolvents of A~ are then computed directly
 by subspace algebra.
 """
@@ -32,12 +34,11 @@ from .linrel import (
     extend,
     graph_operator,
     kernel_split,
-    make_relation,
     null_space,
     orth,
 )
 from .nevanlinna import RationalNevanlinna
-from .triplet import BoundaryTriplet, extension_of
+from .triplet import BoundaryTriplet
 
 
 class ModelError(RuntimeError):
@@ -73,20 +74,12 @@ def model_maps(tau: RationalNevanlinna) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class ExitSpaceModel:
-    """Self-adjoint A~ in C^{n + dim_r}, base-space coordinates first in
-    both pair components, with the factor model it couples: G
-    (``factor``), the model maps and the oracle's own frame of K-perp."""
+    """Self-adjoint A~ in C^{dim_h + dim_r}, base-space coordinates first
+    in both pair components; dim_r is the exit dimension n_r."""
 
     dim_h: int
+    dim_r: int
     a_tilde: LinearRelation
-    factor: np.ndarray
-    gamma0_r: np.ndarray
-    gamma1_r: np.ndarray
-    op_frame: np.ndarray
-
-    @property
-    def dim_r(self) -> int:
-        return self.factor.shape[0]
 
 
 def build_exit_space(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ExitSpaceModel:
@@ -122,8 +115,7 @@ def build_exit_space(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ExitSpace
                              np.vstack([base[:n], exit_[:nr], base[n:], exit_[nr:]]))
     if classify_symmetry(a_tilde) != "self_adjoint":
         raise ModelError("coupled relation is not self-adjoint")
-    return ExitSpaceModel(dim_h=n, a_tilde=a_tilde, factor=G, gamma0_r=g0_r,
-                          gamma1_r=g1_r, op_frame=h0)
+    return ExitSpaceModel(dim_h=n, dim_r=nr, a_tilde=a_tilde)
 
 
 def direct_compression(model: ExitSpaceModel):
@@ -175,22 +167,6 @@ def generalized_resolvent_direct(model: ExitSpaceModel, lam: complex) -> np.ndar
     n = model.dim_h
     A_tilde = model.a_tilde
     return graph_operator(A_tilde.right - lam * A_tilde.left, A_tilde.left[:n])[:, :n]
-
-
-def compression_via_forbidden(tri: BoundaryTriplet, tau: RationalNevanlinna,
-                               model: ExitSpaceModel) -> LinearRelation:
-    """C(A~) = A_{-F} in the given triplet, where F = {{h, A h +
-    G^H Gamma1^r (0; f_r') + k}: h in K-perp, G h = Gamma0^r (0; f_r'),
-    k in K} carries the forbidden relation of the model maps."""
-    h0, G, nr = model.op_frame, model.factor, model.dim_r
-    g0_v, g1_v = model.gamma0_r[:, nr:], model.gamma1_r[:, nr:]
-    p, d = h0.shape[1], tau.dim
-    coeff = null_space(np.hstack([G @ h0, -g0_v]))
-    h = h0 @ coeff[:p]
-    mul = tau.mul_frame
-    span = np.hstack([np.vstack([h, -tau.a_coef @ h - G.conj().T @ (g1_v @ coeff[p:])]),
-                      np.vstack([np.zeros_like(mul), mul])])
-    return extension_of(tri, make_relation(span, d, d))
 
 
 def minimality(model: ExitSpaceModel) -> bool:

@@ -29,9 +29,9 @@ the 0-d case of the same code: ``operator_relation``, ``negate``,
 ``graph_operator`` (its cut applied to each matrix), ``resolvent``, and
 ``containment_residual``, ``_norm2`` and ``relations_equal`` (one
 residual per point) broadcast over it, as do ``tau0``, ``eval_tau``
-(which rejects a real point or a pole anywhere in the stack) and
-``reassemble_decomposition`` in ``nevanlinna``, ``extension_of`` in
-``triplet`` and ``krein_resolvent`` in ``extension``.  What decides a
+(which rejects a real point or a pole anywhere in the stack) in
+``nevanlinna``, ``extension_of`` in ``triplet`` and ``krein_resolvent``
+in ``extension``.  What decides a
 rank (``orth``, ``kernel_split``, ``diagonalize``,
 ``classify_symmetry``) takes one matrix and raises ValueError on a
 stack.  Two readers stay per point.  The oracle's

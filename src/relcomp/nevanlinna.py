@@ -171,53 +171,26 @@ def eval_tau(tau: RationalNevanlinna, lam) -> LinearRelation:
 
 @dataclass(frozen=True)
 class TauDecomposition:
-    """Uniformly strict core of tau0 plus the constant block on its kernel.
+    """The split of K-perp into H', where tau0 is uniformly strict, and
+    H'', where it is constant.
 
-    h_dprime is an orthonormal frame of H'' = ker B cap ker A_j cap K-perp
-    and h_prime one of H' = C^d minus H'' and K; tau1 lives on
-    h_prime-coordinates.  The constant block of tau0 on H' (+) H'' is
-    (tau1, -B1; -B1*, -B2).
+    h_dprime is an orthonormal frame of H'' = ker B cap ker A_j cap K-perp,
+    on which tau0 is the constant A, and h_prime one of H' = C^d minus H''
+    and K, on which Im tau0(i) is positive definite.
     """
 
     h_prime: np.ndarray
     h_dprime: np.ndarray
-    b1: np.ndarray
-    b2: np.ndarray
-    tau1: RationalNevanlinna
 
 
 def decompose_tau(tau: RationalNevanlinna) -> TauDecomposition:
     """Split K-perp into H'' = ker(Im tau0) and H', the span of ran B and
     every ran A_j (each kept by ``_cut`` of its row of ``spectra``), by one
-    ``kernel_split``; compress tau0 to a uniformly strict function on H'."""
+    ``kernel_split``."""
     h0 = tau.op_frame
     ranges = np.hstack([v[:, :_cut(w)] for w, v in zip(*tau.spectra)])
     ker, row = kernel_split(ranges.conj().T @ h0)
-    hd, hp = h0 @ ker, h0 @ row
-    q = hp.shape[1]
-    b1 = -(hp.conj().T @ tau.a_coef @ hd)
-    b2 = -(hd.conj().T @ tau.a_coef @ hd)
-    tau1 = RationalNevanlinna(
-        dim=q,
-        mul_frame=np.zeros((q, 0), dtype=complex),
-        a_coef=hp.conj().T @ tau.a_coef @ hp,
-        b_coef=hp.conj().T @ tau.b_coef @ hp,
-        poles=tuple((alpha, hp.conj().T @ aj @ hp) for alpha, aj in tau.poles))
-    return TauDecomposition(h_prime=hp, h_dprime=hd, b1=b1, b2=b2, tau1=tau1)
-
-
-def reassemble_decomposition(tau: RationalNevanlinna, dec: TauDecomposition,
-                             lam) -> LinearRelation:
-    """Rebuild tau(lam) from the block decomposition, the
-    ``operator_relation`` on dom = [H', H''] with mul = K; pins the sign
-    convention of the constant block.  An array lam gives the stack of
-    relations."""
-    hp, hd = dec.h_prime, dec.h_dprime
-    varying = hp @ dec.tau1.tau0(lam) - hd @ dec.b1.conj().T
-    image = np.empty(varying.shape[:-1] + (hp.shape[1] + hd.shape[1],), dtype=complex)
-    image[..., :hp.shape[1]] = varying
-    image[..., hp.shape[1]:] = -hp @ dec.b1 - hd @ dec.b2
-    return operator_relation(np.hstack([hp, hd]), image, tau.mul_frame)
+    return TauDecomposition(h_prime=h0 @ row, h_dprime=h0 @ ker)
 
 
 def tau_limits(tau: RationalNevanlinna, target: LinearRelation) -> float:

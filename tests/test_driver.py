@@ -375,6 +375,31 @@ def test_verify_report_deterministic():
     assert w1["body"]["all_passed"]
 
 
+def test_a_check_removed_moves_no_other_residual(monkeypatch):
+    """The checks of each instance draw from a generator of its own, so a
+    batch without krein_formula, the one check that draws, verifies the
+    same instances and gives every other check its residual bit for bit."""
+    def residuals(wrapped):
+        return [{c["name"]: c["residual"] for c in entry["checks"]}
+                for entry in wrapped["body"]["instances"]]
+    full = residuals(run_verify(count=40, rng_seed=0))
+    monkeypatch.setattr(driver, "CHECKS", {name: check for name, check in CHECKS.items()
+                                           if name != "krein_formula"})
+    without = residuals(run_verify(count=40, rng_seed=0))
+    assert without == [{name: r for name, r in checks.items() if name != "krein_formula"}
+                       for checks in full]
+
+
+@pytest.mark.parametrize("category", ["b_defficient", "selfadjoint"])
+def test_generate_instance_rejects_an_unknown_category(category):
+    """A misspelled category is an error, raised before any draw, not an
+    instance of the 'random' category."""
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="unknown category.*selfadjoint_seed"):
+        generate_instance(rng, category=category)
+    assert rng.random() == np.random.default_rng(0).random()
+
+
 def test_verify_instance_checks_all_pass():
     rng = np.random.default_rng(33)
     inst = generate_instance(rng)
@@ -491,39 +516,53 @@ def test_problem_does_not_depend_on_frame_bases(monkeypatch):
             assert np.max(np.abs(a - b), initial=0.0) <= 1e-13
 
 
-# the check a fault aims at -> (owner, attribute, wrapper that injects the
-# fault into the original, every check the fault must fail, in CHECKS order)
+# the fault, or the check it aims at -> (owner, attribute, wrapper that
+# injects the fault into the original, every check the fault must fail, in
+# CHECKS order, and the category of the instance it is injected into,
+# generate_instance(default_rng(0), category=...))
 FAULTS = {
     # tau_c with its sign flipped: tau(iy) tends to -tau_c, not to tau_c
     "compression_equivalence": (
         extension, "compression_param",
         lambda param: lambda tau: negate(param(tau)),
-        ["limit_parameter", "compression_equivalence"]),
+        ["limit_parameter", "compression_equivalence"], "b_deficient"),
     # the gamma(lam) (tau + M)^-1 gamma(conj lam)* term added, not subtracted:
     # krein_resolvent is the one caller of graph_operator in extension
     "krein_formula": (extension, "graph_operator",
                       lambda inverse: lambda *args: -inverse(*args),
-                      ["krein_formula"]),
+                      ["krein_formula"], "b_deficient"),
     # tau0 with B off by 1e-3, but only far up the imaginary axis, where
     # only the gap limit looks; lam may be a stack of points
     "limit_parameter": (
         RationalNevanlinna, "tau0",
         lambda tau0: lambda self, lam: tau0(self, lam)
         + ((np.abs(lam) > 50) * 1e-3 * np.asarray(lam))[..., None, None],
-        ["limit_parameter"]),
+        ["limit_parameter"], "b_deficient"),
     # tau_c with A' built from 1.001 A
     "scaled_a_prime": (
         extension, "compression_param",
         lambda param: lambda tau: param(dataclasses.replace(tau, a_coef=1.001 * tau.a_coef)),
-        ["limit_parameter", "compression_equivalence"]),
+        ["limit_parameter", "compression_equivalence"], "b_deficient"),
+    # the oracle's C read as T = P_H A~: the chain A <= S <= C <= T still holds
+    "c_is_t": (
+        driver, "direct_compression",
+        lambda direct: lambda model: (lambda C, S, T: (T, S, T))(*direct(model)),
+        ["compression_equivalence"], "b_deficient"),
+    # H'' without its first column; the FAULTS instance has H'' = {0}, this
+    # one dim H'' = 2
+    "h_dprime_column": (
+        driver, "decompose_tau",
+        lambda decompose: lambda tau: (lambda dec: dataclasses.replace(
+            dec, h_dprime=dec.h_dprime[:, 1:]))(decompose(tau)),
+        ["s_direct_matches_theta0"], "random"),
 }
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_injected_fault_fails_exactly_its_check(monkeypatch, fault):
-    owner, attr, inject, failing = FAULTS[fault]
+    owner, attr, inject, failing, category = FAULTS[fault]
     monkeypatch.setattr(owner, attr, inject(getattr(owner, attr)))
-    inst = generate_instance(np.random.default_rng(0), category="b_deficient")
+    inst = generate_instance(np.random.default_rng(0), category=category)
     checks = verify_instance(inst, np.random.default_rng(0))
     assert [c.name for c in checks if not c.passed] == failing
     if "limit_parameter" in failing:
@@ -616,20 +655,18 @@ def _count_factorizations(monkeypatch, run) -> dict:
 
 def test_verify_instance_factorization_count(monkeypatch):
     """One verify_instance of a fixed draw (n = 11, boundary dimension 6,
-    dim K = 1, one pole) takes 16 SVDs and 4 eigh calls (the parameter's
+    dim K = 1, one pole) takes 14 SVDs and 4 eigh calls (the parameter's
     ``spectra``, the oracle's two ``psd_factor`` calls and
-    ``diagonalize(A0)``).  A check that reads three lam evaluates the
-    formula route on their stack, one call per factorization, and the
-    oracle at each lam.  So it takes 11 eigvalsh calls: one per reported
-    residual of ``relations_equal`` (one for the stacked
-    ``decomposition_reassembly``, two for the gap limit and three for the
-    compressions) and of ``chain_residuals`` (four), and the angles of
-    ``diagonalize(A0)``; the symmetry and subset verdicts are settled by
-    Frobenius norms.  It takes 13 QRs: ``operator_relation`` in the stacked
-    ``eval_tau`` of ``decomposition_reassembly``, of ``krein_resolvent``
-    and of the canonical resolvent, in ``reassemble_decomposition``, in the two
-    gap-limit points, in ``compression_param`` and in theta0, and
-    ``extension_of`` for A0, C, theta0, the forbidden route and the stacked
+    ``diagonalize(A0)``).  ``krein_formula`` reads three lam: it evaluates
+    the formula route on their stack, one call per factorization, and the
+    oracle at each lam.  So it takes 9 eigvalsh calls: one per reported
+    residual of ``relations_equal`` (two for the gap limit and two for the
+    compressions C and S) and of ``chain_residuals`` (four), and the
+    angles of ``diagonalize(A0)``; the symmetry and subset verdicts are
+    settled by Frobenius norms.  It takes 10 QRs: ``operator_relation`` in
+    the stacked ``eval_tau`` of ``krein_resolvent`` and of the canonical
+    resolvent, in the two gap-limit points, in ``compression_param`` and in
+    theta0, and ``extension_of`` for A0, C, theta0 and the stacked
     canonical resolvent.  It takes 9 LUs (``inv``, in ``graph_operator``):
     the triplet's lift, gamma(i), ``diagonalize(A0)``, the stacked middle
     term and canonical resolvent, ``minimality`` and the oracle's three
@@ -637,7 +674,7 @@ def test_verify_instance_factorization_count(monkeypatch):
     inst = generate_instance(np.random.default_rng(13), 12, 6, 3)
     counts = _count_factorizations(
         monkeypatch, lambda: verify_instance(inst, np.random.default_rng(0)))
-    assert counts == {"svd": 16, "eigvalsh": 11, "eigh": 4, "qr": 13, "inv": 9}
+    assert counts == {"svd": 14, "eigvalsh": 9, "eigh": 4, "qr": 10, "inv": 9}
 
 
 def test_build_problem_factorization_count(monkeypatch):

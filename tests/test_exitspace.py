@@ -1,5 +1,7 @@
 """Exit-space oracle: factor model, coupling, compressions."""
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,11 +147,23 @@ def test_build_exit_space_reads_no_formula_route(monkeypatch):
                       (BoundaryTriplet, "weyl_at_i"), (RationalNevanlinna, "spectra"),
                       (RationalNevanlinna, "op_frame")):
         monkeypatch.setattr(cls, name, property(refuse))
-    for module, name in ((triplet, "gamma_and_weyl"), (triplet, "extension_of"),
-                         (exitspace, "extension_of")):
-        monkeypatch.setattr(module, name, refuse)
+    for name in ("gamma_and_weyl", "extension_of"):
+        monkeypatch.setattr(triplet, name, refuse)
     for (tri, tau), a_tilde in zip(problems, expected):
         assert np.array_equal(build_exit_space(tri, tau).a_tilde.frame, a_tilde.frame)
+
+
+def test_exitspace_imports_nothing_of_the_formula_route():
+    """The oracle module takes only the BoundaryTriplet class from
+    ``triplet`` and nothing from ``extension``, so no function of the
+    formula route can enter its results."""
+    tree = ast.parse(Path(exitspace.__file__).read_text())
+    imported = {(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert {name for module, name in imported if module == "triplet"} == {"BoundaryTriplet"}
+    assert not {name for module, name in imported if module == "extension"}
+    assert not [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names if alias.name.startswith("relcomp")]
 
 
 def test_swap_anchor_coupling():
@@ -225,10 +239,6 @@ def test_direct_compression_chain_random():
 
 def test_s_direct_matches_theta0_extension():
     assert _worst_on_random_problems("s_direct_matches_theta0", 23, 20) < DEFAULT_TOL
-
-
-def test_forbidden_route_matches_direct():
-    assert _worst_on_random_problems("forbidden_route", 29, 20) < DEFAULT_TOL
 
 
 def test_oracle_agrees_with_formula_compression():

@@ -614,7 +614,7 @@ def test_every_qr_is_pinned():
 def test_make_relation_is_called_only_on_spans_of_unknown_rank():
     """A relation whose dimension is known by construction enters through
     operator_relation, with no rank cut; make_relation's SVD is left to the
-    seed span, a boundary image and the forbidden route's span."""
+    seed span and a boundary image."""
     callers = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -624,8 +624,7 @@ def test_make_relation_is_called_only_on_spans_of_unknown_rank():
                             if isinstance(node, ast.Call)
                             and getattr(node.func, "id", None) == "make_relation"}
     assert callers == {("driver", "build_problem"),
-                       ("triplet", "_boundary_image"),
-                       ("exitspace", "compression_via_forbidden")}
+                       ("triplet", "_boundary_image")}
 
 
 @pytest.mark.parametrize("T", [LinearRelation(2, 2, np.eye(4, dtype=complex)),

@@ -21,7 +21,6 @@ from relcomp.nevanlinna import (
     RationalNevanlinna,
     decompose_tau,
     eval_tau,
-    reassemble_decomposition,
     tau_limits,
 )
 
@@ -269,54 +268,50 @@ def test_nevanlinna_symmetry_and_positivity():
 
 def test_decompose_scalar_linear_is_strict():
     dec = decompose_tau(RationalNevanlinna.build(1, b=[[1.0]]))
-    assert dec.h_dprime.shape[1] == 0
-    assert dec.tau1.op_dim == 1
-    assert np.allclose(dec.tau1.b_coef, [[1.0]])
+    assert dec.h_dprime.shape == (1, 0)
+    assert dec.h_prime.shape == (1, 1)
+    assert abs(abs(dec.h_prime[0, 0]) - 1.0) < 1e-12
 
 
 def test_decompose_kernel_direction():
     tau = RationalNevanlinna.build(2, b=np.diag([1.0, 0.0]))
     dec = decompose_tau(tau)
-    assert dec.h_dprime.shape[1] == 1
+    assert dec.h_dprime.shape == (2, 1) and dec.h_prime.shape == (2, 1)
     assert np.max(np.abs(np.abs(dec.h_dprime.ravel()) - [0.0, 1.0])) < 1e-12
-    assert dec.tau1.op_dim == 1
-    assert np.allclose(dec.b1, 0) and np.allclose(dec.b2, 0)
+    assert np.max(np.abs(np.abs(dec.h_prime.ravel()) - [1.0, 0.0])) < 1e-12
 
 
 def test_decompose_constant_parameter():
     a = np.array([[2.0, 1.0], [1.0, 3.0]])
-    dec = decompose_tau(RationalNevanlinna.build(2, a=a))
-    assert dec.h_dprime.shape[1] == 2
-    assert dec.tau1.op_dim == 0
-    # B2 carries the (negated) constant in h_dprime coordinates
+    tau = RationalNevanlinna.build(2, a=a)
+    dec = decompose_tau(tau)
+    assert dec.h_dprime.shape == (2, 2) and dec.h_prime.shape == (2, 0)
+    # tau0 is the constant A on all of H'' = C^2
     hd = dec.h_dprime
-    assert np.max(np.abs(dec.b2 + hd.conj().T @ a @ hd)) < 1e-12
+    assert np.max(np.abs(hd.conj().T @ hd - np.eye(2))) < 1e-12
+    assert np.max(np.abs(tau.tau0(1.5 + 0.7j) @ hd - a @ hd)) < 1e-12
 
 
 def test_decompose_strictness_of_tau1():
+    """tau1 = h_prime^H tau0 h_prime is uniformly strict: the smallest
+    eigenvalue of h_prime^H Im tau0(i) h_prime is positive, while Im tau0(i)
+    vanishes on H''.  H' and H'' are orthonormal and together span K-perp."""
     rng = np.random.default_rng(29)
     for _ in range(25):
         tau = random_tau(rng, int(rng.integers(1, 4)))
         dec = decompose_tau(tau)
-        q = dec.tau1.op_dim
-        if q:
-            im = dec.tau1.tau0(1j)
-            im = ((im - im.conj().T) / 2j + ((im - im.conj().T) / 2j).conj().T) / 2
-            assert np.min(np.linalg.eigvalsh(im)) > 1e-8
-
-
-def test_reassembly_pins_sign_convention():
-    rng = np.random.default_rng(37)
-    for _ in range(25):
-        tau = random_tau(rng, int(rng.integers(1, 4)))
-        dec = decompose_tau(tau)
-        for _ in range(5):
-            lam = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
-            if any(abs(lam - alpha) < 1e-6 for alpha, _ in tau.poles):
-                continue
-            eq, resid = relations_equal(eval_tau(tau, lam),
-                                        reassemble_decomposition(tau, dec, lam))
-            assert eq, resid
+        hp, hd = dec.h_prime, dec.h_dprime
+        split = np.hstack([hp, hd])
+        assert split.shape[1] == tau.op_dim
+        assert np.max(np.abs(split.conj().T @ split - np.eye(tau.op_dim)),
+                      initial=0.0) < 1e-12
+        assert np.max(np.abs(tau.mul_frame.conj().T @ split), initial=0.0) < 1e-12
+        t0 = tau.tau0(1j)
+        im = (t0 - t0.conj().T) / 2j
+        assert np.max(np.abs(im @ hd), initial=0.0) < 1e-12
+        if hp.shape[1]:
+            compressed = hp.conj().T @ im @ hp
+            assert np.min(np.linalg.eigvalsh((compressed + compressed.conj().T) / 2)) > 1e-8
 
 
 def test_limits_scalar_linear():

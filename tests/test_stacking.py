@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from relcomp.driver import (
+    CATEGORIES,
     _random_hermitian,
     _random_psd_of_rank,
     _random_unitary,
@@ -23,7 +24,7 @@ from relcomp.linrel import (
     relations_equal,
     resolvent,
 )
-from relcomp.nevanlinna import decompose_tau, eval_tau, reassemble_decomposition
+from relcomp.nevanlinna import eval_tau
 from relcomp.triplet import extension_of
 
 # (n, boundary dim d, dim of tau's multivalued part, rank of B, pole ranks):
@@ -33,8 +34,6 @@ SWEEP_SHAPES = (
     (56, 16, 4, 6, (6,)),
     (64, 24, 0, 12, (12, 6)),
 )
-CATEGORIES = ("b_full", "b_deficient", "k_nontrivial", "transversal",
-              "selfadjoint_seed", "random")
 
 
 def sweep_instance(rng, n, d, k, b_rank, pole_ranks):
@@ -68,7 +67,6 @@ PROBLEMS = _problems()
                          ids=[name for name, _ in PROBLEMS])
 def test_stack_equals_loop(inst):
     tri, tau = build_problem(inst)
-    dec = decompose_tau(tau)
     points = admissible_lambdas(np.random.default_rng(inst.dim), 4)
     lams = np.array(points)
 
@@ -81,17 +79,19 @@ def test_stack_equals_loop(inst):
 
     taus = eval_tau(tau, lams)
     same(taus.frame, [eval_tau(tau, z).frame for z in points])
-    reassembled = reassemble_decomposition(tau, dec, lams)
-    same(reassembled.frame, [reassemble_decomposition(tau, dec, z).frame for z in points])
 
     ext = extension_of(tri, negate(taus))
     same(ext.frame, [extension_of(tri, negate(eval_tau(tau, z))).frame for z in points])
     same(resolvent(ext, lams),
          [resolvent(extension_of(tri, negate(eval_tau(tau, z))), z) for z in points])
 
-    equal, resid = relations_equal(taus, reassembled)
-    looped = [relations_equal(eval_tau(tau, z), reassemble_decomposition(tau, dec, z))
-              for z in points]
+    # tau(lam) on another basis of each point's frame
+    unitary = _random_unitary(np.random.default_rng(1), taus.dim)
+    rotated = [LinearRelation(tau.dim, tau.dim, eval_tau(tau, z).frame @ unitary)
+               for z in points]
+    stacked = LinearRelation(tau.dim, tau.dim, np.array([r.frame for r in rotated]))
+    equal, resid = relations_equal(taus, stacked)
+    looped = [relations_equal(eval_tau(tau, z), r) for z, r in zip(points, rotated)]
     assert equal.tolist() == [eq for eq, _ in looped]
     same(resid, [r for _, r in looped])
     if taus.dim:
@@ -125,12 +125,10 @@ def _bad_points(tri, tau):
 @pytest.mark.parametrize("shape", SWEEP_SHAPES, ids=[f"sweep-{s[0]}" for s in SWEEP_SHAPES])
 def test_a_bad_point_in_a_stack_raises_what_the_point_raises(shape):
     tri, tau = build_problem(sweep_instance(np.random.default_rng(shape[0]), *shape))
-    dec = decompose_tau(tau)
     routes = {
         "krein_resolvent": lambda lam: krein_resolvent(tri, tau, lam),
         "resolvent": lambda lam: resolvent(tri.a0, lam),
         "eval_tau": lambda lam: eval_tau(tau, lam),
-        "reassemble_decomposition": lambda lam: reassemble_decomposition(tau, dec, lam),
     }
     bad_points = _bad_points(tri, tau)
     raised = {}
@@ -144,7 +142,7 @@ def test_a_bad_point_in_a_stack_raises_what_the_point_raises(shape):
     for name in ("a0_eigenvalue", "a0_real"):
         assert raised[name, "resolvent"] is SpectrumError, name
     for name in ("a0_real", "tau_pole", "real"):
-        for route in ("krein_resolvent", "eval_tau", "reassemble_decomposition"):
+        for route in ("krein_resolvent", "eval_tau"):
             assert raised[name, route] is ValueError, (name, route)
     # the Krein route evaluates tau first, so tau0 rejects a real point,
     # wherever it stands in a stack, before A0's resolvent divides by it
