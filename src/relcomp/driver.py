@@ -42,7 +42,7 @@ from .triplet import (
     extension_of,
     von_neumann_triplet,
 )
-from .extension import classify_compression, krein_resolvent
+from .extension import _krein_from, classify_compression, krein_resolvent
 from .exitspace import (
     build_exit_space,
     chain_residuals,
@@ -357,11 +357,13 @@ class VerifyContext:
 def krein_residuals(tri, tau, model, lams) -> tuple[float, float]:
     """Worst residuals of the Krein formula over the points lams, against
     the canonical resolvent of A_{-tau(lam)} and against the oracle's
-    generalized resolvent.  The formula route evaluates both sides on the
-    stack of lams; the oracle takes one point at a time."""
+    generalized resolvent.  The formula route evaluates tau on the stack
+    of lams once and reads both of its sides off that one stack; the
+    oracle takes one point at a time."""
     points = np.array(lams)
-    krein = krein_resolvent(tri, tau, points)
-    canonical = resolvent(extension_of(tri, negate(eval_tau(tau, points))), points)
+    tau_at = eval_tau(tau, points)
+    krein = _krein_from(tri, tau_at, points)
+    canonical = resolvent(extension_of(tri, negate(tau_at)), points)
     direct = max(float(np.max(np.abs(generalized_resolvent_direct(model, lam) - k),
                               initial=0.0))
                  for lam, k in zip(lams, krein))

@@ -1,9 +1,9 @@
 """Explicit exit-space models: brute-force oracle for compressions.
 
 A rational parameter tau = {{h, tau0(lam) h + k}: h in K-perp, k in K}
-factors as tau0(lam) = A + G^H M_r(lam) G: G stacks ``psd_factor`` of B
-and of each A_j, and M_r(lam) = diag(lam I, (alpha_j - lam)^{-1} I) is the
-Weyl function of block model maps (Gamma0^r, Gamma1^r) on the trivial
+factors as tau0(lam) = A + G^H M_r(lam) G: G stacks the ``psd_factor``s
+of B and of each A_j, and M_r(lam) = diag(lam I, (alpha_j - lam)^{-1} I)
+is the Weyl function of block model maps (Gamma0^r, Gamma1^r) on the trivial
 seed {{0, 0}} in C^{n_r}.  Coupling those maps to the given triplet gives
 the self-adjoint relation
 
@@ -45,17 +45,21 @@ class ModelError(RuntimeError):
     """An internal consistency check of the oracle construction failed."""
 
 
-def psd_factor(m: np.ndarray) -> np.ndarray:
-    """Surjective factor D with m = D^H D on the eigenvalues that ``_cut``
-    keeps, rows = rank(m), in the ascending order of ``eigh``."""
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    keep = slice(len(w) - _cut(w[::-1]), None)
-    return (np.sqrt(w[keep])[:, None] * v[:, keep].conj().T).astype(complex)
+def psd_factor(stack: np.ndarray) -> list:
+    """Surjective factors D with m = D^H D, one per matrix m of the stack,
+    from one stacked ``eigh``: each on the eigenvalues of its own row that
+    ``_cut`` keeps, rows = rank(m), in the ascending order of ``eigh``."""
+    w, v = np.linalg.eigh((stack + stack.conj().swapaxes(-1, -2)) / 2)
+    factors = []
+    for wk, vk in zip(w, v):
+        keep = slice(len(wk) - _cut(wk[::-1]), None)
+        factors.append((np.sqrt(wk[keep])[:, None] * vk[:, keep].conj().T).astype(complex))
+    return factors
 
 
 def model_maps(tau: RationalNevanlinna) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(G, Gamma0^r, Gamma1^r): the n_r x d stack G of ``psd_factor`` of B
-    and of each A_j, and n_r x 2n_r block boundary maps on ambient pairs
+    """(G, Gamma0^r, Gamma1^r): the n_r x d stack G of the ``psd_factor``s
+    of B and of each A_j, and n_r x 2n_r block boundary maps on ambient pairs
     (f_r, f_r') of C^{n_r}.
 
     A row of B's block maps (f, f') to (f, f'), a row of pole j's block to
@@ -63,7 +67,7 @@ def model_maps(tau: RationalNevanlinna) -> tuple[np.ndarray, np.ndarray, np.ndar
     {f' = lam f}, so their Weyl function is M_r(lam) =
     diag(lam I, (alpha_j - lam)^{-1} I) and A + G^H M_r(lam) G = tau0(lam).
     """
-    facs = [psd_factor(tau.b_coef), *(psd_factor(aj) for _, aj in tau.poles)]
+    facs = psd_factor(np.array([tau.b_coef, *(aj for _, aj in tau.poles)]))
     sizes = [f.shape[0] for f in facs]
     b = np.repeat([1.0] + [0.0] * len(tau.poles), sizes)     # 1 on B's rows
     alpha = np.repeat([0.0, *(alpha for alpha, _ in tau.poles)], sizes)
@@ -181,13 +185,19 @@ def minimality(model: ExitSpaceModel) -> bool:
     block grows from ran R21 by R22 until it reaches dim_r or stops
     growing.  Each step ``extend``s the block by R22 times only the columns
     the step before added, since R22 maps the older ones into the block.
-    The exit rows [R21, R22] of R are the graph operator of
-    (R~ - i L~; L~[n:]) for the halves L~, R~ of A~'s frame, as in
-    ``resolvent``, from the same LU and with the same cut.
+
+    With L~, R~ the halves of A~'s frame, R = L~ X^{-1} for the square
+    X = R~ - i L~ (``resolvent``), and X^H X = I - i G for the Green form
+    G = R~^H L~ - L~^H R~, so X is unitary when A~ is self-adjoint.  The
+    exit rows [R21, R22] of R are therefore read as L~[n:] X^H, with no LU:
+    X^{-1} = (I - i G)^{-1} X^H, so the two differ by at most
+    ||G|| / (1 - ||G||) times ||X|| <= (1 + ||G||)^(1/2), and
+    ``build_exit_space`` has already rejected an A~ with ||G|| of
+    DEFAULT_TOL or more.
     """
     n, nr = model.dim_h, model.dim_r
     A_tilde = model.a_tilde
-    r = graph_operator(A_tilde.right - 1j * A_tilde.left, A_tilde.left[n:])
+    r = A_tilde.left[n:] @ (A_tilde.right - 1j * A_tilde.left).conj().T
     r21, r22 = r[:, :n], r[:, n:]
     block = orth(r21)
     added = block

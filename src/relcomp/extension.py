@@ -65,8 +65,17 @@ def krein_resolvent(tri: BoundaryTriplet, tau: RationalNevanlinna,
     tau(lam)'s frame, the sum is the relation with frame (L; R + M L), and
     its inverse is the graph operator L (R + M L)^{-1}; SpectrumError if it
     is not boundedly invertible.
+
+    All of this after ``eval_tau`` is ``_krein_from``, which a caller that
+    reads tau(lam) itself as well, such as ``driver.krein_residuals``,
+    calls on its one evaluation.
     """
-    T = eval_tau(tau, lam)
+    return _krein_from(tri, eval_tau(tau, lam), lam)
+
+
+def _krein_from(tri: BoundaryTriplet, T: LinearRelation, lam) -> np.ndarray:
+    """``krein_resolvent`` at lam for T = tau(lam), evaluated by the
+    caller: a stack of relations for an array lam."""
     u, c, s = tri.a0_spectrum
     at = _points(lam, 1)
     v = s - at * c

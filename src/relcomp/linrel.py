@@ -17,31 +17,32 @@ frame (L; R): resolvents, the middle term of the Krein formula, the
 gamma field, a triplet's boundary lift and the rotated relation of
 ``diagonalize``.  ``graph_operator`` computes it, from one LU and with
 the one inversion cut, ``_inversion_cut``; no other routine inverts a
-matrix.  The Krein resolvent reads A0's resolvent off the
-frame (U diag(c); U diag(s)) of ``diagonalize``, where R - lam L is
-U diag(s - lam c) and needs no LU, and cuts lam by ``_inversion_cut``
+matrix.  The oracle's ``minimality`` reads (A~ - i)^{-1} with none,
+since R - iL is unitary for the frame (L; R) of a self-adjoint A~ and
+its inverse is its adjoint.  The Krein resolvent reads A0's resolvent
+off the frame (U diag(c); U diag(s)) of ``diagonalize``, where R - lam L
+is U diag(s - lam c) and needs no LU, and cuts lam by ``_inversion_cut``
 too.
 
 A relation-valued function sampled at m points is one ``LinearRelation``
 whose frame stacks the m frames on a leading axis, and the formula route
 evaluates the points of a check as one such stack, with one point as
-the 0-d case of the same code: ``operator_relation``, ``negate``,
-``graph_operator`` (its cut applied to each matrix), ``resolvent``, and
-``containment_residual``, ``_norm2`` and ``relations_equal`` (one
-residual per point) broadcast over it, as do ``tau0``, ``eval_tau``
-(which rejects a real point or a pole anywhere in the stack) in
-``nevanlinna``, ``extension_of`` in ``triplet`` and ``krein_resolvent``
-in ``extension``.  What decides a
-rank (``orth``, ``kernel_split``, ``diagonalize``,
-``classify_symmetry``) takes one matrix and raises ValueError on a
-stack.  Two readers stay per point.  The oracle's
+the 0-d case of the same code: ``operator_relation``, ``graph_of``,
+``negate``, ``graph_operator`` (its cut applied to each matrix),
+``resolvent``, and ``containment_residual``, ``_norm2`` and
+``relations_equal`` (one residual per point) broadcast over it, as do
+``tau0``, ``eval_tau`` (which rejects a real point or a pole anywhere in
+the stack) in ``nevanlinna``, ``extension_of`` in ``triplet`` and
+``krein_resolvent`` in ``extension``, and ``gap_limit`` reads its two
+points as one stack.  What decides a rank (``orth``, ``kernel_split``,
+``diagonalize``, ``classify_symmetry``) takes one matrix and raises
+ValueError on a stack, so ``check_forbidden_asymptotics`` takes one ``gamma_and_weyl``,
+whose defect frame is a rank decision, per point and stacks only their
+graphs.  One reader stays per point: the oracle's
 ``generalized_resolvent_direct`` takes one LU of the (n + n_r)-square
-frame of A~ per point: stacked, those matrices raised the peak memory of
-a verify at n = 96 with no gain in speed, and a loop of its own keeps it
-visibly apart from the formula route.  ``gap_limit`` reads two points,
-and its other caller, ``check_forbidden_asymptotics``, reads each off
-``gamma_and_weyl``, whose defect frame is a rank decision, one SVD per
-point.
+frame of A~ per point.  Stacked, those matrices raised the peak memory
+of a verify at n = 96 with no gain in speed, and a loop of its own keeps
+it visibly apart from the formula route.
 
 DEFAULT_TOL is the single tolerance of the package: no relation, triplet
 or parameter carries one.  Every rank decision is made by ``_cut``,
@@ -56,9 +57,9 @@ kernel is read off ``kernel_split``:
 ``null_space`` is its kernel half, ``complement(F)`` the kernel of F^H
 and ``intersect`` one ``null_space``.  ``extend`` applies the cut
 through the ``orth`` of the part of a span off a frame, and
-``psd_factor`` in the exit-space oracle to the eigenvalues of its
-``eigh``; the ``eigvalsh`` and ``eigh`` of ``diagonalize`` decide no
-rank.  Every rank of a parameter's B or A_j in the formula route
+``psd_factor`` in the exit-space oracle to each row of eigenvalues of
+its one stacked ``eigh``; the ``eigvalsh`` and ``eigh`` of
+``diagonalize`` decide no rank.  Every rank of a parameter's B or A_j in the formula route
 (the split of tau_c, H'' of ``decompose_tau``, the coefficient flags,
 the exit dimension, the first point of ``tau_limits`` and the vanishing
 pole terms that ``RationalNevanlinna.build`` rejects) is the cut of that
@@ -300,23 +301,26 @@ def operator_relation(dom, image, mul=None) -> LinearRelation:
     image = X dom and an orthonormal mul (none if None) with mul^H image = 0.
     Its frame [QR(dom; image), (0; mul)] decides no rank: the singular
     values of (dom; image) are all at least 1.  A stack of images gives
-    the stack of relations, from one stacked QR."""
+    the stack of relations, from one stacked QR; a dom of no columns needs
+    none."""
     if mul is None:
         mul = np.zeros((image.shape[-2], 0), dtype=complex)
     (n_from, r), (n_to, m) = dom.shape, mul.shape
     frame = np.zeros(image.shape[:-2] + (n_from + n_to, r + m), dtype=complex)
     frame[..., :n_from, :r] = dom
     frame[..., n_from:, :r] = image
-    frame[..., :r] = np.linalg.qr(frame[..., :r])[0]
+    if r:
+        frame[..., :r] = np.linalg.qr(frame[..., :r])[0]
     frame[..., n_from:, r:] = mul
     return LinearRelation(n_from, n_to, frame)
 
 
 def graph_of(matrix) -> LinearRelation:
     """Graph of an everywhere-defined operator C^{cols} -> C^{rows}: the
-    ``operator_relation`` on dom = I, of dimension cols at every scale."""
+    ``operator_relation`` on dom = I, of dimension cols at every scale.  A
+    stack of matrices gives the stack of their graphs."""
     matrix = _as_complex(matrix)
-    return operator_relation(np.eye(matrix.shape[1], dtype=complex), matrix)
+    return operator_relation(np.eye(matrix.shape[-1], dtype=complex), matrix)
 
 
 def parts(T: LinearRelation) -> PartsReport:
@@ -371,17 +375,19 @@ def relations_equal(T1: LinearRelation, T2: LinearRelation):
     return resid < DEFAULT_TOL, resid
 
 
-def gap_limit(relation_at: Callable[[complex], LinearRelation],
+def gap_limit(relation_at: Callable[[np.ndarray], LinearRelation],
               target: LinearRelation, y1: float) -> float:
     """Richardson value |y2 g(y2) - y1 g(y1)| / (y2 - y1), y2 = 10 y1, of
     the gap g(y) = ``relations_equal(relation_at(iy), target)[1]``.
+    relation_at takes the array [i y1, i y2] and returns the stack of the
+    two relations, so both gaps come from one ``relations_equal``.
 
     When the relation tends to target with a gap c/y + O(1/y^2), this is
     O(1/y1^2); when it tends elsewhere, or has another dimension, it stays
     of the size of the gap."""
-    y2 = 10.0 * y1
-    g1, g2 = (relations_equal(relation_at(1j * y), target)[1] for y in (y1, y2))
-    return abs(y2 * g2 - y1 * g1) / (y2 - y1)
+    y = np.array([y1, 10.0 * y1])
+    g1, g2 = relations_equal(relation_at(1j * y), target)[1]
+    return float(abs(y[1] * g2 - y[0] * g1) / (y[1] - y[0]))
 
 
 def classify_symmetry(T: LinearRelation) -> str:

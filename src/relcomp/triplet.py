@@ -209,14 +209,15 @@ def extension_of(tri: BoundaryTriplet, theta: LinearRelation) -> LinearRelation:
     """A_theta = {f-hat in A*: {Gamma0 f-hat, Gamma1 f-hat} in theta}: the
     frame of A beside a QR frame of the injective lift(theta), in A* (-) A,
     so no rank is decided.  A stack of theta gives the stack of extensions,
-    from one stacked QR."""
+    from one stacked QR; a theta of dimension 0 needs none."""
     d = tri.boundary_dim
     if (theta.dim_from, theta.dim_to) != (d, d):
         raise ValueError("theta must be a relation in the boundary space")
     n, a = tri.space_dim, tri.seed.A.frame
     frame = np.empty(theta.frame.shape[:-2] + (2 * n, a.shape[1] + theta.dim), dtype=complex)
     frame[..., :a.shape[1]] = a
-    frame[..., a.shape[1]:] = np.linalg.qr(tri.lift @ theta.frame)[0]
+    if theta.dim:
+        frame[..., a.shape[1]:] = np.linalg.qr(tri.lift @ theta.frame)[0]
     return LinearRelation(n, n, frame)
 
 
@@ -281,6 +282,9 @@ def check_forbidden_asymptotics(tri: BoundaryTriplet) -> float:
     """Gap limit (``gap_limit``) of the graph of M(iy) against the forbidden
     relation F at i*infinity, from y1 = 1e4: about 0 when M(iy) tends to F,
     that is, when F holds the limits of M(iy) on its domain and
-    ran B_M lies in mul F.  The point y1 suits unit-scale triplets."""
-    return gap_limit(lambda lam: graph_of(gamma_and_weyl(tri, lam).weyl),
-                     forbidden_relation(tri), 1e4)
+    ran B_M lies in mul F.  The point y1 suits unit-scale triplets.  Each
+    point takes its own ``gamma_and_weyl``, whose defect frame is a rank
+    decision; the two graphs are one stack."""
+    return gap_limit(
+        lambda lams: graph_of(np.array([gamma_and_weyl(tri, lam).weyl for lam in lams.tolist()])),
+        forbidden_relation(tri), 1e4)

@@ -32,6 +32,7 @@ from relcomp.linrel import (
     _norm2,
     adjoint,
     classify_symmetry,
+    gap_limit,
     graph_of,
     make_relation,
     negate,
@@ -43,7 +44,8 @@ from relcomp.linrel import (
     zero_relation,
 )
 import relcomp.triplet as triplet
-from relcomp.nevanlinna import RationalNevanlinna, decompose_tau, eval_tau
+import relcomp.nevanlinna as nevanlinna
+from relcomp.nevanlinna import RationalNevanlinna, decompose_tau, eval_tau, tau_limits
 from relcomp.triplet import (
     GREEN_TOL,
     BoundaryTriplet,
@@ -52,6 +54,7 @@ from relcomp.triplet import (
     check_green,
     check_weyl_identities,
     extension_of,
+    forbidden_relation,
     gamma_and_weyl,
 )
 
@@ -395,3 +398,32 @@ def test_criterion_8_forbidden_asymptotics(monkeypatch):
             f"J F in place of F reads at least {rejected:.2e}")
     assert worst < 1e-6
     assert rejected > 1e-3
+
+
+def _gap_limit_per_point(relation_at, target, y1):
+    """The rule of ``gap_limit`` with one relation and one
+    ``relations_equal`` per point, relation_at taking one point."""
+    y2 = 10.0 * y1
+    g1, g2 = (relations_equal(relation_at(1j * y), target)[1] for y in (y1, y2))
+    return abs(y2 * g2 - y1 * g1) / (y2 - y1)
+
+
+def test_stacked_gap_limit_matches_its_per_point_rule(corpus, monkeypatch):
+    """On the corpus, tau_limits against -tau_c and check_forbidden_asymptotics
+    give bit for bit the value of the gap-limit rule taken one point at a
+    time: numpy's stacked LAPACK and BLAS loops factor each matrix of the
+    stack as they factor it alone."""
+    first_points = []
+
+    def recorded(relation_at, target, y1):
+        first_points.append(y1)
+        return gap_limit(relation_at, target, y1)
+    monkeypatch.setattr(nevanlinna, "gap_limit", recorded)
+    for item in corpus:
+        tri, tau = item["ctx"].tri, item["ctx"].tau
+        target = negate(item["ctx"].report.tau_c)
+        stacked = tau_limits(tau, target)
+        assert stacked == _gap_limit_per_point(
+            lambda lam: eval_tau(tau, lam), target, first_points.pop())
+        assert check_forbidden_asymptotics(tri) == _gap_limit_per_point(
+            lambda lam: graph_of(gamma_and_weyl(tri, lam).weyl), forbidden_relation(tri), 1e4)

@@ -12,10 +12,20 @@ import numpy as np
 import pytest
 
 import relcomp.driver as driver
+import relcomp.exitspace as exitspace
 import relcomp.extension as extension
 import relcomp.linrel as linrel
-from relcomp.exitspace import build_exit_space, generalized_resolvent_direct
-from relcomp.linrel import make_relation, negate, relations_equal
+from relcomp.exitspace import build_exit_space, generalized_resolvent_direct, minimality
+from relcomp.linrel import (
+    _green_form,
+    _norm2,
+    extend,
+    graph_operator,
+    make_relation,
+    negate,
+    orth,
+    relations_equal,
+)
 from relcomp.nevanlinna import RationalNevanlinna, eval_tau
 from relcomp.triplet import BoundaryTriplet, SymmetricSeed
 from relcomp.driver import (
@@ -655,26 +665,28 @@ def _count_factorizations(monkeypatch, run) -> dict:
 
 def test_verify_instance_factorization_count(monkeypatch):
     """One verify_instance of a fixed draw (n = 11, boundary dimension 6,
-    dim K = 1, one pole) takes 14 SVDs and 4 eigh calls (the parameter's
-    ``spectra``, the oracle's two ``psd_factor`` calls and
-    ``diagonalize(A0)``).  ``krein_formula`` reads three lam: it evaluates
-    the formula route on their stack, one call per factorization, and the
-    oracle at each lam.  So it takes 9 eigvalsh calls: one per reported
-    residual of ``relations_equal`` (two for the gap limit and two for the
-    compressions C and S) and of ``chain_residuals`` (four), and the
-    angles of ``diagonalize(A0)``; the symmetry and subset verdicts are
-    settled by Frobenius norms.  It takes 10 QRs: ``operator_relation`` in
-    the stacked ``eval_tau`` of ``krein_resolvent`` and of the canonical
-    resolvent, in the two gap-limit points, in ``compression_param`` and in
-    theta0, and ``extension_of`` for A0, C, theta0 and the stacked
-    canonical resolvent.  It takes 9 LUs (``inv``, in ``graph_operator``):
-    the triplet's lift, gamma(i), ``diagonalize(A0)``, the stacked middle
-    term and canonical resolvent, ``minimality`` and the oracle's three
-    points; A0's resolvent needs none."""
+    dim K = 1, one pole) takes 14 SVDs and 3 eigh calls (the parameter's
+    ``spectra``, the oracle's one stacked ``psd_factor`` of B and the
+    residue, and ``diagonalize(A0)``).  ``krein_formula`` reads three lam:
+    it evaluates tau on their stack once, reads both formula-route sides
+    off it, one call per factorization, and the oracle at each lam.  It
+    takes 8 eigvalsh calls: one per reported residual of
+    ``relations_equal`` (one for the stacked points of the gap limit and
+    two for the compressions C and S) and of ``chain_residuals`` (four),
+    and the angles of ``diagonalize(A0)``; the symmetry and subset verdicts
+    are settled by Frobenius norms.  It takes 8 QRs: ``operator_relation``
+    in the stacked ``eval_tau`` of the Krein formula, in the stacked
+    gap-limit points, in ``compression_param`` and in theta0, and
+    ``extension_of`` for A0, C, theta0 and the stacked canonical
+    resolvent.  It takes 8 LUs (``inv``, in ``graph_operator``): the
+    triplet's lift, gamma(i), ``diagonalize(A0)``, the stacked middle term
+    and canonical resolvent and the oracle's three points; A0's resolvent
+    needs none, and neither does ``minimality``, which reads (A~ - i)^{-1}
+    off a unitary."""
     inst = generate_instance(np.random.default_rng(13), 12, 6, 3)
     counts = _count_factorizations(
         monkeypatch, lambda: verify_instance(inst, np.random.default_rng(0)))
-    assert counts == {"svd": 14, "eigvalsh": 9, "eigh": 4, "qr": 10, "inv": 9}
+    assert counts == {"svd": 14, "eigvalsh": 8, "eigh": 3, "qr": 8, "inv": 8}
 
 
 def test_build_problem_factorization_count(monkeypatch):
@@ -876,15 +888,55 @@ def test_cli_demo_exit_zero():
         assert line[len(prefix):].replace(" ", "") == "[[0.+0.4j]]", line
 
 
-@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6])
-def test_scaled_tau_keeps_its_verdicts(scale):
-    """On 30 instances drawn with default_rng(3), with tau's A, B and every
-    A_j multiplied by scale, every verify check passes at every scale."""
+def _scaled_tau_corpus(scale):
+    """The 30 instances drawn with default_rng(3), with tau's A, B and
+    every A_j multiplied by scale."""
     rng = np.random.default_rng(3)
-    for i in range(30):
+    for _ in range(30):
         inst = generate_instance(rng)
-        inst = dataclasses.replace(
+        yield dataclasses.replace(
             inst, tau_a=scale * inst.tau_a, tau_b=scale * inst.tau_b,
             tau_poles=tuple((alpha, scale * aj) for alpha, aj in inst.tau_poles))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6])
+def test_scaled_tau_keeps_its_verdicts(scale):
+    """On the scaled-tau corpus every verify check passes at every scale."""
+    for i, inst in enumerate(_scaled_tau_corpus(scale)):
         checks = verify_instance(inst, np.random.default_rng(i))
         assert all(c.passed for c in checks), (i, checks)
+
+
+def _minimal_by_lu(r, nr):
+    """minimality's Kalman test on exit rows r = [R21, R22] of
+    (A~ - i)^{-1} given by the caller."""
+    n = r.shape[1] - nr
+    block = added = orth(r[:, :n])
+    while block.shape[1] < nr:
+        grown = extend(block, r[:, n:] @ added)
+        if grown.shape[1] == block.shape[1]:
+            return False
+        block, added = grown, grown[:, block.shape[1]:]
+    return True
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6])
+def test_minimality_reads_the_resolvent_off_a_unitary(scale, monkeypatch):
+    """minimality reads the exit rows of (A~ - i)^{-1} as L~[n:] X^H for
+    the unitary X = R~ - i L~.  On the models of the scaled-tau corpus
+    every entry of R21, the first span minimality orthonormalizes, differs
+    from ``graph_operator``'s LU value by at most 2 ||G|| + 1e-14, with G
+    the Green form of A~'s frame, and by at most 1e-11 (the worst entry of
+    all exit rows differs by 1.2e-13, at 1e6), and the minimality verdict
+    on the LU's exit rows is the same."""
+    spans = []
+    monkeypatch.setattr(exitspace, "orth", lambda span: spans.append(span) or orth(span))
+    for inst in _scaled_tau_corpus(scale):
+        model = build_exit_space(*build_problem(inst))
+        n, a = model.dim_h, model.a_tilde
+        spans.clear()
+        minimal = minimality(model)
+        by_lu = graph_operator(a.right - 1j * a.left, a.left[n:])
+        diff = np.max(np.abs(spans[0] - by_lu[:, :n]), initial=0.0)
+        assert diff <= min(2.0 * _norm2(_green_form(a.left, a.right)) + 1e-14, 1e-11)
+        assert minimal == _minimal_by_lu(by_lu, model.dim_r)

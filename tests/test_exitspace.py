@@ -266,26 +266,32 @@ def test_minimal_models_have_exact_exit_dimension():
 
 
 def test_psd_factor_keeps_what_the_rank_cut_keeps():
-    """psd_factor has rank(m) rows for PSD m with an eigenvalue just above
-    or just below the cut DEFAULT_TOL * max(||m||, 1), at scales from 1e-6
-    to 1e6, and D^H D is m compressed to the kept eigenvectors."""
+    """psd_factor of a stack has, for each PSD m in it, rank(m) rows when m
+    has an eigenvalue just above or just below the cut
+    DEFAULT_TOL * max(||m||, 1), at scales from 1e-6 to 1e6 in one stack,
+    so each matrix is cut on its own largest eigenvalue, and D^H D is m
+    compressed to the kept eigenvectors."""
     rng = np.random.default_rng(43)
-    for scale in (1e-6, 1.0, 1e6):
-        cut = DEFAULT_TOL * max(scale, 1.0)
-        for n in (2, 5):
+    for n in (2, 5):
+        stack, kept = [], []
+        for scale in (1e-6, 1.0, 1e6):
+            cut = DEFAULT_TOL * max(scale, 1.0)
             u = np.linalg.qr(rng.standard_normal((n, n))
                              + 1j * rng.standard_normal((n, n)))[0]
             for edge in (1.01, 0.99):
                 w = np.zeros(n)
                 w[0], w[1] = scale, edge * cut
                 w[2:] = scale * rng.random(n - 2) * rng.integers(0, 2, n - 2)
-                m = (u * w) @ u.conj().T
-                kept = u[:, w > cut]
-                D = psd_factor(m)
-                assert D.shape == (orth(m).shape[1], n) == (kept.shape[1], n)
-                on_kept = kept @ (kept.conj().T @ m @ kept) @ kept.conj().T
-                assert np.max(np.abs(D.conj().T @ D - on_kept)) <= 1e-14 * scale
-    assert psd_factor(np.zeros((3, 3))).shape == (0, 3)
+                stack.append((u * w) @ u.conj().T)
+                kept.append((scale, u[:, w > cut]))
+        stack.append(np.zeros((n, n)))
+        kept.append((1.0, np.zeros((n, 0))))
+        factors = psd_factor(np.array(stack))
+        assert len(factors) == len(stack)
+        for D, m, (scale, vecs) in zip(factors, stack, kept):
+            assert D.shape == (orth(m).shape[1], n) == (vecs.shape[1], n)
+            on_kept = vecs @ (vecs.conj().T @ m @ vecs) @ vecs.conj().T
+            assert np.max(np.abs(D.conj().T @ D - on_kept), initial=0.0) <= 1e-14 * scale
     assert orth(np.zeros((3, 3))).shape == (3, 0)
 
 

@@ -86,6 +86,18 @@ def test_make_relation_idempotent_on_frames():
     assert eq and resid < 1e-12
 
 
+def test_graph_of_a_stack_is_the_stack_of_graphs():
+    """A stack of two 3 x 2 matrices, which are not square, gives the stack
+    of their graphs: each of dimension 2 = cols, and each the graph of its
+    own matrix."""
+    rng = np.random.default_rng(53)
+    mats = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
+    stacked = graph_of(mats)
+    assert (stacked.dim_from, stacked.dim_to, stacked.frame.shape) == (2, 3, (2, 5, 2))
+    for frame, m in zip(stacked.frame, mats):
+        assert np.allclose(frame, graph_of(m).frame, rtol=0.0, atol=1e-15)
+
+
 def test_make_relation_rejects_nonfinite():
     with pytest.raises(ValueError):
         make_relation(np.array([[np.nan], [0.0]]), 1, 1)
