@@ -30,7 +30,7 @@ def main():
     span = np.zeros((6, 1))
     span[0, 0] = 1.0
     span[3, 0] = 1.0
-    seed = SymmetricSeed.from_relation(make_relation(span, 3, 3))
+    seed = SymmetricSeed.from_relation(make_relation(span, 3))
     _, idx = defect(seed, 1j)
     print("deficiency indices:", idx)
 

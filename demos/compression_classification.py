@@ -40,7 +40,7 @@ def base_problem(rng, n=4, d=2):
     h = (h + h.conj().T) / 2
     dom = q[:, :n - d]
     span = np.vstack([dom, h @ dom])
-    seed = SymmetricSeed.from_relation(make_relation(span, n, n))
+    seed = SymmetricSeed.from_relation(make_relation(span, n))
     return von_neumann_triplet(seed)
 
 

@@ -39,7 +39,7 @@ def main():
     # A nontrivial symmetric (not self-adjoint) relation: restrict the
     # identity operator on C^2 to a one-dimensional domain.
     span = np.array([[1.0], [0.0], [1.0], [0.0]])
-    sym = make_relation(span, 2, 2)
+    sym = make_relation(span, 2)
     show("restricted identity", sym)
     sym_star = adjoint(sym)
     print("  its adjoint has dim", sym_star.dim,
@@ -52,7 +52,7 @@ def main():
         [-3.0, 0.0],
         [0.0, 1.0],
     ])
-    mixed = make_relation(span, 2, 2)
+    mixed = make_relation(span, 2)
     show("operator (-3) on span e1 plus mul span e2", mixed)
     # parts returns frames, each fixed only up to a unit factor
     p = parts(mixed)
@@ -60,7 +60,7 @@ def main():
 
     # Equality compares subspaces, so frames may differ by any unitary.
     u = np.exp(0.7j)
-    eq, resid = relations_equal(mixed, make_relation(mixed.frame * u, 2, 2))
+    eq, resid = relations_equal(mixed, make_relation(mixed.frame * u, 2))
     print("gauge invariance of equality:", eq, f"(residual {resid:.1e})")
 
 

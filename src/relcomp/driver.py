@@ -189,9 +189,14 @@ def build_problem(inst: Instance):
     """Materialize (triplet, tau) from an instance.  An instance outside the
     paper's hypotheses raises InputError, converted once for the seed with
     its triplet and once for tau, whose every violation
-    ``RationalNevanlinna.build`` names in one ValueError."""
+    ``RationalNevanlinna.build`` names in one ValueError.  tau's dimension
+    must be n - dim A, checked before the n^2-sized defect frames."""
     try:
-        seed = SymmetricSeed.from_relation(make_relation(inst.seed_span, inst.dim, inst.dim))
+        A = make_relation(inst.seed_span, inst.dim)
+        if inst.tau_dim != inst.dim - A.dim:
+            raise InputError(f"invalid tau: tau dimension {inst.tau_dim} != boundary "
+                             f"dimension {inst.dim - A.dim}")
+        seed = SymmetricSeed.from_relation(A)
         maps = inst.triplet_data
         if inst.triplet_kind == "von_neumann":
             tri = von_neumann_triplet(seed, V=maps.get("V"))
@@ -204,9 +209,6 @@ def build_problem(inst: Instance):
     except (ValueError, TripletError) as exc:
         raise InputError(f"invalid seed or triplet: {exc}") from exc
     try:
-        if tri.boundary_dim != inst.tau_dim:
-            raise ValueError(f"tau dimension {inst.tau_dim} != boundary dimension "
-                             f"{tri.boundary_dim}")
         tau = RationalNevanlinna.build(inst.tau_dim, a=inst.tau_a, b=inst.tau_b,
                                        poles=inst.tau_poles, mul_span=inst.tau_mul)
     except ValueError as exc:
@@ -602,20 +604,22 @@ def main(argv=None) -> int:
                     replay = Instance.from_json(json.load(fh))
             except (OSError, json.JSONDecodeError) as exc:
                 raise InputError(f"cannot read instance file: {exc}") from exc
-        # opened before the batch runs, so an unwritable path costs no run
+        # opened for appending before the batch runs, so an unwritable path
+        # costs no run and a run rejected as bad input leaves the file as it was
         try:
-            out = open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout)
+            if args.out:
+                open(args.out, "a").close()
         except OSError as exc:
             raise InputError(f"cannot write report: {exc}") from exc
-        with out as fh:
-            wrapped = run_verify(count=args.count, max_dim=args.max_dim,
-                                 max_boundary=args.max_boundary,
-                                 max_poles=args.max_poles, rng_seed=args.seed,
-                                 replay_instance=replay)
-            if args.format == "json":
-                text = json.dumps(wrapped, indent=2, sort_keys=True)
-            else:
-                text = report_text(wrapped)
+        wrapped = run_verify(count=args.count, max_dim=args.max_dim,
+                             max_boundary=args.max_boundary,
+                             max_poles=args.max_poles, rng_seed=args.seed,
+                             replay_instance=replay)
+        if args.format == "json":
+            text = json.dumps(wrapped, indent=2, sort_keys=True)
+        else:
+            text = report_text(wrapped)
+        with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
             print(text, file=fh)
         return 0 if wrapped["body"]["all_passed"] else 1
     except InputError as exc:

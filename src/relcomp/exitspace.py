@@ -115,8 +115,7 @@ def build_exit_space(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ExitSpace
                          f"not n + n_r = {n + nr}")
     base, exit_ = a_star @ coeff[:m], coeff[m:]
     # pair components (f, f') and (f_r, f_r') reordered to (f, f_r, f', f_r')
-    a_tilde = LinearRelation(n + nr, n + nr,
-                             np.vstack([base[:n], exit_[:nr], base[n:], exit_[nr:]]))
+    a_tilde = LinearRelation(np.vstack([base[:n], exit_[:nr], base[n:], exit_[nr:]]))
     if classify_symmetry(a_tilde) != "self_adjoint":
         raise ModelError("coupled relation is not self-adjoint")
     return ExitSpaceModel(dim_h=n, dim_r=nr, a_tilde=a_tilde)
@@ -143,9 +142,9 @@ def direct_compression(model: ExitSpaceModel):
     to_c, rest_t = kernel_split(f_r)
     to_s, rest_c = kernel_split(fp_r @ to_c)
     base_c = base @ to_c
-    S = LinearRelation(n, n, base_c @ to_s)
-    C = LinearRelation(n, n, extend(S.frame, base_c @ rest_c))
-    T = LinearRelation(n, n, extend(C.frame, base @ rest_t))
+    S = LinearRelation(base_c @ to_s)
+    C = LinearRelation(extend(S.frame, base_c @ rest_c))
+    T = LinearRelation(extend(C.frame, base @ rest_t))
     return C, S, T
 
 

@@ -1,11 +1,11 @@
-"""Numerical linear relations: subspaces of a direct sum of complex spaces.
+"""Numerical linear relations: subspaces of C^n (+) C^n.
 
-A linear relation from C^n0 to C^n1 is stored as an orthonormal column
-frame of shape (n0 + n1) x r; the first n0 coordinates of a column are
-the "left" vector f, the remaining n1 the "right" vector f', encoding the
-pair {f, f'}.  Every ``LinearRelation`` frame must be orthonormal: the
-checks below read dimensions, containments and symmetry off the frames
-without orthonormalizing them again.  A span whose dimension is known
+A linear relation in C^n is stored as an orthonormal column frame of
+shape 2n x r, and n is read off its row count; the first n coordinates
+of a column are the "left" vector f, the remaining n the "right" vector
+f', encoding the pair {f, f'}.  Every ``LinearRelation`` frame must be
+orthonormal: the checks below read dimensions, containments and
+symmetry off the frames without orthonormalizing them again.  A span whose dimension is known
 enters through ``operator_relation``, with no cut; any other span through
 ``make_relation``.  Equality is the projector distance ||P1 - P2||, read
 without forming either 2N x 2N projector: it is 1 when the dimensions
@@ -50,7 +50,7 @@ with no override: a descending singular value (or eigenvalue) s counts
 when s > DEFAULT_TOL * max(s_max, 1).  The cut is relative at and above
 unit scale and absolute below it: a span whose largest singular value
 is under 1 loses every value up to DEFAULT_TOL, so B = 1e-9 I has rank 0
-and ``make_relation(1e-9 * I_4, 2, 2)`` is the zero relation.
+and ``make_relation(1e-9 * I_4, 2)`` is the zero relation.
 Only ``orth`` and ``kernel_split`` take an SVD, and each cuts it
 with ``_cut``; a dimension is the column count of an ``orth``.  Every
 kernel is read off ``kernel_split``:
@@ -89,7 +89,7 @@ a limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -242,17 +242,18 @@ def containment_residual(sub: np.ndarray, sup: np.ndarray):
 
 @dataclass(frozen=True)
 class LinearRelation:
-    """A subspace of C^{dim_from} (+) C^{dim_to} with an orthonormal frame,
-    or a relation-valued function sampled at m points, whose frame stacks
-    the m frames of one dimension on a leading axis."""
+    """A subspace of C^n (+) C^n with an orthonormal frame of 2n rows, or
+    a relation-valued function sampled at m points, whose frame stacks
+    the m frames of one dimension on a leading axis; n is set from it."""
 
-    dim_from: int
-    dim_to: int
     frame: np.ndarray
+    n: int = field(init=False)
 
     def __post_init__(self):
-        if self.frame.shape[-2] != self.dim_from + self.dim_to:
-            raise ValueError("frame row count does not match ambient dimension")
+        rows = self.frame.shape[-2]
+        if rows % 2:
+            raise ValueError(f"frame row count {rows} is odd, not 2n")
+        object.__setattr__(self, "n", rows // 2)
         self.frame.setflags(write=False)
 
     @property
@@ -261,11 +262,11 @@ class LinearRelation:
 
     @property
     def left(self) -> np.ndarray:
-        return self.frame[..., : self.dim_from, :]
+        return self.frame[..., :self.n, :]
 
     @property
     def right(self) -> np.ndarray:
-        return self.frame[..., self.dim_from:, :]
+        return self.frame[..., self.n:, :]
 
 
 @dataclass(frozen=True)
@@ -276,50 +277,52 @@ class PartsReport:
     mul: np.ndarray
 
 
-def make_relation(raw_span, dim_from: int, dim_to: int) -> LinearRelation:
-    """Orthonormalize a raw span matrix into a LinearRelation."""
+def make_relation(raw_span, n: int) -> LinearRelation:
+    """Orthonormalize a raw 2n x s span matrix into a relation in C^n."""
     raw_span = _as_complex(raw_span)
-    if raw_span.ndim != 2 or raw_span.shape[0] != dim_from + dim_to:
-        raise ValueError("span must be (dim_from + dim_to) x s")
-    return LinearRelation(dim_from, dim_to, orth(raw_span))
+    if raw_span.ndim != 2 or raw_span.shape[0] != 2 * n:
+        raise ValueError("span must be 2n x s")
+    return LinearRelation(orth(raw_span))
 
 
 def zero_relation(n: int) -> LinearRelation:
     """The relation {{0, 0}} in C^n."""
-    return LinearRelation(n, n, np.zeros((2 * n, 0), dtype=complex))
+    return LinearRelation(np.zeros((2 * n, 0), dtype=complex))
 
 
 def vertical_relation(n: int) -> LinearRelation:
     """{0} (+) C^n, the purely multivalued self-adjoint relation."""
     frame = np.zeros((2 * n, n), dtype=complex)
     frame[n:, :] = np.eye(n)
-    return LinearRelation(n, n, frame)
+    return LinearRelation(frame)
 
 
 def operator_relation(dom, image, mul=None) -> LinearRelation:
     """{{h, Xh}: h in span dom} + {0} (+) span mul, for an orthonormal dom,
     image = X dom and an orthonormal mul (none if None) with mul^H image = 0.
     Its frame [QR(dom; image), (0; mul)] decides no rank: the singular
-    values of (dom; image) are all at least 1.  A stack of images gives
-    the stack of relations, from one stacked QR; a dom of no columns needs
-    none."""
-    if mul is None:
-        mul = np.zeros((image.shape[-2], 0), dtype=complex)
-    (n_from, r), (n_to, m) = dom.shape, mul.shape
-    frame = np.zeros(image.shape[:-2] + (n_from + n_to, r + m), dtype=complex)
-    frame[..., :n_from, :r] = dom
-    frame[..., n_from:, :r] = image
+    values of (dom; image) are all at least 1.  n is the row count of dom.
+    A stack of images gives the stack of relations, from one stacked QR; a
+    dom of no columns needs none."""
+    (n, r), m = dom.shape, 0 if mul is None else mul.shape[1]
+    frame = np.zeros(image.shape[:-2] + (2 * n, r + m), dtype=complex)
+    frame[..., :n, :r] = dom
+    frame[..., n:, :r] = image
     if r:
         frame[..., :r] = np.linalg.qr(frame[..., :r])[0]
-    frame[..., n_from:, r:] = mul
-    return LinearRelation(n_from, n_to, frame)
+    if m:
+        frame[..., n:, r:] = mul
+    return LinearRelation(frame)
 
 
 def graph_of(matrix) -> LinearRelation:
-    """Graph of an everywhere-defined operator C^{cols} -> C^{rows}: the
-    ``operator_relation`` on dom = I, of dimension cols at every scale.  A
-    stack of matrices gives the stack of their graphs."""
+    """Graph of an everywhere-defined operator on C^n: the
+    ``operator_relation`` on dom = I, of dimension n at every scale.  A
+    stack of matrices gives the stack of their graphs; ValueError, naming
+    the shape, unless each matrix is square."""
     matrix = _as_complex(matrix)
+    if matrix.ndim < 2 or matrix.shape[-1] != matrix.shape[-2]:
+        raise ValueError(f"graph_of needs square matrices, not shape {matrix.shape}")
     return operator_relation(np.eye(matrix.shape[-1], dtype=complex), matrix)
 
 
@@ -335,17 +338,16 @@ def parts(T: LinearRelation) -> PartsReport:
 
 def adjoint(T: LinearRelation) -> LinearRelation:
     """Adjoint T* = (J T)^perp, J{f, f'} = {f', -f}, whose frame (R; -L) is orthonormal."""
-    comp = complement(np.vstack([T.right, -T.left]))
-    return LinearRelation(T.dim_to, T.dim_from, comp)
+    return LinearRelation(complement(np.vstack([T.right, -T.left])))
 
 
 def negate(T: LinearRelation) -> LinearRelation:
     """The relation {{f, -f'}: {f, f'} in T}."""
-    return LinearRelation(T.dim_from, T.dim_to, np.concatenate([T.left, -T.right], axis=-2))
+    return LinearRelation(np.concatenate([T.left, -T.right], axis=-2))
 
 
 def _check_ambient(T1: LinearRelation, T2: LinearRelation) -> None:
-    if (T1.dim_from, T1.dim_to) != (T2.dim_from, T2.dim_to):
+    if T1.n != T2.n:
         raise ValueError("ambient dimension mismatch")
 
 
@@ -355,7 +357,7 @@ def intersect(T1: LinearRelation, T2: LinearRelation) -> LinearRelation:
     _check_ambient(T1, T2)
     f1, f2 = T1.frame, T2.frame
     kernel = null_space(f1 - f2 @ (f2.conj().T @ f1))
-    return LinearRelation(T1.dim_from, T1.dim_to, f1 @ kernel)
+    return LinearRelation(f1 @ kernel)
 
 
 def relations_equal(T1: LinearRelation, T2: LinearRelation):
@@ -398,12 +400,10 @@ def classify_symmetry(T: LinearRelation) -> str:
     ||R^H L - L^H R||.  A symmetric T is self-adjoint iff dim T = n, since
     dim T* = 2n - dim T.
     """
-    if T.dim_from != T.dim_to:
-        raise ValueError("symmetry is defined for relations in a single space")
     _unstacked(T.frame)
     if not _norm_below(_green_form(T.left, T.right), DEFAULT_TOL):
         return "not_symmetric"
-    return "self_adjoint" if T.dim == T.dim_from else "symmetric"
+    return "self_adjoint" if T.dim == T.n else "symmetric"
 
 
 def graph_operator(left, right) -> np.ndarray:
@@ -456,7 +456,7 @@ def diagonalize(T: LinearRelation) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is the Hermitian U diag(cot(theta - phi)) U^H.  The ``eigh`` of S gives
     U and sigma, and theta = phi + arccot sigma.
     """
-    if T.dim_from != T.dim_to or T.dim != T.dim_from:
+    if T.dim != T.n:
         raise ValueError("diagonalize needs a relation of dimension n in C^n")
     _unstacked(T.frame)
     if T.dim == 0:
@@ -489,6 +489,4 @@ def resolvent(T: LinearRelation, lam) -> np.ndarray:
     graph operator L (R - lam L)^{-1}, so lam is rejected by the cut of
     ``graph_operator`` on R - lam L.
     """
-    if T.dim_from != T.dim_to:
-        raise ValueError("resolvent is defined for relations in a single space")
     return graph_operator(T.right - _points(lam, 2) * T.left, T.left)

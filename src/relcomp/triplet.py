@@ -62,15 +62,10 @@ class SymmetricSeed:
             raise ValueError("seed relation is not symmetric")
         return cls(A, (_defect_frame(A, 1j), _defect_frame(A, -1j)))
 
-    @property
-    def space_dim(self) -> int:
-        return self.A.dim_from
-
     @cached_property
     def A_star(self) -> LinearRelation:
         """A* with the orthonormal frame [A, N-hat_i, N-hat_{-i}], built on first use."""
-        n = self.space_dim
-        return LinearRelation(n, n, np.hstack([self.A.frame, *self.defect_frames_at_i]))
+        return LinearRelation(np.hstack([self.A.frame, *self.defect_frames_at_i]))
 
 
 def defect(seed: SymmetricSeed, lam: complex):
@@ -101,7 +96,7 @@ class BoundaryTriplet:
 
     @property
     def space_dim(self) -> int:
-        return self.seed.space_dim
+        return self.seed.A.n
 
     @property
     def boundary_dim(self) -> int:
@@ -153,9 +148,9 @@ class BoundaryTriplet:
         ValueError on a non-finite entry or on maps that are not both d x 2n,
         and check that they form a triplet."""
         g0, g1 = _as_complex(g0_ambient), _as_complex(g1_ambient)
-        if g0.ndim != 2 or g0.shape != g1.shape or g0.shape[1] != 2 * seed.space_dim:
+        if g0.ndim != 2 or g0.shape != g1.shape or g0.shape[1] != 2 * seed.A.n:
             raise ValueError(f"boundary maps of shapes {g0.shape} and {g1.shape} "
-                             f"are not both d x {2 * seed.space_dim}")
+                             f"are not both d x {2 * seed.A.n}")
         tri = cls(seed=seed, gamma0=g0.copy(), gamma1=g1.copy())
         assert_valid_triplet(tri)
         return tri
@@ -210,15 +205,14 @@ def extension_of(tri: BoundaryTriplet, theta: LinearRelation) -> LinearRelation:
     frame of A beside a QR frame of the injective lift(theta), in A* (-) A,
     so no rank is decided.  A stack of theta gives the stack of extensions,
     from one stacked QR; a theta of dimension 0 needs none."""
-    d = tri.boundary_dim
-    if (theta.dim_from, theta.dim_to) != (d, d):
+    if theta.n != tri.boundary_dim:
         raise ValueError("theta must be a relation in the boundary space")
-    n, a = tri.space_dim, tri.seed.A.frame
-    frame = np.empty(theta.frame.shape[:-2] + (2 * n, a.shape[1] + theta.dim), dtype=complex)
+    a = tri.seed.A.frame
+    frame = np.empty(theta.frame.shape[:-2] + (a.shape[0], a.shape[1] + theta.dim), dtype=complex)
     frame[..., :a.shape[1]] = a
     if theta.dim:
         frame[..., a.shape[1]:] = np.linalg.qr(tri.lift @ theta.frame)[0]
-    return LinearRelation(n, n, frame)
+    return LinearRelation(frame)
 
 
 def boundary_param_of(tri: BoundaryTriplet, A_tilde: LinearRelation) -> LinearRelation:
@@ -234,8 +228,8 @@ def boundary_param_of(tri: BoundaryTriplet, A_tilde: LinearRelation) -> LinearRe
 def _boundary_image(tri: BoundaryTriplet, vectors: np.ndarray) -> LinearRelation:
     """The relation spanned by {Gamma0 f-hat, Gamma1 f-hat} over the columns
     f-hat of `vectors`, ambient pairs in A*."""
-    d = tri.boundary_dim
-    return make_relation(np.vstack([tri.gamma0 @ vectors, tri.gamma1 @ vectors]), d, d)
+    return make_relation(np.vstack([tri.gamma0 @ vectors, tri.gamma1 @ vectors]),
+                         tri.boundary_dim)
 
 
 @dataclass(frozen=True)

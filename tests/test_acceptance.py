@@ -311,10 +311,10 @@ def _chain_by_null_spaces(model):
     f_h, f_r = frame[:n], frame[n:n + nr]
     fp_h, fp_r = frame[n + nr:2 * n + nr], frame[2 * n + nr:]
     coeff_c = null_space(f_r)
-    C = make_relation(np.vstack([f_h @ coeff_c, fp_h @ coeff_c]), n, n)
+    C = make_relation(np.vstack([f_h @ coeff_c, fp_h @ coeff_c]), n)
     coeff_s = null_space(np.vstack([f_r, fp_r]))
-    S = LinearRelation(n, n, np.vstack([f_h @ coeff_s, fp_h @ coeff_s]))
-    T = make_relation(np.vstack([f_h, fp_h]), n, n)
+    S = LinearRelation(np.vstack([f_h @ coeff_s, fp_h @ coeff_s]))
+    T = make_relation(np.vstack([f_h, fp_h]), n)
     return C, S, T
 
 
@@ -359,7 +359,7 @@ def test_criterion_7_triplet_layer(corpus, corpus_rng):
             r = int(corpus_rng.integers(0, 2 * d + 1))
             theta = make_relation(
                 corpus_rng.standard_normal((2 * d, r))
-                + 1j * corpus_rng.standard_normal((2 * d, r)), d, d)
+                + 1j * corpus_rng.standard_normal((2 * d, r)), d)
             _, resid = relations_equal(adjoint(extension_of(tri, theta)),
                                        extension_of(tri, adjoint(theta)))
             worst_adj = max(worst_adj, resid)

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -352,7 +353,7 @@ def test_in_memory_boundary_maps_not_d_x_2n_are_bad_input(gamma0, gamma1):
     InputError from build_problem and run_verify."""
     message = re.escape(f"boundary maps of shapes {gamma0.shape} and {gamma1.shape} "
                         "are not both d x 2")
-    seed = SymmetricSeed.from_relation(make_relation(np.zeros((2, 0)), 1, 1))
+    seed = SymmetricSeed.from_relation(make_relation(np.zeros((2, 0)), 1))
     with pytest.raises(ValueError, match=message):
         BoundaryTriplet.from_ambient_maps(seed, gamma0, gamma1)
     inst = dataclasses.replace(DEMOS["canonical"],
@@ -499,7 +500,7 @@ KREIN_POINTS = (0.3 + 1j, -1.1 - 0.6j)
 def _ambient_problem(n, seed_span, gamma0, gamma1, tau_fields):
     """tau(lam), tau_c, A0 and C(A~) as relations, and the Krein resolvents
     at KREIN_POINTS, of the problem rebuilt from its ambient data."""
-    seed = SymmetricSeed.from_relation(make_relation(seed_span, n, n))
+    seed = SymmetricSeed.from_relation(make_relation(seed_span, n))
     tri = BoundaryTriplet.from_ambient_maps(seed, gamma0, gamma1)
     tau = RationalNevanlinna(**tau_fields)
     report = extension.classify_compression(tri, tau)
@@ -841,6 +842,48 @@ def test_cli_unwritable_out_is_bad_input(tmp_path, capsys, monkeypatch):
     stdout, stderr = capsys.readouterr()
     assert stderr.startswith("error: cannot write report") and stdout == ""
     assert not out.parent.exists()
+
+
+def test_cli_bad_input_leaves_an_existing_report(tmp_path, capsys):
+    """A run that exits 2 leaves an existing --out file byte for byte; a
+    run that reports replaces all of it, however long it was."""
+    bad = tmp_path / "bad.json"
+    doc = DEMOS["swap"].to_json()
+    doc["tau"]["A"][0][0][0] = math.nan
+    bad.write_text(json.dumps(doc))
+    good = tmp_path / "swap.json"
+    good.write_text(json.dumps(DEMOS["swap"].to_json()))
+    out = tmp_path / "report.json"
+    previous = b"an earlier report\n" * 10000
+    out.write_bytes(previous)
+    assert main(["verify", "--replay", str(bad), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert out.read_bytes() == previous
+    assert main(["verify", "--replay", str(good), "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["body"]["all_passed"]
+    # a target that cannot seek or be truncated takes a report too
+    assert main(["verify", "--replay", str(good), "--out", os.devnull]) == 0
+
+
+def test_huge_declared_dimension_is_bad_input_before_any_n_squared_work(tmp_path, capsys):
+    """An instance file that declares dim 10^6 with an empty seed and a tau
+    of dimension 0 is rejected for its boundary dimension, n - dim A, from
+    the seed's span alone: the defect frames, n x n for this seed, are
+    never formed."""
+    doc = {"schema": driver.INSTANCE_SCHEMA, "dim": 10 ** 6, "seed_span": [],
+           "triplet": {"kind": "von_neumann", "V": []},
+           "tau": {"dim": 0, "mul_basis": [], "A": [], "B": [], "poles": []}}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        assert main(["verify", "--replay", str(path)]) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert err == "error: invalid tau: tau dimension 0 != boundary dimension 1000000\n"
+    assert out == "" and peak < 2 ** 24
 
 
 def test_cli_replay_roundtrip(tmp_path):

@@ -205,7 +205,7 @@ def _uncoupled_problem():
     span[n + nr:2 * n + nr, :a0.dim] = a0.frame[n:]
     span[2 * n + nr:, a0.dim:] = np.eye(nr)   # vertical block in H_r
     uncoupled = dataclasses.replace(
-        model, a_tilde=make_relation(span, n + nr, n + nr))
+        model, a_tilde=make_relation(span, n + nr))
     return tri, tau, uncoupled
 
 

@@ -182,7 +182,7 @@ def test_compression_param_block():
         [0.0, 1.0],
     ])
     eq, resid = relations_equal(compression_param(tau),
-                                make_relation(span, 2, 2))
+                                make_relation(span, 2))
     assert eq, resid
 
 

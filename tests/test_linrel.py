@@ -1,5 +1,6 @@
 """Relation arithmetic: construction, parts, adjoints, resolvents."""
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -42,18 +43,18 @@ def comp_sum(T1: LinearRelation, T2: LinearRelation) -> LinearRelation:
     """Reference componentwise sum: the span of the union of the two
     subspaces, orthonormalized by make_relation."""
     _check_ambient(T1, T2)
-    return make_relation(np.hstack([T1.frame, T2.frame]), T1.dim_from, T1.dim_to)
+    return make_relation(np.hstack([T1.frame, T2.frame]), T1.n)
 
 
 def inverse(T: LinearRelation) -> LinearRelation:
     """Reference inverse relation: the pair components swapped."""
-    return LinearRelation(T.dim_to, T.dim_from, np.vstack([T.right, T.left]))
+    return LinearRelation(np.vstack([T.right, T.left]))
 
 
 def random_relation(rng, n, r=None):
     r = int(rng.integers(0, 2 * n + 1)) if r is None else r
     span = rng.standard_normal((2 * n, r)) + 1j * rng.standard_normal((2 * n, r))
-    return make_relation(span, n, n)
+    return make_relation(span, n)
 
 
 def subspace_equal(frame_a, frame_b, tol=1e-9):
@@ -69,38 +70,45 @@ def perturbed(rng, frame, eps):
 
 
 def test_make_relation_collapses_dependent_columns():
-    T = make_relation(np.array([[1.0, 2.0], [0.0, 0.0]]), 1, 1)
+    T = make_relation(np.array([[1.0, 2.0], [0.0, 0.0]]), 1)
     assert T.dim == 1
     assert subspace_equal(T.frame, np.array([[1.0], [0.0]], dtype=complex))
 
 
 def test_make_relation_empty_span():
-    T = make_relation(np.zeros((4, 0)), 2, 2)
+    T = make_relation(np.zeros((4, 0)), 2)
     assert T.dim == 0
 
 
 def test_make_relation_idempotent_on_frames():
     T = graph_of(np.eye(2))
-    T2 = make_relation(T.frame, 2, 2)
+    T2 = make_relation(T.frame, 2)
     eq, resid = relations_equal(T, T2)
     assert eq and resid < 1e-12
 
 
 def test_graph_of_a_stack_is_the_stack_of_graphs():
-    """A stack of two 3 x 2 matrices, which are not square, gives the stack
-    of their graphs: each of dimension 2 = cols, and each the graph of its
-    own matrix."""
+    """A stack of two 3 x 3 matrices gives the stack of their graphs in
+    C^3: each of dimension 3, and each the graph of its own matrix."""
     rng = np.random.default_rng(53)
-    mats = rng.standard_normal((2, 3, 2)) + 1j * rng.standard_normal((2, 3, 2))
+    mats = rng.standard_normal((2, 3, 3)) + 1j * rng.standard_normal((2, 3, 3))
     stacked = graph_of(mats)
-    assert (stacked.dim_from, stacked.dim_to, stacked.frame.shape) == (2, 3, (2, 5, 2))
+    assert (stacked.n, stacked.dim, stacked.frame.shape) == (3, 3, (2, 6, 3))
     for frame, m in zip(stacked.frame, mats):
         assert np.allclose(frame, graph_of(m).frame, rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3, 2), (4,)])
+def test_graph_of_a_matrix_that_is_not_square_names_its_shape(shape):
+    """A relation lives in one space, so the graph of a matrix that is not
+    square, or of a stack of them, is a ValueError naming the shape."""
+    with pytest.raises(ValueError, match=re.escape(f"not shape {shape}")):
+        graph_of(np.ones(shape))
+
+
 def test_make_relation_rejects_nonfinite():
     with pytest.raises(ValueError):
-        make_relation(np.array([[np.nan], [0.0]]), 1, 1)
+        make_relation(np.array([[np.nan], [0.0]]), 1)
 
 
 def test_parts_vertical():
@@ -133,7 +141,7 @@ def test_adjoint_identity_graph():
 
 def test_adjoint_of_zero_is_full():
     eq, _ = relations_equal(adjoint(zero_relation(1)),
-                            LinearRelation(1, 1, np.eye(2, dtype=complex)))
+                            LinearRelation(np.eye(2, dtype=complex)))
     assert eq
 
 
@@ -146,9 +154,9 @@ def test_adjoint_matches_hermitian_transpose_oracle():
 
 
 def test_comp_sum_spans_everything():
-    horizontal = make_relation(np.array([[1.0], [0.0]]), 1, 1)
+    horizontal = make_relation(np.array([[1.0], [0.0]]), 1)
     eq, _ = relations_equal(comp_sum(vertical_relation(1), horizontal),
-                            LinearRelation(1, 1, np.eye(2, dtype=complex)))
+                            LinearRelation(np.eye(2, dtype=complex)))
     assert eq
 
 
@@ -186,15 +194,14 @@ def test_complement_and_adjoint_match_the_full_svd_route():
                  (40, 39), (60, 0), (60, 23), (60, 60)):
         frame = _unitary(rng, d)[:, :k]
         assert np.array_equal(complement(frame), _complement_by_full_svd(frame))
-    for n0, n1, r in ((1, 1, 1), (3, 3, 0), (3, 3, 2), (4, 2, 6), (2, 5, 3),
-                      (12, 12, 12), (24, 24, 30), (30, 30, 60)):
-        span = rng.standard_normal((n0 + n1, r)) + 1j * rng.standard_normal((n0 + n1, r))
-        T = make_relation(span, n0, n1)
+    for n, r in ((1, 1), (3, 0), (3, 2), (3, 6), (5, 3), (12, 12), (24, 30), (30, 60)):
+        span = rng.standard_normal((2 * n, r)) + 1j * rng.standard_normal((2 * n, r))
+        T = make_relation(span, n)
         j_frame = np.vstack([T.right, -T.left])
         expected = _complement_by_full_svd(j_frame)
         assert np.array_equal(complement(j_frame), expected)
         T_star = adjoint(T)
-        assert (T_star.dim_from, T_star.dim_to) == (n1, n0)
+        assert T_star.n == n
         assert np.array_equal(T_star.frame, expected)
 
 
@@ -205,7 +212,7 @@ def _intersect_by_complements(T1, T2):
             return np.eye(frame.shape[0], dtype=complex)
         return _complement_by_full_svd(frame)
     meet = comp(orth(np.hstack([comp(T1.frame), comp(T2.frame)])))
-    return LinearRelation(T1.dim_from, T1.dim_to, meet)
+    return LinearRelation(meet)
 
 
 def test_intersect_matches_the_complement_route(monkeypatch):
@@ -215,8 +222,8 @@ def test_intersect_matches_the_complement_route(monkeypatch):
     and takes one SVD."""
     rng = np.random.default_rng(43)
     pairs = []
-    for n0, n1 in ((1, 2), (2, 2), (3, 5), (6, 6), (10, 14)):
-        dim = n0 + n1
+    for n in (2, 3, 4, 6, 12):
+        dim = 2 * n
         for m in range(4):
             for extra1, extra2 in ((0, 0), (1, 2), (dim - m, 0), ((dim - m) // 2, (dim - m) // 2)):
                 if m + extra1 + extra2 > dim:
@@ -226,7 +233,7 @@ def test_intersect_matches_the_complement_route(monkeypatch):
                 spans = (np.hstack([shared, rest[:, :extra1]]),
                          np.hstack([shared, rest[:, extra1:extra1 + extra2]]))
                 # mix each span's columns so neither frame starts with the shared part
-                T1, T2 = (make_relation(sp @ _unitary(rng, sp.shape[1]), n0, n1)
+                T1, T2 = (make_relation(sp @ _unitary(rng, sp.shape[1]), n)
                           for sp in spans)
                 pairs.append((T1, T2, m))
     assert len(pairs) >= 50
@@ -250,14 +257,12 @@ def test_classify_swap_matrix():
         == "self_adjoint"
 
 
-def test_symmetry_needs_a_relation_in_one_space():
-    with pytest.raises(ValueError, match="single space"):
-        classify_symmetry(make_relation(np.ones((3, 1)), 1, 2))
-
-
 def test_a_frame_of_the_wrong_row_count_is_rejected():
-    with pytest.raises(ValueError, match="frame row count"):
-        LinearRelation(2, 2, np.zeros((3, 1), dtype=complex))
+    """n is read off the 2n rows of a frame, so an odd row count, of one
+    frame or of a stack of them, is a ValueError."""
+    for shape in ((3, 1), (1, 0), (2, 5, 2)):
+        with pytest.raises(ValueError, match=f"frame row count {shape[-2]} is odd"):
+            LinearRelation(np.zeros(shape, dtype=complex))
 
 
 def test_classify_vertical():
@@ -267,7 +272,7 @@ def test_classify_vertical():
 def test_classify_strictly_symmetric():
     # {(a,0) -> (a,0)} in C^2: symmetric restriction of the identity
     span = np.array([[1.0], [0.0], [1.0], [0.0]])
-    T = make_relation(span, 2, 2)
+    T = make_relation(span, 2)
     assert classify_symmetry(T) == "symmetric"
     assert containment_residual(T.frame, adjoint(T).frame) < DEFAULT_TOL
     assert adjoint(T).dim > T.dim
@@ -291,7 +296,7 @@ def _symmetric_relation(rng, n, m, k):
     h = (h + h.conj().T) / 2
     span = np.vstack([np.hstack([dom, np.zeros((n, k))]),
                       np.hstack([h @ dom, mul])])
-    return make_relation(span, n, n)
+    return make_relation(span, n)
 
 
 def _normal_graph(rng, green, flat, n=4):
@@ -310,14 +315,14 @@ def test_classify_symmetry_green_form_matches_adjoint_route():
     cases = [
         (vertical_relation(3), "self_adjoint"),
         (zero_relation(3), "symmetric"),
-        (LinearRelation(3, 3, np.eye(6, dtype=complex)), "not_symmetric"),
+        (LinearRelation(np.eye(6, dtype=complex)), "not_symmetric"),
         (graph_of(np.array([[0.0, 1.0], [1.0, 0.0]])), "self_adjoint"),
         # a graph keeps its dimension however large the operator is
         *((graph_of(np.diag([s, 0.0])), "self_adjoint") for s in (1e9, 1e10, 1e12)),
         (self_adjoint, "self_adjoint"),
-        (LinearRelation(6, 6, perturbed(rng, self_adjoint.frame, 1e-11)),
+        (LinearRelation(perturbed(rng, self_adjoint.frame, 1e-11)),
          "self_adjoint"),
-        (LinearRelation(6, 6, perturbed(rng, self_adjoint.frame, 1e-7)),
+        (LinearRelation(perturbed(rng, self_adjoint.frame, 1e-7)),
          "not_symmetric"),
         # Green norms planted on both sides of the cut, with a flat and a
         # rank-one spectrum: the two ends of its Frobenius bracket
@@ -351,7 +356,7 @@ def test_selfadjoint_dom_complements_mul():
             np.hstack([dom, np.zeros((n, n - m))]),
             np.hstack([dom @ (dom.conj().T @ h @ dom), q[:, m:]]),
         ])
-        theta = make_relation(span, n, n)
+        theta = make_relation(span, n)
         assert classify_symmetry(theta) == "self_adjoint"
         p = parts(theta)
         assert p.dom.shape[1] + p.mul.shape[1] == n
@@ -414,7 +419,7 @@ def _scaled_relations(rng):
                     span[:n, :m] = u[:, :m]
                     span[n:, :m] = scale * u[:, :m] @ h
                     span[n:, m:] = u[:, m:]
-                    yield make_relation(span, n, n), scale * np.linalg.eigvals(h)
+                    yield make_relation(span, n), scale * np.linalg.eigvals(h)
 
 
 def test_resolvent_cut_is_never_looser_than_the_svd_cut():
@@ -436,13 +441,13 @@ def test_resolvent_cut_is_never_looser_than_the_svd_cut():
                     res = None
                 if ref is None:
                     rejected += 1
-                    assert res is None, (T.dim_from, lam)
+                    assert res is None, (T.n, lam)
                 elif res is None:
                     stricter += 1
                 else:
                     accepted += 1
                     rel = np.max(np.abs(res - ref)) / np.max(np.abs(ref))
-                    assert rel <= max(1e-12, 32 * eps * cond), (T.dim_from, lam, rel, cond)
+                    assert rel <= max(1e-12, 32 * eps * cond), (T.n, lam, rel, cond)
     assert min(rejected, accepted, stricter) > 0, (rejected, accepted, stricter)
 
 
@@ -556,7 +561,7 @@ def _stacked_self_adjoint():
     """Two self-adjoint relations in C^2 (graphs of real diagonal matrices)
     as one relation with a stacked frame."""
     frames = [graph_of(np.diag([a, 1.0])).frame for a in (0.5, -2.0)]
-    return LinearRelation(2, 2, np.array(frames))
+    return LinearRelation(np.array(frames))
 
 
 @pytest.mark.parametrize("decide", [
@@ -639,16 +644,11 @@ def test_make_relation_is_called_only_on_spans_of_unknown_rank():
                        ("triplet", "_boundary_image")}
 
 
-@pytest.mark.parametrize("T", [LinearRelation(2, 2, np.eye(4, dtype=complex)),
+@pytest.mark.parametrize("T", [LinearRelation(np.eye(4, dtype=complex)),
                                zero_relation(2)])
 def test_resolvent_of_relation_without_n_dimensions(T):
     with pytest.raises(SpectrumError):
         resolvent(T, 1j)
-
-
-def test_resolvent_rejects_relation_between_different_spaces():
-    with pytest.raises(ValueError):
-        resolvent(make_relation(np.eye(3)[:, :2], 1, 2), 1j)
 
 
 def test_resolvent_with_multivalued_part_against_dense_compression():
@@ -662,7 +662,7 @@ def test_resolvent_with_multivalued_part_against_dense_compression():
         h = (h + h.conj().T) / 2
         span = np.vstack([np.hstack([q, np.zeros((n, n - m))]),
                           np.hstack([q @ h, u[:, m:]])])
-        T = make_relation(span, n, n)
+        T = make_relation(span, n)
         assert classify_symmetry(T) == "self_adjoint"
         for lam in (1j, -0.7j, 1.3 + 0.2j, -2.0 - 5.0j):
             oracle = q @ np.linalg.inv(h - lam * np.eye(m)) @ q.conj().T
@@ -686,7 +686,7 @@ def test_relations_equal_gauge_invariance():
     T = random_relation(rng, 3, r=3)
     u = np.linalg.qr(rng.standard_normal((3, 3))
                      + 1j * rng.standard_normal((3, 3)))[0]
-    T2 = make_relation(T.frame @ u, 3, 3)
+    T2 = make_relation(T.frame @ u, 3)
     eq, resid = relations_equal(T, T2)
     assert eq and resid < 1e-12
 
@@ -714,9 +714,9 @@ def _random_frame(rng, rows, cols):
 
 
 def _frame_pairs(rng):
-    """Frame pairs on C^N for N from 2 to 192: perturbations of one frame
+    """Frame pairs on C^N for even N from 2 to 192: perturbations of one frame
     from 0 to 1e-1, frames of unequal dimensions and empty frames."""
-    for N in (2, 3, 8, 31, 64, 127, 192):
+    for N in (2, 4, 8, 32, 64, 128, 192):
         for r in sorted({1, N // 2, N - 1 or 1}):
             F1 = _random_frame(rng, N, r)
             for eps in (0.0, 1e-14, 1e-10, 1e-6, 1e-3, 1e-1):
@@ -734,8 +734,7 @@ def test_relations_equal_matches_projector_distance():
     cases = 0
     for F1, F2 in _frame_pairs(rng):
         N = F1.shape[0]
-        T1 = LinearRelation(N // 2, N - N // 2, F1)
-        T2 = LinearRelation(N // 2, N - N // 2, F2)
+        T1, T2 = LinearRelation(F1), LinearRelation(F2)
         _, resid = relations_equal(T1, T2)
         assert abs(resid - _projector_distance(F1, F2)) <= 1e-14, (N, resid)
         if T1.dim != T2.dim:
@@ -759,8 +758,7 @@ def test_one_sided_gap_matches_the_two_sided_reference():
         if F1.shape[1] != F2.shape[1]:
             continue
         N = F1.shape[0]
-        T1 = LinearRelation(N // 2, N - N // 2, F1)
-        T2 = LinearRelation(N // 2, N - N // 2, F2)
+        T1, T2 = LinearRelation(F1), LinearRelation(F2)
         two_sided = max(containment_residual(F1, F2), containment_residual(F2, F1))
         one_sided = relations_equal(T1, T2)[1]
         if two_sided >= 1e-12:
@@ -774,7 +772,7 @@ def test_one_sided_gap_matches_the_two_sided_reference():
 def test_unequal_dimensions_are_unequal_without_a_factorization(monkeypatch):
     rng = np.random.default_rng(8)
     pairs = [(random_relation(rng, 4, r=3), random_relation(rng, 4, r=5)),
-             (zero_relation(3), LinearRelation(3, 3, np.eye(6, dtype=complex)))]
+             (zero_relation(3), LinearRelation(np.eye(6, dtype=complex)))]
 
     def no_factorization(*args, **kwargs):
         raise AssertionError("factorization called")
@@ -936,7 +934,7 @@ def _self_adjoint_with_spectrum(rng, t):
     finite = np.where(np.isinf(t), 0.0, t)
     hyp = np.hypot(1.0, finite)
     c, s = np.where(np.isinf(t), 0.0, 1.0 / hyp), np.where(np.isinf(t), 1.0, finite / hyp)
-    T = LinearRelation(n, n, np.vstack([u0 * c, u0 * s]) @ w)
+    T = LinearRelation(np.vstack([u0 * c, u0 * s]) @ w)
     return T, lambda lam: (u0 * np.where(np.isinf(t), 0.0, 1.0 / (finite - lam))) @ u0.conj().T
 
 
@@ -957,7 +955,7 @@ def test_diagonalize_a_self_adjoint_relation(family):
         T, exact = _self_adjoint_with_spectrum(rng, SPECTRA[family](rng, n))
         u, c, s = diagonalize(T)
         assert np.linalg.norm(u.conj().T @ u - np.eye(n), 2) <= 1e-13
-        spectral_frame = LinearRelation(n, n, np.vstack([u * c, u * s]))
+        spectral_frame = LinearRelation(np.vstack([u * c, u * s]))
         assert relations_equal(spectral_frame, T)[1] <= 1e-13
         for lam in (0.3 + 0.7j, -2 + 0.5j, 10j, 1e5j):
             spectral = (u * (c / (s - lam * c))) @ u.conj().T
@@ -967,8 +965,7 @@ def test_diagonalize_a_self_adjoint_relation(family):
 
 
 @pytest.mark.parametrize("T", [zero_relation(2),
-                               LinearRelation(2, 2, np.eye(4, dtype=complex)),
-                               make_relation(np.eye(3)[:, :2], 1, 2)])
+                               LinearRelation(np.eye(4, dtype=complex))])
 def test_diagonalize_needs_n_dimensions_in_one_space(T):
     with pytest.raises(ValueError):
         diagonalize(T)

@@ -111,7 +111,7 @@ def v1_tau(d, a, b, poles, mul_span, lam):
     h0 = complement(mul)
     t0 = a + lam * b + sum(aj / (alpha - lam) for alpha, aj in poles)
     k = mul.shape[1]
-    return make_relation(np.block([[h0, np.zeros((d, k))], [h0 @ t0, mul]]), d, d)
+    return make_relation(np.block([[h0, np.zeros((d, k))], [h0 @ t0, mul]]), d)
 
 
 @pytest.mark.parametrize("d, k", [(2, 1), (3, 1), (3, 2), (4, 2), (5, 3), (3, 3)])

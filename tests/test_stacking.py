@@ -3,18 +3,19 @@ whose frame has a leading axis of length m.  Each function of the formula
 route that broadcasts over that axis gives, on a stack of points, what a
 loop of calls at one point gives, bit for bit; a stack that holds a bad
 point raises what the call at that point raises."""
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from relcomp.driver import (
     CATEGORIES,
-    _random_hermitian,
-    _random_psd_of_rank,
     _random_unitary,
     admissible_lambdas,
     build_problem,
     generate_instance,
-    Instance,
 )
 from relcomp.extension import krein_resolvent
 from relcomp.linrel import (
@@ -27,29 +28,12 @@ from relcomp.linrel import (
 from relcomp.nevanlinna import eval_tau
 from relcomp.triplet import extension_of
 
-# (n, boundary dim d, dim of tau's multivalued part, rank of B, pole ranks):
-# the shapes of the benchmark's resolvent sweep
-SWEEP_SHAPES = (
-    (48, 8, 0, 8, (4, 4)),
-    (56, 16, 4, 6, (6,)),
-    (64, 24, 0, 12, (12, 6)),
-)
-
-
-def sweep_instance(rng, n, d, k, b_rank, pole_ranks):
-    """A symmetric seed of deficiency d, a von Neumann triplet and a tau
-    with dim K = k, rank B = b_rank and poles of the given ranks."""
-    dom = _random_unitary(rng, n)[:, :n - d]
-    span = np.vstack([dom, _random_hermitian(rng, n) @ dom])
-    p = d - k
-    alphas = np.linspace(-2.5, 2.5, len(pole_ranks))
-    poles = tuple((float(a), _random_psd_of_rank(rng, p, r))
-                  for a, r in zip(alphas, pole_ranks))
-    return Instance(dim=n, seed_span=span, triplet_kind="von_neumann",
-                    triplet_data={"V": _random_unitary(rng, d)}, tau_dim=d,
-                    tau_mul=_random_unitary(rng, d)[:, :k],
-                    tau_a=_random_hermitian(rng, p),
-                    tau_b=_random_psd_of_rank(rng, p, b_rank), tau_poles=poles)
+# the benchmark's resolvent-sweep shapes and their generator, one copy
+_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+_spec = importlib.util.spec_from_file_location("perfbench_workloads", _WORKLOADS)
+_workloads = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_workloads)
+SWEEP_SHAPES, sweep_instance = _workloads.SWEEP_SHAPES, _workloads.sweep_instance
 
 
 def _problems():
@@ -87,16 +71,15 @@ def test_stack_equals_loop(inst):
 
     # tau(lam) on another basis of each point's frame
     unitary = _random_unitary(np.random.default_rng(1), taus.dim)
-    rotated = [LinearRelation(tau.dim, tau.dim, eval_tau(tau, z).frame @ unitary)
-               for z in points]
-    stacked = LinearRelation(tau.dim, tau.dim, np.array([r.frame for r in rotated]))
+    rotated = [LinearRelation(eval_tau(tau, z).frame @ unitary) for z in points]
+    stacked = LinearRelation(np.array([r.frame for r in rotated]))
     equal, resid = relations_equal(taus, stacked)
     looped = [relations_equal(eval_tau(tau, z), r) for z, r in zip(points, rotated)]
     assert equal.tolist() == [eq for eq, _ in looped]
     same(resid, [r for _, r in looped])
     if taus.dim:
         # relations of different dimensions are 1 apart at every point
-        fewer = LinearRelation(taus.dim_from, taus.dim_to, taus.frame[..., :-1])
+        fewer = LinearRelation(taus.frame[..., :-1])
         equal, resid = relations_equal(taus, fewer)
         assert equal.tolist() == [False] * len(points)
         assert resid.tolist() == [1.0] * len(points)

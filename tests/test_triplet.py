@@ -52,7 +52,7 @@ def random_symmetric_seed(rng, n, d=None, n_mul=None):
         np.hstack([dom, np.zeros((n, n_mul))]),
         np.hstack([h @ dom, q[:, m:m + n_mul]]),
     ])
-    return SymmetricSeed.from_relation(make_relation(span, n, n))
+    return SymmetricSeed.from_relation(make_relation(span, n))
 
 
 def random_unitary(rng, d):
@@ -138,7 +138,7 @@ def test_defect_of_selfadjoint_graph():
 
 def test_defect_of_symmetric_restriction():
     span = np.array([[1.0], [0.0], [1.0], [0.0]])
-    seed = SymmetricSeed.from_relation(make_relation(span, 2, 2))
+    seed = SymmetricSeed.from_relation(make_relation(span, 2))
     frame, idx = defect(seed, 1j)
     assert idx == (1, 1)
     # members of the defect space solve f' = lam f inside A*
@@ -271,11 +271,11 @@ def test_ill_conditioned_explicit_triplet():
         assert 1e5 < cond < 1e7
         thetas = [vertical_relation(d), graph_of(np.zeros((d, d)))] + [
             make_relation(rng.standard_normal((2 * d, r))
-                          + 1j * rng.standard_normal((2 * d, r)), d, d)
+                          + 1j * rng.standard_normal((2 * d, r)), d)
             for r in range(2 * d + 1)]
         for theta in thetas:
             ext = extension_of(tri, theta)
-            ref = LinearRelation(n, n, _constraint_kernel(tri, theta))
+            ref = LinearRelation(_constraint_kernel(tri, theta))
             assert relations_equal(ext, ref)[1] <= 10 * eps * cond
         with pytest.raises(TripletError, match="not surjective"):
             BoundaryTriplet.from_ambient_maps(seed, 1e5 * base.gamma0, base.gamma1 / 1e5)
@@ -316,7 +316,7 @@ def test_von_neumann_green_residual():
     rng = np.random.default_rng(4)
     for _ in range(15):
         seed = random_symmetric_seed(rng, int(rng.integers(1, 7)))
-        d = seed.space_dim - seed.A.dim
+        d = seed.A.n - seed.A.dim
         tri = von_neumann_triplet(seed, V=random_unitary(rng, d))
         assert check_green(tri) < GREEN_TOL
         # Gamma vanishes on A, and the lift inverts it on A* (-) A
@@ -366,7 +366,7 @@ def test_extension_endpoints():
     rng = np.random.default_rng(21)
     seed = random_symmetric_seed(rng, 4, d=2)
     tri = von_neumann_triplet(seed)
-    full_theta = make_relation(np.eye(4), 2, 2)
+    full_theta = make_relation(np.eye(4), 2)
     eq, _ = relations_equal(extension_of(tri, full_theta), seed.A_star)
     assert eq
     a0 = tri.a0
@@ -392,7 +392,7 @@ def test_boundary_param_roundtrip():
         tri = von_neumann_triplet(seed, V=random_unitary(rng, d))
         r = int(rng.integers(0, 2 * d + 1))
         theta = make_relation(rng.standard_normal((2 * d, r))
-                              + 1j * rng.standard_normal((2 * d, r)), d, d)
+                              + 1j * rng.standard_normal((2 * d, r)), d)
         ext = extension_of(tri, theta)
         eq, resid = relations_equal(boundary_param_of(tri, ext), theta)
         assert eq, resid
@@ -402,7 +402,7 @@ def test_boundary_param_roundtrip():
     eq, _ = relations_equal(boundary_param_of(tri, seed.A), zero_relation(d))
     assert eq
     eq, _ = relations_equal(boundary_param_of(tri, seed.A_star),
-                            make_relation(np.eye(2 * d), d, d))
+                            make_relation(np.eye(2 * d), d))
     assert eq
     eq, _ = relations_equal(boundary_param_of(tri, tri.a0),
                             vertical_relation(d))
@@ -413,8 +413,8 @@ def test_boundary_param_of_rejects_a_relation_not_between_a_and_a_star():
     """{0} does not contain A, C^n (+) C^n is not contained in A*, and a
     relation in another space is neither."""
     seed = random_symmetric_seed(np.random.default_rng(31), 4, d=1)
-    tri, n = von_neumann_triplet(seed), seed.space_dim
-    for outside in (zero_relation(n), LinearRelation(n, n, np.eye(2 * n, dtype=complex))):
+    tri, n = von_neumann_triplet(seed), seed.A.n
+    for outside in (zero_relation(n), LinearRelation(np.eye(2 * n, dtype=complex))):
         with pytest.raises(ValueError, match="not a proper extension"):
             boundary_param_of(tri, outside)
     with pytest.raises(ValueError, match="ambient dimension mismatch"):
@@ -430,7 +430,7 @@ def test_adjoint_commutes_with_parametrization():
         tri = von_neumann_triplet(seed, V=random_unitary(rng, d))
         r = int(rng.integers(0, 2 * d + 1))
         theta = make_relation(rng.standard_normal((2 * d, r))
-                              + 1j * rng.standard_normal((2 * d, r)), d, d)
+                              + 1j * rng.standard_normal((2 * d, r)), d)
         eq, resid = relations_equal(adjoint(extension_of(tri, theta)),
                                     extension_of(tri, adjoint(theta)))
         assert eq, resid
@@ -495,7 +495,7 @@ def test_weyl_nevanlinna_positivity_and_symmetry():
     for _ in range(15):
         seed = random_symmetric_seed(rng, int(rng.integers(2, 6)),
                                      d=int(rng.integers(1, 3)))
-        d = seed.space_dim - seed.A.dim
+        d = seed.A.n - seed.A.dim
         tri = von_neumann_triplet(seed, V=random_unitary(rng, d))
         lam = complex(rng.uniform(-2, 2), rng.uniform(0.5, 2))
         m = gamma_and_weyl(tri, lam).weyl
@@ -510,7 +510,7 @@ def test_weyl_identities_random_and_degenerate():
     for _ in range(10):
         seed = random_symmetric_seed(rng, int(rng.integers(2, 6)),
                                      d=int(rng.integers(1, 3)))
-        d = seed.space_dim - seed.A.dim
+        d = seed.A.n - seed.A.dim
         tri = von_neumann_triplet(seed, V=random_unitary(rng, d))
         r1, r2 = check_weyl_identities(tri, 1j, 2j)
         assert r1 < 1e-8 and r2 < 1e-8
@@ -526,7 +526,7 @@ def test_forbidden_relation_shapes():
                             vertical_relation(1))
     assert eq
     # pole triplet: Gamma0 n = n, Gamma1 n = 0 -> horizontal relation
-    horizontal = make_relation(np.array([[1.0], [0.0]]), 1, 1)
+    horizontal = make_relation(np.array([[1.0], [0.0]]), 1)
     eq, _ = relations_equal(forbidden_relation(model_triplet([0.0])), horizontal)
     assert eq
 
