@@ -33,12 +33,12 @@ the 0-d case of the same code: ``operator_relation``, ``graph_of``,
 ``relations_equal`` (one residual per point) broadcast over it, as do
 ``tau0``, ``eval_tau`` (which rejects a real point or a pole anywhere in
 the stack) in ``nevanlinna``, ``extension_of`` in ``triplet`` and
-``krein_resolvent`` in ``extension``, and ``gap_limit`` reads its two
-points as one stack.  What decides a rank (``orth``, ``kernel_split``,
+``krein_resolvent`` in ``extension``, and ``gap_limit`` reads the points
+of its grid as one stack.  What decides a rank (``orth``, ``kernel_split``,
 ``diagonalize``, ``classify_symmetry``) takes one matrix and raises
-ValueError on a stack, so ``check_forbidden_asymptotics`` takes one ``gamma_and_weyl``,
-whose defect frame is a rank decision, per point and stacks only their
-graphs.  One reader stays per point: the oracle's
+ValueError on a stack, so ``check_forbidden_asymptotics`` takes one defect
+frame, a rank decision, per point and frames their boundary images by one
+stacked QR.  One reader stays per point: the oracle's
 ``generalized_resolvent_direct`` takes one LU of the (n + n_r)-square
 frame of A~ per point.  Stacked, those matrices raised the peak memory
 of a verify at n = 96 with no gain in speed, and a loop of its own keeps
@@ -61,10 +61,11 @@ through the ``orth`` of the part of a span off a frame, and
 its one stacked ``eigh``; the ``eigvalsh`` and ``eigh`` of
 ``diagonalize`` decide no rank.  Every rank of a parameter's B or A_j in the formula route
 (the split of tau_c, H'' of ``decompose_tau``, the coefficient flags,
-the exit dimension, the first point of ``tau_limits`` and the vanishing
-pole terms that ``RationalNevanlinna.build`` rejects) is the cut of that
+the exit dimension and the vanishing pole terms that
+``RationalNevanlinna.build`` rejects) is the cut of that
 coefficient's row of ``RationalNevanlinna.spectra``, one stacked
-``eigh``, whose smallest values the PSD test of ``build`` reads.
+``eigh``, whose smallest values the PSD test of ``build`` reads.  A
+defect frame of ``triplet`` keeps its known n - dim A kernel columns.
 ``kernel_split`` needs every right singular vector: a wide matrix is
 factored as its tall adjoint, whose full U holds them, since LAPACK's
 full SVD is about twice as fast in that orientation and the singular
@@ -84,7 +85,8 @@ used.
 
 A relation-valued function F(iy) tends to a relation at i*infinity when
 its gap to it vanishes; ``gap_limit`` is the one rule that measures such
-a limit.
+a limit, on one grid y = 10^0 ... 10^16 that no caller sets and that
+holds the tail of the gap at any scale of the input.
 """
 from __future__ import annotations
 
@@ -378,18 +380,19 @@ def relations_equal(T1: LinearRelation, T2: LinearRelation):
 
 
 def gap_limit(relation_at: Callable[[np.ndarray], LinearRelation],
-              target: LinearRelation, y1: float) -> float:
-    """Richardson value |y2 g(y2) - y1 g(y1)| / (y2 - y1), y2 = 10 y1, of
-    the gap g(y) = ``relations_equal(relation_at(iy), target)[1]``.
-    relation_at takes the array [i y1, i y2] and returns the stack of the
-    two relations, so both gaps come from one ``relations_equal``.
+              target: LinearRelation) -> float:
+    """Smallest Richardson value |y2 g(y2) - y1 g(y1)| / (y2 - y1) over the
+    adjacent points y2 = 10 y1 of the grid y = 10^0 ... 10^16, of the gap
+    g(y) = ``relations_equal(relation_at(iy), target)[1]``; relation_at
+    takes the array of the points iy and returns the stack of their
+    relations, so every gap comes from one ``relations_equal``.
 
-    When the relation tends to target with a gap c/y + O(1/y^2), this is
-    O(1/y1^2); when it tends elsewhere, or has another dimension, it stays
-    of the size of the gap."""
-    y = np.array([y1, 10.0 * y1])
-    g1, g2 = relations_equal(relation_at(1j * y), target)[1]
-    return float(abs(y[1] * g2 - y[0] * g1) / (y[1] - y[0]))
+    A gap c/y + O(1/y^2) reads O(1/y1^2) until rounding takes over, at
+    points that the input's scale moves along the grid; a relation that
+    tends elsewhere, or has another dimension, reads its gap."""
+    y = 10.0 ** np.arange(17)
+    yg = y * relations_equal(relation_at(1j * y), target)[1]
+    return float(np.min(np.abs(np.diff(yg)) / np.diff(y)))
 
 
 def classify_symmetry(T: LinearRelation) -> str:

@@ -11,7 +11,7 @@ positive semidefinite pole residues at distinct real points:
 The compression of the exit-space extension is read off tau at i*infinity:
 the graph of tau(iy) tends to -tau_c as y grows, with a gap of order 1/y.
 ``tau_limits`` measures that limit against a given relation by the one
-limit rule ``linrel.gap_limit``.
+limit rule ``linrel.gap_limit``, on that rule's own scale-free grid.
 """
 from __future__ import annotations
 
@@ -195,20 +195,9 @@ def decompose_tau(tau: RationalNevanlinna) -> TauDecomposition:
 
 def tau_limits(tau: RationalNevanlinna, target: LinearRelation) -> float:
     """Gap limit (``gap_limit``) of the graph of tau(iy) against ``target``
-    at i*infinity; it is about 0 when tau(iy) tends to target.
-
-    The first point is y1 = 1e4 max(1, |alpha_j|, |A_j|_F,
-    (1 + |A|_F + sum_j |A_j|_F) / s), where s is the smallest eigenvalue
-    of B (row 0 of ``spectra``) that ``_cut`` keeps; the last term is left
-    out when it keeps none.
-    Past those scales the pole terms have reached their 1/y tail and iyB
-    dominates the bounded terms on ran B.  The factor 1e4 balances the
-    truncation error of the Richardson value, which shrinks like 1/y1^2,
-    against its rounding floor, which grows like eps y1 |B|."""
-    w = tau.spectra[0][0]
-    kept = _cut(w)
-    norms = [np.linalg.norm(aj) for _, aj in tau.poles]
-    scales = [1.0, *(abs(alpha) for alpha, _ in tau.poles), *norms]
-    if kept:
-        scales.append((1.0 + np.linalg.norm(tau.a_coef) + sum(norms)) / w[kept - 1])
-    return gap_limit(lambda lam: eval_tau(tau, lam), target, 1e4 * max(scales))
+    at i*infinity; it is about 0 when tau(iy) tends to target.  tau is
+    evaluated at the points of ``gap_limit``'s grid, which needs no scale
+    read off tau: the 1/y tail sets in at a y fixed by ratios of the
+    coefficients, rounding at one fixed by their size, and the grid holds
+    both."""
+    return gap_limit(lambda lam: eval_tau(tau, lam), target)

@@ -29,7 +29,6 @@ from .linrel import (
     containment_residual,
     diagonalize,
     gap_limit,
-    graph_of,
     graph_operator,
     make_relation,
     null_space,
@@ -80,8 +79,12 @@ def _defect_frame(A: LinearRelation, lam: complex) -> np.ndarray:
     """Frame (f; lam f) / sqrt(1 + |lam|^2) of N-hat_lam, f spanning
     ker(A* - lam) = ker (R - conj(lam) L)^H for A's frame (L; R).  At +-i,
     R -+ i L has the Gram matrix I +- i (R^H L - L^H R), so for a symmetric
-    A its columns are orthonormal and this rank cut is never close."""
+    A its columns are orthonormal and this rank cut is never close.  At any
+    nonreal lam = x + iy, ||(R - conj(lam) L) c||^2 = ||(R - x L) c||^2 +
+    y^2 ||L c||^2 gives it rank dim A, so f keeps the last n - dim A columns
+    of ``null_space``: far up the axis the cut also counts mul A in."""
     f = null_space((A.right - np.conj(lam) * A.left).conj().T)
+    f = f[:, f.shape[1] - (A.n - A.dim):]
     return np.vstack([f, lam * f]) / np.sqrt(1.0 + abs(lam) ** 2)
 
 
@@ -274,11 +277,15 @@ def forbidden_relation(tri: BoundaryTriplet) -> LinearRelation:
 
 def check_forbidden_asymptotics(tri: BoundaryTriplet) -> float:
     """Gap limit (``gap_limit``) of the graph of M(iy) against the forbidden
-    relation F at i*infinity, from y1 = 1e4: about 0 when M(iy) tends to F,
-    that is, when F holds the limits of M(iy) on its domain and
-    ran B_M lies in mul F.  The point y1 suits unit-scale triplets.  Each
-    point takes its own ``gamma_and_weyl``, whose defect frame is a rank
-    decision; the two graphs are one stack."""
-    return gap_limit(
-        lambda lams: graph_of(np.array([gamma_and_weyl(tri, lam).weyl for lam in lams.tolist()])),
-        forbidden_relation(tri), 1e4)
+    relation F at i*infinity: about 0 when M(iy) tends to F, that is, when
+    F holds the limits of M(iy) on its domain and ran B_M lies in mul F.
+    The grid of ``gap_limit`` needs no scale, and the graph of M(iy) is the
+    boundary image of each point's ``defect`` frame W, one stacked QR of
+    (Gamma0 W; Gamma1 W), which Gamma's injectivity on N-hat_iy keeps at d
+    columns: inverting Gamma0 W (``gamma_and_weyl``), whose condition grows
+    like y, fails far up the grid on valid triplets."""
+    def weyl_graph(lams):
+        w = np.array([defect(tri.seed, lam)[0] for lam in lams.tolist()])
+        image = np.concatenate([tri.gamma0 @ w, tri.gamma1 @ w], axis=-2)
+        return LinearRelation(np.linalg.qr(image)[0])
+    return gap_limit(weyl_graph, forbidden_relation(tri))

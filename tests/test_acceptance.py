@@ -54,7 +54,6 @@ from relcomp.triplet import (
     check_green,
     check_weyl_identities,
     extension_of,
-    forbidden_relation,
     gamma_and_weyl,
 )
 
@@ -400,30 +399,48 @@ def test_criterion_8_forbidden_asymptotics(monkeypatch):
     assert rejected > 1e-3
 
 
-def _gap_limit_per_point(relation_at, target, y1):
-    """The rule of ``gap_limit`` with one relation and one
-    ``relations_equal`` per point, relation_at taking one point."""
-    y2 = 10.0 * y1
-    g1, g2 = (relations_equal(relation_at(1j * y), target)[1] for y in (y1, y2))
-    return abs(y2 * g2 - y1 * g1) / (y2 - y1)
+def _gap_limit_per_point(relation_at, target):
+    """The rule of ``gap_limit`` on its grid y = 10^0 ... 10^16, with one
+    relation and one ``relations_equal`` per point, each point a stack of
+    one."""
+    y = 10.0 ** np.arange(17)
+    yg = [t * relations_equal(relation_at(1j * y[k:k + 1]), target)[1][0]
+          for k, t in enumerate(y)]
+    return min(abs(b - a) / (t2 - t1) for a, b, t1, t2 in zip(yg, yg[1:], y, y[1:]))
 
 
 def test_stacked_gap_limit_matches_its_per_point_rule(corpus, monkeypatch):
     """On the corpus, tau_limits against -tau_c and check_forbidden_asymptotics
-    give bit for bit the value of the gap-limit rule taken one point at a
-    time: numpy's stacked LAPACK and BLAS loops factor each matrix of the
-    stack as they factor it alone."""
-    first_points = []
+    give bit for bit the value of the gap-limit rule taken one point of its
+    grid at a time: numpy's stacked LAPACK and BLAS loops factor each matrix
+    of the stack as they factor it alone."""
+    calls = []
 
-    def recorded(relation_at, target, y1):
-        first_points.append(y1)
-        return gap_limit(relation_at, target, y1)
+    def recorded(relation_at, target):
+        calls.append((relation_at, target))
+        return gap_limit(relation_at, target)
     monkeypatch.setattr(nevanlinna, "gap_limit", recorded)
+    monkeypatch.setattr(triplet, "gap_limit", recorded)
     for item in corpus:
-        tri, tau = item["ctx"].tri, item["ctx"].tau
-        target = negate(item["ctx"].report.tau_c)
-        stacked = tau_limits(tau, target)
-        assert stacked == _gap_limit_per_point(
-            lambda lam: eval_tau(tau, lam), target, first_points.pop())
-        assert check_forbidden_asymptotics(tri) == _gap_limit_per_point(
-            lambda lam: graph_of(gamma_and_weyl(tri, lam).weyl), forbidden_relation(tri), 1e4)
+        ctx = item["ctx"]
+        assert tau_limits(ctx.tau, negate(ctx.report.tau_c)) == _gap_limit_per_point(*calls.pop())
+        assert check_forbidden_asymptotics(ctx.tri) == _gap_limit_per_point(*calls.pop())
+
+
+def test_boundary_image_is_the_graph_of_the_weyl_function(corpus, monkeypatch):
+    """check_forbidden_asymptotics reads the graph of M(iy) as the boundary
+    image Gamma(N-hat_iy), with no inversion; on the corpus it equals the
+    graph of ``gamma_and_weyl``'s M(iy) at y = 1 and 1e3."""
+    graphs = []
+    monkeypatch.setattr(triplet, "gap_limit",
+                        lambda relation_at, target: graphs.append(relation_at) or 0.0)
+    y = np.array([1.0, 1e3])
+    worst = 0.0
+    for item in corpus:
+        tri = item["ctx"].tri
+        check_forbidden_asymptotics(tri)
+        weyl = graph_of(np.array([gamma_and_weyl(tri, 1j * t).weyl for t in y]))
+        worst = max(worst, np.max(relations_equal(graphs.pop()(1j * y), weyl)[1]))
+    _report("boundary image of N-hat_iy", worst <= 1e-12,
+            f"{len(corpus)} triplets, worst gap to graph M(iy) {worst:.1e}")
+    assert worst <= 1e-12

@@ -27,7 +27,7 @@ from relcomp.linrel import (
     orth,
     relations_equal,
 )
-from relcomp.nevanlinna import RationalNevanlinna, eval_tau
+from relcomp.nevanlinna import RationalNevanlinna, eval_tau, tau_limits
 from relcomp.triplet import BoundaryTriplet, SymmetricSeed
 from relcomp.driver import (
     CHECKS,
@@ -931,10 +931,10 @@ def test_cli_demo_exit_zero():
         assert line[len(prefix):].replace(" ", "") == "[[0.+0.4j]]", line
 
 
-def _scaled_tau_corpus(scale):
-    """The 30 instances drawn with default_rng(3), with tau's A, B and
+def _scaled_tau_corpus(scale, seed):
+    """The 30 instances drawn with default_rng(seed), with tau's A, B and
     every A_j multiplied by scale."""
-    rng = np.random.default_rng(3)
+    rng = np.random.default_rng(seed)
     for _ in range(30):
         inst = generate_instance(rng)
         yield dataclasses.replace(
@@ -944,10 +944,31 @@ def _scaled_tau_corpus(scale):
 
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6])
 def test_scaled_tau_keeps_its_verdicts(scale):
-    """On the scaled-tau corpus every verify check passes at every scale."""
-    for i, inst in enumerate(_scaled_tau_corpus(scale)):
-        checks = verify_instance(inst, np.random.default_rng(i))
-        assert all(c.passed for c in checks), (i, checks)
+    """On the scaled-tau corpora of the generator seeds 0 ... 9 every verify
+    check passes at every scale: the gap limit picks no point from the
+    size of tau."""
+    for seed in range(10):
+        for i, inst in enumerate(_scaled_tau_corpus(scale, seed)):
+            checks = verify_instance(inst, np.random.default_rng(i))
+            assert all(c.passed for c in checks), (seed, i, checks)
+
+
+def test_a_wrong_limit_fails_on_the_ten_seed_corpus():
+    """On the unit-scale corpora of the generator seeds 0 ... 9, the
+    -tau_c built from 1.001 A fails tau_limits on each of the 154 instances
+    where it is more than 1e-6 from -tau_c; on the others A does not enter
+    tau_c, or barely."""
+    threshold = CHECKS["limit_parameter"].threshold
+    told_apart = 0
+    for seed in range(10):
+        for inst in _scaled_tau_corpus(1.0, seed):
+            _, tau = build_problem(inst)
+            tau_c = extension.compression_param(tau)
+            off = extension.compression_param(dataclasses.replace(tau, a_coef=1.001 * tau.a_coef))
+            if relations_equal(off, tau_c)[1] > 1e-6:
+                assert tau_limits(tau, negate(off)) > threshold, (seed, inst)
+                told_apart += 1
+    assert told_apart == 154
 
 
 def _minimal_by_lu(r, nr):
@@ -966,15 +987,15 @@ def _minimal_by_lu(r, nr):
 @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3, 1e6])
 def test_minimality_reads_the_resolvent_off_a_unitary(scale, monkeypatch):
     """minimality reads the exit rows of (A~ - i)^{-1} as L~[n:] X^H for
-    the unitary X = R~ - i L~.  On the models of the scaled-tau corpus
-    every entry of R21, the first span minimality orthonormalizes, differs
-    from ``graph_operator``'s LU value by at most 2 ||G|| + 1e-14, with G
-    the Green form of A~'s frame, and by at most 1e-11 (the worst entry of
-    all exit rows differs by 1.2e-13, at 1e6), and the minimality verdict
-    on the LU's exit rows is the same."""
+    the unitary X = R~ - i L~.  On the models of the scaled-tau corpus of
+    the generator seed 3 every entry of R21, the first span minimality
+    orthonormalizes, differs from ``graph_operator``'s LU value by at most
+    2 ||G|| + 1e-14, with G the Green form of A~'s frame, and by at most
+    1e-11 (the worst entry of all exit rows differs by 1.2e-13, at 1e6),
+    and the minimality verdict on the LU's exit rows is the same."""
     spans = []
     monkeypatch.setattr(exitspace, "orth", lambda span: spans.append(span) or orth(span))
-    for inst in _scaled_tau_corpus(scale):
+    for inst in _scaled_tau_corpus(scale, 3):
         model = build_exit_space(*build_problem(inst))
         n, a = model.dim_h, model.a_tilde
         spans.clear()

@@ -48,7 +48,8 @@ KEPT = (
     # the tests use it as a reference, and README's relation-arithmetic
     # list advertises it
     "intersect",
-    # the paper's limit M(iy) -> F at i*infinity; ROADMAP item 5 gives it a caller
+    # the paper's limit M(iy) -> F at i*infinity, on gap_limit's scale-free
+    # grid; joining verify as a triplet-layer check is ROADMAP item 5
     "check_forbidden_asymptotics",
 )
 

@@ -620,11 +620,12 @@ def test_every_eigendecomposition_is_pinned():
 
 def test_every_qr_is_pinned():
     """No QR decides a rank: operator_relation's (dom; image) on an
-    orthonormal dom and the lifted columns of extension_of have full column
-    rank, and instance generation draws random unitaries."""
+    orthonormal dom, the lifted columns of extension_of and the boundary
+    image of N-hat_iy in check_forbidden_asymptotics's weyl_graph have full
+    column rank, and instance generation draws random unitaries."""
     qrs = _sites({"qr"})
     assert qrs == {("linrel", "operator_relation"), ("triplet", "extension_of"),
-                   ("driver", "_random_unitary")}
+                   ("triplet", "weyl_graph"), ("driver", "_random_unitary")}
     assert _cutting(qrs) == set()
 
 

@@ -130,6 +130,22 @@ def test_defect_frame_matches_intersection_reference(n):
                 assert dist <= 1e-12
 
 
+def test_defect_frame_keeps_its_dimension_up_the_imaginary_axis():
+    """R - conj(lam) L has full column rank dim A at every nonreal lam, so
+    N-hat_iy has n - dim A columns at every y = 10^0 ... 10^16, on seeds
+    with a multivalued part too, where the cut alone keeps mul A's
+    directions in the kernel from y = 1e10 on, and lies in A* (``adjoint``,
+    which reads no defect frame) to rounding."""
+    rng = np.random.default_rng(5)
+    for n in (6, 24):
+        seed = random_symmetric_seed(rng, n, d=n // 3, n_mul=n // 4)
+        a_star = adjoint(seed.A)
+        for y in 10.0 ** np.arange(17):
+            frame, _ = defect(seed, 1j * y)
+            assert frame.shape[1] == n // 3
+            assert containment_residual(frame, a_star.frame) <= 1e-14
+
+
 def test_defect_of_selfadjoint_graph():
     seed = SymmetricSeed.from_relation(graph_of(np.diag([1.0, 2.0])))
     _, idx = defect(seed, 1j)
