@@ -51,27 +51,26 @@ when s > DEFAULT_TOL * max(s_max, 1).  The cut is relative at and above
 unit scale and absolute below it: a span whose largest singular value
 is under 1 loses every value up to DEFAULT_TOL, so B = 1e-9 I has rank 0
 and ``make_relation(1e-9 * I_4, 2)`` is the zero relation.
-Only ``orth`` and ``kernel_split`` take an SVD, and each cuts it
-with ``_cut``; a dimension is the column count of an ``orth``.  Every
-kernel is read off ``kernel_split``:
-``null_space`` is its kernel half, ``complement(F)`` the kernel of F^H
-and ``intersect`` one ``null_space``.  ``extend`` applies the cut
-through the ``orth`` of the part of a span off a frame, and
-``psd_factor`` in the exit-space oracle to each row of eigenvalues of
-its one stacked ``eigh``; the ``eigvalsh`` and ``eigh`` of
-``diagonalize`` decide no rank.  Every rank of a parameter's B or A_j in the formula route
-(the split of tau_c, H'' of ``decompose_tau``, the coefficient flags,
-the exit dimension and the vanishing pole terms that
-``RationalNevanlinna.build`` rejects) is the cut of that
-coefficient's row of ``RationalNevanlinna.spectra``, one stacked
-``eigh``, whose smallest values the PSD test of ``build`` reads.  A
-defect frame of ``triplet`` keeps its known n - dim A kernel columns.
+Only ``orth`` and ``kernel_split`` take an SVD, and each cuts it with
+``_cut``; a dimension is the column count of an ``orth``.  Every kernel
+is read off ``kernel_split``: ``null_space`` is its kernel half,
+``complement(F)`` the kernel of F^H and ``intersect`` one
+``null_space``.  ``extend`` applies the cut through the ``orth`` of the
+part of a span off a frame, and ``psd_factor`` in the exit-space oracle
+to each row of eigenvalues of its one stacked ``eigh``; the ``eigvalsh``
+and ``eigh`` of ``diagonalize`` decide no rank.  Every rank of a
+parameter's B or A_j in the formula route (the split of tau_c, H'' of
+``decompose_tau``, the coefficient flags, the exit dimension and the
+vanishing pole terms that ``RationalNevanlinna.build`` rejects) is the
+cut of that coefficient's row of ``RationalNevanlinna.spectra``, one
+stacked ``eigh``, whose smallest values the PSD test of ``build`` reads;
+a defect frame of ``triplet`` keeps its known dimension.
 ``kernel_split`` needs every right singular vector: a wide matrix is
 factored as its tall adjoint, whose full U holds them, since LAPACK's
 full SVD is about twice as fast in that orientation and the singular
-values, so the cut, are the same; any other matrix is factored as it
-is, with its thin U.  Spectral norms come from ``eigvalsh`` of the
-Gram matrix on the smaller side in ``_norm2`` and decide no rank.
+values, so the cut, are the same; any other matrix is factored as it is,
+with its thin U.  Spectral norms come from ``eigvalsh`` of the Gram
+matrix on the smaller side in ``_norm2`` and decide no rank.
 ``containment_residual`` is the one containment routine.  A verdict that
 reports no residual (``classify_symmetry``, the subset flag of C against
 A0, the unitarity of V) asks ``_norm_below``, which reads ||x||_2 < b off
@@ -80,8 +79,8 @@ the bracket ||x||_F / sqrt(min(rows, cols)) <= ||x||_2 <= ||x||_F and takes
 from the one product X = R^H L as X - X^H (``_green_form``).  Every
 equality and containment verdict and the inversion cut of
 ``graph_operator`` read DEFAULT_TOL too; the remaining fixed thresholds
-(Green identity, pole distance) are constants or literals where they are
-used.
+(Green identity, pole distance, settled gap) are constants or literals
+where they are used.
 
 A relation-valued function F(iy) tends to a relation at i*infinity when
 its gap to it vanishes; ``gap_limit`` is the one rule that measures such
@@ -157,11 +156,11 @@ def orth(span) -> np.ndarray:
 
 
 def kernel_split(mat) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases (ker, row) of ker(mat) and of its orthogonal
-    complement, the row space, to the rank of ``_cut``, from one SVD that
-    yields every right singular vector; [ker, row] is unitary.  A wide mat
-    is factored as mat^H, whose full U holds them (the module docstring
-    says why); any other mat needs only its thin SVD."""
+    """Orthonormal bases (ker, row) of ker(mat) and of its complement, the
+    row space, to the rank of ``_cut``, from one SVD that yields every right
+    singular vector; [ker, row] is unitary, by descending singular value.  A
+    wide mat is factored as mat^H, whose full U holds them (the module
+    docstring says why); any other mat needs only its thin SVD."""
     mat = _unstacked(_as_complex(mat))
     rows, cols = mat.shape
     if rows == 0 or cols == 0:
@@ -383,16 +382,17 @@ def gap_limit(relation_at: Callable[[np.ndarray], LinearRelation],
               target: LinearRelation) -> float:
     """Smallest Richardson value |y2 g(y2) - y1 g(y1)| / (y2 - y1) over the
     adjacent points y2 = 10 y1 of the grid y = 10^0 ... 10^16, of the gap
-    g(y) = ``relations_equal(relation_at(iy), target)[1]``; relation_at
-    takes the array of the points iy and returns the stack of their
-    relations, so every gap comes from one ``relations_equal``.
-
-    A gap c/y + O(1/y^2) reads O(1/y1^2) until rounding takes over, at
-    points that the input's scale moves along the grid; a relation that
-    tends elsewhere, or has another dimension, reads its gap."""
+    g(y) = ``relations_equal(relation_at(iy), target)[1]`` (relation_at
+    returns the stack at the points iy); a pair whose gap has not settled,
+    g(y1) > 1e-4, reads g(y1).  A gap c/y + O(1/y^2) reads O(1/y1^2) until
+    rounding takes over, at points that the input's scale moves.  A target
+    at gap d off the tail's direction has a gap near sqrt(c^2/y^2 + d^2):
+    its pairs read about 5.5 d^2 / g(y1), at least 5.5e4 d^2 once settled,
+    and a relation that tends elsewhere reads its gap."""
     y = 10.0 ** np.arange(17)
-    yg = y * relations_equal(relation_at(1j * y), target)[1]
-    return float(np.min(np.abs(np.diff(yg)) / np.diff(y)))
+    g = relations_equal(relation_at(1j * y), target)[1]
+    richardson = np.abs(np.diff(y * g)) / np.diff(y)
+    return float(np.min(np.where(g[:-1] <= 1e-4, richardson, g[:-1])))
 
 
 def classify_symmetry(T: LinearRelation) -> str:

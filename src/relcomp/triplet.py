@@ -79,10 +79,10 @@ def _defect_frame(A: LinearRelation, lam: complex) -> np.ndarray:
     """Frame (f; lam f) / sqrt(1 + |lam|^2) of N-hat_lam, f spanning
     ker(A* - lam) = ker (R - conj(lam) L)^H for A's frame (L; R).  At +-i,
     R -+ i L has the Gram matrix I +- i (R^H L - L^H R), so for a symmetric
-    A its columns are orthonormal and this rank cut is never close.  At any
-    nonreal lam = x + iy, ||(R - conj(lam) L) c||^2 = ||(R - x L) c||^2 +
-    y^2 ||L c||^2 gives it rank dim A, so f keeps the last n - dim A columns
-    of ``null_space``: far up the axis the cut also counts mul A in."""
+    A its columns are orthonormal.  At nonreal lam = x + iy, rank dim A
+    (||(R - conj(lam) L) c||^2 = ||(R - x L) c||^2 + y^2 ||L c||^2), not the
+    cut, decides f: the last n - dim A columns of ``null_space``, by
+    ``kernel_split``'s order; far up the axis the cut counts mul A in."""
     f = null_space((A.right - np.conj(lam) * A.left).conj().T)
     f = f[:, f.shape[1] - (A.n - A.dim):]
     return np.vstack([f, lam * f]) / np.sqrt(1.0 + abs(lam) ** 2)

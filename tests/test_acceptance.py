@@ -402,11 +402,12 @@ def test_criterion_8_forbidden_asymptotics(monkeypatch):
 def _gap_limit_per_point(relation_at, target):
     """The rule of ``gap_limit`` on its grid y = 10^0 ... 10^16, with one
     relation and one ``relations_equal`` per point, each point a stack of
-    one."""
+    one: a pair reads its Richardson value once the gap at its first point
+    is at most 1e-4, and that gap before."""
     y = 10.0 ** np.arange(17)
-    yg = [t * relations_equal(relation_at(1j * y[k:k + 1]), target)[1][0]
-          for k, t in enumerate(y)]
-    return min(abs(b - a) / (t2 - t1) for a, b, t1, t2 in zip(yg, yg[1:], y, y[1:]))
+    g = [relations_equal(relation_at(1j * y[k:k + 1]), target)[1][0] for k in range(17)]
+    return min(abs(y[k + 1] * g[k + 1] - y[k] * g[k]) / (y[k + 1] - y[k]) if g[k] <= 1e-4
+               else g[k] for k in range(16))
 
 
 def test_stacked_gap_limit_matches_its_per_point_rule(corpus, monkeypatch):

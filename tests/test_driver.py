@@ -953,22 +953,26 @@ def test_scaled_tau_keeps_its_verdicts(scale):
             assert all(c.passed for c in checks), (seed, i, checks)
 
 
-def test_a_wrong_limit_fails_on_the_ten_seed_corpus():
+@pytest.mark.parametrize("factor, told_apart", [(1.001, 154), (1 + 3e-5, 151)])
+def test_a_wrong_limit_fails_on_the_ten_seed_corpus(factor, told_apart):
     """On the unit-scale corpora of the generator seeds 0 ... 9, the
-    -tau_c built from 1.001 A fails tau_limits on each of the 154 instances
-    where it is more than 1e-6 from -tau_c; on the others A does not enter
-    tau_c, or barely."""
+    -tau_c built from factor * A fails tau_limits on each instance where it
+    is more than 1e-6 from -tau_c; on the others A does not enter tau_c, or
+    barely.  The targets from (1 + 3e-5) A on seed 2, instances 3 and 4,
+    and seed 4, instance 15, 1.1e-6 to 1.5e-5 from -tau_c, read their gap
+    only at pairs past the point where it has settled below 1e-4: the
+    smallest Richardson value over every pair of the grid passes them."""
     threshold = CHECKS["limit_parameter"].threshold
-    told_apart = 0
+    found = 0
     for seed in range(10):
         for inst in _scaled_tau_corpus(1.0, seed):
             _, tau = build_problem(inst)
             tau_c = extension.compression_param(tau)
-            off = extension.compression_param(dataclasses.replace(tau, a_coef=1.001 * tau.a_coef))
+            off = extension.compression_param(dataclasses.replace(tau, a_coef=factor * tau.a_coef))
             if relations_equal(off, tau_c)[1] > 1e-6:
                 assert tau_limits(tau, negate(off)) > threshold, (seed, inst)
-                told_apart += 1
-    assert told_apart == 154
+                found += 1
+    assert found == told_apart
 
 
 def _minimal_by_lu(r, nr):

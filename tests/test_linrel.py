@@ -809,9 +809,11 @@ def _unitary_gap(u):
 def test_kernel_split_is_one_unitary_basis():
     """In every orientation, tall, wide and square, kernel_split keeps the
     rank of ``_cut`` of the singular values, [ker, row] is unitary and mat
-    maps ker to the cut singular values alone; wide matrices carry values
-    planted just above (2e-9 s_max) and below (5e-10 s_max) the cut.  With
-    no rows everything is kernel, with no columns both halves are empty."""
+    maps ker to the cut singular values alone, in descending order, so the
+    last columns of ker belong to the smallest (a defect frame keeps its
+    known dimension that way); wide matrices carry values planted just
+    above (2e-9 s_max) and below (5e-10 s_max) the cut.  With no rows
+    everything is kernel, with no columns both halves are empty."""
     rng = np.random.default_rng(37)
     near_cut = [1.0, 0.3, 2e-9, 5e-10]
     for rows, cols, s in ((3, 5, np.logspace(0, -3, 2)), (5, 3, np.logspace(0, -3, 3)),
@@ -827,6 +829,9 @@ def test_kernel_split_is_one_unitary_basis():
         assert _unitary_gap(np.hstack([ker, row])) <= 1e-14
         cut_off = values[r] if r < len(values) else 0.0
         assert abs(_norm2(mat @ ker) - cut_off) <= 1e-13 * _norm2(mat)
+        tail = np.zeros(max(cols - r - len(values[r:]), 0))
+        assert np.allclose(np.linalg.norm(mat @ ker, axis=0), np.concatenate([values[r:], tail]),
+                           rtol=0.0, atol=1e-13 * _norm2(mat))
     ker, row = kernel_split(np.zeros((0, 3)))
     assert np.array_equal(ker, np.eye(3)) and row.shape == (3, 0)
     ker, row = kernel_split(np.zeros((4, 0)))
