@@ -23,8 +23,6 @@ from .triplet import (
     TripletError,
     boundary_param_of,
     check_green,
-    check_weyl_identities,
-    defect,
     extension_of,
     forbidden_relation,
     gamma_and_weyl,

@@ -312,7 +312,7 @@ def admissible_lambdas(rng, count: int):
     A point where a resolvent that a check reads does not exist makes that
     check raise, and the report names the check.
     """
-    return [complex(rng.uniform(-2, 2), rng.choice([-1, 1]) * rng.uniform(0.5, 2.0))
+    return [complex(rng.uniform(-2, 2), (2 * rng.integers(0, 2) - 1) * rng.uniform(0.5, 2.0))
             for _ in range(count)]
 
 

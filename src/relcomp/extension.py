@@ -32,7 +32,7 @@ from .linrel import (
     relations_equal,
 )
 from .nevanlinna import RationalNevanlinna, eval_tau
-from .triplet import BoundaryTriplet, extension_of
+from .triplet import BoundaryTriplet, extension_of, gamma_and_weyl
 
 
 def krein_resolvent(tri: BoundaryTriplet, tau: RationalNevanlinna,
@@ -41,25 +41,19 @@ def krein_resolvent(tri: BoundaryTriplet, tau: RationalNevanlinna,
     or the stack of them at each point of an array lam; ValueError or
     SpectrumError when any point is rejected.
 
-    gamma and M come from their values at i, kept with the triplet as
-    ``weyl_at_i``, through the identities
-
-        gamma(lam) = (A0 - i) R0(lam) gamma(i),
-        gamma(conj lam)* = gamma(i)* (A0 + i) R0(lam),
-        M(lam) = Re M(i) + gamma(i)* (1 + lam A0) R0(lam) gamma(i),
-
-    the last the Nevanlinna form of M(i)* + (lam + i) gamma(i)* gamma(lam)
-    by Im M(i) = gamma(i)* gamma(i), so that M(conj lam) = M(lam)* holds
-    term by term.  A0 = span(U c; U s) is diagonalized once per triplet
-    (``a0_spectrum``), and with v = s - lam c each operator above is
-    U diag(w / v) U^H for w = c, s -+ i c or c + lam s: no factorization
-    per lam.  ``eval_tau`` comes first, so ``tau0`` rejects a real point or
-    a pole before any 1/v; at a nonreal lam, v is never 0, as
-    s^2 + c^2 = 1.  lam is rejected exactly where ``graph_operator`` would
-    reject R - lam L for A0's frame (L; R): that cut reads unitarily
-    invariant norms, here those of v.  The product forms keep their
-    relative accuracy at large |lam|, where the equal additive form
-    gamma(i) + (lam - i) R0(lam) gamma(i) cancels.
+    gamma(lam), M(lam) and gamma(conj lam)* = gamma(i)* (A0 + i) R0(lam)
+    come from their values at i, kept with the triplet, as
+    ``gamma_and_weyl`` reads them, where the Weyl identities are stated:
+    with A0 = span(U c; U s) diagonalized once per triplet
+    (``a0_spectrum``) and v = s - lam c, each operator is U diag(w / v) U^H
+    for w = c, s -+ i c or c + lam s, with no factorization per lam.
+    ``eval_tau`` comes first, so ``tau0`` rejects a real point or a pole
+    before any 1/v; at a nonreal lam, v is never 0, as s^2 + c^2 = 1.  lam
+    is rejected exactly where ``graph_operator`` would reject R - lam L
+    for A0's frame (L; R): that cut reads unitarily invariant norms, here
+    those of v.  The product forms keep their relative accuracy at large
+    |lam|, where the equal additive form gamma(i) + (lam - i) R0(lam)
+    gamma(i) cancels.
 
     The middle term (tau(lam) + M(lam))^{-1}: with L, R the halves of
     tau(lam)'s frame, the sum is the relation with frame (L; R + M L), and
@@ -80,14 +74,10 @@ def _krein_from(tri: BoundaryTriplet, T: LinearRelation, lam) -> np.ndarray:
     at = _points(lam, 1)
     v = s - at * c
     _inversion_cut(_fro(v, 1), _fro(1.0 / v, 1))
-    at_i, u_adj = tri.weyl_at_i, u.conj().T
-    g = u_adj @ at_i.gamma_field
-    g_adj = g.conj().T
-    gamma = u @ (((s - 1j * c) / v)[..., None] * g)
-    weyl = (at_i.weyl + at_i.weyl.conj().T) / 2.0 + g_adj @ (((c + at * s) / v)[..., None] * g)
-    gamma_bar_adj = (g_adj * ((s + 1j * c) / v)[..., None, :]) @ u_adj
+    ws, u_adj = gamma_and_weyl(tri, lam), u.conj().T
+    gamma_bar_adj = (tri.gamma_i_in_a0_basis.conj().T * ((s + 1j * c) / v)[..., None, :]) @ u_adj
     out = (u * (c / v)[..., None, :]) @ u_adj
-    out -= gamma @ graph_operator(T.right + weyl @ T.left, T.left) @ gamma_bar_adj
+    out -= ws.gamma_field @ graph_operator(T.right + ws.weyl @ T.left, T.left) @ gamma_bar_adj
     return out
 
 

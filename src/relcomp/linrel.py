@@ -32,13 +32,13 @@ the 0-d case of the same code: ``operator_relation``, ``graph_of``,
 ``resolvent``, and ``containment_residual``, ``_norm2`` and
 ``relations_equal`` (one residual per point) broadcast over it, as do
 ``tau0``, ``eval_tau`` (which rejects a real point or a pole anywhere in
-the stack) in ``nevanlinna``, ``extension_of`` in ``triplet`` and
-``krein_resolvent`` in ``extension``, and ``gap_limit`` reads the points
-of its grid as one stack.  What decides a rank (``orth``, ``kernel_split``,
-``diagonalize``, ``classify_symmetry``) takes one matrix and raises
-ValueError on a stack, so ``check_forbidden_asymptotics`` takes one defect
-frame, a rank decision, per point and frames their boundary images by one
-stacked QR.  One reader stays per point: the oracle's
+the stack) in ``nevanlinna``, ``extension_of`` and ``gamma_and_weyl`` in
+``triplet`` and ``krein_resolvent`` in ``extension``, and ``gap_limit``
+reads the points of its grid as one stack.  What decides a rank
+(``orth``, ``kernel_split``, ``diagonalize``, ``classify_symmetry``) takes
+one matrix and raises ValueError on a stack, and no stack needs one per
+point: ``gamma_and_weyl`` reads M(lam) at every point off A0's one
+``diagonalize``.  One reader stays per point: the oracle's
 ``generalized_resolvent_direct`` takes one LU of the (n + n_r)-square
 frame of A~ per point.  Stacked, those matrices raised the peak memory
 of a verify at n = 96 with no gain in speed, and a loop of its own keeps
@@ -63,8 +63,7 @@ parameter's B or A_j in the formula route (the split of tau_c, H'' of
 ``decompose_tau``, the coefficient flags, the exit dimension and the
 vanishing pole terms that ``RationalNevanlinna.build`` rejects) is the
 cut of that coefficient's row of ``RationalNevanlinna.spectra``, one
-stacked ``eigh``, whose smallest values the PSD test of ``build`` reads;
-a defect frame of ``triplet`` keeps its known dimension.
+stacked ``eigh``, whose smallest values the PSD test of ``build`` reads.
 ``kernel_split`` needs every right singular vector: a wide matrix is
 factored as its tall adjoint, whose full U holds them, since LAPACK's
 full SVD is about twice as fast in that orientation and the singular

@@ -1,13 +1,16 @@
 """Boundary triplets for the adjoint of a symmetric relation.
 
 A seed builds A* = A (+) N-hat_i (+) N-hat_{-i} (von Neumann's formula)
-from A alone.  The boundary maps Gamma0, Gamma1 are stored as d x 2n
+from A alone; its defect frames at +-i are the only ones the package
+takes.  The boundary maps Gamma0, Gamma1 are stored as d x 2n
 matrices acting on ambient pairs (f, f') in C^n (+) C^n.  Only their
 restriction to A* matters: two triplets whose maps agree on A* are the
 same triplet, and no basis of A* is part of one.  Gamma vanishes on A and
 maps W = [N-hat_i, N-hat_{-i}] = A* (-) A onto C^{2d}, so each triplet
 keeps one boundary lift W (Gamma W)^{-1}, and every extension is
-A_theta = A (+) lift(theta).
+A_theta = A (+) lift(theta).  The gamma field and the Weyl function have
+one spelling, ``gamma_and_weyl``: their values at i (``weyl_at_i``, Gamma0
+inverted on N-hat_i) carried to every lam by A0's spectrum.
 """
 from __future__ import annotations
 
@@ -23,16 +26,16 @@ from .linrel import (
     _as_complex,
     _check_ambient,
     _green_form,
-    _norm2,
     _norm_below,
+    _points,
     classify_symmetry,
     containment_residual,
     diagonalize,
     gap_limit,
+    graph_of,
     graph_operator,
     make_relation,
     null_space,
-    resolvent,
     vertical_relation,
 )
 
@@ -67,25 +70,14 @@ class SymmetricSeed:
         return LinearRelation(np.hstack([self.A.frame, *self.defect_frames_at_i]))
 
 
-def defect(seed: SymmetricSeed, lam: complex):
-    """Frame of the graph defect subspace {f-hat in A*: f' = lam f} plus the
-    deficiency indices (n+, n-); the frames at +-i are the seed's."""
-    plus, minus = seed.defect_frames_at_i
-    frame = plus if lam == 1j else minus if lam == -1j else _defect_frame(seed.A, lam)
-    return frame, (plus.shape[1], minus.shape[1])
-
-
 def _defect_frame(A: LinearRelation, lam: complex) -> np.ndarray:
-    """Frame (f; lam f) / sqrt(1 + |lam|^2) of N-hat_lam, f spanning
-    ker(A* - lam) = ker (R - conj(lam) L)^H for A's frame (L; R).  At +-i,
-    R -+ i L has the Gram matrix I +- i (R^H L - L^H R), so for a symmetric
-    A its columns are orthonormal.  At nonreal lam = x + iy, rank dim A
-    (||(R - conj(lam) L) c||^2 = ||(R - x L) c||^2 + y^2 ||L c||^2), not the
-    cut, decides f: the last n - dim A columns of ``null_space``, by
-    ``kernel_split``'s order; far up the axis the cut counts mul A in."""
+    """Frame (f; lam f) / sqrt(2) of N-hat_lam at lam = +-i, f spanning
+    ker(A* - lam) = ker (R -+ i L)^H for A's frame (L; R).  R -+ i L has
+    the Gram matrix I +- i (R^H L - L^H R), so for a symmetric A its
+    columns are orthonormal, and ``null_space``'s cut keeps exactly
+    n - dim A columns."""
     f = null_space((A.right - np.conj(lam) * A.left).conj().T)
-    f = f[:, f.shape[1] - (A.n - A.dim):]
-    return np.vstack([f, lam * f]) / np.sqrt(1.0 + abs(lam) ** 2)
+    return np.vstack([f, lam * f]) / np.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -127,9 +119,9 @@ class BoundaryTriplet:
     @cached_property
     def a0_spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Read-only (U, cos theta, sin theta) of ``diagonalize(a0)``, built
-        on first use and kept with the triplet; the Krein resolvent reads
-        R0(lam) = U diag(cos theta / (sin theta - lam cos theta)) U^H off it
-        at every lam."""
+        on first use and kept with the triplet; ``gamma_and_weyl`` and the
+        Krein resolvent read R0(lam) = U diag(cos theta / (sin theta -
+        lam cos theta)) U^H off it at every lam."""
         spectrum = diagonalize(self.a0)
         for part in spectrum:
             part.setflags(write=False)
@@ -138,11 +130,28 @@ class BoundaryTriplet:
     @cached_property
     def weyl_at_i(self) -> WeylSample:
         """Read-only gamma(i) and M(i), built on first use and kept with the
-        triplet; the Krein resolvent reaches every other lam from them."""
-        ws = gamma_and_weyl(self, 1j)
+        triplet: Gamma0 inverted on the seed's frame of N-hat_i, the one
+        inversion of Gamma0 on a defect frame; TripletError where it is
+        not invertible.  ``gamma_and_weyl`` reaches every other lam from
+        them."""
+        frame = self.seed.defect_frames_at_i[0]
+        try:
+            X = graph_operator(self.gamma0 @ frame, frame)
+        except SpectrumError as exc:
+            raise TripletError("Gamma0 restricted to the defect subspace is singular") from exc
+        ws = WeylSample(gamma_field=X[: self.space_dim], weyl=self.gamma1 @ X)
         ws.gamma_field.setflags(write=False)
         ws.weyl.setflags(write=False)
         return ws
+
+    @cached_property
+    def gamma_i_in_a0_basis(self) -> np.ndarray:
+        """Read-only U^H gamma(i) for the U of ``a0_spectrum``, built on
+        first use and kept, so that no lam of ``gamma_and_weyl`` or of the
+        Krein resolvent forms it again."""
+        g = self.a0_spectrum[0].conj().T @ self.weyl_at_i.gamma_field
+        g.setflags(write=False)
+        return g
 
     @classmethod
     def from_ambient_maps(cls, seed: SymmetricSeed, g0_ambient,
@@ -243,29 +252,31 @@ class WeylSample:
     weyl: np.ndarray
 
 
-def gamma_and_weyl(tri: BoundaryTriplet, lam: complex) -> WeylSample:
-    """Invert Gamma0 on the defect subspace at lam; TripletError where it
-    is not invertible, as when that subspace is not d-dimensional."""
-    if abs(lam.imag) == 0:
+def gamma_and_weyl(tri: BoundaryTriplet, lam) -> WeylSample:
+    """gamma(lam) and M(lam) at a nonreal lam, or their stacks at each
+    point of an array lam, read off ``weyl_at_i`` and ``a0_spectrum``
+    (U, c, s) with v = s - lam c:
+
+        gamma(lam) = U diag((s - i c) / v) U^H gamma(i),
+        M(lam) = Re M(i) + gamma(i)^H U diag((c + lam s) / v) U^H gamma(i),
+
+    that is, (A0 - i) R0(lam) gamma(i) and the Nevanlinna form of
+    M(i)* + (lam + i) gamma(i)* gamma(lam), by Im M(i) = gamma(i)* gamma(i).
+    As s^2 + c^2 = 1, v is never 0, and the identities
+    gamma(lam) - gamma(z) = (lam - z) R0(lam) gamma(z) and
+    M(z) - M(lam)* = (z - conj lam) gamma(lam)* gamma(z) hold term by term;
+    the tests check them against Gamma0 inverted on a defect frame at
+    each lam.  No factorization is taken per lam, so M(iy) is read at any y.
+    ValueError at a real point."""
+    if not np.all(np.imag(lam)):
         raise ValueError("Weyl function is evaluated on the real axis")
-    frame, _ = defect(tri.seed, lam)
-    try:
-        X = graph_operator(tri.gamma0 @ frame, frame)
-    except SpectrumError as exc:
-        raise TripletError("Gamma0 restricted to the defect subspace is singular") from exc
-    return WeylSample(gamma_field=X[: tri.space_dim], weyl=tri.gamma1 @ X)
-
-
-def check_weyl_identities(tri: BoundaryTriplet, lam: complex, z: complex):
-    """Residuals of the gamma-field and Weyl-function identities."""
-    ws_l = gamma_and_weyl(tri, lam)
-    ws_z = gamma_and_weyl(tri, z)
-    r0 = resolvent(tri.a0, lam)
-    res_gamma = ws_l.gamma_field - ws_z.gamma_field \
-        - (lam - z) * (r0 @ ws_z.gamma_field)
-    res_weyl = ws_z.weyl - ws_l.weyl.conj().T \
-        - (z - np.conj(lam)) * (ws_l.gamma_field.conj().T @ ws_z.gamma_field)
-    return _norm2(res_gamma), _norm2(res_weyl)
+    u, c, s = tri.a0_spectrum
+    at = _points(lam, 1)
+    v = s - at * c
+    g, at_i = tri.gamma_i_in_a0_basis, tri.weyl_at_i
+    re_m = (at_i.weyl + at_i.weyl.conj().T) / 2.0
+    return WeylSample(gamma_field=u @ (((s - 1j * c) / v)[..., None] * g),
+                      weyl=re_m + g.conj().T @ (((c + at * s) / v)[..., None] * g))
 
 
 def forbidden_relation(tri: BoundaryTriplet) -> LinearRelation:
@@ -279,13 +290,7 @@ def check_forbidden_asymptotics(tri: BoundaryTriplet) -> float:
     """Gap limit (``gap_limit``) of the graph of M(iy) against the forbidden
     relation F at i*infinity: about 0 when M(iy) tends to F, that is, when
     F holds the limits of M(iy) on its domain and ran B_M lies in mul F.
-    The grid of ``gap_limit`` needs no scale, and the graph of M(iy) is the
-    boundary image of each point's ``defect`` frame W, one stacked QR of
-    (Gamma0 W; Gamma1 W), which Gamma's injectivity on N-hat_iy keeps at d
-    columns: inverting Gamma0 W (``gamma_and_weyl``), whose condition grows
-    like y, fails far up the grid on valid triplets."""
-    def weyl_graph(lams):
-        w = np.array([defect(tri.seed, lam)[0] for lam in lams.tolist()])
-        image = np.concatenate([tri.gamma0 @ w, tri.gamma1 @ w], axis=-2)
-        return LinearRelation(np.linalg.qr(image)[0])
-    return gap_limit(weyl_graph, forbidden_relation(tri))
+    The grid of ``gap_limit`` needs no scale, and M(iy) on it is one
+    stacked ``gamma_and_weyl``, with no defect frame and no inversion."""
+    return gap_limit(lambda lams: graph_of(gamma_and_weyl(tri, lams).weyl),
+                     forbidden_relation(tri))

@@ -18,6 +18,7 @@ from relcomp.driver import (
     build_problem,
     generate_instance,
     krein_residuals,
+    verify_instance,
 )
 from relcomp.extension import compression_param, flags_geometric
 from relcomp.exitspace import (
@@ -52,7 +53,6 @@ from relcomp.triplet import (
     SymmetricSeed,
     check_forbidden_asymptotics,
     check_green,
-    check_weyl_identities,
     extension_of,
     gamma_and_weyl,
 )
@@ -60,7 +60,8 @@ from relcomp.triplet import (
 from test_exitspace import _uncoupled_problem
 from test_extension import random_problem
 from test_linrel import comp_sum, inverse
-from test_triplet import model_triplet
+from test_triplet import (count_defect_frames, model_triplet, reference_defect_frame,
+                          reference_gamma_and_weyl, weyl_identity_residuals)
 
 CATEGORIES = (
     ("b_full", 40),
@@ -341,7 +342,8 @@ def test_nested_chain_matches_the_null_space_route(corpus):
 
 
 def test_criterion_7_triplet_layer(corpus, corpus_rng):
-    """Green identity, Weyl identities, adjoint-parameter commutation."""
+    """Green identity, Weyl identities (on the reference, Gamma0 inverted
+    on a defect frame at each point), adjoint-parameter commutation."""
     worst_green = max(check_green(item["ctx"].tri) for item in corpus)
     worst_weyl = worst_adj = 0.0
     theta_checks = 0
@@ -352,7 +354,7 @@ def test_criterion_7_triplet_layer(corpus, corpus_rng):
             continue
         lam = complex(corpus_rng.uniform(-2, 2), corpus_rng.uniform(0.5, 2))
         z = complex(corpus_rng.uniform(-2, 2), corpus_rng.uniform(0.5, 2))
-        r1, r2 = check_weyl_identities(tri, lam, z)
+        r1, r2 = weyl_identity_residuals(tri, lam, z)
         worst_weyl = max(worst_weyl, r1, r2)
         if theta_checks < 100:
             r = int(corpus_rng.integers(0, 2 * d + 1))
@@ -373,9 +375,10 @@ def test_criterion_7_triplet_layer(corpus, corpus_rng):
     assert theta_checks >= 100 and worst_adj < 1e-7
 
 
-def test_criterion_8_forbidden_asymptotics(monkeypatch):
+def test_criterion_8_forbidden_asymptotics(corpus, monkeypatch):
     """The graph of M(iy) tends to the forbidden relation F at i*infinity
-    on model triplets, and not to J F = {{f', -f}: {f, f'} in F}."""
+    on model triplets and within 1e-14 on the corpus, and on the model
+    triplets not to J F = {{f', -f}: {f, f'} in F}."""
     cases = [
         model_triplet([None]),          # M = lam
         model_triplet([0.3]),           # M = 1/(0.3-lam)
@@ -387,15 +390,18 @@ def test_criterion_8_forbidden_asymptotics(monkeypatch):
         m = gamma_and_weyl(tri, 1j).weyl   # sanity: closed form reachable
         assert np.isfinite(m).all()
         worst = max(worst, check_forbidden_asymptotics(tri))
+    worst_corpus = max(check_forbidden_asymptotics(item["ctx"].tri) for item in corpus)
     forbidden = triplet.forbidden_relation
     monkeypatch.setattr(triplet, "forbidden_relation",
                         lambda tri: negate(inverse(forbidden(tri))))
     rejected = min(check_forbidden_asymptotics(tri) for tri in cases)
-    ok = worst < 1e-6 and rejected > 1e-3
+    ok = worst < 1e-6 and worst_corpus <= 1e-14 and rejected > 1e-3
     _report("criterion 8 forbidden asymptotics", ok,
             f"{len(cases)} model triplets, worst residual {worst:.2e}, "
+            f"{worst_corpus:.2e} on {len(corpus)} instances, "
             f"J F in place of F reads at least {rejected:.2e}")
     assert worst < 1e-6
+    assert worst_corpus <= 1e-14
     assert rejected > 1e-3
 
 
@@ -429,9 +435,10 @@ def test_stacked_gap_limit_matches_its_per_point_rule(corpus, monkeypatch):
 
 
 def test_boundary_image_is_the_graph_of_the_weyl_function(corpus, monkeypatch):
-    """check_forbidden_asymptotics reads the graph of M(iy) as the boundary
-    image Gamma(N-hat_iy), with no inversion; on the corpus it equals the
-    graph of ``gamma_and_weyl``'s M(iy) at y = 1 and 1e3."""
+    """check_forbidden_asymptotics reads the graph of the spectral M(iy);
+    on the corpus it equals the boundary image Gamma(N-hat_iy) of the
+    reference defect frame, one QR of (Gamma0 W; Gamma1 W) with no
+    inversion, at y = 1 and 1e3."""
     graphs = []
     monkeypatch.setattr(triplet, "gap_limit",
                         lambda relation_at, target: graphs.append(relation_at) or 0.0)
@@ -440,8 +447,47 @@ def test_boundary_image_is_the_graph_of_the_weyl_function(corpus, monkeypatch):
     for item in corpus:
         tri = item["ctx"].tri
         check_forbidden_asymptotics(tri)
-        weyl = graph_of(np.array([gamma_and_weyl(tri, 1j * t).weyl for t in y]))
-        worst = max(worst, np.max(relations_equal(graphs.pop()(1j * y), weyl)[1]))
-    _report("boundary image of N-hat_iy", worst <= 1e-12,
-            f"{len(corpus)} triplets, worst gap to graph M(iy) {worst:.1e}")
+        w = np.array([reference_defect_frame(tri.seed, 1j * t) for t in y])
+        image = LinearRelation(np.linalg.qr(np.concatenate([tri.gamma0 @ w, tri.gamma1 @ w],
+                                                           axis=-2))[0])
+        worst = max(worst, np.max(relations_equal(graphs.pop()(1j * y), image)[1]))
+    _report("graph of the spectral M(iy)", worst <= 1e-12,
+            f"{len(corpus)} triplets, worst gap to Gamma(N-hat_iy) {worst:.1e}")
     assert worst <= 1e-12
+
+
+def test_weyl_function_matches_the_reference_on_the_corpus(corpus):
+    """The graph of ``gamma_and_weyl``'s M(lam) is within 1e-12 of the graph
+    of the reference's, Gamma0 inverted on a defect frame at lam, on the
+    corpus at 0.7 + 0.5i, 1e3 i and 1e6 i."""
+    points = (0.7 + 0.5j, 1e3j, 1e6j)
+    worst = 0.0
+    for item in corpus:
+        tri = item["ctx"].tri
+        spectral = graph_of(gamma_and_weyl(tri, np.array(points)).weyl)
+        reference = graph_of(np.array([reference_gamma_and_weyl(tri, lam).weyl
+                                       for lam in points]))
+        worst = max(worst, np.max(relations_equal(spectral, reference)[1]))
+    _report("spectral Weyl function", worst <= 1e-12,
+            f"{len(corpus)} triplets, worst graph gap to the reference {worst:.1e}")
+    assert worst <= 1e-12
+
+
+def test_only_the_seed_takes_defect_frames(monkeypatch):
+    """On each corpus instance, verify and ``build_problem`` each take the
+    two defect frames of from_relation at +-i, and the forbidden-limit
+    check and M(iy) on the grid of ``gap_limit`` take none more."""
+    calls = count_defect_frames(monkeypatch)
+    rng = np.random.default_rng(20240817)
+    grid = 1j * 10.0 ** np.arange(17)
+    for category, count in CATEGORIES:
+        for i in range(count):
+            inst = generate_instance(rng, max_dim=6, max_boundary=3,
+                                     max_poles=3, category=category)
+            calls.clear()
+            verify_instance(inst, np.random.default_rng(i))
+            tri = build_problem(inst)[0]
+            assert calls == [1j, -1j] * 2, (category, i)
+            check_forbidden_asymptotics(tri)
+            gamma_and_weyl(tri, grid)
+            assert calls == [1j, -1j] * 2, (category, i)

@@ -144,7 +144,8 @@ def test_build_exit_space_reads_no_formula_route(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle read the formula route")
     for cls, name in ((BoundaryTriplet, "lift"), (BoundaryTriplet, "a0"),
-                      (BoundaryTriplet, "weyl_at_i"), (RationalNevanlinna, "spectra"),
+                      (BoundaryTriplet, "weyl_at_i"), (BoundaryTriplet, "gamma_i_in_a0_basis"),
+                      (RationalNevanlinna, "spectra"),
                       (RationalNevanlinna, "op_frame")):
         monkeypatch.setattr(cls, name, property(refuse))
     for name in ("gamma_and_weyl", "extension_of"):

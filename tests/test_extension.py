@@ -26,12 +26,12 @@ from relcomp.linrel import (
     vertical_relation,
 )
 from relcomp.nevanlinna import RationalNevanlinna, tau_limits
-from relcomp.triplet import WeylSample, check_weyl_identities, extension_of
+from relcomp.triplet import WeylSample, extension_of
 
 from test_nevanlinna import random_tau
 from test_stacking import SWEEP_SHAPES, sweep_instance
 from test_triplet import (count_defect_frames, model_triplet,
-                          random_symmetric_seed, random_unitary)
+                          random_symmetric_seed, random_unitary, weyl_identity_residuals)
 from relcomp.triplet import von_neumann_triplet
 
 def random_problem(rng, n_max=6, d_max=3, **tau_kwargs):
@@ -144,6 +144,9 @@ def test_krein_rejects_lambda_where_the_lu_of_a0_does():
 
 
 def test_weyl_at_i_is_read_by_krein_and_not_by_the_reference():
+    """A wrong gamma(i) and M(i) put in place of ``weyl_at_i`` move the
+    Krein resolvent off the oracle's, while the Weyl identities on the
+    reference, Gamma0 inverted on a defect frame at each point, still hold."""
     rng = np.random.default_rng(29)
     tri, tau = random_problem(rng, k=0)
     model = build_exit_space(tri, tau)
@@ -152,7 +155,7 @@ def test_weyl_at_i_is_read_by_krein_and_not_by_the_reference():
         gamma_field=2.0 * at_i.gamma_field,
         weyl=at_i.weyl + np.eye(tri.boundary_dim))
     lam = 0.4 + 1.1j
-    assert max(check_weyl_identities(tri, lam, 1j)) < 1e-12
+    assert max(weyl_identity_residuals(tri, lam, 1j)) < 1e-12
     miss = np.max(np.abs(krein_resolvent(tri, tau, lam)
                          - generalized_resolvent_direct(model, lam)))
     assert miss > 1e-8

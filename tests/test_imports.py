@@ -48,8 +48,9 @@ KEPT = (
     # the tests use it as a reference, and README's relation-arithmetic
     # list advertises it
     "intersect",
-    # the paper's limit M(iy) -> F at i*infinity, on gap_limit's scale-free
-    # grid; joining verify as a triplet-layer check is ROADMAP item 5
+    # the paper's limit M(iy) -> F at i*infinity, the spectral M(iy) on
+    # gap_limit's scale-free grid; whether it joins verify is ROADMAP item
+    # 11's decision, by whether it catches a fault that no check does
     "check_forbidden_asymptotics",
 )
 

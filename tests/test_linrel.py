@@ -620,12 +620,11 @@ def test_every_eigendecomposition_is_pinned():
 
 def test_every_qr_is_pinned():
     """No QR decides a rank: operator_relation's (dom; image) on an
-    orthonormal dom, the lifted columns of extension_of and the boundary
-    image of N-hat_iy in check_forbidden_asymptotics's weyl_graph have full
+    orthonormal dom and the lifted columns of extension_of have full
     column rank, and instance generation draws random unitaries."""
     qrs = _sites({"qr"})
     assert qrs == {("linrel", "operator_relation"), ("triplet", "extension_of"),
-                   ("triplet", "weyl_graph"), ("driver", "_random_unitary")}
+                   ("driver", "_random_unitary")}
     assert _cutting(qrs) == set()
 
 
@@ -810,10 +809,9 @@ def test_kernel_split_is_one_unitary_basis():
     """In every orientation, tall, wide and square, kernel_split keeps the
     rank of ``_cut`` of the singular values, [ker, row] is unitary and mat
     maps ker to the cut singular values alone, in descending order, so the
-    last columns of ker belong to the smallest (a defect frame keeps its
-    known dimension that way); wide matrices carry values planted just
-    above (2e-9 s_max) and below (5e-10 s_max) the cut.  With no rows
-    everything is kernel, with no columns both halves are empty."""
+    last columns of ker belong to the smallest; wide matrices carry values
+    planted just above (2e-9 s_max) and below (5e-10 s_max) the cut.  With
+    no rows everything is kernel, with no columns both halves are empty."""
     rng = np.random.default_rng(37)
     near_cut = [1.0, 0.3, 2e-9, 5e-10]
     for rows, cols, s in ((3, 5, np.logspace(0, -3, 2)), (5, 3, np.logspace(0, -3, 3)),

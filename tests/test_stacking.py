@@ -26,7 +26,7 @@ from relcomp.linrel import (
     resolvent,
 )
 from relcomp.nevanlinna import eval_tau
-from relcomp.triplet import extension_of
+from relcomp.triplet import extension_of, gamma_and_weyl
 
 # the benchmark's resolvent-sweep shapes and their generator, one copy
 _WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -59,6 +59,9 @@ def test_stack_equals_loop(inst):
         assert np.array_equal(stacked, np.array(looped))
 
     same(krein_resolvent(tri, tau, lams), [krein_resolvent(tri, tau, z) for z in points])
+    for part in ("gamma_field", "weyl"):
+        same(getattr(gamma_and_weyl(tri, lams), part),
+             [getattr(gamma_and_weyl(tri, z), part) for z in points])
     same(resolvent(tri.a0, lams), [resolvent(tri.a0, z) for z in points])
 
     taus = eval_tau(tau, lams)

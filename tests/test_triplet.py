@@ -6,6 +6,7 @@ import relcomp.triplet as triplet
 from relcomp.linrel import (
     LinearRelation,
     SpectrumError,
+    _norm2,
     adjoint,
     classify_symmetry,
     containment_residual,
@@ -13,6 +14,7 @@ from relcomp.linrel import (
     intersect,
     make_relation,
     relations_equal,
+    resolvent,
     vertical_relation,
     zero_relation,
 )
@@ -21,11 +23,10 @@ from relcomp.triplet import (
     BoundaryTriplet,
     SymmetricSeed,
     TripletError,
+    WeylSample,
     boundary_param_of,
     check_forbidden_asymptotics,
     check_green,
-    check_weyl_identities,
-    defect,
     extension_of,
     forbidden_relation,
     gamma_and_weyl,
@@ -80,11 +81,43 @@ def model_triplet(blocks):
     return BoundaryTriplet.from_ambient_maps(seed, g0, g1)
 
 
+def reference_defect_frame(seed, lam):
+    """Frame (f; lam f) / sqrt(1 + |lam|^2) of N-hat_lam at any nonreal lam:
+    f the trailing n - dim A right singular vectors of (R - conj(lam) L)^H
+    for A's frame (L; R).  For a symmetric A and lam = x + iy,
+    ||(R - conj(lam) L) c||^2 = ||(R - x L) c||^2 + y^2 ||L c||^2, so that
+    matrix has rank dim A and the known dimension takes the place of a
+    cut; far up the axis a cut would count mul A into the kernel."""
+    A = seed.A
+    f = np.linalg.svd((A.right - np.conj(lam) * A.left).conj().T)[2][A.dim:].conj().T
+    return np.vstack([f, lam * f]) / np.sqrt(1.0 + abs(lam) ** 2)
+
+
+def reference_gamma_and_weyl(tri, lam):
+    """gamma(lam) and M(lam) by Gamma0 inverted on the reference defect
+    frame at lam, the route the package took before it read both off
+    their values at i."""
+    frame = reference_defect_frame(tri.seed, lam)
+    x = frame @ np.linalg.inv(tri.gamma0 @ frame)
+    return WeylSample(gamma_field=x[: tri.space_dim], weyl=tri.gamma1 @ x)
+
+
+def weyl_identity_residuals(tri, lam, z):
+    """Residuals of gamma(lam) - gamma(z) = (lam - z) R0(lam) gamma(z) and
+    M(z) - M(lam)* = (z - conj lam) gamma(lam)* gamma(z) on the reference,
+    with R0 from the LU of ``resolvent``."""
+    ws_l, ws_z = reference_gamma_and_weyl(tri, lam), reference_gamma_and_weyl(tri, z)
+    res_gamma = ws_l.gamma_field - ws_z.gamma_field \
+        - (lam - z) * (resolvent(tri.a0, lam) @ ws_z.gamma_field)
+    res_weyl = ws_z.weyl - ws_l.weyl.conj().T \
+        - (z - np.conj(lam)) * (ws_l.gamma_field.conj().T @ ws_z.gamma_field)
+    return _norm2(res_gamma), _norm2(res_weyl)
+
+
 def test_defect_of_trivial_seed():
     seed = SymmetricSeed.from_relation(zero_relation(1))
-    frame, idx = defect(seed, 0.3 + 1.7j)
-    assert frame.shape[1] == 1
-    assert idx == (1, 1)
+    assert reference_defect_frame(seed, 0.3 + 1.7j).shape == (2, 1)
+    assert [frame.shape for frame in seed.defect_frames_at_i] == [(2, 1), (2, 1)]
 
 
 @pytest.mark.parametrize("n", [6, 24, 96])
@@ -109,15 +142,18 @@ def test_seed_adjoint_matches_the_complement_reference(n):
 
 @pytest.mark.parametrize("n", [6, 24, 96])
 def test_defect_frame_matches_intersection_reference(n):
-    """The one-SVD defect frame against A* cap graph(lam I) computed
-    independently through orthogonal complements, with A* from
-    ``adjoint``, which reads no defect frame."""
+    """The seed's defect frames at +-i and the reference frame at other
+    lam against A* cap graph(lam I) computed independently through
+    orthogonal complements, with A* from ``adjoint``, which reads no
+    defect frame."""
     rng = np.random.default_rng(400 + n)
     for _ in range(2):
         seed = random_symmetric_seed(rng, n, d=int(rng.integers(1, n // 2 + 1)))
         a_star = adjoint(seed.A)
-        for lam in (1j, -1j, 0.3 + 1.7j, 100j, 1e6j):
-            frame, _ = defect(seed, lam)
+        frames = [(1j, seed.defect_frames_at_i[0]), (-1j, seed.defect_frames_at_i[1])]
+        frames += [(lam, reference_defect_frame(seed, lam))
+                   for lam in (1j, -1j, 0.3 + 1.7j, 100j, 1e6j)]
+        for lam, frame in frames:
             ref = intersect(a_star, graph_of(lam * np.eye(n))).frame
             assert frame.shape[1] == ref.shape[1]
             graph_res = np.linalg.norm(frame[n:] - lam * frame[:n], 2) / max(1.0, abs(lam))
@@ -131,32 +167,29 @@ def test_defect_frame_matches_intersection_reference(n):
 
 
 def test_defect_frame_keeps_its_dimension_up_the_imaginary_axis():
-    """R - conj(lam) L has full column rank dim A at every nonreal lam, so
-    N-hat_iy has n - dim A columns at every y = 10^0 ... 10^16, on seeds
-    with a multivalued part too, where the cut alone keeps mul A's
-    directions in the kernel from y = 1e10 on, and lies in A* (``adjoint``,
-    which reads no defect frame) to rounding."""
+    """The reference N-hat_iy has n - dim A columns at every
+    y = 10^0 ... 10^16, on seeds with a multivalued part too, and lies in
+    A* (``adjoint``, which reads no defect frame) to rounding."""
     rng = np.random.default_rng(5)
     for n in (6, 24):
         seed = random_symmetric_seed(rng, n, d=n // 3, n_mul=n // 4)
         a_star = adjoint(seed.A)
         for y in 10.0 ** np.arange(17):
-            frame, _ = defect(seed, 1j * y)
+            frame = reference_defect_frame(seed, 1j * y)
             assert frame.shape[1] == n // 3
             assert containment_residual(frame, a_star.frame) <= 1e-14
 
 
 def test_defect_of_selfadjoint_graph():
     seed = SymmetricSeed.from_relation(graph_of(np.diag([1.0, 2.0])))
-    _, idx = defect(seed, 1j)
-    assert idx == (0, 0)
+    assert [frame.shape for frame in seed.defect_frames_at_i] == [(4, 0), (4, 0)]
 
 
 def test_defect_of_symmetric_restriction():
     span = np.array([[1.0], [0.0], [1.0], [0.0]])
     seed = SymmetricSeed.from_relation(make_relation(span, 2))
-    frame, idx = defect(seed, 1j)
-    assert idx == (1, 1)
+    frame = seed.defect_frames_at_i[0]
+    assert frame.shape == (4, 1)
     # members of the defect space solve f' = lam f inside A*
     top, bot = frame[:2], frame[2:]
     assert np.max(np.abs(bot - 1j * top), initial=0.0) < 1e-9
@@ -173,27 +206,31 @@ def count_defect_frames(monkeypatch) -> list:
 
 
 def test_defect_at_plus_minus_i_reuses_its_frame(monkeypatch):
-    """from_relation builds the two frames at +-i once; defect reads them
-    there and builds one frame at any other lam."""
+    """from_relation builds the two frames at +-i once, each the
+    (f; lam f) / sqrt(2) of n - dim A columns, and A* reads them as they
+    are, with no frame of its own."""
     calls = count_defect_frames(monkeypatch)
     seed = random_symmetric_seed(np.random.default_rng(6), 5, d=2)
     assert calls == [1j, -1j]
-    for lam, frames in ((1j, 0), (-1j, 0), (0.5j, 1)):
-        calls.clear()
-        _, idx = defect(seed, lam)
-        assert idx == (2, 2) and len(calls) == frames
+    for k, (lam, frame) in enumerate(zip((1j, -1j), seed.defect_frames_at_i)):
+        assert frame.shape == (10, 2)
+        assert np.max(np.abs(frame[5:] - lam * frame[:5])) <= 1e-15
+        assert np.array_equal(seed.A_star.frame[:, 3 + 2 * k:5 + 2 * k], frame)
+    assert calls == [1j, -1j]
 
 
 def test_frames_and_weyl_at_i_are_built_once_and_read_only(monkeypatch):
     """from_relation builds the two frames at +-i once; the triplet, its
-    gamma(i) and M(i) and A0's spectrum build none, and each is kept."""
+    gamma(i) and M(i), A0's spectrum and U^H gamma(i) build none, and each
+    is kept."""
     calls = count_defect_frames(monkeypatch)
     seed = random_symmetric_seed(np.random.default_rng(7), 6, d=3)
     tri = von_neumann_triplet(seed)
-    at_i, spectrum = tri.weyl_at_i, tri.a0_spectrum
+    at_i, spectrum, g = tri.weyl_at_i, tri.a0_spectrum, tri.gamma_i_in_a0_basis
     assert tri.weyl_at_i is at_i and tri.a0_spectrum is spectrum
+    assert tri.gamma_i_in_a0_basis is g
     assert calls == [1j, -1j]
-    for cached in (*seed.defect_frames_at_i, at_i.gamma_field, at_i.weyl, *spectrum):
+    for cached in (*seed.defect_frames_at_i, at_i.gamma_field, at_i.weyl, *spectrum, g):
         with pytest.raises(ValueError, match="read-only"):
             cached[0, 0] = 0.0
 
@@ -311,8 +348,8 @@ def test_indices_count_codimension():
     for _ in range(15):
         n = int(rng.integers(1, 6))
         seed = random_symmetric_seed(rng, n)
-        _, idx = defect(seed, 1j)
-        assert idx[0] == idx[1] == n - seed.A.dim
+        plus, minus = seed.defect_frames_at_i
+        assert plus.shape[1] == minus.shape[1] == n - seed.A.dim
 
 
 def test_von_neumann_weyl_at_i():
@@ -497,13 +534,31 @@ def test_weyl_function_is_not_evaluated_on_the_real_axis():
 
 
 def test_gamma0_singular_on_the_defect_subspace_is_a_triplet_error(monkeypatch):
+    """weyl_at_i, the one inversion of Gamma0 on a defect frame, raises
+    TripletError where that inversion fails."""
     tri = model_triplet([None])
 
     def singular(left, right):
         raise SpectrumError("left half of the frame is not invertible")
     monkeypatch.setattr(triplet, "graph_operator", singular)
     with pytest.raises(TripletError, match="Gamma0 restricted to the defect subspace"):
-        gamma_and_weyl(tri, 2j)
+        tri.weyl_at_i
+
+
+def test_weyl_function_matches_its_closed_form_up_the_imaginary_axis():
+    """On the model triplets M(lam) = lam and diag(lam, 1/(-0.7 - lam)),
+    M(iy) is within 1e-15 of its closed form, relative to it, at every
+    y = 10^0 ... 10^16, where inverting Gamma0 on the defect frame at iy
+    rejected y >= 1e10 and y >= 1e9."""
+    y = 10.0 ** np.arange(17)
+    lam = 1j * y
+    for blocks, closed in (([None], lam[:, None]),
+                           ([None, -0.7], np.stack([lam, 1.0 / (-0.7 - lam)], axis=-1))):
+        weyl = gamma_and_weyl(model_triplet(blocks), lam).weyl
+        expected = closed[:, :, None] * np.eye(len(blocks))
+        err = np.linalg.norm(weyl - expected, 2, axis=(1, 2)) \
+            / np.linalg.norm(expected, 2, axis=(1, 2))
+        assert np.max(err) <= 1e-15, (blocks, err)
 
 
 def test_weyl_nevanlinna_positivity_and_symmetry():
@@ -528,11 +583,11 @@ def test_weyl_identities_random_and_degenerate():
                                      d=int(rng.integers(1, 3)))
         d = seed.A.n - seed.A.dim
         tri = von_neumann_triplet(seed, V=random_unitary(rng, d))
-        r1, r2 = check_weyl_identities(tri, 1j, 2j)
+        r1, r2 = weyl_identity_residuals(tri, 1j, 2j)
         assert r1 < 1e-8 and r2 < 1e-8
-        r1, r2 = check_weyl_identities(tri, 1j, 1j)
+        r1, r2 = weyl_identity_residuals(tri, 1j, 1j)
         assert r1 < 1e-10 and r2 < 1e-8
-        r1, r2 = check_weyl_identities(tri, 0.4 + 1.3j, 0.4 - 1.3j)
+        r1, r2 = weyl_identity_residuals(tri, 0.4 + 1.3j, 0.4 - 1.3j)
         assert r1 < 1e-8 and r2 < 1e-8
 
 
