@@ -27,10 +27,8 @@ import numpy as np
 from .linrel import (
     LinearRelation,
     _cut,
-    _norm2,
     classify_symmetry,
     complement,
-    containment_residual,
     extend,
     graph_operator,
     kernel_split,
@@ -122,19 +120,20 @@ def build_exit_space(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ExitSpace
 
 
 def direct_compression(model: ExitSpaceModel):
-    """Compression chain of A~ to the base space: (C, S, T) with
-    S = A~ restricted to pairs entirely in H, C additionally projecting the
-    second component, T projecting both components.
+    """Compression chain S <= C <= T of A~ to the base space, returned as
+    (C, S, T): S = A~ restricted to pairs entirely in H, C additionally
+    projecting the second component, T projecting both components.
 
     With base the H rows of A~'s frame and f_r, f_r' its exit rows, C and
     T are base times ker f_r and times everything, and S is base times
-    ker f_r cap ker f_r'.  Two ``kernel_split``s, of f_r and of f_r' on
-    ker f_r, split the coefficients into unitary blocks, so each set of
-    the chain is the one before it ``extend``ed by the base image of the
-    coefficients it adds: the frames are nested, S.frame opens C.frame and
-    C.frame opens T.frame, and each SVD is only as wide as the exit rank.
-    The base rows of the orthonormal frame times ker f_r cap ker f_r' are
-    an orthonormal frame already, so S is not orthonormalized again."""
+    ker f_r cap ker f_r', an orthonormal frame already.  Two
+    ``kernel_split``s, of f_r and of f_r' on ker f_r, split the
+    coefficients into unitary blocks, so each set is the one before it
+    ``extend``ed by the base image of the coefficients it adds, and each
+    SVD is only as wide as the exit rank.  The frames are nested, so
+    S <= C <= T holds exactly and verify checks no link of the chain: it
+    checks each set against its formula, A_theta0, A_tau_c and A_theta_T,
+    and A <= A_theta <= A* for every theta gives A <= S and T <= A*."""
     n, nr = model.dim_h, model.dim_r
     frame = model.a_tilde.frame
     f_r, fp_r = frame[n:n + nr], frame[2 * n + nr:]
@@ -146,20 +145,6 @@ def direct_compression(model: ExitSpaceModel):
     C = LinearRelation(extend(S.frame, base_c @ rest_c))
     T = LinearRelation(extend(C.frame, base @ rest_t))
     return C, S, T
-
-
-def chain_residuals(tri: BoundaryTriplet, chain) -> dict:
-    """Containment residuals of A <= S <= C <= T <= A* for the direct
-    compression chain (C, S, T).  A*^perp = J A, whose frame (R; -L) is
-    orthonormal, so the residual of T in A* is ||(J A)^H T||."""
-    C, S, T = chain
-    a = tri.seed.A
-    return {
-        "A_in_S": containment_residual(a.frame, S.frame),
-        "S_in_C": containment_residual(S.frame, C.frame),
-        "C_in_T": containment_residual(C.frame, T.frame),
-        "T_in_A_star": _norm2(np.vstack([a.right, -a.left]).conj().T @ T.frame),
-    }
 
 
 def generalized_resolvent_direct(model: ExitSpaceModel, lam: complex) -> np.ndarray:

@@ -16,6 +16,7 @@ import relcomp.driver as driver
 import relcomp.exitspace as exitspace
 import relcomp.extension as extension
 import relcomp.linrel as linrel
+import relcomp.triplet as triplet
 from relcomp.exitspace import build_exit_space, generalized_resolvent_direct, minimality
 from relcomp.linrel import (
     _green_form,
@@ -27,7 +28,7 @@ from relcomp.linrel import (
     orth,
     relations_equal,
 )
-from relcomp.nevanlinna import RationalNevanlinna, eval_tau, tau_limits
+from relcomp.nevanlinna import RationalNevanlinna, decompose_tau, eval_tau, tau_limits
 from relcomp.triplet import BoundaryTriplet, SymmetricSeed
 from relcomp.driver import (
     CHECKS,
@@ -217,6 +218,15 @@ def test_readme_verify_example_matches_output(capsys):
     drop_elapsed = (lambda lines: [ln for ln in lines
                                    if not ln.strip().startswith("elapsed:")])
     assert drop_elapsed(actual) == drop_elapsed(expected)
+
+
+def test_readme_lists_the_checks_in_suite_order():
+    """README's CLI section lists every check of CHECKS by its name, in
+    backticks at the head of one item each, in the order the suite runs."""
+    readme = (REPO / "README.md").read_text()
+    block = readme.split("on each, in this order:\n", 1)[1].split("\n\n", 1)[0]
+    listed = [line.split("`")[1] for line in block.splitlines() if line.startswith("- ")]
+    assert listed == list(CHECKS)
 
 
 def test_build_problem_rejects_non_psd_b():
@@ -559,6 +569,24 @@ FAULTS = {
         driver, "direct_compression",
         lambda direct: lambda model: (lambda C, S, T: (T, S, T))(*direct(model)),
         ["compression_equivalence"], "b_deficient"),
+    # the oracle's T read as C: the chain still holds, but dim H' = 2 here,
+    # so T has two dimensions more than C
+    "t_is_c": (
+        driver, "direct_compression",
+        lambda direct: lambda model: (lambda C, S, T: (C, S, C))(*direct(model)),
+        ["compression_chain"], "b_deficient"),
+    # the oracle's T and S with frames that are not orthonormal: each is the
+    # relation its check reads the projector of
+    "t_frame_scaled": (
+        driver, "direct_compression",
+        lambda direct: lambda model: (lambda C, S, T: (
+            C, S, dataclasses.replace(T, frame=1.01 * T.frame)))(*direct(model)),
+        ["compression_chain"], "b_deficient"),
+    "s_frame_scaled": (
+        driver, "direct_compression",
+        lambda direct: lambda model: (lambda C, S, T: (
+            C, dataclasses.replace(S, frame=1.01 * S.frame), T))(*direct(model)),
+        ["s_direct_matches_theta0"], "b_deficient"),
     # H'' without its first column; the FAULTS instance has H'' = {0}, this
     # one dim H'' = 2
     "h_dprime_column": (
@@ -623,6 +651,98 @@ def test_a_wrong_lift_is_caught_although_both_routes_read_it(monkeypatch):
         assert passed == (0 if fault is sheared else 6), fault.__name__
 
 
+def _eighty_instances():
+    """The 40 instances of generate_instance(default_rng(0)) and the 40 of
+    (1), instance i with the check stream default_rng([0, i])."""
+    corpus = []
+    for seed in (0, 1):
+        rng = np.random.default_rng(seed)
+        corpus += [generate_instance(rng) for _ in range(40)]
+    return [(inst, np.random.default_rng([0, i])) for i, inst in enumerate(corpus)]
+
+
+def test_t_read_as_c_fails_only_where_h_prime_is_nonzero(monkeypatch):
+    """On the 80 instances the oracle's T has dimension n + dim H', as
+    T = A_theta_T says.  With T read as C, compression_chain fails on
+    exactly the 60 with H' != {0}, where C is the smaller, and nothing
+    else fails.  The neighbour containments A <= S <= C <= T <= A* that
+    compression_chain read before it checked T against its formula all
+    still hold, so they caught this fault on none."""
+    corpus = _eighty_instances()
+    with_h_prime = set()
+    for i, (inst, _) in enumerate(corpus):
+        tri, tau = build_problem(inst)
+        dim_h_prime = decompose_tau(tau).h_prime.shape[1]
+        T = driver.direct_compression(build_exit_space(tri, tau))[2]
+        assert T.dim == inst.dim + dim_h_prime, i
+        if dim_h_prime:
+            with_h_prime.add(i)
+    direct = driver.direct_compression
+    chains = []
+
+    def t_is_c(model):
+        C, S, _ = direct(model)
+        chains.append((C, S, C))
+        return chains[-1]
+    monkeypatch.setattr(driver, "direct_compression", t_is_c)
+    failing = set()
+    for i, (inst, rng) in enumerate(corpus):
+        checks = verify_instance(inst, rng)
+        failed = [c.name for c in checks if not c.passed]
+        assert failed in ([], ["compression_chain"]), i
+        failing |= {i} if failed else set()
+        tri, _ = build_problem(inst)
+        C, S, T = chains[-1]
+        a, a_star = tri.seed.A.frame, tri.seed.A_star.frame
+        assert max(linrel.containment_residual(sub, sup) for sub, sup in (
+            (a, S.frame), (S.frame, C.frame), (C.frame, T.frame), (T.frame, a_star))) < 1e-7
+    assert len(with_h_prime) == 60 and failing == with_h_prime
+
+
+def test_krein_against_canonical_alone_catches_a_negated_gamma1_lift(monkeypatch):
+    """A lift whose Gamma1 half is negated fails krein_formula on 71 of the
+    80 instances; on 23 of them it fails no other check and the oracle
+    half of krein_formula passes, so the comparison with the canonical
+    resolvent of A_{-tau(lam)} is their only catcher and stays."""
+    lift = BoundaryTriplet.__dict__["lift"].func
+
+    def negated(tri):
+        out = lift(tri).copy()
+        out[:, tri.boundary_dim:] *= -1
+        return out
+    monkeypatch.setattr(BoundaryTriplet, "lift", property(negated))
+    threshold = CHECKS["krein_formula"].threshold
+    krein_failed = canonical_only = 0
+    for i, (inst, rng) in enumerate(_eighty_instances()):
+        failed = [c.name for c in verify_instance(inst, rng) if not c.passed]
+        krein_failed += "krein_formula" in failed
+        if failed == ["krein_formula"]:
+            ctx = driver.VerifyContext(*build_problem(inst), np.random.default_rng([0, i]))
+            canonical, oracle = driver.krein_residuals(
+                ctx.tri, ctx.tau, ctx.model, admissible_lambdas(ctx.rng, 3))
+            canonical_only += oracle < threshold <= canonical
+    assert (krein_failed, canonical_only) == (71, 23)
+
+
+def test_a_far_weyl_fault_is_caught_only_by_the_forbidden_asymptotics(monkeypatch):
+    """M(lam) times 1 + 1e-3 at |lam| > 50, far above the points verify
+    draws: verify passes all 80 instances, and check_forbidden_asymptotics,
+    which reads M(iy) on the gap-limit grid, reads at least 1e-8 on all
+    80.  extension imports gamma_and_weyl by name, so both bindings are
+    patched."""
+    weyl = triplet.gamma_and_weyl
+
+    def far_off(tri, lam):
+        ws = weyl(tri, lam)
+        factor = 1 + 1e-3 * (np.abs(np.asarray(lam)) > 50)
+        return dataclasses.replace(ws, weyl=ws.weyl * factor[..., None, None])
+    for module in (triplet, extension):
+        monkeypatch.setattr(module, "gamma_and_weyl", far_off)
+    for i, (inst, rng) in enumerate(_eighty_instances()):
+        assert all(c.passed for c in verify_instance(inst, rng)), i
+        assert triplet.check_forbidden_asymptotics(build_problem(inst)[0]) >= 1e-8, i
+
+
 def test_verify_builds_one_compression_per_instance(monkeypatch):
     """verify reads C(A~), its flags and n_r off one classify_compression."""
     calls = []
@@ -666,19 +786,20 @@ def _count_factorizations(monkeypatch, run) -> dict:
 
 def test_verify_instance_factorization_count(monkeypatch):
     """One verify_instance of a fixed draw (n = 11, boundary dimension 6,
-    dim K = 1, one pole) takes 14 SVDs and 3 eigh calls (the parameter's
-    ``spectra``, the oracle's one stacked ``psd_factor`` of B and the
-    residue, and ``diagonalize(A0)``).  ``krein_formula`` reads three lam:
+    dim K = 1, one pole) takes 14 SVDs, one of them the one
+    ``decompose_tau`` that theta0 and theta_T read, and 3 eigh calls (the
+    parameter's ``spectra``, the oracle's one stacked ``psd_factor`` of B
+    and the residue, and ``diagonalize(A0)``).  ``krein_formula`` reads three lam:
     it evaluates tau on their stack once, reads both formula-route sides
     off it, one call per factorization, and the oracle at each lam.  It
-    takes 8 eigvalsh calls: one per reported residual of
+    takes 5 eigvalsh calls: one per reported residual of
     ``relations_equal`` (one for the stacked points of the gap limit and
-    two for the compressions C and S) and of ``chain_residuals`` (four),
-    and the angles of ``diagonalize(A0)``; the symmetry and subset verdicts
-    are settled by Frobenius norms.  It takes 8 QRs: ``operator_relation``
-    in the stacked ``eval_tau`` of the Krein formula, in the stacked
-    gap-limit points, in ``compression_param`` and in theta0, and
-    ``extension_of`` for A0, C, theta0 and the stacked canonical
+    three for the compressions C, S and T), and the angles of
+    ``diagonalize(A0)``; the symmetry and subset verdicts are settled by
+    Frobenius norms.  It takes 10 QRs: ``operator_relation`` in the
+    stacked ``eval_tau`` of the Krein formula, in the stacked gap-limit
+    points, in ``compression_param``, in theta0 and in theta_T, and
+    ``extension_of`` for A0, C, theta0, theta_T and the stacked canonical
     resolvent.  It takes 8 LUs (``inv``, in ``graph_operator``): the
     triplet's lift, gamma(i), ``diagonalize(A0)``, the stacked middle term
     and canonical resolvent and the oracle's three points; A0's resolvent
@@ -687,7 +808,7 @@ def test_verify_instance_factorization_count(monkeypatch):
     inst = generate_instance(np.random.default_rng(13), 12, 6, 3)
     counts = _count_factorizations(
         monkeypatch, lambda: verify_instance(inst, np.random.default_rng(0)))
-    assert counts == {"svd": 14, "eigvalsh": 8, "eigh": 3, "qr": 8, "inv": 8}
+    assert counts == {"svd": 14, "eigvalsh": 5, "eigh": 3, "qr": 10, "inv": 8}
 
 
 def test_build_problem_factorization_count(monkeypatch):
@@ -946,11 +1067,17 @@ def _scaled_tau_corpus(scale, seed):
 def test_scaled_tau_keeps_its_verdicts(scale):
     """On the scaled-tau corpora of the generator seeds 0 ... 9 every verify
     check passes at every scale: the gap limit picks no point from the
-    size of tau."""
+    size of tau.  compression_chain, the oracle's T against A_theta_T,
+    reads at most 1e-12, and at most 1e-9 at x 1e6, where the oracle's
+    null space loses digits (2.9e-13, 2.9e-15, 2.7e-13 and 4.8e-10
+    measured)."""
+    chain_bound = 1e-9 if scale == 1e6 else 1e-12
     for seed in range(10):
         for i, inst in enumerate(_scaled_tau_corpus(scale, seed)):
             checks = verify_instance(inst, np.random.default_rng(i))
             assert all(c.passed for c in checks), (seed, i, checks)
+            assert next(c.residual for c in checks
+                        if c.name == "compression_chain") <= chain_bound, (seed, i)
 
 
 @pytest.mark.parametrize("factor, told_apart", [(1.001, 154), (1 + 3e-5, 151)])

@@ -49,8 +49,9 @@ KEPT = (
     # list advertises it
     "intersect",
     # the paper's limit M(iy) -> F at i*infinity, the spectral M(iy) on
-    # gap_limit's scale-free grid; whether it joins verify is ROADMAP item
-    # 11's decision, by whether it catches a fault that no check does
+    # gap_limit's scale-free grid; it catches faults that no verify check
+    # does (test_a_far_weyl_fault_is_caught_only_by_the_forbidden_asymptotics)
+    # and stays out of verify for its cost, about 50 ms a verify-large pass
     "check_forbidden_asymptotics",
 )
 
