@@ -10,13 +10,17 @@ the self-adjoint relation
     A~ = {f-hat (+) f-hat_r: f-hat in A*, h = Gamma0 f-hat in K-perp,
           G h = Gamma0^r f-hat_r, Gamma1 f-hat + A h + G^H Gamma1^r f-hat_r in K}
 
-in C^{n + n_r}, read off one null space.  Building A~ reads only Gamma0,
-Gamma1, A*, tau's coefficients and K: no boundary lift, extension, Weyl
-function or ``spectra`` of the formula route that it cross-validates, and
-the module imports nothing of that route: only the BoundaryTriplet class
-from ``triplet`` and nothing from ``extension``.
+in C^{n + n_r}.  Gamma vanishes on A, so A~ contains A with zero exit
+rows, and its frame is A's frame beside one null space of the coupling
+conditions on A* (-) A (+) C^{2n_r}, whose size reads no dimension of A.
+Building A~ reads only Gamma0, Gamma1, A*, tau's coefficients and K: no
+boundary lift, extension, Weyl function or ``spectra`` of the formula
+route that it cross-validates, and the module imports nothing of that
+route: only the BoundaryTriplet class from ``triplet`` and nothing from
+``extension``.
 Compressions and generalized resolvents of A~ are then computed directly
-by subspace algebra.
+by subspace algebra; each compression is A's frame beside its part off A,
+read off the exit rows of the null space alone.
 """
 from __future__ import annotations
 
@@ -77,19 +81,34 @@ def model_maps(tau: RationalNevanlinna) -> tuple[np.ndarray, np.ndarray, np.ndar
 @dataclass(frozen=True)
 class ExitSpaceModel:
     """Self-adjoint A~ in C^{dim_h + dim_r}, base-space coordinates first
-    in both pair components; dim_r is the exit dimension n_r."""
+    in both pair components; dim_r is the exit dimension n_r.  The first
+    dim_a columns of A~'s frame are A's frame (``build_exit_space``), and
+    their exit rows must be zero: ValueError if not, so a frame replaced
+    without its count is refused.  A model built by hand declares none."""
 
     dim_h: int
     dim_r: int
     a_tilde: LinearRelation
+    dim_a: int = 0
+
+    def __post_init__(self):
+        n, nr, a = self.dim_h, self.dim_r, self.a_tilde.frame[:, :self.dim_a]
+        if np.any(a[n:n + nr]) or np.any(a[2 * n + nr:]):
+            raise ValueError(f"the first {self.dim_a} columns of the frame of A~ "
+                             "are declared A's, but have nonzero exit rows")
 
 
 def build_exit_space(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ExitSpaceModel:
-    """A~ from one null space of the d + n_r coupling conditions on
-    (c, f-hat_r), f-hat = A*.frame c: K^H Gamma0 f-hat = 0,
+    """A~ as A's frame beside one null space of the d + n_r coupling
+    conditions on (c, f-hat_r), f-hat = W c for the columns
+    W = [N-hat_i, N-hat_{-i}] of A*'s frame after A's, where the conditions
+    read Gamma: K^H Gamma0 f-hat = 0,
     h0^H (Gamma1 f-hat + A Gamma0 f-hat + G^H Gamma1^r f-hat_r) = 0 for the
     frame h0 = complement(K) of K-perp, and G Gamma0 f-hat = Gamma0^r f-hat_r.
-    Both frames are orthonormal, so the frame of A~ is too.
+    Gamma vanishes on A, so A, with zero exit rows, satisfies them all, and
+    the null space is of a (d + n_r) x (2d + 2n_r) matrix.  A*'s frame and
+    the null space are orthonormal and W is orthogonal to A, so the frame
+    of A~ is too.
 
     ModelError unless A~ has dimension n + n_r and is self-adjoint."""
     n, d = tri.space_dim, tau.dim
@@ -98,9 +117,11 @@ def build_exit_space(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ExitSpace
     mul = tau.mul_frame
     h0 = complement(mul)
     k = mul.shape[1]
+    p = tri.seed.A.dim
     a_star = tri.seed.A_star.frame
-    g0, g1 = tri.gamma0 @ a_star, tri.gamma1 @ a_star
-    m = a_star.shape[1]
+    w = a_star[:, p:]
+    g0, g1 = tri.gamma0 @ w, tri.gamma1 @ w
+    m = w.shape[1]
     rows = np.zeros((d + nr, m + 2 * nr), dtype=complex)
     rows[:k, :m] = mul.conj().T @ g0
     rows[k:d, :m] = h0.conj().T @ (g1 + tau.a_coef @ g0)
@@ -108,15 +129,20 @@ def build_exit_space(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ExitSpace
     rows[d:, :m] = G @ g0
     rows[d:, m:] = -g0_r
     coeff = null_space(rows)
-    if coeff.shape[1] != n + nr:
-        raise ModelError(f"coupled relation has dimension {coeff.shape[1]}, "
+    if p + coeff.shape[1] != n + nr:
+        raise ModelError(f"coupled relation has dimension {p + coeff.shape[1]}, "
                          f"not n + n_r = {n + nr}")
-    base, exit_ = a_star @ coeff[:m], coeff[m:]
-    # pair components (f, f') and (f_r, f_r') reordered to (f, f_r, f', f_r')
-    a_tilde = LinearRelation(np.vstack([base[:n], exit_[:nr], base[n:], exit_[nr:]]))
+    base, exit_ = w @ coeff[:m], coeff[m:]
+    # pair components (f, f') and (f_r, f_r') in the order (f, f_r, f', f_r'),
+    # A's columns first
+    frame = np.zeros((2 * (n + nr), n + nr), dtype=complex)
+    frame[:n, :p], frame[n + nr:2 * n + nr, :p] = a_star[:n, :p], a_star[n:, :p]
+    frame[:n, p:], frame[n:n + nr, p:] = base[:n], exit_[:nr]
+    frame[n + nr:2 * n + nr, p:], frame[2 * n + nr:, p:] = base[n:], exit_[nr:]
+    a_tilde = LinearRelation(frame)
     if classify_symmetry(a_tilde) != "self_adjoint":
         raise ModelError("coupled relation is not self-adjoint")
-    return ExitSpaceModel(dim_h=n, dim_r=nr, a_tilde=a_tilde)
+    return ExitSpaceModel(dim_h=n, dim_r=nr, a_tilde=a_tilde, dim_a=p)
 
 
 def direct_compression(model: ExitSpaceModel):
@@ -124,24 +150,31 @@ def direct_compression(model: ExitSpaceModel):
     (C, S, T): S = A~ restricted to pairs entirely in H, C additionally
     projecting the second component, T projecting both components.
 
-    With base the H rows of A~'s frame and f_r, f_r' its exit rows, C and
-    T are base times ker f_r and times everything, and S is base times
-    ker f_r cap ker f_r', an orthonormal frame already.  Two
+    A~'s first dim_a columns are A's frame with zero exit rows, so each set
+    is A's frame beside its part off A, read off the other columns alone.
+    With base their H rows and f_r, f_r' their exit rows, the parts off A
+    of C and T are base times ker f_r and times everything, and S's is
+    base times ker f_r cap ker f_r', an orthonormal frame already.  Two
     ``kernel_split``s, of f_r and of f_r' on ker f_r, split the
     coefficients into unitary blocks, so each set is the one before it
-    ``extend``ed by the base image of the coefficients it adds, and each
-    SVD is only as wide as the exit rank.  The frames are nested, so
+    ``extend``ed by the base image of the coefficients it adds, and no SVD
+    reads a dimension of A: the splits are at most d + n_r wide and each
+    ``extend`` adds at most n_r columns.  The frames are nested, so
     S <= C <= T holds exactly and verify checks no link of the chain: it
     checks each set against its formula, A_theta0, A_tau_c and A_theta_T,
-    and A <= A_theta <= A* for every theta gives A <= S and T <= A*."""
-    n, nr = model.dim_h, model.dim_r
+    on the parts off A, and A <= A_theta <= A* for every theta gives
+    A <= S and T <= A*."""
+    n, nr, p = model.dim_h, model.dim_r, model.dim_a
     frame = model.a_tilde.frame
-    f_r, fp_r = frame[n:n + nr], frame[2 * n + nr:]
-    base = np.vstack([frame[:n], frame[n + nr:2 * n + nr]])
+    f_r, fp_r = frame[n:n + nr, p:], frame[2 * n + nr:, p:]
+    base = np.vstack([frame[:n, p:], frame[n + nr:2 * n + nr, p:]])
     to_c, rest_t = kernel_split(f_r)
     to_s, rest_c = kernel_split(fp_r @ to_c)
     base_c = base @ to_c
-    S = LinearRelation(base_c @ to_s)
+    s = np.empty((2 * n, p + to_s.shape[1]), dtype=complex)
+    s[:n, :p], s[n:, :p] = frame[:n, :p], frame[n + nr:2 * n + nr, :p]
+    s[:, p:] = base_c @ to_s
+    S = LinearRelation(s)
     C = LinearRelation(extend(S.frame, base_c @ rest_c))
     T = LinearRelation(extend(C.frame, base @ rest_t))
     return C, S, T

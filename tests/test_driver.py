@@ -575,8 +575,9 @@ FAULTS = {
         driver, "direct_compression",
         lambda direct: lambda model: (lambda C, S, T: (C, S, C))(*direct(model)),
         ["compression_chain"], "b_deficient"),
-    # the oracle's T and S with frames that are not orthonormal: each is the
-    # relation its check reads the projector of
+    # the oracle's T and S with frames that are not orthonormal: each check
+    # reads the projector of the oracle's part off A, and the distance of
+    # its A columns from A's frame, which fails where S = A
     "t_frame_scaled": (
         driver, "direct_compression",
         lambda direct: lambda model: (lambda C, S, T: (
@@ -587,6 +588,16 @@ FAULTS = {
         lambda direct: lambda model: (lambda C, S, T: (
             C, dataclasses.replace(S, frame=1.01 * S.frame), T))(*direct(model)),
         ["s_direct_matches_theta0"], "b_deficient"),
+    # only the A columns of the oracle's C scaled: its part off A, the part
+    # the gap reads, is right, and the distance of those columns from A's
+    # frame is what fails
+    "c_a_columns_scaled": (
+        driver, "direct_compression",
+        lambda direct: lambda model: (lambda C, S, T: (
+            dataclasses.replace(C, frame=np.hstack([
+                1.01 * C.frame[:, :model.dim_a], C.frame[:, model.dim_a:]])),
+            S, T))(*direct(model)),
+        ["compression_equivalence"], "b_deficient"),
     # H'' without its first column; the FAULTS instance has H'' = {0}, this
     # one dim H'' = 2
     "h_dprime_column": (
@@ -699,6 +710,48 @@ def test_t_read_as_c_fails_only_where_h_prime_is_nonzero(monkeypatch):
     assert len(with_h_prime) == 60 and failing == with_h_prime
 
 
+def test_chain_checks_read_the_full_gap_off_a(monkeypatch):
+    """On the 80 instances each of the three chain checks, which reads the
+    parts off A of the formula's and the oracle's set, equals the gap
+    ``relations_equal`` reads on their whole frames within 1e-14."""
+    readings = []
+    gap_off_a = driver._gap_off_a
+
+    def recorded(ctx, formula, oracle):
+        readings.append((formula, oracle, gap_off_a(ctx, formula, oracle)))
+        return readings[-1][2]
+    monkeypatch.setattr(driver, "_gap_off_a", recorded)
+    for i, (inst, rng) in enumerate(_eighty_instances()):
+        readings.clear()
+        checks = {c.name: c.residual for c in verify_instance(inst, rng)}
+        assert [gap for *_, gap in readings] == [checks[name] for name in (
+            "compression_equivalence", "s_direct_matches_theta0", "compression_chain")], i
+        for formula, oracle, gap in readings:
+            assert abs(gap - relations_equal(formula, oracle)[1]) <= 1e-14, i
+
+
+def test_a_skewed_extend_fails_the_chain_checks(monkeypatch):
+    """``extend``'s first new column skewed by 1e-6 times its frame's first
+    column, in the oracle (its compressions and ``minimality``): verify
+    fails 60 of the 80 instances, compression_chain on all 60 and
+    compression_equivalence on 44, and no other check."""
+    extend = exitspace.extend
+
+    def skewed(frame, span):
+        out = extend(frame, span)
+        if frame.shape[1] and out.shape[1] > frame.shape[1]:
+            out[:, frame.shape[1]] += 1e-6 * frame[:, 0]
+        return out
+    monkeypatch.setattr(exitspace, "extend", skewed)
+    failing, by_check = 0, {}
+    for inst, rng in _eighty_instances():
+        failed = [c.name for c in verify_instance(inst, rng) if not c.passed]
+        failing += bool(failed)
+        for name in failed:
+            by_check[name] = by_check.get(name, 0) + 1
+    assert (failing, by_check) == (60, {"compression_equivalence": 44, "compression_chain": 60})
+
+
 def test_krein_against_canonical_alone_catches_a_negated_gamma1_lift(monkeypatch):
     """A lift whose Gamma1 half is negated fails krein_formula on 71 of the
     80 instances; on 23 of them it fails no other check and the oracle
@@ -792,9 +845,9 @@ def test_verify_instance_factorization_count(monkeypatch):
     and the residue, and ``diagonalize(A0)``).  ``krein_formula`` reads three lam:
     it evaluates tau on their stack once, reads both formula-route sides
     off it, one call per factorization, and the oracle at each lam.  It
-    takes 5 eigvalsh calls: one per reported residual of
-    ``relations_equal`` (one for the stacked points of the gap limit and
-    three for the compressions C, S and T), and the angles of
+    takes 5 eigvalsh calls: one per reported gap (one for the stacked
+    points of the gap limit and three for the parts off A of the
+    compressions C, S and T), and the angles of
     ``diagonalize(A0)``; the symmetry and subset verdicts are settled by
     Frobenius norms.  It takes 10 QRs: ``operator_relation`` in the
     stacked ``eval_tau`` of the Krein formula, in the stacked gap-limit

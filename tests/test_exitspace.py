@@ -38,6 +38,7 @@ from relcomp.nevanlinna import RationalNevanlinna
 import relcomp.triplet as triplet
 from relcomp.triplet import BoundaryTriplet, SymmetricSeed, gamma_and_weyl
 
+from test_driver import _eighty_instances
 from test_extension import random_problem
 from test_nevanlinna import random_tau
 from test_triplet import model_triplet
@@ -78,6 +79,70 @@ def test_exit_space_dimension_bookkeeping():
     assert model.dim_r == 1
     assert model.a_tilde.dim == n + 1
     assert direct_compression(model)[1].dim == tri.seed.A.dim + 1
+
+
+def test_a_tilde_and_its_compressions_start_with_a():
+    """On the 80 instances, A~ holds A's frame in its first dim A columns,
+    with zero exit rows, and S, C and T start with A's frame exactly."""
+    for i, (inst, _) in enumerate(_eighty_instances()):
+        tri, tau = build_problem(inst)
+        model = build_exit_space(tri, tau)
+        a, p = tri.seed.A.frame, tri.seed.A.dim
+        n, nr = model.dim_h, model.dim_r
+        assert model.dim_a == p, i
+        head = model.a_tilde.frame[:, :p]
+        assert np.array_equal(head[:n], a[:n]) and np.array_equal(head[n + nr:2 * n + nr], a[n:]), i
+        assert not np.any(head[n:n + nr]) and not np.any(head[2 * n + nr:]), i
+        for rel in direct_compression(model):
+            assert np.array_equal(rel.frame[:, :p], a), i
+
+
+def test_split_compressions_match_a_model_that_declares_no_a():
+    """On the 80 instances, direct_compression on the model declared with
+    no columns of A, which splits A~'s whole frame, gives C, S and T
+    within 1e-13 of the split off A."""
+    for i, (inst, _) in enumerate(_eighty_instances()):
+        model = build_exit_space(*build_problem(inst))
+        whole = direct_compression(dataclasses.replace(model, dim_a=0))
+        for split, plain in zip(direct_compression(model), whole):
+            assert relations_equal(split, plain)[1] <= 1e-13, i
+
+
+def test_a_frame_replaced_without_its_count_is_refused():
+    """A model whose frame is replaced but keeps its count of A's columns
+    is refused when those columns have exit rows."""
+    model = build_exit_space(*random_problem(np.random.default_rng(17)))
+    assert model.dim_r > 0 and model.dim_a > 0
+    frame = model.a_tilde.frame
+    rotated = make_relation(frame[:, ::-1], frame.shape[0] // 2)
+    with pytest.raises(ValueError, match="exit rows"):
+        dataclasses.replace(model, a_tilde=rotated)
+
+
+def test_no_svd_of_the_oracle_reads_the_dimension_of_a(monkeypatch):
+    """On an n = 96 instance (d = 18, n_r = 34, dim K = 2, dim A = 78),
+    build_exit_space's one coupling null space is (2d + 2n_r) x (d + n_r),
+    as the tall adjoint of its rows, beside the complement of K, and every
+    SVD of direct_compression is at most d + n_r on each side, but for the
+    orth of ``extend``, whose at most n_r new columns have the 2n rows of
+    base-space pairs.  Every side over A* or the whole of A~'s frame would
+    be at least n + n_r > 2d + 2n_r here."""
+    inst = generate_instance(np.random.default_rng(1513), 96, 48, 4)
+    tri, tau = build_problem(inst)
+    n, d, nr, k = inst.dim, tau.dim, rank_sum(tau), tau.mul_frame.shape[1]
+    assert (n, d, nr, k, tri.seed.A.dim) == (96, 18, 34, 2, 78)
+    assert n + nr > 2 * (d + nr)
+    shapes = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, *args, **kwargs: (
+        shapes.append(a.shape) or svd(a, *args, **kwargs)))
+    model = build_exit_space(tri, tau)
+    assert shapes == [(d, k), (2 * d + 2 * nr, d + nr)]
+    shapes.clear()
+    direct_compression(model)
+    assert len(shapes) == 4
+    for rows, cols in shapes:
+        assert max(rows, cols) <= d + nr or (rows == 2 * n and cols <= nr), (rows, cols)
 
 
 def _model_triplet(tau):
@@ -194,7 +259,9 @@ def test_coupled_relation_selfadjoint_random():
 
 def _uncoupled_problem():
     """(tri, tau, model) with A~ replaced by the direct sum of A0 and the
-    vertical relation in H_r: the resolvent never leaves H."""
+    vertical relation in H_r: the resolvent never leaves H.  Its frame is
+    an ``orth``, which need not start with A's frame, so it declares no
+    columns of A."""
     rng = np.random.default_rng(17)
     tri, tau = random_problem(rng)
     model = build_exit_space(tri, tau)
@@ -206,7 +273,7 @@ def _uncoupled_problem():
     span[n + nr:2 * n + nr, :a0.dim] = a0.frame[n:]
     span[2 * n + nr:, a0.dim:] = np.eye(nr)   # vertical block in H_r
     uncoupled = dataclasses.replace(
-        model, a_tilde=make_relation(span, n + nr))
+        model, a_tilde=make_relation(span, n + nr), dim_a=0)
     return tri, tau, uncoupled
 
 
