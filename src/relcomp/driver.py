@@ -23,10 +23,11 @@ import numpy as np
 
 from .linrel import (
     DEFAULT_TOL,
-    containment_residual,
+    LinearRelation,
     make_relation,
     negate,
     operator_relation,
+    relations_equal,
     resolvent,
 )
 from .nevanlinna import (
@@ -377,17 +378,16 @@ def krein_residuals(tri, tau, model, lams) -> tuple[float, float]:
 
 
 def _gap_off_a(ctx, formula, oracle) -> float:
-    """relations_equal's gap of an extension of A by the formula route
-    against the oracle's, read second, both frames holding A's frame in
-    their first dim_a columns (``ExitSpaceModel.dim_a``) and the rest
-    orthogonal to A: the gap of their parts off A, plus the Frobenius
+    """The gap of an extension of A by the formula route against the
+    oracle's, read second, both frames holding A's frame
+    (``ExitSpaceModel.a``) first and the rest orthogonal to A:
+    ``relations_equal``'s gap of their parts off A, plus the Frobenius
     distance of the oracle's A columns from A's frame, so that the
-    oracle's frame is read as a whole even where the set is A."""
-    if formula.dim != oracle.dim:
-        return 1.0
-    p = ctx.model.dim_a
-    return (containment_residual(formula.frame[:, p:], oracle.frame[:, p:])
-            + float(np.linalg.norm(oracle.frame[:, :p] - ctx.tri.seed.A.frame[:, :p])))
+    oracle's frame is read whole even where the set is A."""
+    a = ctx.model.a
+    return (relations_equal(LinearRelation(formula.frame[:, a.dim:]),
+                            LinearRelation(oracle.frame[:, a.dim:]))[1]
+            + float(np.linalg.norm(oracle.frame[:, :a.dim] - a.frame)))
 
 
 def _s_direct_matches_theta0(ctx) -> float:
@@ -466,8 +466,8 @@ def run_verify(count: int = 10, max_dim: int = 6, max_boundary: int = 3,
     a replay verifies, and reports, one instance.  The instances come from
     one default_rng(rng_seed), and the checks of instance i draw from
     default_rng([rng_seed, i]) alone."""
-    if min(count, max_dim, max_boundary) < 1 or max_poles < 0:
-        raise InputError("bounds must be positive")
+    if min(count, max_dim, max_boundary) < 1 or min(max_poles, rng_seed) < 0:
+        raise InputError("bounds must be positive, and the pole count and seed nonnegative")
     if replay_instance is not None:
         count = 1
     rng = np.random.default_rng(rng_seed)

@@ -11,20 +11,23 @@ the self-adjoint relation
           G h = Gamma0^r f-hat_r, Gamma1 f-hat + A h + G^H Gamma1^r f-hat_r in K}
 
 in C^{n + n_r}.  Gamma vanishes on A, so A~ contains A with zero exit
-rows, and its frame is A's frame beside one null space of the coupling
-conditions on A* (-) A (+) C^{2n_r}, whose size reads no dimension of A.
+rows; the model holds A beside the frame off_a of the rest of A~, one
+null space of the coupling conditions on A* (-) A (+) C^{2n_r}, whose
+size reads no dimension of A.
 Building A~ reads only Gamma0, Gamma1, A*, tau's coefficients and K: no
 boundary lift, extension, Weyl function or ``spectra`` of the formula
 route that it cross-validates, and the module imports nothing of that
 route: only the BoundaryTriplet class from ``triplet`` and nothing from
 ``extension``.
 Compressions and generalized resolvents of A~ are then computed directly
-by subspace algebra; each compression is A's frame beside its part off A,
-read off the exit rows of the null space alone.
+by subspace algebra: ``direct_compression`` and ``minimality`` read
+off_a alone, and the resolvent and the self-adjointness verdict read A~,
+which only ``ExitSpaceModel.a_tilde`` assembles.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -80,27 +83,33 @@ def model_maps(tau: RationalNevanlinna) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 @dataclass(frozen=True)
 class ExitSpaceModel:
-    """Self-adjoint A~ in C^{dim_h + dim_r}, base-space coordinates first
-    in both pair components; dim_r is the exit dimension n_r.  The first
-    dim_a columns of A~'s frame are A's frame (``build_exit_space``), and
-    their exit rows must be zero: ValueError if not, so a frame replaced
-    without its count is refused.  A model built by hand declares none."""
+    """Self-adjoint A~ in C^{dim_h + dim_r}, dim_r the exit dimension n_r,
+    held as the seed relation a in C^{dim_h}, which A~ holds with zero exit
+    rows, and an orthonormal frame off_a of the rest of A~, orthogonal to
+    A, with pairs in the order (f, f_r, f', f_r')."""
 
-    dim_h: int
-    dim_r: int
-    a_tilde: LinearRelation
-    dim_a: int = 0
+    a: LinearRelation
+    off_a: np.ndarray
 
-    def __post_init__(self):
-        n, nr, a = self.dim_h, self.dim_r, self.a_tilde.frame[:, :self.dim_a]
-        if np.any(a[n:n + nr]) or np.any(a[2 * n + nr:]):
-            raise ValueError(f"the first {self.dim_a} columns of the frame of A~ "
-                             "are declared A's, but have nonzero exit rows")
+    @property
+    def dim_h(self) -> int:
+        return self.a.n
+
+    @property
+    def dim_r(self) -> int:
+        return self.off_a.shape[0] // 2 - self.a.n
+
+    @cached_property
+    def a_tilde(self) -> LinearRelation:
+        """A~'s frame: A's frame, with zero exit rows, beside off_a."""
+        n, a = self.dim_h, self.a.frame
+        zero = np.zeros((self.dim_r, a.shape[1]))
+        return LinearRelation(np.hstack([np.vstack([a[:n], zero, a[n:], zero]), self.off_a]))
 
 
 def build_exit_space(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ExitSpaceModel:
-    """A~ as A's frame beside one null space of the d + n_r coupling
-    conditions on (c, f-hat_r), f-hat = W c for the columns
+    """A~ as A beside the frame off_a of one null space of the d + n_r
+    coupling conditions on (c, f-hat_r), f-hat = W c for the columns
     W = [N-hat_i, N-hat_{-i}] of A*'s frame after A's, where the conditions
     read Gamma: K^H Gamma0 f-hat = 0,
     h0^H (Gamma1 f-hat + A Gamma0 f-hat + G^H Gamma1^r f-hat_r) = 0 for the
@@ -118,8 +127,7 @@ def build_exit_space(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ExitSpace
     h0 = complement(mul)
     k = mul.shape[1]
     p = tri.seed.A.dim
-    a_star = tri.seed.A_star.frame
-    w = a_star[:, p:]
+    w = tri.seed.A_star.frame[:, p:]
     g0, g1 = tri.gamma0 @ w, tri.gamma1 @ w
     m = w.shape[1]
     rows = np.zeros((d + nr, m + 2 * nr), dtype=complex)
@@ -133,16 +141,11 @@ def build_exit_space(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ExitSpace
         raise ModelError(f"coupled relation has dimension {p + coeff.shape[1]}, "
                          f"not n + n_r = {n + nr}")
     base, exit_ = w @ coeff[:m], coeff[m:]
-    # pair components (f, f') and (f_r, f_r') in the order (f, f_r, f', f_r'),
-    # A's columns first
-    frame = np.zeros((2 * (n + nr), n + nr), dtype=complex)
-    frame[:n, :p], frame[n + nr:2 * n + nr, :p] = a_star[:n, :p], a_star[n:, :p]
-    frame[:n, p:], frame[n:n + nr, p:] = base[:n], exit_[:nr]
-    frame[n + nr:2 * n + nr, p:], frame[2 * n + nr:, p:] = base[n:], exit_[nr:]
-    a_tilde = LinearRelation(frame)
-    if classify_symmetry(a_tilde) != "self_adjoint":
+    # pair components (f, f') and (f_r, f_r') in the order (f, f_r, f', f_r')
+    model = ExitSpaceModel(tri.seed.A, np.vstack([base[:n], exit_[:nr], base[n:], exit_[nr:]]))
+    if classify_symmetry(model.a_tilde) != "self_adjoint":
         raise ModelError("coupled relation is not self-adjoint")
-    return ExitSpaceModel(dim_h=n, dim_r=nr, a_tilde=a_tilde, dim_a=p)
+    return model
 
 
 def direct_compression(model: ExitSpaceModel):
@@ -150,10 +153,10 @@ def direct_compression(model: ExitSpaceModel):
     (C, S, T): S = A~ restricted to pairs entirely in H, C additionally
     projecting the second component, T projecting both components.
 
-    A~'s first dim_a columns are A's frame with zero exit rows, so each set
-    is A's frame beside its part off A, read off the other columns alone.
-    With base their H rows and f_r, f_r' their exit rows, the parts off A
-    of C and T are base times ker f_r and times everything, and S's is
+    A's exit rows in A~ are zero, so each set is A's frame beside its part
+    off A, read off the frame off_a of the rest of A~ alone.  With base
+    the H rows of off_a and f_r, f_r' its exit rows, the parts off A of C
+    and T are base times ker f_r and times everything, and S's is
     base times ker f_r cap ker f_r', an orthonormal frame already.  Two
     ``kernel_split``s, of f_r and of f_r' on ker f_r, split the
     coefficients into unitary blocks, so each set is the one before it
@@ -164,17 +167,13 @@ def direct_compression(model: ExitSpaceModel):
     checks each set against its formula, A_theta0, A_tau_c and A_theta_T,
     on the parts off A, and A <= A_theta <= A* for every theta gives
     A <= S and T <= A*."""
-    n, nr, p = model.dim_h, model.dim_r, model.dim_a
-    frame = model.a_tilde.frame
-    f_r, fp_r = frame[n:n + nr, p:], frame[2 * n + nr:, p:]
-    base = np.vstack([frame[:n, p:], frame[n + nr:2 * n + nr, p:]])
+    n, nr, off = model.dim_h, model.dim_r, model.off_a
+    f_r, fp_r = off[n:n + nr], off[2 * n + nr:]
+    base = np.vstack([off[:n], off[n + nr:2 * n + nr]])
     to_c, rest_t = kernel_split(f_r)
     to_s, rest_c = kernel_split(fp_r @ to_c)
     base_c = base @ to_c
-    s = np.empty((2 * n, p + to_s.shape[1]), dtype=complex)
-    s[:n, :p], s[n:, :p] = frame[:n, :p], frame[n + nr:2 * n + nr, :p]
-    s[:, p:] = base_c @ to_s
-    S = LinearRelation(s)
+    S = LinearRelation(np.hstack([model.a.frame, base_c @ to_s]))
     C = LinearRelation(extend(S.frame, base_c @ rest_c))
     T = LinearRelation(extend(C.frame, base @ rest_t))
     return C, S, T
@@ -210,11 +209,10 @@ def minimality(model: ExitSpaceModel) -> bool:
     X^{-1} = (I - i G)^{-1} X^H, so the two differ by at most
     ||G|| / (1 - ||G||) times ||X|| <= (1 + ||G||)^(1/2), and
     ``build_exit_space`` has already rejected an A~ with ||G|| of
-    DEFAULT_TOL or more.
+    DEFAULT_TOL or more.  A's exit rows are zero, so off_a alone gives it.
     """
-    n, nr = model.dim_h, model.dim_r
-    A_tilde = model.a_tilde
-    r = A_tilde.left[n:] @ (A_tilde.right - 1j * A_tilde.left).conj().T
+    n, nr, off = model.dim_h, model.dim_r, model.off_a
+    r = off[n:n + nr] @ (off[n + nr:] - 1j * off[:n + nr]).conj().T
     r21, r22 = r[:, :n], r[:, n:]
     block = orth(r21)
     added = block

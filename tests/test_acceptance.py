@@ -275,7 +275,8 @@ def test_frames_built_without_orth_are_orthonormal(corpus):
     """A0, C(A~), A~ and the direct S are products of orthonormal frames,
     built without orthonormalizing again; on the corpus and at n = 96 they
     stay orthonormal, as do the kernel and multivalued-part frames that
-    ``parts`` reads off A*, C(A~) and A~.  So do the ``operator_relation``
+    ``parts`` reads off A*, C(A~) and A~, and theta_T's, built as
+    ``compression_chain`` builds it.  So do the ``operator_relation``
     frames of tau_c, theta0 (as ``s_direct_matches_theta0`` builds it) and
     tau(lam) with tau's constant coefficient scaled by 1e9."""
     big = generate_instance(np.random.default_rng(292), max_dim=96,
@@ -285,8 +286,11 @@ def test_frames_built_without_orth_are_orthonormal(corpus):
         + [VerifyContext(*build_problem(big), None)]
     worst = worst_scaled = 0.0
     for ctx in contexts:
-        C = ctx.report.compression
-        for T in (ctx.tri.a0, C, ctx.model.a_tilde, ctx.chain[1]):
+        C, hp = ctx.report.compression, ctx.decomposition.h_prime
+        image = ctx.tau.a_coef @ ctx.tau.op_frame
+        theta_t = operator_relation(ctx.tau.op_frame, hp @ (hp.conj().T @ image) - image,
+                                    np.hstack([ctx.tau.mul_frame, hp]))
+        for T in (ctx.tri.a0, C, ctx.model.a_tilde, ctx.chain[1], theta_t):
             worst = max(worst, _frame_gap(T.frame))
         for T in (ctx.tri.seed.A_star, C, ctx.model.a_tilde):
             p = parts(T)

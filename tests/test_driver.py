@@ -595,7 +595,7 @@ FAULTS = {
         driver, "direct_compression",
         lambda direct: lambda model: (lambda C, S, T: (
             dataclasses.replace(C, frame=np.hstack([
-                1.01 * C.frame[:, :model.dim_a], C.frame[:, model.dim_a:]])),
+                1.01 * C.frame[:, :model.a.dim], C.frame[:, model.a.dim:]])),
             S, T))(*direct(model)),
         ["compression_equivalence"], "b_deficient"),
     # H'' without its first column; the FAULTS instance has H'' = {0}, this
@@ -1007,6 +1007,15 @@ def test_cli_input_error_exit_two(tmp_path):
     assert "error:" in proc.stderr
 
 
+def test_cli_negative_seed_is_bad_input(capsys):
+    """numpy refuses a negative seed; verify rejects it first, with exit 2,
+    one error line and no report."""
+    assert main(["verify", "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: bounds must be positive") and err.count("\n") == 1
+    assert out == ""
+
+
 def test_cli_unwritable_out_is_bad_input(tmp_path, capsys, monkeypatch):
     """An --out in a directory that does not exist exits 2 with an error
     line, before any instance is verified."""
@@ -1122,7 +1131,7 @@ def test_scaled_tau_keeps_its_verdicts(scale):
     check passes at every scale: the gap limit picks no point from the
     size of tau.  compression_chain, the oracle's T against A_theta_T,
     reads at most 1e-12, and at most 1e-9 at x 1e6, where the oracle's
-    null space loses digits (2.9e-13, 2.9e-15, 2.7e-13 and 4.8e-10
+    null space loses digits (3.9e-13, 2.0e-15, 2.7e-13 and 4.8e-10
     measured)."""
     chain_bound = 1e-9 if scale == 1e6 else 1e-12
     for seed in range(10):
