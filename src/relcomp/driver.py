@@ -24,10 +24,10 @@ import numpy as np
 from .linrel import (
     DEFAULT_TOL,
     LinearRelation,
+    _gap,
     make_relation,
     negate,
     operator_relation,
-    relations_equal,
     resolvent,
 )
 from .nevanlinna import (
@@ -377,36 +377,42 @@ def krein_residuals(tri, tau, model, lams) -> tuple[float, float]:
                         initial=0.0)), direct
 
 
-def _gap_off_a(ctx, formula, oracle) -> float:
-    """The gap of an extension of A by the formula route against the
-    oracle's, read second, both frames holding A's frame
-    (``ExitSpaceModel.a``) first and the rest orthogonal to A:
-    ``relations_equal``'s gap of their parts off A, plus the Frobenius
-    distance of the oracle's A columns from A's frame, so that the
-    oracle's frame is read whole even where the set is A."""
-    a = ctx.model.a
-    return (relations_equal(LinearRelation(formula.frame[:, a.dim:]),
-                            LinearRelation(oracle.frame[:, a.dim:]))[1]
-            + float(np.linalg.norm(oracle.frame[:, :a.dim] - a.frame)))
+def _gap_on_w(formula, oracle) -> float:
+    """The gap of a set A <= X <= A* by the formula route against the
+    oracle's, read second, off their coordinates on W = A* (-) A: each
+    frame is [A, W Y] with W orthonormal and orthogonal to A, so the two
+    projectors differ by W (P_Y1 - P_Y2) W^H, and ``relations_equal``'s
+    gap of the assembled frames is the gap of the coordinates, 1 where
+    the dimensions differ, read on 2d rows."""
+    return float(_gap(formula.coords, oracle.coords))
+
+
+def theta0(tau, dec) -> LinearRelation:
+    """theta0 = {{h'', -A h'' + k}: h'' in H'', k in K}, with S = A_theta0,
+    for tau's ``decompose_tau`` dec."""
+    hd = dec.h_dprime
+    return operator_relation(hd, -tau.a_coef @ hd, tau.mul_frame)
+
+
+def theta_t(tau, dec) -> LinearRelation:
+    """theta_T = {{h, -(I - P_H') A h + k}: h in K-perp, k in K + H'}, with
+    T = P_H A~ = A_theta_T, since Gamma1 f-hat + A h ranges over
+    K + ran G^H = K + H' (README).  A vanishes on K and maps into
+    K-perp = H' (+) H'', so -(I - P_H') A h is -h'' (h''^H A h) for the
+    frame h'' of H'': no difference of two near-equal images is formed."""
+    hd = dec.h_dprime
+    return operator_relation(tau.op_frame, -hd @ (hd.conj().T @ tau.a_coef @ tau.op_frame),
+                             np.hstack([tau.mul_frame, dec.h_prime]))
 
 
 def _s_direct_matches_theta0(ctx) -> float:
-    """The gap of A_theta0, theta0 = {{h'', -A h'' + k}: h'' in H'', k in K},
-    against the oracle's S = A~ cap (H (+) H)."""
-    tau, hd = ctx.tau, ctx.decomposition.h_dprime
-    theta0 = operator_relation(hd, -tau.a_coef @ hd, tau.mul_frame)
-    return _gap_off_a(ctx, extension_of(ctx.tri, theta0), ctx.chain[1])
+    """The gap of A_theta0 against the oracle's S = A~ cap (H (+) H)."""
+    return _gap_on_w(extension_of(ctx.tri, theta0(ctx.tau, ctx.decomposition)), ctx.chain[1])
 
 
 def _t_direct_matches_theta_t(ctx) -> float:
-    """The gap of A_theta_T against the oracle's T = P_H A~:
-    theta_T = {{h, -(I - P_H') A h + k}: h in K-perp, k in K + H'}, since
-    Gamma1 f-hat + A h ranges over K + ran G^H = K + H' (README)."""
-    tau, hp = ctx.tau, ctx.decomposition.h_prime
-    image = tau.a_coef @ tau.op_frame
-    theta_t = operator_relation(tau.op_frame, hp @ (hp.conj().T @ image) - image,
-                                np.hstack([tau.mul_frame, hp]))
-    return _gap_off_a(ctx, extension_of(ctx.tri, theta_t), ctx.chain[2])
+    """The gap of A_theta_T against the oracle's T = P_H A~."""
+    return _gap_on_w(extension_of(ctx.tri, theta_t(ctx.tau, ctx.decomposition)), ctx.chain[2])
 
 
 def _krein_formula(ctx) -> float:
@@ -428,7 +434,7 @@ CHECKS = {check.name: check for check in (
     Check("limit_parameter", 1e-8,
           lambda ctx: tau_limits(ctx.tau, negate(ctx.report.tau_c))),
     Check("compression_equivalence", 1e-7,
-          lambda ctx: _gap_off_a(ctx, ctx.report.compression, ctx.chain[0])),
+          lambda ctx: _gap_on_w(ctx.report.compression, ctx.chain[0])),
     Check("s_direct_matches_theta0", 1e-7, _s_direct_matches_theta0),
     # T against A_theta_T, under the name the benchmark reads
     Check("compression_chain", 1e-7, _t_direct_matches_theta_t),

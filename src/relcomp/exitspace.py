@@ -11,18 +11,20 @@ the self-adjoint relation
           G h = Gamma0^r f-hat_r, Gamma1 f-hat + A h + G^H Gamma1^r f-hat_r in K}
 
 in C^{n + n_r}.  Gamma vanishes on A, so A~ contains A with zero exit
-rows; the model holds A beside the frame off_a of the rest of A~, one
-null space of the coupling conditions on A* (-) A (+) C^{2n_r}, whose
-size reads no dimension of A.
-Building A~ reads only Gamma0, Gamma1, A*, tau's coefficients and K: no
-boundary lift, extension, Weyl function or ``spectra`` of the formula
-route that it cross-validates, and the module imports nothing of that
-route: only the BoundaryTriplet class from ``triplet`` and nothing from
-``extension``.
+rows; the model holds A beside the coordinates of the rest of A~ on
+W (+) C^{2n_r}, for the seed's frame W = [N-hat_i, N-hat_{-i}] of
+A* (-) A: one null space of the coupling conditions, whose size reads no
+dimension of A.
+Building A~ reads only Gamma0, Gamma1, W (the part of A*'s frame after
+A's), tau's coefficients and K: no boundary lift, extension, Weyl
+function or ``spectra`` of the formula route that it cross-validates,
+and the module imports nothing of that route: only the BoundaryTriplet
+class from ``triplet`` and nothing from ``extension``.
 Compressions and generalized resolvents of A~ are then computed directly
-by subspace algebra: ``direct_compression`` and ``minimality`` read
-off_a alone, and the resolvent and the self-adjointness verdict read A~,
-which only ``ExitSpaceModel.a_tilde`` assembles.
+by subspace algebra: ``direct_compression`` reads the coordinates alone
+and returns each set as A (+) W Y (``linrel.OrthogonalSum``), and
+``minimality``, the resolvent and the self-adjointness verdict read the
+base-space frames that ``ExitSpaceModel`` assembles on first use.
 """
 from __future__ import annotations
 
@@ -33,6 +35,7 @@ import numpy as np
 
 from .linrel import (
     LinearRelation,
+    OrthogonalSum,
     _cut,
     classify_symmetry,
     complement,
@@ -85,11 +88,14 @@ def model_maps(tau: RationalNevanlinna) -> tuple[np.ndarray, np.ndarray, np.ndar
 class ExitSpaceModel:
     """Self-adjoint A~ in C^{dim_h + dim_r}, dim_r the exit dimension n_r,
     held as the seed relation a in C^{dim_h}, which A~ holds with zero exit
-    rows, and an orthonormal frame off_a of the rest of A~, orthogonal to
-    A, with pairs in the order (f, f_r, f', f_r')."""
+    rows, an orthonormal frame w orthogonal to a's (the seed's W for a
+    built model), and orthonormal coordinates of the rest of A~ on
+    w (+) C^{2 dim_r}, rows (c, f_r, f_r'): each column is the base pair
+    w c beside the exit pair (f_r, f_r')."""
 
     a: LinearRelation
-    off_a: np.ndarray
+    w: np.ndarray
+    coords: np.ndarray
 
     @property
     def dim_h(self) -> int:
@@ -97,7 +103,14 @@ class ExitSpaceModel:
 
     @property
     def dim_r(self) -> int:
-        return self.off_a.shape[0] // 2 - self.a.n
+        return (self.coords.shape[0] - self.w.shape[1]) // 2
+
+    @cached_property
+    def off_a(self) -> np.ndarray:
+        """The frame of the rest of A~, pairs in the order (f, f_r, f', f_r')."""
+        n, nr, m = self.dim_h, self.dim_r, self.w.shape[1]
+        base, exit_ = self.w @ self.coords[:m], self.coords[m:]
+        return np.vstack([base[:n], exit_[:nr], base[n:], exit_[nr:]])
 
     @cached_property
     def a_tilde(self) -> LinearRelation:
@@ -108,16 +121,16 @@ class ExitSpaceModel:
 
 
 def build_exit_space(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ExitSpaceModel:
-    """A~ as A beside the frame off_a of one null space of the d + n_r
-    coupling conditions on (c, f-hat_r), f-hat = W c for the columns
-    W = [N-hat_i, N-hat_{-i}] of A*'s frame after A's, where the conditions
-    read Gamma: K^H Gamma0 f-hat = 0,
+    """A~ as A beside one null space of the d + n_r coupling conditions on
+    (c, f-hat_r), f-hat = W c for the seed's W = [N-hat_i, N-hat_{-i}], the
+    columns of A*'s frame after A's, where the conditions read Gamma:
+    K^H Gamma0 f-hat = 0,
     h0^H (Gamma1 f-hat + A Gamma0 f-hat + G^H Gamma1^r f-hat_r) = 0 for the
     frame h0 = complement(K) of K-perp, and G Gamma0 f-hat = Gamma0^r f-hat_r.
     Gamma vanishes on A, so A, with zero exit rows, satisfies them all, and
-    the null space is of a (d + n_r) x (2d + 2n_r) matrix.  A*'s frame and
-    the null space are orthonormal and W is orthogonal to A, so the frame
-    of A~ is too.
+    the null space is of a (d + n_r) x (2d + 2n_r) matrix; the model keeps
+    it as the coordinates of the rest of A~.  W and the null space are
+    orthonormal and W is orthogonal to A, so the frame of A~ is too.
 
     ModelError unless A~ has dimension n + n_r and is self-adjoint."""
     n, d = tri.space_dim, tau.dim
@@ -126,8 +139,7 @@ def build_exit_space(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ExitSpace
     mul = tau.mul_frame
     h0 = complement(mul)
     k = mul.shape[1]
-    p = tri.seed.A.dim
-    w = tri.seed.A_star.frame[:, p:]
+    p, w = tri.seed.A.dim, tri.seed.w
     g0, g1 = tri.gamma0 @ w, tri.gamma1 @ w
     m = w.shape[1]
     rows = np.zeros((d + nr, m + 2 * nr), dtype=complex)
@@ -140,9 +152,7 @@ def build_exit_space(tri: BoundaryTriplet, tau: RationalNevanlinna) -> ExitSpace
     if p + coeff.shape[1] != n + nr:
         raise ModelError(f"coupled relation has dimension {p + coeff.shape[1]}, "
                          f"not n + n_r = {n + nr}")
-    base, exit_ = w @ coeff[:m], coeff[m:]
-    # pair components (f, f') and (f_r, f_r') in the order (f, f_r, f', f_r')
-    model = ExitSpaceModel(tri.seed.A, np.vstack([base[:n], exit_[:nr], base[n:], exit_[nr:]]))
+    model = ExitSpaceModel(tri.seed.A, w, coeff)
     if classify_symmetry(model.a_tilde) != "self_adjoint":
         raise ModelError("coupled relation is not self-adjoint")
     return model
@@ -153,30 +163,28 @@ def direct_compression(model: ExitSpaceModel):
     (C, S, T): S = A~ restricted to pairs entirely in H, C additionally
     projecting the second component, T projecting both components.
 
-    A's exit rows in A~ are zero, so each set is A's frame beside its part
-    off A, read off the frame off_a of the rest of A~ alone.  With base
-    the H rows of off_a and f_r, f_r' its exit rows, the parts off A of C
-    and T are base times ker f_r and times everything, and S's is
-    base times ker f_r cap ker f_r', an orthonormal frame already.  Two
-    ``kernel_split``s, of f_r and of f_r' on ker f_r, split the
-    coefficients into unitary blocks, so each set is the one before it
-    ``extend``ed by the base image of the coefficients it adds, and no SVD
-    reads a dimension of A: the splits are at most d + n_r wide and each
-    ``extend`` adds at most n_r columns.  The frames are nested, so
-    S <= C <= T holds exactly and verify checks no link of the chain: it
-    checks each set against its formula, A_theta0, A_tau_c and A_theta_T,
-    on the parts off A, and A <= A_theta <= A* for every theta gives
-    A <= S and T <= A*."""
-    n, nr, off = model.dim_h, model.dim_r, model.off_a
-    f_r, fp_r = off[n:n + nr], off[2 * n + nr:]
-    base = np.vstack([off[:n], off[n + nr:2 * n + nr]])
+    A's exit rows in A~ are zero, so each set is A (+) w Y, held by its
+    coordinates Y on w (``OrthogonalSum``), read off the model's
+    coordinates (c; f_r; f_r') alone: Y is c times ker f_r for C, times
+    everything for T, and c times ker f_r cap ker f_r' for S, orthonormal
+    already.  Two ``kernel_split``s, of f_r and of f_r' on ker f_r, split
+    the coefficients into unitary blocks, so each Y is the one before it
+    ``extend``ed by the c image of the coefficients it adds, and no SVD
+    reads a dimension of A or the 2n rows of a base pair: the splits are
+    at most d + n_r wide and each ``extend`` adds at most n_r columns of
+    2d rows.  The coordinates are nested, so S <= C <= T holds exactly and
+    verify checks no link of the chain: it checks each set's coordinates
+    against those of its formula, A_theta0, A_tau_c and A_theta_T, and
+    A <= A_theta <= A* for every theta gives A <= S and T <= A*."""
+    m, nr, y = model.w.shape[1], model.dim_r, model.coords
+    c, f_r, fp_r = y[:m], y[m:m + nr], y[m + nr:]
     to_c, rest_t = kernel_split(f_r)
     to_s, rest_c = kernel_split(fp_r @ to_c)
-    base_c = base @ to_c
-    S = LinearRelation(np.hstack([model.a.frame, base_c @ to_s]))
-    C = LinearRelation(extend(S.frame, base_c @ rest_c))
-    T = LinearRelation(extend(C.frame, base @ rest_t))
-    return C, S, T
+    c_c = c @ to_c
+    S = c_c @ to_s
+    C = extend(S, c_c @ rest_c)
+    T = extend(C, c @ rest_t)
+    return tuple(OrthogonalSum(model.a, model.w, coords) for coords in (C, S, T))
 
 
 def generalized_resolvent_direct(model: ExitSpaceModel, lam: complex) -> np.ndarray:
@@ -209,7 +217,8 @@ def minimality(model: ExitSpaceModel) -> bool:
     X^{-1} = (I - i G)^{-1} X^H, so the two differ by at most
     ||G|| / (1 - ||G||) times ||X|| <= (1 + ||G||)^(1/2), and
     ``build_exit_space`` has already rejected an A~ with ||G|| of
-    DEFAULT_TOL or more.  A's exit rows are zero, so off_a alone gives it.
+    DEFAULT_TOL or more.  A's exit rows are zero, so the frame off_a of
+    the rest of A~ alone gives it.
     """
     n, nr, off = model.dim_h, model.dim_r, model.off_a
     r = off[n:n + nr] @ (off[n + nr:] - 1j * off[:n + nr]).conj().T

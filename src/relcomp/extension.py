@@ -20,6 +20,7 @@ import numpy as np
 from .linrel import (
     DEFAULT_TOL,
     LinearRelation,
+    OrthogonalSum,
     _cut,
     _fro,
     _inversion_cut,
@@ -100,12 +101,14 @@ def compression_param(tau: RationalNevanlinna) -> LinearRelation:
 @dataclass(frozen=True)
 class CompressionReport:
     """Classification of the compression C = C(A~) of the exit-space
-    extension attached to a rational parameter tau: ``flags`` are read off
-    C, and ``disputed`` maps each flag on which the coefficients of tau
-    say otherwise to its (geometric, coefficient) values."""
+    extension attached to a rational parameter tau: C = A_tau_c keeps
+    its coordinates on W, which verify compares with the oracle's,
+    ``flags`` are read off C, and ``disputed`` maps each flag on which the
+    coefficients of tau say otherwise to its (geometric, coefficient)
+    values."""
 
     tau_c: LinearRelation
-    compression: LinearRelation
+    compression: OrthogonalSum
     flags: dict
     disputed: dict
     n_r: int

@@ -10,18 +10,21 @@ enters through ``operator_relation``, with no cut; any other span through
 ``make_relation``.  Equality is the projector distance ||P1 - P2||, read
 without forming either 2N x 2N projector: it is 1 when the dimensions
 differ, and the one-sided gap ||(I - P2) F1|| when they agree, so
-verdicts are gauge-free.
+verdicts are gauge-free.  A relation A <= X <= A* of a symmetric A is
+held as A (+) W Y, by its coordinates Y on the frame W of A* (-) A
+(``OrthogonalSum``), whose frame is assembled only where it is read.
 
 Every inverse the package takes is the matrix R L^{-1} of a relation with
 frame (L; R): resolvents, the middle term of the Krein formula, the
-gamma field, a triplet's boundary lift and the rotated relation of
-``diagonalize``.  ``graph_operator`` computes it, from one LU and with
-the one inversion cut, ``_inversion_cut``; no other routine inverts a
-matrix.  The oracle's ``minimality`` reads (A~ - i)^{-1} with none,
-since R - iL is unitary for the frame (L; R) of a self-adjoint A~ and
-its inverse is its adjoint.  The Krein resolvent reads A0's resolvent
-off the frame (U diag(c); U diag(s)) of ``diagonalize``, where R - lam L
-is U diag(s - lam c) and needs no LU, and cuts lam by ``_inversion_cut``
+gamma field, a triplet's boundary lift (Gamma W)^{-1}, of the frame
+(Gamma W; I), and the rotated relation of ``diagonalize``.
+``graph_operator`` computes it, from one LU and with the one inversion
+cut, ``_inversion_cut``; no other routine inverts a matrix.  The
+oracle's ``minimality`` reads (A~ - i)^{-1} with none, since R - iL is
+unitary for the frame (L; R) of a self-adjoint A~ and its inverse is its
+adjoint.  The Krein resolvent reads A0's resolvent off the frame
+(U diag(c); U diag(s)) of ``diagonalize``, where R - lam L is
+U diag(s - lam c) and needs no LU, and cuts lam by ``_inversion_cut``
 too.
 
 A relation-valued function sampled at m points is one ``LinearRelation``
@@ -90,6 +93,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -270,6 +274,46 @@ class LinearRelation:
 
 
 @dataclass(frozen=True)
+class OrthogonalSum:
+    """The relation a (+) span(w coords) for an orthonormal frame w
+    orthogonal to a's and orthonormal coordinates coords on w, or the
+    stack of such relations for a stack of coordinates.  It is read as a
+    ``LinearRelation`` (frame, left, right, n, dim), and its frame
+    [a, w coords] is assembled, read-only, on first read, so a reader of
+    coords alone never forms it.  Each relation A <= X <= A* is held so,
+    with w the frame W = [N-hat_i, N-hat_{-i}] of A* (-) A."""
+
+    a: LinearRelation
+    w: np.ndarray
+    coords: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.a.n
+
+    @property
+    def dim(self) -> int:
+        return self.a.dim + self.coords.shape[-1]
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        a = self.a.frame
+        frame = np.empty(self.coords.shape[:-2] + (a.shape[0], self.dim), dtype=complex)
+        frame[..., :a.shape[1]] = a
+        frame[..., a.shape[1]:] = self.w @ self.coords
+        frame.setflags(write=False)
+        return frame
+
+    @property
+    def left(self) -> np.ndarray:
+        return self.frame[..., :self.n, :]
+
+    @property
+    def right(self) -> np.ndarray:
+        return self.frame[..., self.n:, :]
+
+
+@dataclass(frozen=True)
 class PartsReport:
     dom: np.ndarray
     ran: np.ndarray
@@ -369,12 +413,18 @@ def relations_equal(T1: LinearRelation, T2: LinearRelation):
     one containment residual is the gap.
     """
     _check_ambient(T1, T2)
-    if T1.dim != T2.dim:
-        stack = np.broadcast_shapes(T1.frame.shape[:-2], T2.frame.shape[:-2])
-        resid = np.ones(stack) if stack else 1.0
-    else:
-        resid = containment_residual(T1.frame, T2.frame)
+    resid = _gap(T1.frame, T2.frame)
     return resid < DEFAULT_TOL, resid
+
+
+def _gap(f1: np.ndarray, f2: np.ndarray):
+    """The gap ||P1 - P2|| of the spans of two orthonormal frames, or one
+    per matrix of stacked frames: 1 when their column counts differ, and
+    the one containment residual otherwise (``relations_equal``)."""
+    if f1.shape[-1] != f2.shape[-1]:
+        stack = np.broadcast_shapes(f1.shape[:-2], f2.shape[:-2])
+        return np.ones(stack) if stack else 1.0
+    return containment_residual(f1, f2)
 
 
 def gap_limit(relation_at: Callable[[np.ndarray], LinearRelation],

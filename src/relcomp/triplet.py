@@ -6,9 +6,12 @@ takes.  The boundary maps Gamma0, Gamma1 are stored as d x 2n
 matrices acting on ambient pairs (f, f') in C^n (+) C^n.  Only their
 restriction to A* matters: two triplets whose maps agree on A* are the
 same triplet, and no basis of A* is part of one.  Gamma vanishes on A and
-maps W = [N-hat_i, N-hat_{-i}] = A* (-) A onto C^{2d}, so each triplet
-keeps one boundary lift W (Gamma W)^{-1}, and every extension is
-A_theta = A (+) lift(theta).  The gamma field and the Weyl function have
+maps W = [N-hat_i, N-hat_{-i}] = A* (-) A onto C^{2d}; the seed keeps W
+once, read-only, and each triplet one boundary lift (Gamma W)^{-1}, the
+2d x 2d map from boundary pairs to coordinates on W.  Every relation
+A <= X <= A* is held by orthonormal coordinates Y on W, X = A (+) W Y
+(``linrel.OrthogonalSum``), and every extension A_theta by the QR
+coordinates of lift(theta).  The gamma field and the Weyl function have
 one spelling, ``gamma_and_weyl``: their values at i (``weyl_at_i``, Gamma0
 inverted on N-hat_i) carried to every lam by A0's spectrum.
 """
@@ -22,6 +25,7 @@ import numpy as np
 from .linrel import (
     DEFAULT_TOL,
     LinearRelation,
+    OrthogonalSum,
     SpectrumError,
     _as_complex,
     _check_ambient,
@@ -65,9 +69,18 @@ class SymmetricSeed:
         return cls(A, (_defect_frame(A, 1j), _defect_frame(A, -1j)))
 
     @cached_property
+    def w(self) -> np.ndarray:
+        """Read-only W = [N-hat_i, N-hat_{-i}], 2n x 2d, the orthonormal
+        frame of A* (-) A on which every relation A <= X <= A* is held,
+        built on first use and kept."""
+        w = np.hstack(self.defect_frames_at_i)
+        w.setflags(write=False)
+        return w
+
+    @cached_property
     def A_star(self) -> LinearRelation:
-        """A* with the orthonormal frame [A, N-hat_i, N-hat_{-i}], built on first use."""
-        return LinearRelation(np.hstack([self.A.frame, *self.defect_frames_at_i]))
+        """A* with the orthonormal frame [A, W], built on first use."""
+        return LinearRelation(np.hstack([self.A.frame, self.w]))
 
 
 def _defect_frame(A: LinearRelation, lam: complex) -> np.ndarray:
@@ -99,13 +112,14 @@ class BoundaryTriplet:
 
     @cached_property
     def lift(self) -> np.ndarray:
-        """Read-only W (Gamma W)^{-1}, 2n x 2d, for the seed's defect frames
-        W = [N-hat_i, N-hat_{-i}] of A* (-) A, built on first use and kept;
-        its ``graph_operator`` cut (Gamma W is square iff d = n - dim A) is
-        the verdict that Gamma maps A* onto C^{2d}, TripletError if not."""
-        w = np.hstack(self.seed.defect_frames_at_i)
+        """Read-only (Gamma W)^{-1}, 2d x 2d, for the seed's frame W of
+        A* (-) A: a boundary pair's coordinates on W, built on first use
+        and kept; its ``graph_operator`` cut (Gamma W is square iff
+        d = n - dim A) is the verdict that Gamma maps A* onto C^{2d},
+        TripletError if not."""
+        gw = np.vstack([self.gamma0, self.gamma1]) @ self.seed.w
         try:
-            lift = graph_operator(np.vstack([self.gamma0, self.gamma1]) @ w, w)
+            lift = graph_operator(gw, np.eye(gw.shape[0], dtype=complex))
         except SpectrumError as exc:
             raise TripletError("stacked boundary map is not surjective") from exc
         lift.setflags(write=False)
@@ -212,19 +226,20 @@ def von_neumann_triplet(seed: SymmetricSeed, V=None) -> BoundaryTriplet:
     return BoundaryTriplet.from_ambient_maps(seed, plus + minus, 1j * (plus - minus))
 
 
-def extension_of(tri: BoundaryTriplet, theta: LinearRelation) -> LinearRelation:
-    """A_theta = {f-hat in A*: {Gamma0 f-hat, Gamma1 f-hat} in theta}: the
-    frame of A beside a QR frame of the injective lift(theta), in A* (-) A,
-    so no rank is decided.  A stack of theta gives the stack of extensions,
-    from one stacked QR; a theta of dimension 0 needs none."""
+def extension_of(tri: BoundaryTriplet, theta: LinearRelation) -> OrthogonalSum:
+    """A_theta = {f-hat in A*: {Gamma0 f-hat, Gamma1 f-hat} in theta}, as
+    A (+) W Y for the QR coordinates Y of the injective lift(theta) on the
+    seed's W, a QR of 2d rows that decides no rank; its frame [A, W Y] is
+    assembled only where it is read.  A stack of theta gives the stack of
+    extensions, from one stacked QR; a theta of dimension 0 needs none."""
     if theta.n != tri.boundary_dim:
         raise ValueError("theta must be a relation in the boundary space")
-    a = tri.seed.A.frame
-    frame = np.empty(theta.frame.shape[:-2] + (a.shape[0], a.shape[1] + theta.dim), dtype=complex)
-    frame[..., :a.shape[1]] = a
+    w = tri.seed.w
     if theta.dim:
-        frame[..., a.shape[1]:] = np.linalg.qr(tri.lift @ theta.frame)[0]
-    return LinearRelation(frame)
+        coords = np.linalg.qr(tri.lift @ theta.frame)[0]
+    else:
+        coords = np.zeros(theta.frame.shape[:-2] + (w.shape[1], 0), dtype=complex)
+    return OrthogonalSum(tri.seed.A, w, coords)
 
 
 def boundary_param_of(tri: BoundaryTriplet, A_tilde: LinearRelation) -> LinearRelation:

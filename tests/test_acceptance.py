@@ -38,12 +38,12 @@ from relcomp.linrel import (
     make_relation,
     negate,
     null_space,
-    operator_relation,
     orth,
     parts,
     relations_equal,
     zero_relation,
 )
+import relcomp.driver as driver
 import relcomp.triplet as triplet
 import relcomp.nevanlinna as nevanlinna
 from relcomp.nevanlinna import RationalNevanlinna, decompose_tau, eval_tau, tau_limits
@@ -278,33 +278,44 @@ def test_frames_built_without_orth_are_orthonormal(corpus):
     ``parts`` reads off A*, C(A~) and A~, and theta_T's, built as
     ``compression_chain`` builds it.  So do the ``operator_relation``
     frames of tau_c, theta0 (as ``s_direct_matches_theta0`` builds it) and
-    tau(lam) with tau's constant coefficient scaled by 1e9."""
+    tau(lam) with tau's constant coefficient scaled by 1e9.  Every
+    coordinate frame Y on W stays orthonormal as well: those of A0, C(A~),
+    A_theta0, A_theta_T, the oracle's S, C and T and the model's rest of
+    A~, and, at A x 1e9, those of the extensions by tau_c, theta0,
+    theta_T and -tau(lam)."""
     big = generate_instance(np.random.default_rng(292), max_dim=96,
                             max_boundary=48, max_poles=4)
     assert big.dim == 96
     contexts = [item["ctx"] for item in corpus] \
         + [VerifyContext(*build_problem(big), None)]
-    worst = worst_scaled = 0.0
+    worst = worst_scaled = worst_coords = 0.0
     for ctx in contexts:
-        C, hp = ctx.report.compression, ctx.decomposition.h_prime
-        image = ctx.tau.a_coef @ ctx.tau.op_frame
-        theta_t = operator_relation(ctx.tau.op_frame, hp @ (hp.conj().T @ image) - image,
-                                    np.hstack([ctx.tau.mul_frame, hp]))
-        for T in (ctx.tri.a0, C, ctx.model.a_tilde, ctx.chain[1], theta_t):
+        tri, C = ctx.tri, ctx.report.compression
+        theta_t = driver.theta_t(ctx.tau, ctx.decomposition)
+        for T in (tri.a0, C, ctx.model.a_tilde, ctx.chain[1], theta_t):
             worst = max(worst, _frame_gap(T.frame))
-        for T in (ctx.tri.seed.A_star, C, ctx.model.a_tilde):
+        for T in (tri.seed.A_star, C, ctx.model.a_tilde):
             p = parts(T)
             worst = max(worst, _frame_gap(p.ker), _frame_gap(p.mul))
+        theta0 = driver.theta0(ctx.tau, ctx.decomposition)
+        for y in (tri.a0.coords, C.coords, *(X.coords for X in ctx.chain), ctx.model.coords,
+                  extension_of(tri, theta0).coords, extension_of(tri, theta_t).coords):
+            worst_coords = max(worst_coords, _frame_gap(y))
         tau = dataclasses.replace(ctx.tau, a_coef=1e9 * ctx.tau.a_coef)
-        hd = decompose_tau(tau).h_dprime
-        for T in (compression_param(tau), eval_tau(tau, 0.3 + 1j),
-                  operator_relation(hd, -tau.a_coef @ hd, tau.mul_frame)):
+        dec, tau_at = decompose_tau(tau), eval_tau(tau, 0.3 + 1j)
+        for T in (compression_param(tau), tau_at, driver.theta0(tau, dec)):
             worst_scaled = max(worst_scaled, _frame_gap(T.frame))
-    _report("frames without orth", worst <= 1e-13 and worst_scaled <= 1e-14,
+        for T in (compression_param(tau), driver.theta0(tau, dec), driver.theta_t(tau, dec),
+                  negate(tau_at)):
+            worst_coords = max(worst_coords, _frame_gap(extension_of(tri, T).coords))
+    _report("frames without orth",
+            worst <= 1e-13 and worst_scaled <= 1e-14 and worst_coords <= 1e-14,
             f"{len(contexts)} instances, worst |F^H F - I| {worst:.1e}, "
-            f"{worst_scaled:.1e} for tau_c, theta0 and tau(lam) at A x 1e9")
+            f"{worst_scaled:.1e} for tau_c, theta0 and tau(lam) at A x 1e9, "
+            f"{worst_coords:.1e} for the coordinate frames on W")
     assert worst <= 1e-13
     assert worst_scaled <= 1e-14
+    assert worst_coords <= 1e-14
 
 
 def _chain_by_null_spaces(model):
@@ -323,8 +334,8 @@ def _chain_by_null_spaces(model):
 
 
 def test_nested_chain_matches_the_null_space_route(corpus):
-    """direct_compression's nested frames span the reference chain's
-    relations, S.frame opens C.frame and C.frame opens T.frame exactly, and
+    """direct_compression's nested sets span the reference chain's
+    relations, S's coordinates on W open C's and C's open T's exactly, and
     C and T are orthonormal; on the corpus, on a model with n_r = 0 and on
     the uncoupled model, whose exit rows f_r vanish."""
     tri = corpus[0]["ctx"].tri
@@ -338,8 +349,8 @@ def test_nested_chain_matches_the_null_space_route(corpus):
         for nested, ref in zip((C, S, T), _chain_by_null_spaces(model)):
             assert nested.dim == ref.dim
             worst_gap = max(worst_gap, relations_equal(nested, ref)[1])
-        assert np.array_equal(S.frame, C.frame[:, :S.dim])
-        assert np.array_equal(C.frame, T.frame[:, :C.dim])
+        assert np.array_equal(S.coords, C.coords[:, :S.coords.shape[1]])
+        assert np.array_equal(C.coords, T.coords[:, :C.coords.shape[1]])
         worst_frame = max(worst_frame, _frame_gap(C.frame), _frame_gap(T.frame))
     assert worst_gap <= 1e-13
     assert worst_frame <= 1e-14

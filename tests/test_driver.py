@@ -19,6 +19,7 @@ import relcomp.linrel as linrel
 import relcomp.triplet as triplet
 from relcomp.exitspace import build_exit_space, generalized_resolvent_direct, minimality
 from relcomp.linrel import (
+    LinearRelation,
     _green_form,
     _norm2,
     extend,
@@ -575,36 +576,32 @@ FAULTS = {
         driver, "direct_compression",
         lambda direct: lambda model: (lambda C, S, T: (C, S, C))(*direct(model)),
         ["compression_chain"], "b_deficient"),
-    # the oracle's T and S with frames that are not orthonormal: each check
-    # reads the projector of the oracle's part off A, and the distance of
-    # its A columns from A's frame, which fails where S = A
+    # the oracle's T, S and C with coordinate frames on W that are not
+    # orthonormal: each check reads the projector of the oracle's
+    # coordinates.  S = A on the b_deficient instance, so S has no
+    # coordinates there; the random one has dim H'' = 2
     "t_frame_scaled": (
         driver, "direct_compression",
         lambda direct: lambda model: (lambda C, S, T: (
-            C, S, dataclasses.replace(T, frame=1.01 * T.frame)))(*direct(model)),
+            C, S, dataclasses.replace(T, coords=1.01 * T.coords)))(*direct(model)),
         ["compression_chain"], "b_deficient"),
     "s_frame_scaled": (
         driver, "direct_compression",
         lambda direct: lambda model: (lambda C, S, T: (
-            C, dataclasses.replace(S, frame=1.01 * S.frame), T))(*direct(model)),
-        ["s_direct_matches_theta0"], "b_deficient"),
-    # only the A columns of the oracle's C scaled: its part off A, the part
-    # the gap reads, is right, and the distance of those columns from A's
-    # frame is what fails
-    "c_a_columns_scaled": (
+            C, dataclasses.replace(S, coords=1.01 * S.coords), T))(*direct(model)),
+        ["s_direct_matches_theta0"], "random"),
+    "c_frame_scaled": (
         driver, "direct_compression",
         lambda direct: lambda model: (lambda C, S, T: (
-            dataclasses.replace(C, frame=np.hstack([
-                1.01 * C.frame[:, :model.a.dim], C.frame[:, model.a.dim:]])),
-            S, T))(*direct(model)),
+            dataclasses.replace(C, coords=1.01 * C.coords), S, T))(*direct(model)),
         ["compression_equivalence"], "b_deficient"),
     # H'' without its first column; the FAULTS instance has H'' = {0}, this
-    # one dim H'' = 2
+    # one dim H'' = 2.  theta0 and theta_T both read H''
     "h_dprime_column": (
         driver, "decompose_tau",
         lambda decompose: lambda tau: (lambda dec: dataclasses.replace(
             dec, h_dprime=dec.h_dprime[:, 1:]))(decompose(tau)),
-        ["s_direct_matches_theta0"], "random"),
+        ["s_direct_matches_theta0", "compression_chain"], "random"),
 }
 
 
@@ -621,13 +618,13 @@ def test_injected_fault_fails_exactly_its_check(monkeypatch, fault):
 
 def test_a_wrong_lift_is_caught_although_both_routes_read_it(monkeypatch):
     """The formula route and the reference relations of the oracle's checks
-    read BoundaryTriplet.lift; building A~ does not.  A shear of the lift
-    (Gamma0 += Gamma1) moves A0, and verify fails or raises, naming a check,
-    on the FAULTS instance and on every instance of the five categories with
-    d >= 1.  A sign flip of its Gamma1 half leaves A0 unchanged: verify
-    fails every instance whose tau has an operator part, and passes the
-    purely multivalued ones (K = C^d), whose results read only A0 and are
-    correct."""
+    read BoundaryTriplet.lift, the coordinate lift (Gamma W)^{-1}; building
+    A~ does not.  A shear of its columns (Gamma0 += Gamma1) moves A0, and
+    verify fails or raises, naming a check, on the FAULTS instance and on
+    every instance of the five categories with d >= 1.  A sign flip of its
+    Gamma1 columns leaves A0 unchanged: verify fails every instance whose
+    tau has an operator part, and passes the purely multivalued ones
+    (K = C^d), whose results read only A0 and are correct."""
     lift = BoundaryTriplet.__dict__["lift"].func
     corpus = [generate_instance(np.random.default_rng(0), category="b_deficient")]
     for category in ("random", "k_nontrivial", "transversal", "b_full", "b_deficient"):
@@ -711,30 +708,35 @@ def test_t_read_as_c_fails_only_where_h_prime_is_nonzero(monkeypatch):
 
 
 def test_chain_checks_read_the_full_gap_off_a(monkeypatch):
-    """On the 80 instances each of the three chain checks, which reads the
-    parts off A of the formula's and the oracle's set, equals the gap
-    ``relations_equal`` reads on their whole frames within 1e-14."""
+    """On the 80 instances and on the n = 96 draw of seed 292, each of the
+    three chain checks, which reads the coordinates on W of the formula's
+    and the oracle's set, equals the gap ``relations_equal`` reads on
+    their assembled whole frames [A, W Y] within 1e-14."""
     readings = []
-    gap_off_a = driver._gap_off_a
+    gap_on_w = driver._gap_on_w
 
-    def recorded(ctx, formula, oracle):
-        readings.append((formula, oracle, gap_off_a(ctx, formula, oracle)))
+    def recorded(formula, oracle):
+        readings.append((formula, oracle, gap_on_w(formula, oracle)))
         return readings[-1][2]
-    monkeypatch.setattr(driver, "_gap_off_a", recorded)
-    for i, (inst, rng) in enumerate(_eighty_instances()):
+    monkeypatch.setattr(driver, "_gap_on_w", recorded)
+    big = generate_instance(np.random.default_rng(292), 96, 48, 4)
+    for i, (inst, rng) in enumerate(_eighty_instances() + [(big, np.random.default_rng(0))]):
         readings.clear()
         checks = {c.name: c.residual for c in verify_instance(inst, rng)}
         assert [gap for *_, gap in readings] == [checks[name] for name in (
             "compression_equivalence", "s_direct_matches_theta0", "compression_chain")], i
         for formula, oracle, gap in readings:
-            assert abs(gap - relations_equal(formula, oracle)[1]) <= 1e-14, i
+            assert abs(gap - relations_equal(LinearRelation(formula.frame),
+                                             LinearRelation(oracle.frame))[1]) <= 1e-14, i
 
 
 def test_a_skewed_extend_fails_the_chain_checks(monkeypatch):
     """``extend``'s first new column skewed by 1e-6 times its frame's first
     column, in the oracle (its compressions and ``minimality``): verify
     fails 60 of the 80 instances, compression_chain on all 60 and
-    compression_equivalence on 44, and no other check."""
+    compression_equivalence on 8, and no other check.  The compressions
+    extend coordinates on W, so the skew mixes two coordinate columns; C
+    extends S, which has none where S = A, and there C is not skewed."""
     extend = exitspace.extend
 
     def skewed(frame, span):
@@ -749,12 +751,12 @@ def test_a_skewed_extend_fails_the_chain_checks(monkeypatch):
         failing += bool(failed)
         for name in failed:
             by_check[name] = by_check.get(name, 0) + 1
-    assert (failing, by_check) == (60, {"compression_equivalence": 44, "compression_chain": 60})
+    assert (failing, by_check) == (60, {"compression_equivalence": 8, "compression_chain": 60})
 
 
 def test_krein_against_canonical_alone_catches_a_negated_gamma1_lift(monkeypatch):
-    """A lift whose Gamma1 half is negated fails krein_formula on 71 of the
-    80 instances; on 23 of them it fails no other check and the oracle
+    """A coordinate lift (Gamma W)^{-1} whose Gamma1 columns are negated
+    fails krein_formula on 71 of the 80 instances; on 23 of them it fails no other check and the oracle
     half of krein_formula passes, so the comparison with the canonical
     resolvent of A_{-tau(lam)} is their only catcher and stays."""
     lift = BoundaryTriplet.__dict__["lift"].func
@@ -846,7 +848,7 @@ def test_verify_instance_factorization_count(monkeypatch):
     it evaluates tau on their stack once, reads both formula-route sides
     off it, one call per factorization, and the oracle at each lam.  It
     takes 5 eigvalsh calls: one per reported gap (one for the stacked
-    points of the gap limit and three for the parts off A of the
+    points of the gap limit and three for the coordinates on W of the
     compressions C, S and T), and the angles of
     ``diagonalize(A0)``; the symmetry and subset verdicts are settled by
     Frobenius norms.  It takes 10 QRs: ``operator_relation`` in the
@@ -893,6 +895,30 @@ def test_no_full_svd_of_a_wide_matrix(monkeypatch):
     verify_instance(inst, np.random.default_rng(0))
     assert any(full for _, full in calls)
     assert [(shape, full) for shape, full in calls if full and shape[0] < shape[1]] == []
+
+
+def test_no_factorization_of_extension_coordinates_or_the_chain_reads_2n_rows(monkeypatch):
+    """On the n = 96 draw of seed 292 (d = 36), every QR and SVD issued
+    inside ``extension_of`` (the coordinates of A0, C(A~), A_theta0,
+    A_theta_T and the stacked canonical extensions) or inside
+    ``direct_compression`` (the oracle's splits and extends) factors a
+    matrix of fewer than 2n rows: the coordinates on W have 2d rows, and
+    the splits at most d + n_r."""
+    inst = generate_instance(np.random.default_rng(292), 96, 48, 4)
+    calls = []
+    for name in ("qr", "svd"):
+        def recorded(a, *args, _factor=getattr(np.linalg, name), **kwargs):
+            frame, owners = sys._getframe(1), set()
+            while frame is not None:
+                owners.add(frame.f_code.co_name)
+                frame = frame.f_back
+            for owner in owners & {"extension_of", "direct_compression"}:
+                calls.append((owner, a.shape[-2]))
+            return _factor(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, recorded)
+    verify_instance(inst, np.random.default_rng(0))
+    assert {owner for owner, _ in calls} == {"extension_of", "direct_compression"}
+    assert [(owner, rows) for owner, rows in calls if rows >= 2 * inst.dim] == []
 
 
 def test_report_names_the_check_that_raised(monkeypatch):
@@ -1140,6 +1166,25 @@ def test_scaled_tau_keeps_its_verdicts(scale):
             assert all(c.passed for c in checks), (seed, i, checks)
             assert next(c.residual for c in checks
                         if c.name == "compression_chain") <= chain_bound, (seed, i)
+
+
+@pytest.mark.parametrize("scale, bound", [(1.0, 2e-15), (1e3, 3e-13), (1e6, 3e-10),
+                                          (1e9, 3e-7)])
+def test_theta_t_frame_loses_no_more_than_its_scale(scale, bound):
+    """theta_T's ``operator_relation`` frame, as compression_chain builds
+    it, on the scaled-tau corpora of the generator seeds 0 ... 9: its image
+    -h'' (h''^H A op_frame) forms no difference of near-equal images, and
+    |F^H F - I| reads 1.0e-15, 1.6e-13, 1.5e-10 and 1.2e-7 at x 1, 1e3,
+    1e6 and 1e9 (measured; the form hp (hp^H A op) - A op read 1.8e-15,
+    2.2e-12, 2.5e-9 and 2.2e-6).  The loss still grows with the scale."""
+    worst = 0.0
+    for seed in range(10):
+        for inst in _scaled_tau_corpus(scale, seed):
+            _, tau = build_problem(inst)
+            frame = driver.theta_t(tau, decompose_tau(tau)).frame
+            worst = max(worst, float(np.max(np.abs(frame.conj().T @ frame - np.eye(frame.shape[1])),
+                                            initial=0.0)))
+    assert worst <= bound
 
 
 @pytest.mark.parametrize("factor, told_apart", [(1.001, 154), (1 + 3e-5, 151)])

@@ -98,11 +98,14 @@ def test_a_tilde_and_its_compressions_start_with_a():
 
 def test_split_compressions_match_a_model_that_declares_no_a():
     """On the 80 instances, direct_compression on the model whose A is
-    {{0, 0}}, which splits A~'s whole frame, gives C, S and T within 1e-13
-    of the split off A."""
+    {{0, 0}} and whose w is the identity, which splits A~'s whole frame,
+    gives C, S and T within 1e-13 of the split off A."""
     for i, (inst, _) in enumerate(_eighty_instances()):
         model = build_exit_space(*build_problem(inst))
-        whole = direct_compression(ExitSpaceModel(zero_relation(model.dim_h), model.a_tilde.frame))
+        n, nr, frame = model.dim_h, model.dim_r, model.a_tilde.frame
+        # A~'s rows (f, f_r, f', f_r') as coordinates (f, f', f_r, f_r') on I (+) C^{2n_r}
+        coords = np.vstack([frame[:n], frame[n + nr:2 * n + nr], frame[n:n + nr], frame[2 * n + nr:]])
+        whole = direct_compression(ExitSpaceModel(zero_relation(n), np.eye(2 * n), coords))
         for split, plain in zip(direct_compression(model), whole):
             assert relations_equal(split, plain)[1] <= 1e-13, i
 
@@ -112,8 +115,8 @@ def test_no_svd_of_the_oracle_reads_the_dimension_of_a(monkeypatch):
     build_exit_space's one coupling null space is (2d + 2n_r) x (d + n_r),
     as the tall adjoint of its rows, beside the complement of K, and every
     SVD of direct_compression is at most d + n_r on each side, but for the
-    orth of ``extend``, whose at most n_r new columns have the 2n rows of
-    base-space pairs.  Every side over A* or the whole of A~'s frame would
+    orth of ``extend``, whose at most n_r new columns have the 2d rows of
+    coordinates on W.  Every side over A* or the whole of A~'s frame would
     be at least n + n_r > 2d + 2n_r here."""
     inst = generate_instance(np.random.default_rng(1513), 96, 48, 4)
     tri, tau = build_problem(inst)
@@ -130,7 +133,7 @@ def test_no_svd_of_the_oracle_reads_the_dimension_of_a(monkeypatch):
     direct_compression(model)
     assert len(shapes) == 4
     for rows, cols in shapes:
-        assert max(rows, cols) <= d + nr or (rows == 2 * n and cols <= nr), (rows, cols)
+        assert max(rows, cols) <= d + nr or (rows == 2 * d and cols <= nr), (rows, cols)
 
 
 def _model_triplet(tau):
@@ -247,18 +250,19 @@ def test_coupled_relation_selfadjoint_random():
 
 def _uncoupled_problem():
     """(tri, tau, model) with A~ replaced by the direct sum of A0 and the
-    vertical relation in H_r: the resolvent never leaves H.  A0's frame is
-    [A, q0], so the rest of A~ is q0 beside a vertical exit block."""
+    vertical relation in H_r: the resolvent never leaves H.  A0 is
+    A (+) W Y0, so the rest of A~ has coordinates Y0 beside a vertical
+    exit block."""
     rng = np.random.default_rng(17)
     tri, tau = random_problem(rng)
     model = build_exit_space(tri, tau)
     assert model.dim_r > 0
-    n, nr, p = model.dim_h, model.dim_r, tri.seed.A.dim
-    q0 = tri.a0.frame[:, p:]
-    off_a = np.zeros((2 * (n + nr), q0.shape[1] + nr), dtype=complex)
-    off_a[:n, :-nr], off_a[n + nr:2 * n + nr, :-nr] = q0[:n], q0[n:]
-    off_a[2 * n + nr:, -nr:] = np.eye(nr)   # vertical block in H_r
-    return tri, tau, ExitSpaceModel(tri.seed.A, off_a)
+    nr, y0 = model.dim_r, tri.a0.coords
+    m = y0.shape[0]
+    coords = np.zeros((m + 2 * nr, y0.shape[1] + nr), dtype=complex)
+    coords[:m, :-nr] = y0
+    coords[m + nr:, -nr:] = np.eye(nr)   # vertical block in H_r
+    return tri, tau, ExitSpaceModel(tri.seed.A, tri.seed.w, coords)
 
 
 def test_uncoupled_model_not_minimal():

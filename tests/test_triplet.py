@@ -372,10 +372,10 @@ def test_von_neumann_green_residual():
         d = seed.A.n - seed.A.dim
         tri = von_neumann_triplet(seed, V=random_unitary(rng, d))
         assert check_green(tri) < GREEN_TOL
-        # Gamma vanishes on A, and the lift inverts it on A* (-) A
+        # Gamma vanishes on A, and the lift inverts it on W = A* (-) A
         gamma = np.vstack([tri.gamma0, tri.gamma1])
         assert np.max(np.abs(gamma @ seed.A.frame), initial=0.0) < 1e-12
-        assert np.max(np.abs(gamma @ tri.lift - np.eye(2 * d)), initial=0.0) < 1e-12
+        assert np.max(np.abs(gamma @ seed.w @ tri.lift - np.eye(2 * d)), initial=0.0) < 1e-12
 
 
 @pytest.mark.parametrize("d", [1, 3, 8])
